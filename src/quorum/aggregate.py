@@ -26,6 +26,7 @@ from .core import (
     DimensionError,
     DomainError,
     PredictionMatrix,
+    _BLOCK_CELLS,
     _as_readonly,
     ow_weights,
     question_rng,
@@ -237,18 +238,29 @@ def _gather_totals(tables: np.ndarray, answers: np.ndarray) -> np.ndarray:
     return totals
 
 
+def _label_totals(answers: np.ndarray, k: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """totals[q, s] = sum of weights[j] (1 if unweighted) over agents j with answers[q, j] == s."""
+
+    m, n = answers.shape
+    totals = np.empty((m, k))
+    rows = max(1, min(m, _BLOCK_CELLS // max(n, k)))
+    row_codes = np.arange(0, rows * k, k)[:, None]
+    block_weights = None if weights is None else np.tile(weights, rows)
+    for start in range(0, m, rows):
+        block = answers[start : start + rows]
+        b = block.shape[0]
+        codes = (block + row_codes[:b]).ravel()  # flat code q*K + a within the block
+        w = None if weights is None else block_weights[: b * n]
+        totals[start : start + b] = np.bincount(codes, weights=w, minlength=b * k).reshape(b, k)
+    return totals
+
+
 def vote_counts_batch(answers: np.ndarray, k: int) -> np.ndarray:
-    counts = np.zeros((answers.shape[0], k))
-    for s in range(k):
-        counts[:, s] = (answers == s).sum(axis=1)
-    return counts
+    return _label_totals(answers, k)
 
 
 def weighted_scores_batch(answers: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    scores = np.zeros((answers.shape[0], k))
-    for s in range(k):
-        scores[:, s] = ((answers == s) * weights[None, :]).sum(axis=1)
-    return scores
+    return _label_totals(answers, k, np.asarray(weights, dtype=float))
 
 
 def sp_advantage_batch(pm_or_answers, so: SecondOrderMatrix, k: int | None = None) -> np.ndarray:

@@ -43,6 +43,10 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+# Cells in one block of a kernel that works through the questions in row
+# blocks; keeps each block's scratch arrays near 1 MB whatever M is.
+_BLOCK_CELLS = 2**18
+
 
 class DomainError(ValueError):
     """A numeric argument is outside its mathematical domain."""

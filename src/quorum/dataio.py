@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import operator
 import os
 import tempfile
 
@@ -70,6 +72,35 @@ def _parse_header(header: list[str], path: str) -> tuple[list[str], bool]:
     return names, has_truth
 
 
+def _first_repeat(items: list[str]) -> int | None:
+    """Index of the first item equal to an earlier one, or None if all differ.
+
+    Whether any item repeats is read off a sorted copy, which costs one
+    pointer per item where a set would cost several; the set that locates
+    the repeat is built only when there is one.
+    """
+
+    ordered = sorted(items)
+    if not any(map(operator.eq, ordered, itertools.islice(ordered, 1, None))):
+        return None
+    seen = set()
+    for idx, item in enumerate(items):
+        if item in seen:
+            return idx
+        seen.add(item)
+    return None
+
+
+def _line_of_row(index: int, dropped_lines: list[int]) -> int:
+    """File line of the index-th kept data row, given the (ascending) dropped lines."""
+
+    lineno = index + 2
+    for dropped in dropped_lines:
+        if dropped <= lineno:
+            lineno += 1
+    return lineno
+
+
 def read_predictions_csv(
     path: str,
     agents: list[str] | None = None,
@@ -96,11 +127,13 @@ def read_predictions_csv(
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
         names, has_truth = _parse_header(header, path)
+        space = LabelSpace(tuple(labels)) if labels is not None else None
+        known = set(space.labels) if space is not None else None
         width = 1 + len(names) + (1 if has_truth else 0)
         qids: list[str] = []
         rows: list[list[str]] = []
         truths: list[str] = []
-        dropped = 0
+        dropped_lines: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
@@ -108,23 +141,28 @@ def read_predictions_csv(
             truth_cell = row[-1] if has_truth else None
             if "" in cells or truth_cell == "":
                 if drop_incomplete:
-                    dropped += 1
+                    dropped_lines.append(lineno)
                     continue
                 agent = names[cells.index("")] if "" in cells else "truth"
                 raise FormatError(
                     f"{path}:{lineno}: empty cell for {agent!r} "
                     "(use --drop-incomplete to skip such questions)"
                 )
+            if known is not None and not known.issuperset(row[1:]):
+                cell = next(c for c in row[1:] if c not in known)
+                raise FormatError(f"{path}:{lineno}: label {cell!r} not in label space {space.labels}")
             qids.append(row[0])
             rows.append(cells)
             if has_truth:
                 truths.append(truth_cell)
     if not rows:
         raise FormatError(f"{path}: no usable question rows")
+    repeat = _first_repeat(qids)
+    if repeat is not None:
+        lineno = _line_of_row(repeat, dropped_lines)
+        raise FormatError(f"{path}:{lineno}: duplicate question_id {qids[repeat]!r}")
 
-    if labels is not None:
-        space = LabelSpace(tuple(labels))
-    else:
+    if space is None:
         seen = set()
         for cells in rows:
             seen.update(cells)
@@ -134,16 +172,10 @@ def read_predictions_csv(
         space = LabelSpace(tuple(sorted(seen)))
     lut = {lab: i for i, lab in enumerate(space.labels)}
 
-    def encode(cell: str) -> int:
-        try:
-            return lut[cell]
-        except KeyError:
-            raise FormatError(f"{path}: label {cell!r} not in label space {space.labels}") from None
-
-    answers = np.array([[encode(c) for c in cells] for cells in rows], dtype=np.int64)
-    truth = np.array([encode(c) for c in truths], dtype=np.int64) if has_truth else None
+    answers = np.array([[lut[c] for c in cells] for cells in rows], dtype=np.int64)
+    truth = np.array([lut[c] for c in truths], dtype=np.int64) if has_truth else None
     pm = PredictionMatrix(space, answers, truth)
-    meta = {"question_ids": qids, "agent_names": names, "dropped": dropped}
+    meta = {"question_ids": qids, "agent_names": names, "dropped": len(dropped_lines)}
     if agents is not None:
         missing = [a for a in agents if a not in names]
         if missing:

@@ -29,7 +29,12 @@ from .core import (
 )
 from . import aggregate as agg
 from .aggregate import TIE_LOWEST, TiePolicy
-from .secondorder import SecondOrderMatrix, empirical_second_order
+from .secondorder import (
+    SecondOrderMatrix,
+    cross_label_prob,
+    empirical_second_order,
+    same_label_prob,
+)
 
 __all__ = [
     "METHODS",
@@ -127,12 +132,12 @@ class _ErmData:
         self.cross_sq = total_sq - self.same_sq
         self.offdiag = ~np.eye(self.n, dtype=bool)
 
-    def loss(self, x: np.ndarray) -> float:
+    def _loss_terms(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Loss and the model's per-pair same/cross-label probabilities at x."""
+
         k = self.k
-        s = x[:, None] * x[None, :] + (1 - x[:, None]) * (1 - x[None, :]) / (k - 1)
-        c = (x[:, None] * (1 - x[None, :]) + (1 - x[:, None]) * x[None, :]) / (k - 1) + (
-            k - 2
-        ) * (1 - x[:, None]) * (1 - x[None, :]) / (k - 1) ** 2
+        s = same_label_prob(x[:, None], x[None, :], k)
+        c = cross_label_prob(x[:, None], x[None, :], k)
         per_pair = (
             k * s**2
             - 2 * s * self.same_sum
@@ -141,23 +146,14 @@ class _ErmData:
             - 2 * c * self.cross_sum
             + self.cross_sq
         )
-        return float(per_pair[self.offdiag].sum())
+        return float(per_pair[self.offdiag].sum()), s, c
+
+    def loss(self, x: np.ndarray) -> float:
+        return self._loss_terms(x)[0]
 
     def loss_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         k = self.k
-        s = x[:, None] * x[None, :] + (1 - x[:, None]) * (1 - x[None, :]) / (k - 1)
-        c = (x[:, None] * (1 - x[None, :]) + (1 - x[:, None]) * x[None, :]) / (k - 1) + (
-            k - 2
-        ) * (1 - x[:, None]) * (1 - x[None, :]) / (k - 1) ** 2
-        per_pair = (
-            k * s**2
-            - 2 * s * self.same_sum
-            + self.same_sq
-            + k * (k - 1) * c**2
-            - 2 * c * self.cross_sum
-            + self.cross_sq
-        )
-        loss = float(per_pair[self.offdiag].sum())
+        loss, s, c = self._loss_terms(x)
         # residual sums: A_ij = sum_k (S_ij - target_kk), B_ij likewise off-diagonal
         a = k * s - self.same_sum
         b = k * (k - 1) * c - self.cross_sum

@@ -24,6 +24,7 @@ from .core import (
     DomainError,
     FormatError,
     PredictionMatrix,
+    _BLOCK_CELLS,
     _as_readonly,
 )
 
@@ -151,6 +152,12 @@ def mixture_weighted_second_order(sames, crosses, weights, k: int, meta=None) ->
     )
 
 
+# Label counts up to this size take the one-hot Gram product; larger ones take
+# one bincount per agent, whose cost does not grow with K. On the benchmark's
+# inputs the Gram path is 25x faster at N=100, K=2 and 9x slower at N=10, K=50.
+_GRAM_MAX_K = 16
+
+
 def pair_counts(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Joint answer counts for every ordered agent pair.
 
@@ -160,15 +167,37 @@ def pair_counts(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
 
     n, k = pm.n, pm.k
-    counts = np.empty((n, n, k, k), dtype=np.int64)
-    for j in range(n):
-        col_j = pm.answers[:, j]
-        for i in range(n):
-            pair = pm.answers[:, i] * k + col_j
-            counts[i, j] = np.bincount(pair, minlength=k * k).reshape(k, k)
-    denom = np.empty((n, k), dtype=np.int64)
-    for j in range(n):
-        denom[j] = np.bincount(pm.answers[:, j], minlength=k)
+    answers = pm.answers
+    if k <= _GRAM_MAX_K:
+        # Column j*K + a of the one-hot matrix X marks A_j = s_a, so
+        # (X^T X)[i*K + a, j*K + b] counts questions with A_i = s_a and A_j = s_b.
+        # Each block's product is a sum of at most `rows` <= 2**18 ones, below
+        # 2**24, so float32 holds it exactly.
+        width = n * k
+        rows = max(1, _BLOCK_CELLS // width)
+        offsets = np.arange(n) * k
+        gram = np.zeros((width, width), dtype=np.int64)
+        for start in range(0, pm.m, rows):
+            codes = answers[start : start + rows] + offsets
+            onehot = np.zeros((codes.shape[0], width), dtype=np.float32)
+            np.put_along_axis(onehot, codes, 1.0, axis=1)
+            gram += (onehot.T @ onehot).astype(np.int64)
+        counts = np.ascontiguousarray(gram.reshape(n, k, n, k).transpose(0, 2, 1, 3))
+    else:
+        counts = np.zeros((n, n, k, k), dtype=np.int64)
+        rows = max(1, _BLOCK_CELLS // n)
+        for start in range(0, pm.m, rows):
+            block = answers[start : start + rows]
+            for j in range(n):
+                # code (i - j)*K^2 + A_i*K + A_j for every agent i >= j at once
+                codes = block[:, j:] * k + block[:, j : j + 1]
+                codes += np.arange(n - j) * (k * k)
+                pairs = np.bincount(codes.ravel(), minlength=(n - j) * k * k)
+                counts[j:, j] += pairs.reshape(n - j, k, k)
+        for j in range(n):
+            counts[j, j + 1 :] = counts[j + 1 :, j].transpose(0, 2, 1)
+    idx = np.arange(n)
+    denom = np.ascontiguousarray(np.diagonal(counts[idx, idx], axis1=1, axis2=2))
     return counts, denom
 
 

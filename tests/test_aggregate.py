@@ -132,6 +132,20 @@ class TestWeightedVote:
         for s, c in zip(sc, counts):
             assert set(agg.argmax_set(s)) == set(agg.argmax_set(c))
 
+    @pytest.mark.parametrize("m,n,k", [(200, 7, 3), (50, 10, 50), (1, 1, 2)])
+    def test_batch_scores_match_per_question_reference(self, m, n, k):
+        rng = np.random.default_rng(m + n + k)
+        answers = rng.integers(0, k, size=(m, n))
+        w = rng.normal(size=n)
+        counts = agg.vote_counts_batch(answers, k)
+        scores = agg.weighted_scores_batch(answers, w, k)
+        assert counts.dtype == np.float64 and counts.shape == (m, k)
+        for q in range(m):
+            np.testing.assert_array_equal(counts[q], agg.vote_counts(answers[q], k))
+            np.testing.assert_allclose(
+                scores[q], np.bincount(answers[q], weights=w, minlength=k), rtol=0, atol=1e-12
+            )
+
     def test_aggregate_weighted(self):
         # the heavy agent outvotes two light ones
         label = agg.aggregate_weighted([0, 1, 1], np.array([3.0, 1.0, 1.0]), 2)

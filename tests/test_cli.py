@@ -296,6 +296,19 @@ class TestAggregateCommand:
         result = runner.invoke(main, ["aggregate", "--input", str(ragged), "--out", out])
         assert result.exit_code == 3
         assert "ragged.csv:3" in result.output
+        dup = tmp_path / "dup.csv"
+        dup.write_text("question_id,agent_x,agent_y\nq1,A,B\nq1,B,B\n")
+        result = runner.invoke(main, ["aggregate", "--input", str(dup), "--out", out])
+        assert result.exit_code == 3
+        assert "dup.csv:3: duplicate question_id 'q1'" in result.output
+        assert not (tmp_path / "l.csv").exists()
+        unknown = tmp_path / "unknown.csv"
+        unknown.write_text("question_id,agent_x,agent_y\nq0,A,B\nq1,C,A\n")
+        result = runner.invoke(
+            main, ["aggregate", "--input", str(unknown), "--out", out, "--labels", "A,B"]
+        )
+        assert result.exit_code == 3
+        assert "unknown.csv:3: label 'C'" in result.output
 
     def test_usage_errors_exit_2(self, runner, tmp_path):
         pred = tmp_path / "p.csv"

@@ -75,7 +75,13 @@ class TestLabelSpaceInference:
     def test_label_outside_space_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("question_id,agent_x,agent_y\nq0,A,B\nq1,C,A\n")
-        with pytest.raises(FormatError, match="'C'"):
+        with pytest.raises(FormatError, match=r"p\.csv:3: label 'C'"):
+            read_predictions_csv(str(path), labels=["A", "B"])
+
+    def test_truth_outside_space_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("question_id,agent_x,truth\nq0,A,B\nq1,B,A\nq2,A,C\n")
+        with pytest.raises(FormatError, match=r"p\.csv:4: label 'C'"):
             read_predictions_csv(str(path), labels=["A", "B"])
 
 
@@ -119,6 +125,16 @@ class TestMalformedInputs:
         path.write_text("question_id,agent_x,agent_y\nq0,A,B\nq1,A\n")
         with pytest.raises(FormatError, match=r"p\.csv:3"):
             read_predictions_csv(str(path))
+
+    def test_duplicate_question_id_reports_second_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("question_id,agent_x,agent_y\nq1,A,B\nq2,A,A\nq1,B,B\n")
+        with pytest.raises(FormatError, match=r"p\.csv:4: duplicate question_id 'q1'"):
+            read_predictions_csv(str(path))
+        # dropped rows still count toward the reported line
+        path.write_text("question_id,agent_x,agent_y\nq0,,B\nq1,A,B\nq2,,A\nq1,B,B\n")
+        with pytest.raises(FormatError, match=r"p\.csv:5: duplicate question_id 'q1'"):
+            read_predictions_csv(str(path), drop_incomplete=True)
 
     def test_empty_cell_suggests_drop_flag(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -3,8 +3,11 @@ estimation with imputation, leave-one-out updates, and CSV round-trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quorum.core import (
+    _BLOCK_CELLS,
     DimensionError,
     DomainError,
     FormatError,
@@ -111,18 +114,47 @@ class TestEmpiricalSecondOrder:
         assert not so.imputed.any()
 
     def test_pair_counts_against_brute_force(self):
-        pm = _random_pm(60, 4, 3, seed=2)
+        # K on both sides of the Gram/bincount switch, a single agent, and
+        # enough questions to cross a row-block boundary on both paths
+        shapes = [(60, 4, 3), (60, 4, 20), (60, 3, 16), (60, 3, 17), (30, 1, 3), (30, 1, 20)]
+        shapes += [(_BLOCK_CELLS // (5 * 3) + 7, 5, 3), (_BLOCK_CELLS // 2 + 7, 2, 17)]
+        for m, n, k in shapes:
+            pm = _random_pm(m, n, k, seed=2)
+            counts, denom = pair_counts(pm)
+            assert counts.dtype == np.int64 and denom.dtype == np.int64
+            assert counts.shape == (n, n, k, k) and denom.shape == (n, k)
+            for i in range(n):
+                for j in range(n):
+                    for a in range(k):
+                        for b in range(k):
+                            expect = int(
+                                np.sum((pm.answers[:, i] == a) & (pm.answers[:, j] == b))
+                            )
+                            assert counts[i, j, a, b] == expect, (m, n, k, i, j, a, b)
+            for j in range(n):
+                np.testing.assert_array_equal(
+                    denom[j], np.bincount(pm.answers[:, j], minlength=k), err_msg=str((m, n, k))
+                )
+
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=2, max_value=20),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pair_counts_symmetries(self, m, n, k, seed):
+        pm = _random_pm(m, n, k, seed)
         counts, denom = pair_counts(pm)
-        for i in range(4):
-            for j in range(4):
-                for a in range(3):
-                    for b in range(3):
-                        expect = int(
-                            np.sum((pm.answers[:, i] == a) & (pm.answers[:, j] == b))
-                        )
-                        assert counts[i, j, a, b] == expect
-        for j in range(4):
-            np.testing.assert_array_equal(denom[j], np.bincount(pm.answers[:, j], minlength=3))
+        np.testing.assert_array_equal(counts, counts.transpose(1, 0, 3, 2))
+        perm = np.random.default_rng(seed).permutation(n)
+        p_counts, p_denom = pair_counts(pm.select_agents(perm))
+        np.testing.assert_array_equal(p_counts, counts[np.ix_(perm, perm)])
+        np.testing.assert_array_equal(p_denom, denom[perm])
+        twice = PredictionMatrix(pm.space, np.concatenate([pm.answers, pm.answers]))
+        d_counts, d_denom = pair_counts(twice)
+        np.testing.assert_array_equal(d_counts, 2 * counts)
+        np.testing.assert_array_equal(d_denom, 2 * denom)
 
     def test_unseen_conditioning_label_is_imputed(self):
         # label 2 never appears for agent 1
