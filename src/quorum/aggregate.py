@@ -13,7 +13,8 @@ Three families of rules, ordered by the information they use:
 
 Batch variants (suffix ``_batch``) evaluate all M questions of a
 prediction matrix at once and are exact vectorizations of the
-per-question functions.
+per-question functions. ``score_batch`` is the one map from a rule name
+to its scores, and ``tied_mask`` the one definition of a tie.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ __all__ = [
     "TIE_UNIFORM",
     "TiePolicy",
     "AdvantageVector",
+    "RULES",
+    "SECOND_ORDER_RULES",
+    "tied_mask",
     "argmax_set",
     "vote_counts",
     "advantage_mv",
@@ -55,22 +59,30 @@ __all__ = [
     "weighted_scores_batch",
     "sp_advantage_batch",
     "isp_advantage_batch",
+    "score_batch",
     "decide_batch",
 ]
 
 TIE_LOWEST = "lowest_index"
 TIE_UNIFORM = "uniform_random"
 
-_REL_TOL = 1e-9
-_ABS_TOL = 1e-12
+RULES = ("mv", "weighted", "sp", "isp")
+# The rules that score answers against a second-order matrix.
+SECOND_ORDER_RULES = ("sp", "isp")
+
+
+def tied_mask(scores: np.ndarray) -> np.ndarray:
+    """True where a score is within tolerance of the maximum along the last axis."""
+
+    scores = np.asarray(scores, dtype=float)
+    top = scores.max(axis=-1, keepdims=True)
+    return scores >= top - (1e-12 + 1e-9 * np.abs(top))
 
 
 def argmax_set(scores: np.ndarray) -> np.ndarray:
     """Indices within tolerance of the maximum score."""
 
-    scores = np.asarray(scores, dtype=float)
-    top = float(scores.max())
-    return np.flatnonzero(scores >= top - (_ABS_TOL + _REL_TOL * abs(top)))
+    return np.flatnonzero(tied_mask(scores))
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,11 @@ class TiePolicy:
             raise DomainError(f"unknown tie mode {self.mode!r}")
 
     def pick(self, scores: np.ndarray, question_index: int = 0) -> int:
-        tied = argmax_set(scores)
+        return self.pick_tied(argmax_set(scores), question_index)
+
+    def pick_tied(self, tied: np.ndarray, question_index: int = 0) -> int:
+        """Choose among the tied label indices ``tied`` (ascending)."""
+
         if tied.size == 1 or self.mode == TIE_LOWEST:
             return int(tied[0])
         rng = question_rng(self.seed, question_index)
@@ -127,38 +143,28 @@ class AdvantageVector:
 # ---------------------------------------------------------------------------
 
 
-def _check_answers(answers, k: int, min_agents: int = 1) -> np.ndarray:
-    arr = np.asarray(answers)
-    if arr.ndim != 1 or arr.shape[0] < min_agents:
-        raise DimensionError(
-            f"answers must be a 1-d vector of at least {min_agents} agents, got shape {arr.shape}"
-        )
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise DomainError(f"answers must be integer label indices, got dtype {arr.dtype}")
-    if arr.min() < 0 or arr.max() >= k:
-        raise DomainError(f"answer indices must lie in [0, {k})")
-    return arr.astype(np.int64)
+def _check_answers(answers, k: int, min_agents: int = 1, ndim: int = 1) -> np.ndarray:
+    """An answer vector (ndim 1) or (M, N) matrix (ndim 2) as int64, copied only if needed."""
 
-
-def _check_matrix(answers, k: int, min_agents: int = 1) -> np.ndarray:
     arr = np.asarray(answers)
-    if arr.ndim != 2 or arr.shape[1] < min_agents:
+    if arr.ndim != ndim or arr.shape[-1] < min_agents:
+        what = "a 1-d vector" if ndim == 1 else "an (M, N) matrix"
         raise DimensionError(
-            f"expected (M, N) answer matrix with N >= {min_agents}, got shape {arr.shape}"
+            f"answers must be {what} of at least {min_agents} agents, got shape {arr.shape}"
         )
     if not np.issubdtype(arr.dtype, np.integer):
         raise DomainError(f"answers must be integer label indices, got dtype {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() >= k):
         raise DomainError(f"answer indices must lie in [0, {k})")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _as_matrix(pm_or_array, k: int | None = None, min_agents: int = 1) -> tuple[np.ndarray, int]:
     if isinstance(pm_or_array, PredictionMatrix):
-        return _check_matrix(pm_or_array.answers, pm_or_array.k, min_agents), pm_or_array.k
-    if k is None:
+        pm_or_array, k = pm_or_array.answers, pm_or_array.k
+    elif k is None:
         raise DomainError("label count k is required for raw answer arrays")
-    return _check_matrix(pm_or_array, k, min_agents), int(k)
+    return _check_answers(pm_or_array, k, min_agents, ndim=2), int(k)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +181,7 @@ def advantage_mv(answers, k: int) -> AdvantageVector:
     """Vote count of each label minus the uniform share N/K."""
 
     arr = _check_answers(answers, k)
-    counts = np.bincount(arr, minlength=k).astype(float)
-    return AdvantageVector(counts - arr.shape[0] / k, rule="mv")
+    return AdvantageVector(vote_counts(arr, k) - arr.shape[0] / k, rule="mv")
 
 
 def aggregate_mv(answers, k: int, tie: TiePolicy | None = None, question_index: int = 0) -> int:
@@ -256,31 +261,66 @@ def _label_totals(answers: np.ndarray, k: int, weights: np.ndarray | None = None
 
 
 def vote_counts_batch(answers: np.ndarray, k: int) -> np.ndarray:
-    return _label_totals(answers, k)
+    return _label_totals(_check_answers(answers, k, ndim=2), k)
 
 
 def weighted_scores_batch(answers: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    return _label_totals(answers, k, np.asarray(weights, dtype=float))
+    answers = _check_answers(answers, k, ndim=2)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (answers.shape[1],):
+        raise DimensionError(f"weights shape {w.shape} does not match N={answers.shape[1]}")
+    return _label_totals(answers, k, w)
+
+
+def _peer_advantage_batch(tables, pm_or_answers, so: SecondOrderMatrix, k: int | None) -> np.ndarray:
+    """Vote counts minus the peer-table totals ``tables(so)`` averaged over the N - 1 peers."""
+
+    answers, k = _as_matrix(pm_or_answers, k if k is not None else so.k, min_agents=2)
+    _check_so(so, answers.shape[1], k)
+    totals = _gather_totals(tables(so), answers)
+    return _label_totals(answers, k) - totals / (answers.shape[1] - 1)
 
 
 def sp_advantage_batch(pm_or_answers, so: SecondOrderMatrix, k: int | None = None) -> np.ndarray:
     """Advantage of the peer-expected rule for every question, shape (M, K)."""
 
-    answers, k = _as_matrix(pm_or_answers, k if k is not None else so.k, min_agents=2)
-    _check_so(so, answers.shape[1], k)
-    counts = vote_counts_batch(answers, k)
-    totals = _gather_totals(_peer_expected_tables(so), answers)
-    return counts - totals / (answers.shape[1] - 1)
+    return _peer_advantage_batch(_peer_expected_tables, pm_or_answers, so, k)
 
 
 def isp_advantage_batch(pm_or_answers, so: SecondOrderMatrix, k: int | None = None) -> np.ndarray:
     """Advantage of the counterfactual peer rule for every question."""
 
-    answers, k = _as_matrix(pm_or_answers, k if k is not None else so.k, min_agents=2)
-    _check_so(so, answers.shape[1], k)
-    counts = vote_counts_batch(answers, k)
-    totals = _gather_totals(_counterfactual_tables(so), answers)
-    return counts - totals / (answers.shape[1] - 1)
+    return _peer_advantage_batch(_counterfactual_tables, pm_or_answers, so, k)
+
+
+def score_batch(
+    rule: str,
+    answers: np.ndarray,
+    k: int,
+    so: SecondOrderMatrix | None = None,
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Score of every label on every question under one rule, shape (M, K).
+
+    ``mv`` counts votes, ``weighted`` sums the ``weights`` of the agents
+    that chose each label, and ``sp``/``isp`` give each label's advantage
+    against the second-order matrix ``so``. Each is a sum over agents: the
+    first two run as one bincount, the peer rules as a gather from
+    per-agent (K, K) tables. The decision is the argmax of each row.
+    """
+
+    if rule == "mv":
+        return vote_counts_batch(answers, k)
+    if rule == "weighted":
+        if weights is None:
+            raise DomainError("the weighted rule needs per-agent weights")
+        return weighted_scores_batch(answers, weights, k)
+    if rule in SECOND_ORDER_RULES:
+        if so is None:
+            raise DomainError(f"the {rule} rule needs a second-order matrix")
+        leaf = sp_advantage_batch if rule == "sp" else isp_advantage_batch
+        return leaf(answers, so, k)
+    raise DomainError(f"unknown rule {rule!r}; expected one of {RULES}")
 
 
 def _check_so(so: SecondOrderMatrix, n: int, k: int) -> None:
@@ -332,44 +372,46 @@ def _check_target(arr: np.ndarray, k: int, target_agent: int, target_label: int)
     return int(target_agent), int(target_label)
 
 
-def advantage_sp(answers, so: SecondOrderMatrix) -> AdvantageVector:
+def _peer_advantage(rule: str, answers, so: SecondOrderMatrix) -> AdvantageVector:
     arr = _check_answers(answers, so.k, min_agents=2)
-    return AdvantageVector(sp_advantage_batch(arr[None, :], so)[0], rule="sp")
+    return AdvantageVector(score_batch(rule, arr[None, :], so.k, so=so)[0], rule=rule)
+
+
+def advantage_sp(answers, so: SecondOrderMatrix) -> AdvantageVector:
+    return _peer_advantage("sp", answers, so)
 
 
 def advantage_isp(answers, so: SecondOrderMatrix) -> AdvantageVector:
-    arr = _check_answers(answers, so.k, min_agents=2)
-    return AdvantageVector(isp_advantage_batch(arr[None, :], so)[0], rule="isp")
+    return _peer_advantage("isp", answers, so)
+
+
+def _pick_advantage(
+    adv: AdvantageVector, tie: TiePolicy | None, question_index: int
+) -> tuple[int, AdvantageVector]:
+    return (tie or TiePolicy()).pick(adv.values, question_index), adv
 
 
 def aggregate_sp(
     answers, so: SecondOrderMatrix, tie: TiePolicy | None = None, question_index: int = 0
 ) -> tuple[int, AdvantageVector]:
-    adv = advantage_sp(answers, so)
-    tie = tie or TiePolicy()
-    return tie.pick(adv.values, question_index), adv
+    return _pick_advantage(advantage_sp(answers, so), tie, question_index)
 
 
 def aggregate_isp(
     answers, so: SecondOrderMatrix, tie: TiePolicy | None = None, question_index: int = 0
 ) -> tuple[int, AdvantageVector]:
-    adv = advantage_isp(answers, so)
-    tie = tie or TiePolicy()
-    return tie.pick(adv.values, question_index), adv
+    return _pick_advantage(advantage_isp(answers, so), tie, question_index)
 
 
 def decide_batch(scores: np.ndarray, tie: TiePolicy | None = None) -> np.ndarray:
     """Argmax of each row, resolving ties per the policy. Shape (M,)."""
 
     tie = tie or TiePolicy()
-    scores = np.asarray(scores, dtype=float)
-    top = scores.max(axis=1, keepdims=True)
-    tied = scores >= top - (_ABS_TOL + _REL_TOL * np.abs(top))
+    tied = tied_mask(scores)
     labels = np.argmax(tied, axis=1).astype(np.int64)  # lowest tied index
     if tie.mode == TIE_UNIFORM:
-        multi = np.flatnonzero(tied.sum(axis=1) > 1)
-        for q in multi:
-            labels[q] = tie.pick(scores[q], int(q))
+        for q in np.flatnonzero(tied.sum(axis=1) > 1):
+            labels[q] = tie.pick_tied(np.flatnonzero(tied[q]), int(q))
     return labels
 
 

@@ -110,8 +110,7 @@ def _apply_config(ctx: click.Context, config_path: str | None, params: dict) -> 
         name = key.replace("-", "_")
         if name not in params:
             raise click.UsageError(f"--config: unknown key {key!r}")
-        source = ctx.get_parameter_source(name)
-        if source is None or source.name == "DEFAULT":
+        if ctx.get_parameter_source(name).name == "DEFAULT":
             params[name] = value
     return params
 
@@ -147,24 +146,10 @@ def main() -> None:
 @click.option("--no-truth", is_flag=True, help="Omit the truth column.")
 @click.option("--config", "config_path", type=click.Path(exists=False), default=None)
 @click.pass_context
-def simulate(ctx, model, accuracies, abilities, mixture, k, questions, seed, out, no_truth, config_path):
+def simulate(ctx, config_path, **params):
     """Write a synthetic predictions CSV."""
 
-    params = _apply_config(
-        ctx,
-        config_path,
-        {
-            "model": model,
-            "accuracies": accuracies,
-            "abilities": abilities,
-            "mixture": mixture,
-            "k": k,
-            "questions": questions,
-            "seed": seed,
-            "out": out,
-            "no_truth": no_truth,
-        },
-    )
+    params = _apply_config(ctx, config_path, params)
     if params["k"] is None:
         raise click.UsageError("--k is required")
     try:
@@ -195,7 +180,7 @@ def simulate(ctx, model, accuracies, abilities, mixture, k, questions, seed, out
 
 
 @main.command()
-@click.option("--input", "input_path", type=click.Path(dir_okay=False), required=True)
+@click.option("--input", type=click.Path(dir_okay=False), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--method", type=click.Choice(list(METHODS)), default="isp", show_default=True)
 @click.option("--tie", type=click.Choice(sorted(_TIE_CHOICES)), default="uniform", show_default=True)
@@ -205,68 +190,26 @@ def simulate(ctx, model, accuracies, abilities, mixture, k, questions, seed, out
 @click.option("--max-iters", type=int, default=2000, show_default=True)
 @click.option("--smoothing", type=float, default=0.0, show_default=True)
 @click.option("--eps", type=float, default=1e-6, show_default=True, help="Accuracy clamp epsilon.")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option(
+    "--threads", type=int, default=1, show_default=True, help="Accepted for compatibility; no effect."
+)
 @click.option("--accuracies", default=None, help="True accuracies for --method ow-oracle.")
 @click.option("--abilities", default=None, help="Per-agent abilities for --method eow.")
 @click.option("--labels", default=None, help="Comma-separated label space override.")
 @click.option("--agents", default=None, help="Comma-separated agent subset, in order.")
 @click.option("--drop-incomplete", is_flag=True, help="Skip questions with empty cells.")
 @click.option("--shuffle-seed", type=int, default=None, help="Shuffle labels per question on ingest.")
-@click.option("--summary", "summary_path", type=click.Path(dir_okay=False), default=None)
+@click.option("--summary", type=click.Path(dir_okay=False), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=False), default=None)
 @click.pass_context
-def aggregate(
-    ctx,
-    input_path,
-    out,
-    method,
-    tie,
-    tie_seed,
-    seed,
-    starts,
-    max_iters,
-    smoothing,
-    eps,
-    threads,
-    accuracies,
-    abilities,
-    labels,
-    agents,
-    drop_incomplete,
-    shuffle_seed,
-    summary_path,
-    config_path,
-):
+def aggregate(ctx, config_path, **params):
     """Aggregate a predictions CSV into one label per question.
 
     The truth column, when present, is used only for the accuracy summary,
     never for aggregation.
     """
 
-    params = _apply_config(
-        ctx,
-        config_path,
-        {
-            "input": input_path,
-            "out": out,
-            "method": method,
-            "tie": tie,
-            "tie_seed": tie_seed,
-            "seed": seed,
-            "starts": starts,
-            "max_iters": max_iters,
-            "smoothing": smoothing,
-            "eps": eps,
-            "threads": threads,
-            "accuracies": accuracies,
-            "abilities": abilities,
-            "labels": labels,
-            "agents": agents,
-            "drop_incomplete": drop_incomplete,
-            "shuffle_seed": shuffle_seed,
-            "summary": summary_path,
-        },
-    )
+    params = _apply_config(ctx, config_path, params)
     if params["tie"] not in _TIE_CHOICES:
         raise click.UsageError(f"--tie: expected one of {sorted(_TIE_CHOICES)}")
     if params["method"] not in METHODS:
@@ -425,8 +368,8 @@ def verify(suite, seed, budget):
 
 
 @main.command()
-@click.option("--table2", "table_flag", is_flag=True, help="Accuracy-by-K table for all rules.")
-@click.option("--gap-curve", "gap_flag", is_flag=True, help="Rule accuracy gaps versus K.")
+@click.option("--table2", is_flag=True, help="Accuracy-by-K table for all rules.")
+@click.option("--gap-curve", is_flag=True, help="Rule accuracy gaps versus K.")
 @click.option("--out", default="report", show_default=True, help="Output base path.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--questions", "-m", type=int, default=10_000, show_default=True)
@@ -435,23 +378,10 @@ def verify(suite, seed, budget):
 @click.option("--accuracies", default="0.6,0.7,0.8,0.9", show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=False), default=None)
 @click.pass_context
-def report(ctx, table_flag, gap_flag, out, seed, questions, replications, k_values, accuracies, config_path):
+def report(ctx, config_path, **params):
     """Reproduce a standard experiment and write .txt/.csv/.json artifacts."""
 
-    params = _apply_config(
-        ctx,
-        config_path,
-        {
-            "table2": table_flag,
-            "gap_curve": gap_flag,
-            "out": out,
-            "seed": seed,
-            "questions": questions,
-            "replications": replications,
-            "k_values": k_values,
-            "accuracies": accuracies,
-        },
-    )
+    params = _apply_config(ctx, config_path, params)
     if bool(params["table2"]) == bool(params["gap_curve"]):
         raise click.UsageError("choose exactly one of --table2 or --gap-curve")
     ks = _parse_ints(str(params["k_values"]), "--k-values")

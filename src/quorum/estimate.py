@@ -15,7 +15,6 @@ aggregation together.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,7 @@ class ErmConfig:
     step0: float = 0.1
     eps: float = 1e-6
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted and validated; has no effect
 
     def __post_init__(self) -> None:
         if self.starts < 1:
@@ -237,7 +236,8 @@ def fit_accuracies(so: SecondOrderMatrix, cfg: ErmConfig | None = None) -> FitRe
     (plus the box midpoint) and keeps the lowest loss. The box is
     [1/K + eps, 1 - eps]; under relabeling symmetry the reflected solution
     lies outside the box, so the minimizer in the box is unique for
-    informative data.
+    informative data. The starts run serially; ``cfg.threads`` has no
+    effect.
     """
 
     cfg = cfg or ErmConfig()
@@ -250,15 +250,7 @@ def fit_accuracies(so: SecondOrderMatrix, cfg: ErmConfig | None = None) -> FitRe
     x0s = [np.full(data.n, 0.5 * (lo + hi))]
     x0s += list(lo + (hi - lo) * rng.random((cfg.starts - 1, data.n))) if cfg.starts > 1 else []
 
-    def solve(x0):
-        return _pgd_single(data, x0, lo, hi, cfg)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(solve, x0s))
-    else:
-        results = [solve(x0) for x0 in x0s]
-
+    results = [_pgd_single(data, x0, lo, hi, cfg) for x0 in x0s]
     best = min(range(len(results)), key=lambda idx: results[idx][1])
     x_best, loss_best, converged, iters = results[best]
     agreeing = sum(
@@ -293,7 +285,7 @@ def fit_ow_i(pm: PredictionMatrix, eps: float = 1e-6, smoothing: float = 0.0) ->
     if pm.n < 2:
         raise DimensionError("the pseudo-label estimator needs at least 2 agents")
     so = empirical_second_order(pm, smoothing)
-    adv = agg.isp_advantage_batch(pm, so)
+    adv = agg.score_batch("isp", pm.answers, pm.k, so=so)
     pseudo = agg.decide_batch(adv, TiePolicy(TIE_LOWEST))
     acc = (pm.answers == pseudo[:, None]).mean(axis=0)
     return FitResult(
@@ -320,6 +312,26 @@ class PipelineResult:
         object.__setattr__(self, "labels", _as_readonly(np.asarray(self.labels)))
 
 
+def _given_accuracies_fit(pm: PredictionMatrix, accuracies, eps: float) -> FitResult:
+    if accuracies is None:
+        raise DomainError("ow-oracle needs per-agent accuracies")
+    w = ow_weights(accuracies, pm.k, eps)
+    if w.shape != (pm.n,):
+        raise DimensionError(f"accuracies shape {w.shape} does not match N={pm.n}")
+    return FitResult(accuracies=np.asarray(accuracies, dtype=float), weights=w, method="ow-oracle")
+
+
+def _given_abilities_fit(pm: PredictionMatrix, abilities) -> FitResult:
+    if abilities is None:
+        raise DomainError("eow needs per-agent abilities")
+    beta = np.asarray(abilities, dtype=float)
+    if beta.shape != (pm.n,):
+        raise DimensionError(f"abilities shape {beta.shape} does not match N={pm.n}")
+    if np.any(beta < 0.0) or np.any(~np.isfinite(beta)):
+        raise DomainError("abilities must be finite and nonnegative")
+    return FitResult(accuracies=np.full(pm.n, np.nan), weights=beta, method="eow")
+
+
 def run_pipeline(
     pm: PredictionMatrix,
     method: str,
@@ -340,40 +352,20 @@ def run_pipeline(
     method = method.lower().replace("_", "-")
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
-    tie = tie or TiePolicy()
-    fit = None
-    if method == "mv":
-        scores = agg.vote_counts_batch(pm.answers, pm.k)
-    elif method == "sp":
-        scores = agg.sp_advantage_batch(pm, empirical_second_order(pm, smoothing))
-    elif method == "isp":
-        scores = agg.isp_advantage_batch(pm, empirical_second_order(pm, smoothing))
+    so = fit = None
+    if method in agg.SECOND_ORDER_RULES:
+        so = empirical_second_order(pm, smoothing)
     elif method == "ow-l":
         fit = fit_ow_l(pm, erm, smoothing)
-        scores = agg.weighted_scores_batch(pm.answers, fit.weights, pm.k)
     elif method == "ow-i":
         fit = fit_ow_i(pm, eps, smoothing)
-        scores = agg.weighted_scores_batch(pm.answers, fit.weights, pm.k)
     elif method == "ow-oracle":
-        if accuracies is None:
-            raise DomainError("ow-oracle needs per-agent accuracies")
-        w = ow_weights(accuracies, pm.k, eps)
-        if w.shape != (pm.n,):
-            raise DimensionError(f"accuracies shape {w.shape} does not match N={pm.n}")
-        fit = FitResult(
-            accuracies=np.asarray(accuracies, dtype=float), weights=w, method="ow-oracle"
-        )
-        scores = agg.weighted_scores_batch(pm.answers, w, pm.k)
-    else:  # eow
-        if abilities is None:
-            raise DomainError("eow needs per-agent abilities")
-        beta = np.asarray(abilities, dtype=float)
-        if beta.shape != (pm.n,):
-            raise DimensionError(f"abilities shape {beta.shape} does not match N={pm.n}")
-        if np.any(beta < 0.0) or np.any(~np.isfinite(beta)):
-            raise DomainError("abilities must be finite and nonnegative")
-        fit = FitResult(accuracies=np.full(pm.n, np.nan), weights=beta, method="eow")
-        scores = agg.weighted_scores_batch(pm.answers, beta, pm.k)
+        fit = _given_accuracies_fit(pm, accuracies, eps)
+    elif method == "eow":
+        fit = _given_abilities_fit(pm, abilities)
+    # mv, sp and isp are rules of their own; every other method votes with its fit's weights
+    rule, weights = (method, None) if fit is None else ("weighted", fit.weights)
+    scores = agg.score_batch(rule, pm.answers, pm.k, so=so, weights=weights)
     labels = agg.decide_batch(scores, tie)
     return PipelineResult(labels=labels, method=method, fit=fit)
 

@@ -267,15 +267,18 @@ def mixture_second_order(abilities, mixture: DifficultyMixture, k: int) -> Secon
 # ---------------------------------------------------------------------------
 
 
-def _advantage_matrix(rule: str, vectors: np.ndarray, k: int, so: SecondOrderMatrix | None) -> np.ndarray:
-    n = vectors.shape[1]
-    if rule == "mv":
-        return agg.vote_counts_batch(vectors, k) - n / k
-    if rule == "sp":
-        return agg.sp_advantage_batch(vectors, so, k)
-    if rule == "isp":
-        return agg.isp_advantage_batch(vectors, so, k)
-    raise DomainError(f"unknown advantage rule {rule!r}")
+def _expected_true_advantage(
+    rule: str, vectors: np.ndarray, probs: np.ndarray, k: int, so: SecondOrderMatrix | None
+) -> float:
+    """E[advantage of label 0] when label 0 is true and ``probs`` weights ``vectors``.
+
+    A rule's advantage is its score minus the mean over labels: for majority
+    vote that is N/K; the peer rules' scores already sum to zero, so for
+    them it changes only rounding.
+    """
+
+    scores = agg.score_batch(rule, vectors, k, so=so)
+    return float(np.dot(probs, scores[:, 0] - scores.mean(axis=1)))
 
 
 def exact_expected_advantage(
@@ -290,9 +293,8 @@ def exact_expected_advantage(
     x = _check_acc(accuracies)
     vectors = enumerate_vectors(x.shape[0], k, budget)
     probs = answer_vector_probs(vectors, 0, x, k)
-    so = exact_second_order(x, k) if rule in ("sp", "isp") else None
-    adv = _advantage_matrix(rule, vectors, k, so)
-    return float(np.dot(probs, adv[:, 0]))
+    so = exact_second_order(x, k) if rule in agg.SECOND_ORDER_RULES else None
+    return _expected_true_advantage(rule, vectors, probs, k, so)
 
 
 def expected_mv_advantage(accuracies, k: int) -> float:
@@ -321,33 +323,22 @@ def expected_advantage_gaps(accuracies, k: int) -> tuple[float, float]:
     return gap_isp_mv, gap_mv_sp
 
 
-def _score_matrix(
-    rule: str,
-    vectors: np.ndarray,
-    k: int,
-    so: SecondOrderMatrix | None = None,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    if rule == "mv":
-        return agg.vote_counts_batch(vectors, k)
-    if rule == "weighted":
-        if weights is None:
-            raise DomainError("weighted rule needs weights")
-        return agg.weighted_scores_batch(vectors, np.asarray(weights, dtype=float), k)
-    if rule in ("sp", "isp"):
-        return _advantage_matrix(rule, vectors, k, so)
-    raise DomainError(f"unknown rule {rule!r}")
+def _expected_credit(scores: np.ndarray, vector_probs, k: int, tie_mode: str) -> float:
+    """Probability that the row argmax of ``scores`` is the true label.
 
+    ``vector_probs(t)`` gives P(vector | true label t). The true label is
+    averaged over all K values, and a tie shared by the true label earns
+    1/(number tied) under ``uniform_random``, 1 or 0 under ``lowest_index``.
+    """
 
-def _credit(scores: np.ndarray, truth_index: int, tie_mode: str) -> np.ndarray:
-    """Per-vector probability that the rule outputs the true label."""
-
-    top = scores.max(axis=1, keepdims=True)
-    tied = scores >= top - (1e-12 + 1e-9 * np.abs(top))
-    if tie_mode == agg.TIE_UNIFORM:
-        return tied[:, truth_index] / tied.sum(axis=1)
+    tied = agg.tied_mask(scores)
+    n_tied = tied.sum(axis=1)
     first = np.argmax(tied, axis=1)
-    return (first == truth_index).astype(float)
+    acc = 0.0
+    for t in range(k):
+        credit = tied[:, t] / n_tied if tie_mode == agg.TIE_UNIFORM else (first == t).astype(float)
+        acc += float(np.dot(vector_probs(t), credit)) / k
+    return acc
 
 
 def expected_accuracy(
@@ -367,13 +358,9 @@ def expected_accuracy(
 
     x = _check_acc(accuracies)
     vectors = enumerate_vectors(x.shape[0], k, budget)
-    so = exact_second_order(x, k) if rule in ("sp", "isp") else None
-    scores = _score_matrix(rule, vectors, k, so=so, weights=weights)
-    acc = 0.0
-    for t in range(k):
-        probs = answer_vector_probs(vectors, t, x, k)
-        acc += float(np.dot(probs, _credit(scores, t, tie_mode))) / k
-    return acc
+    so = exact_second_order(x, k) if rule in agg.SECOND_ORDER_RULES else None
+    scores = agg.score_batch(rule, vectors, k, so=so, weights=weights)
+    return _expected_credit(scores, lambda t: answer_vector_probs(vectors, t, x, k), k, tie_mode)
 
 
 def mixture_expected_advantage(
@@ -384,9 +371,8 @@ def mixture_expected_advantage(
     beta = np.asarray(abilities, dtype=float)
     vectors = enumerate_vectors(beta.shape[0], k, budget)
     probs = mixture_answer_vector_probs(vectors, 0, beta, mixture, k)
-    so = mixture_second_order(beta, mixture, k) if rule in ("sp", "isp") else None
-    adv = _advantage_matrix(rule, vectors, k, so)
-    return float(np.dot(probs, adv[:, 0]))
+    so = mixture_second_order(beta, mixture, k) if rule in agg.SECOND_ORDER_RULES else None
+    return _expected_true_advantage(rule, vectors, probs, k, so)
 
 
 def mixture_expected_accuracy(
@@ -399,23 +385,19 @@ def mixture_expected_accuracy(
 ) -> float:
     """Exact expected accuracy under the difficulty-mixture model.
 
-    Rules: ``mv``, ``sp``, ``isp``, ``eow`` (vote weighted by ability), and
-    ``posterior`` (argmax of the exact mixture posterior).
+    Rules: ``mv``, ``sp``, ``isp``, ``eow`` (the ``weighted`` rule with the
+    abilities as weights), and ``posterior`` (argmax of the exact mixture
+    posterior, which is not a sum over agents).
     """
 
     beta = np.asarray(abilities, dtype=float)
     vectors = enumerate_vectors(beta.shape[0], k, budget)
-    if rule == "eow":
-        scores = agg.weighted_scores_batch(vectors, beta, k)
-    elif rule == "posterior":
+    if rule == "posterior":
         scores = np.stack([mixture_posterior(v, beta, mixture, k) for v in vectors])
-    elif rule in ("mv", "sp", "isp"):
-        so = mixture_second_order(beta, mixture, k) if rule in ("sp", "isp") else None
-        scores = _score_matrix(rule, vectors, k, so=so)
     else:
-        raise DomainError(f"unknown rule {rule!r}")
-    acc = 0.0
-    for t in range(k):
-        probs = mixture_answer_vector_probs(vectors, t, beta, mixture, k)
-        acc += float(np.dot(probs, _credit(scores, t, tie_mode))) / k
-    return acc
+        rule = "weighted" if rule == "eow" else rule
+        so = mixture_second_order(beta, mixture, k) if rule in agg.SECOND_ORDER_RULES else None
+        scores = agg.score_batch(rule, vectors, k, so=so, weights=beta)
+    return _expected_credit(
+        scores, lambda t: mixture_answer_vector_probs(vectors, t, beta, mixture, k), k, tie_mode
+    )

@@ -165,14 +165,14 @@ def _suite_thm1(seed: int, budget: int) -> list[CheckResult]:
         x = 1.0 / k + 0.01 + (0.98 - 1.0 / k) * rng.random(n)
         w = ow_weights(x, k)
         vectors = oracle.enumerate_vectors(n, k, budget)
-        scores = agg.weighted_scores_batch(vectors, w, k)
+        scores = agg.score_batch("weighted", vectors, k, weights=w)
         for vec, sc in zip(vectors, scores):
             post = oracle.bayes_posterior(vec, x, k)
             if not set(agg.argmax_set(sc)) <= set(agg.argmax_set(post)):
                 consistent = False
         x_h = np.full(n, float(1.0 / k + 0.05 + (0.90 - 1.0 / k) * rng.random()))
-        sc_h = agg.weighted_scores_batch(vectors, ow_weights(x_h, k), k)
-        counts = agg.vote_counts_batch(vectors, k)
+        sc_h = agg.score_batch("weighted", vectors, k, weights=ow_weights(x_h, k))
+        counts = agg.score_batch("mv", vectors, k)
         for sch, cnt in zip(sc_h, counts):
             if set(agg.argmax_set(sch)) != set(agg.argmax_set(cnt)):
                 homogeneous = False
@@ -307,7 +307,7 @@ def _suite_thm4(seed: int, budget: int) -> list[CheckResult]:
         w = rng.random(t) + 0.1
         mix = DifficultyMixture.atoms(zip(3.0 * rng.random(t), w / w.sum()))
         vectors = oracle.enumerate_vectors(n, k, budget)
-        scores = agg.weighted_scores_batch(vectors, beta, k)
+        scores = agg.score_batch("weighted", vectors, k, weights=beta)
         for vec, sc in zip(vectors, scores):
             post = oracle.mixture_posterior(vec, beta, mix, k)
             if not set(agg.argmax_set(sc)) <= set(agg.argmax_set(post)):

@@ -152,10 +152,122 @@ class TestWeightedVote:
         assert label == 0
 
 
+def _scored(rule, pm, weights):
+    so = empirical_second_order(pm) if rule in agg.SECOND_ORDER_RULES else None
+    return agg.score_batch(rule, pm.answers, pm.k, so=so, weights=weights)
+
+
+_PANELS = (
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=0, max_value=2**31),
+)
+
+
+class TestScoreBatch:
+    """The one map from rule name to scores, and its metamorphic properties."""
+
+    @given(*_PANELS)
+    @settings(max_examples=30, deadline=None)
+    def test_agent_permutation_invariance(self, m, n, k, seed):
+        rng = np.random.default_rng(seed)
+        pm = PredictionMatrix(LabelSpace.default(k), rng.integers(0, k, size=(m, n)))
+        w = rng.normal(size=n)
+        perm = rng.permutation(n)
+        for rule in agg.RULES:
+            np.testing.assert_allclose(
+                _scored(rule, pm.select_agents(perm), w[perm]),
+                _scored(rule, pm, w),
+                rtol=0,
+                atol=1e-12,
+                err_msg=rule,
+            )
+
+    @given(*_PANELS)
+    @settings(max_examples=30, deadline=None)
+    def test_relabelling_equivariance(self, m, n, k, seed):
+        rng = np.random.default_rng(seed)
+        pm = PredictionMatrix(LabelSpace.default(k), rng.integers(0, k, size=(m, n)))
+        w = rng.normal(size=n)
+        relabel = rng.permutation(k)  # label a becomes relabel[a]
+        moved = PredictionMatrix(pm.space, relabel[pm.answers])
+        for rule in agg.RULES:
+            np.testing.assert_allclose(
+                _scored(rule, moved, w)[:, relabel],
+                _scored(rule, pm, w),
+                rtol=0,
+                atol=1e-12,
+                err_msg=rule,
+            )
+
+    @given(*_PANELS)
+    @settings(max_examples=30, deadline=None)
+    def test_duplicated_questions_keep_decisions(self, m, n, k, seed):
+        rng = np.random.default_rng(seed)
+        pm = PredictionMatrix(LabelSpace.default(k), rng.integers(0, k, size=(m, n)))
+        twice = PredictionMatrix(pm.space, np.concatenate([pm.answers, pm.answers]))
+        w = rng.normal(size=n)
+        lowest = agg.TiePolicy(agg.TIE_LOWEST)
+        for rule in ("weighted",) + agg.SECOND_ORDER_RULES:
+            once = agg.decide_batch(_scored(rule, pm, w), lowest)
+            both = agg.decide_batch(_scored(rule, twice, w), lowest)
+            np.testing.assert_array_equal(both, np.concatenate([once, once]), err_msg=rule)
+
+    def test_rule_inputs_checked(self):
+        answers = np.array([[0, 1, 1], [2, 2, 0]])
+        so = exact_second_order(np.array([0.6, 0.7, 0.8]), 3)
+        with pytest.raises(DomainError, match="unknown rule"):
+            agg.score_batch("median", answers, 3, so=so, weights=np.ones(3))
+        with pytest.raises(DomainError, match="weights"):
+            agg.score_batch("weighted", answers, 3, so=so)
+        for rule in agg.SECOND_ORDER_RULES:
+            with pytest.raises(DomainError, match="second-order"):
+                agg.score_batch(rule, answers, 3, weights=np.ones(3))
+        with pytest.raises(DimensionError):
+            agg.score_batch("weighted", answers, 3, weights=np.ones(2))
+        with pytest.raises(DomainError):
+            agg.score_batch("mv", answers + 1, 3)
+
+    def test_rules_match_their_leaves(self):
+        rng = np.random.default_rng(2)
+        answers = rng.integers(0, 4, size=(60, 5))
+        so = exact_second_order(rng.random(5), 4)
+        w = rng.normal(size=5)
+        np.testing.assert_array_equal(
+            agg.score_batch("mv", answers, 4), agg.vote_counts_batch(answers, 4)
+        )
+        np.testing.assert_array_equal(
+            agg.score_batch("weighted", answers, 4, weights=w),
+            agg.weighted_scores_batch(answers, w, 4),
+        )
+        np.testing.assert_array_equal(
+            agg.score_batch("sp", answers, 4, so=so), agg.sp_advantage_batch(answers, so, 4)
+        )
+        np.testing.assert_array_equal(
+            agg.score_batch("isp", answers, 4, so=so), agg.isp_advantage_batch(answers, so, 4)
+        )
+
+
 class TestTiePolicies:
     def test_argmax_set_tolerance(self):
         np.testing.assert_array_equal(agg.argmax_set(np.array([1.0, 1.0 - 1e-13, 0.5])), [0, 1])
         np.testing.assert_array_equal(agg.argmax_set(np.array([1.0, 0.9, 0.5])), [0])
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_tied_mask_rows_match_argmax_set(self, seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(-3, 4, size=(40, 5)).astype(float)
+        scores *= 10.0 ** rng.integers(-3, 4)
+        scores += rng.choice([0.0, 1e-14, 1e-6], size=scores.shape)  # inside, near and past the tolerance
+        mask = agg.tied_mask(scores)
+        for row, tied in zip(scores, mask):
+            np.testing.assert_array_equal(np.flatnonzero(tied), agg.argmax_set(row))
+        # the tolerance is relative to |top|, also when every score is negative
+        np.testing.assert_array_equal(
+            agg.tied_mask(np.array([[-1e3, -1e3 - 1e-7, -1e3 - 1e-5]])), [[True, True, False]]
+        )
 
     def test_lowest_index_is_deterministic(self):
         pol = agg.TiePolicy(agg.TIE_LOWEST)

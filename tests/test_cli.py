@@ -357,6 +357,23 @@ class TestAggregateCommand:
         )
         assert json.loads((tmp_path / "flagwins.csv.summary.json").read_text())["method"] == "isp"
 
+    def test_config_never_overrides_summary_or_report_kind_flags(self, runner, tmp_path):
+        pred = tmp_path / "p.csv"
+        _simulate(runner, pred)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"summary": str(tmp_path / "fromcfg.json")}))
+        out = str(tmp_path / "l.csv")
+        flag = tmp_path / "fromflag.json"
+        _invoke(
+            runner,
+            ["aggregate", "--input", str(pred), "--out", out, "--config", str(cfg), "--summary", str(flag)],
+        )
+        assert flag.exists() and not (tmp_path / "fromcfg.json").exists()
+        cfg.write_text(json.dumps({"table2": False, "k-values": "2,3", "questions": 200}))
+        base = str(tmp_path / "rep")
+        _invoke(runner, ["report", "--table2", "--config", str(cfg), "--out", base])
+        assert json.loads((tmp_path / "rep.json").read_text())["kind"] == "accuracy_table"
+
     def test_config_errors(self, runner, tmp_path):
         pred = tmp_path / "p.csv"
         _simulate(runner, pred)
