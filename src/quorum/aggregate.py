@@ -28,9 +28,9 @@ from .core import (
     DomainError,
     PredictionMatrix,
     _BLOCK_CELLS,
+    _MASK64,
     _as_readonly,
     ow_weights,
-    question_rng,
     sigma_k,
 )
 from .secondorder import SecondOrderMatrix
@@ -85,6 +85,32 @@ def argmax_set(scores: np.ndarray) -> np.ndarray:
     return np.flatnonzero(tied_mask(scores))
 
 
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 output function (Steele, Lea & Flood, 2014) on a uint64 array."""
+
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _tie_draw(seed: int, questions, counts) -> np.ndarray:
+    """Which of ``counts`` tied labels each question picks, in [0, count).
+
+    Question q draws output q of a splitmix64 stream keyed by ``seed``: a
+    pure function of (seed, q), whatever the batch, its order or M. The
+    top 53 bits give a uniform in [0, 1), scaled by the tie count.
+    """
+
+    key = _splitmix64(np.array([int(seed) & _MASK64], dtype=np.uint64))
+    q = np.array(questions, ndmin=1).astype(np.uint64)
+    bits = _splitmix64(key + (q + np.uint64(1)) * _GOLDEN_GAMMA)
+    uniform = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (uniform * np.asarray(counts)).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class TiePolicy:
     """How to resolve tied top scores.
@@ -109,8 +135,7 @@ class TiePolicy:
 
         if tied.size == 1 or self.mode == TIE_LOWEST:
             return int(tied[0])
-        rng = question_rng(self.seed, question_index)
-        return int(tied[rng.integers(tied.size)])
+        return int(tied[_tie_draw(self.seed, question_index, tied.size)[0]])
 
 
 @dataclass(frozen=True)
@@ -410,8 +435,12 @@ def decide_batch(scores: np.ndarray, tie: TiePolicy | None = None) -> np.ndarray
     tied = tied_mask(scores)
     labels = np.argmax(tied, axis=1).astype(np.int64)  # lowest tied index
     if tie.mode == TIE_UNIFORM:
-        for q in np.flatnonzero(tied.sum(axis=1) > 1):
-            labels[q] = tie.pick_tied(np.flatnonzero(tied[q]), int(q))
+        counts = tied.sum(axis=1)
+        rows = np.flatnonzero(counts > 1)
+        draws = _tie_draw(tie.seed, rows, counts[rows])
+        # the draws-th tied label (0-based) of each row is where the running count passes draws
+        running = np.cumsum(tied[rows], axis=1, dtype=np.min_scalar_type(tied.shape[1]))
+        labels[rows] = np.argmax(running > draws[:, None], axis=1)
     return labels
 
 

@@ -278,7 +278,7 @@ def aggregate(ctx, config_path, **params):
     idx = result.labels
     if smap is not None:
         idx = shuffle_invert(idx, smap)
-    label_strings = [pm.space.labels[i] for i in idx]
+    label_strings = np.array(pm.space.labels, dtype=object).take(idx)
     write_labels_csv(str(params["out"]), meta["question_ids"], label_strings)
     click.echo(f"wrote {pm.m} aggregated labels to {params['out']}")
 

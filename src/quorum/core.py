@@ -116,8 +116,10 @@ class LabelSpace:
         return cls(_default_labels(k))
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
+def _as_readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
+    """An owned, read-only copy of ``arr`` (converted to ``dtype`` if given)."""
+
+    out = np.array(arr, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
 
@@ -147,7 +149,7 @@ class PredictionMatrix:
         k = self.space.k
         if ans.min() < 0 or ans.max() >= k:
             raise DomainError(f"answer indices must lie in [0, {k})")
-        object.__setattr__(self, "answers", _as_readonly(ans.astype(np.int64)))
+        object.__setattr__(self, "answers", _as_readonly(ans, np.int64))
         if self.truth is not None:
             tr = np.asarray(self.truth)
             if tr.shape != (ans.shape[0],):
@@ -158,7 +160,7 @@ class PredictionMatrix:
                 raise DomainError(f"truth must be integer label indices, got dtype {tr.dtype}")
             if tr.min() < 0 or tr.max() >= k:
                 raise DomainError(f"truth indices must lie in [0, {k})")
-            object.__setattr__(self, "truth", _as_readonly(tr.astype(np.int64)))
+            object.__setattr__(self, "truth", _as_readonly(tr, np.int64))
 
     @property
     def m(self) -> int:
@@ -368,7 +370,7 @@ class ShuffleMap:
         k = perms.shape[1]
         if not np.all(np.sort(perms, axis=1) == np.arange(k)):
             raise DomainError("each row of perms must be a permutation of 0..K-1")
-        object.__setattr__(self, "perms", _as_readonly(perms.astype(np.int64)))
+        object.__setattr__(self, "perms", _as_readonly(perms, np.int64))
 
     @property
     def m(self) -> int:

@@ -9,7 +9,9 @@ a temp-file-and-rename so readers never observe partial output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import io
 import itertools
 import json
@@ -91,14 +93,90 @@ def _first_repeat(items: list[str]) -> int | None:
     return None
 
 
-def _line_of_row(index: int, dropped_lines: list[int]) -> int:
-    """File line of the index-th kept data row, given the (ascending) dropped lines."""
+# Cells parsed per block of rows. A block's row lists are dropped as soon as
+# their cells are copied into the flat cell list, so the row lists and the
+# flat list are never both fully alive.
+_CELLS_PER_BLOCK = 2**14
 
-    lineno = index + 2
-    for dropped in dropped_lines:
-        if dropped <= lineno:
-            lineno += 1
-    return lineno
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Suspend cyclic garbage collection.
+
+    Parsing allocates millions of short-lived, acyclic row lists and cells,
+    which would otherwise trigger collections that find nothing to free.
+    """
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_cells(reader, width: int) -> tuple[list[str], tuple[int, int] | None]:
+    """Every cell of the data rows, row-major, up to the first row of the wrong width.
+
+    Returns the flat cells and, if some row does not have ``width`` fields,
+    that row's (line, field count); the cells of the rows before it are kept
+    so that a fault earlier in the file can still be reported first.
+    """
+
+    flat: list[str] = []
+    rows = 0
+    block_rows = max(1, _CELLS_PER_BLOCK // width)
+    while block := list(itertools.islice(reader, block_rows)):
+        if set(map(len, block)) != {width}:
+            bad = next(i for i, row in enumerate(block) if len(row) != width)
+            flat.extend(itertools.chain.from_iterable(block[:bad]))
+            return flat, (rows + bad + 2, len(block[bad]))
+        flat.extend(itertools.chain.from_iterable(block))
+        rows += len(block)
+    return flat, None
+
+
+def _screen_rows(
+    codes: np.ndarray,
+    vocab: list[str],
+    space: LabelSpace | None,
+    names: list[str],
+    drop_incomplete: bool,
+    path: str,
+) -> np.ndarray:
+    """Indices of the rows to keep, after the empty-cell and label checks.
+
+    ``codes`` holds each row's cells as indices into ``vocab``. A row with an
+    empty cell is dropped under ``drop_incomplete`` and is otherwise an error;
+    a kept row with a label outside ``space`` is an error. The first faulty
+    row in file order raises ``FormatError``; within a row, the empty-cell
+    check comes first.
+    """
+
+    empty = np.array([lab == "" for lab in vocab], dtype=bool)[codes]
+    unknown = np.array(
+        [lab != "" and space is not None and lab not in space.labels for lab in vocab], dtype=bool
+    )[codes]
+    empty_rows = empty.any(axis=1)
+    faulty = unknown.any(axis=1)
+    if drop_incomplete:
+        faulty &= ~empty_rows
+    else:
+        faulty |= empty_rows
+    if faulty.any():
+        row = int(np.argmax(faulty))
+        lineno = row + 2
+        if empty_rows[row]:
+            col = int(np.argmax(empty[row]))
+            agent = names[col] if col < len(names) else "truth"
+            raise FormatError(
+                f"{path}:{lineno}: empty cell for {agent!r} "
+                "(use --drop-incomplete to skip such questions)"
+            )
+        cell = vocab[codes[row, int(np.argmax(unknown[row]))]]
+        raise FormatError(f"{path}:{lineno}: label {cell!r} not in label space {space.labels}")
+    return np.flatnonzero(~empty_rows)
 
 
 def read_predictions_csv(
@@ -114,13 +192,17 @@ def read_predictions_csv(
     ``drop_incomplete`` is set, in which case they are skipped. The truth
     column, when present, is carried on the matrix but plays no role in
     aggregation.
+
+    Errors name the data row's line, counting the header as line 1 and each
+    CSV record (even one whose quoted field spans lines) as one line; the
+    first faulty row in file order is the one reported.
     """
 
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise FormatError(f"cannot open {path}: {exc}") from None
-    with fh:
+    with fh, _gc_paused():
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -128,54 +210,50 @@ def read_predictions_csv(
             raise FormatError(f"{path}: empty file") from None
         names, has_truth = _parse_header(header, path)
         space = LabelSpace(tuple(labels)) if labels is not None else None
-        known = set(space.labels) if space is not None else None
         width = 1 + len(names) + (1 if has_truth else 0)
-        qids: list[str] = []
-        rows: list[list[str]] = []
-        truths: list[str] = []
-        dropped_lines: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            cells = row[1 : 1 + len(names)]
-            truth_cell = row[-1] if has_truth else None
-            if "" in cells or truth_cell == "":
-                if drop_incomplete:
-                    dropped_lines.append(lineno)
-                    continue
-                agent = names[cells.index("")] if "" in cells else "truth"
-                raise FormatError(
-                    f"{path}:{lineno}: empty cell for {agent!r} "
-                    "(use --drop-incomplete to skip such questions)"
-                )
-            if known is not None and not known.issuperset(row[1:]):
-                cell = next(c for c in row[1:] if c not in known)
-                raise FormatError(f"{path}:{lineno}: label {cell!r} not in label space {space.labels}")
-            qids.append(row[0])
-            rows.append(cells)
-            if has_truth:
-                truths.append(truth_cell)
-    if not rows:
+        flat, bad_width = _read_cells(reader, width)
+
+        qids = flat[::width]
+        del flat[::width]
+        # Without empty cells or labels outside the space (the usual file),
+        # cells are encoded straight to label indices; otherwise to indices
+        # into the sorted distinct cells, which are screened and then remapped.
+        distinct = set(flat)
+        clean = "" not in distinct and (space is None or distinct.issubset(space.labels))
+        vocab = list(space.labels) if clean and space is not None else sorted(distinct)
+        lut = {lab: i for i, lab in enumerate(vocab)}
+        codes = np.fromiter(
+            map(lut.__getitem__, flat), dtype=np.min_scalar_type(len(vocab)), count=len(flat)
+        ).reshape(len(qids), width - 1)
+        del flat
+
+    kept = None if clean else _screen_rows(codes, vocab, space, names, drop_incomplete, path)
+    if bad_width is not None:
+        lineno, got = bad_width
+        raise FormatError(f"{path}:{lineno}: expected {width} fields, got {got}")
+    dropped = 0 if kept is None else len(qids) - kept.size
+    if dropped:
+        codes = codes[kept]
+        qids = [qids[i] for i in kept.tolist()]
+    if not qids:
         raise FormatError(f"{path}: no usable question rows")
     repeat = _first_repeat(qids)
     if repeat is not None:
-        lineno = _line_of_row(repeat, dropped_lines)
+        lineno = (repeat if kept is None else int(kept[repeat])) + 2
         raise FormatError(f"{path}:{lineno}: duplicate question_id {qids[repeat]!r}")
 
     if space is None:
-        seen = set()
-        for cells in rows:
-            seen.update(cells)
-        seen.update(truths)
-        if len(seen) < 2:
+        present = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(vocab)))
+        if present.size < 2:
             raise FormatError(f"{path}: fewer than 2 distinct labels in data")
-        space = LabelSpace(tuple(sorted(seen)))
-    lut = {lab: i for i, lab in enumerate(space.labels)}
+        space = LabelSpace(tuple(vocab[i] for i in present))
+    if tuple(vocab) != space.labels:
+        index = {lab: i for i, lab in enumerate(space.labels)}
+        codes = np.array([index.get(lab, -1) for lab in vocab], dtype=np.int64)[codes]
 
-    answers = np.array([[lut[c] for c in cells] for cells in rows], dtype=np.int64)
-    truth = np.array([lut[c] for c in truths], dtype=np.int64) if has_truth else None
-    pm = PredictionMatrix(space, answers, truth)
-    meta = {"question_ids": qids, "agent_names": names, "dropped": len(dropped_lines)}
+    n = len(names)
+    pm = PredictionMatrix(space, codes[:, :n], codes[:, n] if has_truth else None)
+    meta = {"question_ids": qids, "agent_names": names, "dropped": dropped}
     if agents is not None:
         missing = [a for a in agents if a not in names]
         if missing:
@@ -207,12 +285,9 @@ def write_predictions_csv(
     writer.writerow(
         ["question_id"] + [_AGENT_PREFIX + n for n in names] + (["truth"] if with_truth else [])
     )
-    labels = pm.space.labels
-    for q in range(pm.m):
-        row = [qids[q]] + [labels[pm.answers[q, i]] for i in range(pm.n)]
-        if with_truth:
-            row.append(labels[pm.truth[q]])
-        writer.writerow(row)
+    labels = np.array(pm.space.labels, dtype=object)
+    columns = list(labels[pm.answers.T]) + ([labels[pm.truth]] if with_truth else [])
+    writer.writerows(zip(qids, *columns))
     atomic_write_text(path, buf.getvalue())
 
 
@@ -222,6 +297,5 @@ def write_labels_csv(path: str, question_ids: list[str], labels: list[str]) -> N
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["question_id", "label"])
-    for qid, lab in zip(question_ids, labels):
-        writer.writerow([qid, lab])
+    writer.writerows(zip(question_ids, labels))
     atomic_write_text(path, buf.getvalue())

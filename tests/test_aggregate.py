@@ -293,6 +293,34 @@ class TestTiePolicies:
         single = [pol.pick(scores[q], question_index=q) for q in range(80)]
         np.testing.assert_array_equal(batch, single)
 
+    def test_tie_draw_is_a_pure_function_of_seed_and_question(self):
+        questions = np.arange(1000)
+        draws = agg._tie_draw(7, questions, 4)
+        order = np.random.default_rng(0).permutation(questions)
+        np.testing.assert_array_equal(agg._tie_draw(7, order, 4), draws[order])
+        np.testing.assert_array_equal(agg._tie_draw(7, questions[:10], 4), draws[:10])
+        assert [int(agg._tie_draw(7, q, 4)[0]) for q in range(20)] == draws[:20].tolist()
+        assert not np.array_equal(agg._tie_draw(8, questions, 4), draws)
+        # a question's pick does not depend on how many questions the batch holds
+        pol = agg.TiePolicy(agg.TIE_UNIFORM, seed=7)
+        full = agg.decide_batch(np.ones((1000, 4)), pol)
+        np.testing.assert_array_equal(agg.decide_batch(np.ones((37, 4)), pol), full[:37])
+
+    @pytest.mark.parametrize("ways", [2, 3, 4])
+    def test_uniform_picks_each_tied_label_equally_often(self, ways):
+        m, p = 3000, 1.0 / ways
+        scores = np.zeros((m, 2 * ways))
+        scores[:, 1::2] = 1.0  # the tied labels are the odd ones
+        picks = agg.decide_batch(scores, agg.TiePolicy(agg.TIE_UNIFORM, seed=3))
+        counts = np.bincount(picks, minlength=2 * ways)
+        assert counts[0::2].sum() == 0
+        assert np.all(np.abs(counts[1::2] - m * p) <= 4 * np.sqrt(m * p * (1 - p)))
+
+    def test_lowest_index_batch_picks_the_first_tied_label(self):
+        scores = np.random.default_rng(2).integers(0, 3, size=(200, 4)).astype(float)
+        batch = agg.decide_batch(scores, agg.TiePolicy(agg.TIE_LOWEST))
+        np.testing.assert_array_equal(batch, [agg.argmax_set(row)[0] for row in scores])
+
     def test_bad_mode_rejected(self):
         with pytest.raises(DomainError):
             agg.TiePolicy("coin_flip")

@@ -1,18 +1,130 @@
 """Unit tests for prediction-CSV parsing and the atomic writers."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from quorum.core import FormatError, LabelSpace, PredictionMatrix
 from quorum.dataio import (
+    _parse_header,
     atomic_write_text,
     read_predictions_csv,
     write_json,
     write_labels_csv,
     write_predictions_csv,
 )
+
+
+def _reference_read(path, labels=None, drop_incomplete=False):
+    """Row-by-row reader that ``read_predictions_csv`` must agree with."""
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty file")
+        names, has_truth = _parse_header(header, path)
+        space = LabelSpace(tuple(labels)) if labels is not None else None
+        width = 1 + len(names) + has_truth
+        qids, rows, lines, dropped = [], [], [], 0
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+            if "" in row[1:]:
+                if drop_incomplete:
+                    dropped += 1
+                    continue
+                col = row.index("", 1) - 1
+                agent = names[col] if col < len(names) else "truth"
+                raise FormatError(
+                    f"{path}:{lineno}: empty cell for {agent!r} "
+                    "(use --drop-incomplete to skip such questions)"
+                )
+            for cell in row[1:]:
+                if space is not None and cell not in space.labels:
+                    raise FormatError(
+                        f"{path}:{lineno}: label {cell!r} not in label space {space.labels}"
+                    )
+            qids.append(row[0])
+            rows.append(row[1:])
+            lines.append(lineno)
+    if not rows:
+        raise FormatError(f"{path}: no usable question rows")
+    seen = set()
+    for qid, lineno in zip(qids, lines):
+        if qid in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate question_id {qid!r}")
+        seen.add(qid)
+    if space is None:
+        found = sorted({cell for row in rows for cell in row})
+        if len(found) < 2:
+            raise FormatError(f"{path}: fewer than 2 distinct labels in data")
+        space = LabelSpace(tuple(found))
+    codes = np.array([[space.index(cell) for cell in row] for row in rows], dtype=np.int64)
+    n = len(names)
+    pm = PredictionMatrix(space, codes[:, :n], codes[:, n] if has_truth else None)
+    return pm, {"question_ids": qids, "agent_names": names, "dropped": dropped}
+
+
+def _outcome(reader, path, **kwargs):
+    """What a reader makes of a file: its matrix and meta, or its error text."""
+
+    try:
+        pm, meta = reader(str(path), **kwargs)
+    except FormatError as exc:
+        return str(exc)
+    truth = None if pm.truth is None else pm.truth.tolist()
+    return pm.space.labels, pm.answers.tolist(), truth, meta
+
+
+# Labels that need quoting (comma, quote, line break) or keep outer spaces,
+# and one more that is outside them.
+_LABELS = ("A", "a,b", 'say "hi"', " sp ace ", "two\nlines")
+_OUTSIDE = "not, listed"
+_ROW_FAULTS = ("empty", "outside", "empty+outside", "wide", "short", "blank", "duplicate")
+
+
+@st.composite
+def _prediction_files(draw):
+    """(CSV text, labels argument, drop_incomplete) with up to two kinds of row fault.
+
+    A label outside ``_LABELS`` is a fault only when the labels argument
+    (then a permutation of ``_LABELS``) is given.
+    """
+
+    n = draw(st.integers(1, 3))
+    has_truth = draw(st.booleans())
+    header = ["question_id"] + [f"agent_{j}" for j in range(n)] + (["truth"] if has_truth else [])
+    kinds = ("ok",) * 3 + tuple(draw(st.lists(st.sampled_from(_ROW_FAULTS), max_size=2, unique=True)))
+    rows = []
+    for q in range(draw(st.integers(0, 8))):
+        row = [f"q{q}"] + [draw(st.sampled_from(_LABELS)) for _ in range(len(header) - 1)]
+        kind = draw(st.sampled_from(kinds))
+        cells = draw(st.permutations(range(1, len(row))))
+        if "outside" in kind:
+            row[cells[-1]] = _OUTSIDE
+        if "empty" in kind:
+            row[cells[0]] = ""
+        if kind == "wide":
+            row.append(draw(st.sampled_from(_LABELS)))
+        elif kind == "short":
+            row.pop()
+        elif kind == "blank":
+            row = []
+        elif kind == "duplicate" and q:
+            row[0] = f"q{draw(st.integers(0, q - 1))}"
+        rows.append(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(header)
+    writer.writerows(rows)
+    labels = draw(st.none() | st.permutations(_LABELS))
+    return buf.getvalue(), labels, draw(st.booleans())
 
 
 def _pm(k=3, with_truth=True):
@@ -83,6 +195,37 @@ class TestLabelSpaceInference:
         path.write_text("question_id,agent_x,truth\nq0,A,B\nq1,B,A\nq2,A,C\n")
         with pytest.raises(FormatError, match=r"p\.csv:4: label 'C'"):
             read_predictions_csv(str(path), labels=["A", "B"])
+
+
+class TestAgainstRowByRowReader:
+    @given(_prediction_files())
+    # an empty cell outranks an outside label in the same row, and drops it
+    @example(("question_id,agent_x,agent_y\nq0,,C\nq1,C,\nq2,A,B\n", ["A", "B"], False))
+    @example(("question_id,agent_x,agent_y\nq0,,C\nq1,A,B\nq2,B,A\n", ["A", "B"], True))
+    # a duplicate's line counts the dropped rows before it
+    @example(("question_id,agent_x,agent_y\nq0,,B\nq1,A,B\nq2,,A\nq1,B,B\n", None, True))
+    # an earlier label fault wins over a later width fault
+    @example(("question_id,agent_x\nq0,C\nq1\n", ["A", "B"], False))
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_same_matrix_meta_or_error(self, tmp_path, case):
+        text, labels, drop = case
+        path = tmp_path / "p.csv"
+        path.write_text(text, newline="")
+        expected = _outcome(_reference_read, path, labels=labels, drop_incomplete=drop)
+        got = _outcome(read_predictions_csv, path, labels=labels, drop_incomplete=drop)
+        assert got == expected
+
+    def test_label_seen_only_in_dropped_row_is_not_in_space(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("question_id,agent_x,truth\nq0,A,B\nq1,C,\nq2,B,A\n")
+        pm, meta = read_predictions_csv(str(path), drop_incomplete=True)
+        assert pm.space.labels == ("A", "B")
+        np.testing.assert_array_equal(pm.answers, [[0], [1]])
+        np.testing.assert_array_equal(pm.truth, [1, 0])
+        assert meta["question_ids"] == ["q0", "q2"]
+        assert meta["dropped"] == 1
 
 
 class TestAgentSelection:
