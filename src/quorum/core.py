@@ -33,7 +33,6 @@ __all__ = [
     "clamp_accuracies",
     "ow_weights",
     "uniform_block",
-    "question_rng",
     "derive_seed",
     "random_shuffle_map",
     "shuffle_apply",
@@ -329,13 +328,6 @@ def uniform_block(seed: int, m: int, width: int) -> np.ndarray:
         raise DimensionError(f"invalid block shape ({m}, {width})")
     gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
     return gen.random((m, width))
-
-
-def question_rng(seed: int, question_index: int) -> np.random.Generator:
-    """Independent generator for one question, keyed by (seed, index)."""
-
-    key = np.array([int(seed) & _MASK64, int(question_index) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(master: int, *parts: int) -> int:

@@ -7,15 +7,20 @@ advantage gaps between rules. These serve as oracles for the sampled
 estimates elsewhere in the package.
 
 Enumeration cost is K^N; calls beyond the configured budget raise
-``ResourceError`` rather than silently grinding.
+``ResourceError`` rather than silently grinding. The expectations stream
+the vectors in chunks of about ``core._BLOCK_CELLS`` answers, so memory
+stays bounded whatever the budget allows, and when every ingredient is
+label-symmetric they visit one vector per orbit of label relabellings.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import DimensionError, DomainError, ResourceError, _as_readonly, sigma_k
 from .secondorder import (
     SecondOrderMatrix,
@@ -44,6 +49,8 @@ __all__ = [
     "mixture_expected_accuracy",
 ]
 
+# Largest K^N an enumeration may visit. Memory does not grow with it (the
+# vectors are streamed), so it caps running time only.
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -54,6 +61,16 @@ DEFAULT_BUDGET = 10_000_000
 _FAMILY_ATOMS = "atoms"
 _FAMILY_LOG_UNIFORM = "log_uniform"
 _QUAD_ORDER = 64
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+
+    t, w = np.polynomial.legendre.leggauss(order)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
 
 
 @dataclass(frozen=True)
@@ -111,7 +128,7 @@ class DifficultyMixture:
 
         if self.family == _FAMILY_ATOMS:
             return np.asarray(self.alphas), np.asarray(self.weights)
-        t, w = np.polynomial.legendre.leggauss(self.order)
+        t, w = _gauss_legendre(self.order)
         mid = 0.5 * (np.log(self.hi) + np.log(self.lo))
         half = 0.5 * (np.log(self.hi) - np.log(self.lo))
         return np.exp(mid + half * t), w / 2.0
@@ -132,15 +149,86 @@ class DifficultyMixture:
 # ---------------------------------------------------------------------------
 
 
-def enumerate_vectors(n: int, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """All K^N answer vectors, shape (K^N, N), lexicographic order."""
-
+def _check_enumeration(n: int, k: int, budget: int) -> None:
     if n < 1 or k < 2:
         raise DimensionError(f"need n >= 1 and k >= 2, got n={n}, k={k}")
     total = k**n
     if total > budget:
         raise ResourceError(f"enumeration of {k}^{n} = {total} vectors exceeds budget {budget}")
-    return np.indices((k,) * n).reshape(n, -1).T.astype(np.int64)
+
+
+def _mixed_radix(lo: int, hi: int, n: int, k: int) -> np.ndarray:
+    """Answer vectors lo..hi-1 of the lexicographic K^N stream, shape (hi - lo, N)."""
+
+    rest = np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((hi - lo, n), dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        rest, out[:, j] = np.divmod(rest, k)
+    return out
+
+
+def enumerate_vectors(n: int, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """All K^N answer vectors, shape (K^N, N), lexicographic order."""
+
+    _check_enumeration(n, k, budget)
+    return _mixed_radix(0, k**n, n, k)
+
+
+def _completions(n: int, k: int) -> np.ndarray:
+    """counts[i, m]: restricted-growth completions of positions i..N-1 once labels 0..m are used.
+
+    Column K stays zero: no label beyond K - 1 can be opened.
+    """
+
+    counts = np.zeros((n + 1, k + 1), dtype=np.int64)
+    counts[n, :k] = 1
+    for i in range(n - 1, 0, -1):
+        counts[i, :k] = np.arange(1, k + 1) * counts[i + 1, :k] + counts[i + 1, 1:]
+    return counts
+
+
+def _restricted_growth(lo: int, hi: int, n: int, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Restricted-growth strings lo..hi-1 in lexicographic order, and each one's largest label.
+
+    A restricted-growth string starts at label 0 and each later entry is at
+    most one more than the largest before it (Knuth, TAOCP 4A, 7.2.1.5):
+    exactly one answer vector per orbit of label relabellings. Ranks are
+    decoded position by position against the completion counts.
+    """
+
+    rank = np.arange(lo, hi, dtype=np.int64)
+    out = np.zeros((hi - lo, n), dtype=np.int64)
+    top = np.zeros(hi - lo, dtype=np.int64)
+    for i in range(1, n):
+        per_label = counts[i + 1, top]  # completions after reusing any one of labels 0..top
+        reused = (top + 1) * per_label
+        fresh = rank >= reused
+        out[:, i] = np.where(fresh, top + 1, rank // per_label)
+        rank = np.where(fresh, rank - reused, rank % per_label)
+        top += fresh
+    return out, top
+
+
+def _vector_chunks(n: int, k: int, rows: int, orbits: bool):
+    """Yield (vectors, multiplicities) chunks of at most ``rows`` vectors covering all K^N.
+
+    Without ``orbits`` this is the mixed-radix stream and every multiplicity
+    is 1 (given as None). With ``orbits`` it holds one restricted-growth
+    representative per orbit of label relabellings; a representative with
+    b distinct labels stands for the K!/(K-b)! vectors that relabel it.
+    """
+
+    if not orbits:
+        total = k**n
+        for lo in range(0, total, rows):
+            yield _mixed_radix(lo, min(lo + rows, total), n, k), None
+        return
+    counts = _completions(n, k)
+    sizes = np.cumprod(np.arange(k, k - min(n, k), -1, dtype=np.float64))  # K!/(K-b)!, b = 1..
+    total = int(counts[1, 0])
+    for lo in range(0, total, rows):
+        vectors, top = _restricted_growth(lo, min(lo + rows, total), n, counts)
+        yield vectors, sizes[top]
 
 
 def _check_acc(accuracies) -> np.ndarray:
@@ -178,10 +266,13 @@ def mixture_answer_vector_probs(
     """P(answer vector | true label) under the difficulty-mixture model."""
 
     xs, weights = _mixture_correct_probs(abilities, mixture, k)
-    out = np.zeros(vectors.shape[0])
-    for x_t, w_t in zip(xs, weights):
-        out += w_t * answer_vector_probs(vectors, truth_index, x_t, k)
-    return out
+    return _mixture_likelihoods(vectors, xs, weights, k)[:, truth_index]
+
+
+def _mixture_likelihoods(vectors: np.ndarray, xs: np.ndarray, weights, k: int) -> np.ndarray:
+    """like[v, s] = P(answer vector v | true label s), mixing the nodes' independent models."""
+
+    return sum(w_t * _label_likelihoods(vectors, x_t, k) for x_t, w_t in zip(xs, weights))
 
 
 def joint_correct_probability(abilities, mixture: DifficultyMixture, k: int) -> float:
@@ -200,50 +291,68 @@ def joint_correct_probability(abilities, mixture: DifficultyMixture, k: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def bayes_posterior(answers, accuracies, k: int) -> np.ndarray:
-    """Posterior over the true label given one answer vector, uniform prior."""
+def _check_vectors(answers, shape: tuple[int, ...], k: int, what: str) -> np.ndarray:
+    """One answer vector (N,) or a batch (V, N) of label indices, checked against N and K."""
 
     arr = np.asarray(answers)
-    x = _check_acc(accuracies)
-    if arr.ndim != 1 or arr.shape != x.shape:
-        raise DimensionError(f"answers shape {arr.shape} does not match accuracies {x.shape}")
-    if arr.min() < 0 or arr.max() >= k:
+    if arr.ndim not in (1, 2) or arr.shape[-1:] != shape:
+        raise DimensionError(f"answers shape {arr.shape} does not match {what} {shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= k):
         raise DomainError(f"answer indices must lie in [0, {k})")
-    like = np.empty(k)
-    for s in range(k):
-        like[s] = np.prod(np.where(arr == s, x, (1.0 - x) / (k - 1)))
-    total = like.sum()
-    if total <= 0.0:
+    return arr
+
+
+def _label_likelihoods(vectors: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """like[v, s] = P(answer vector v | true label s) under conditional independence."""
+
+    return np.stack([answer_vector_probs(vectors, s, x, k) for s in range(k)], axis=1)
+
+
+def bayes_posterior(answers, accuracies, k: int) -> np.ndarray:
+    """Posterior over the true label given answer vectors, uniform prior.
+
+    ``answers`` is one vector (N,) or a batch (V, N); the result is (K,)
+    or (V, K).
+    """
+
+    x = _check_acc(accuracies)
+    arr = _check_vectors(answers, x.shape, k, "accuracies")
+    like = _label_likelihoods(arr.reshape(-1, x.shape[0]), x, k)
+    total = like.sum(axis=1, keepdims=True)
+    if np.any(total <= 0.0):
         raise DomainError("answer vector has probability zero under the model")
-    return like / total
+    return (like / total).reshape(arr.shape[:-1] + (k,))
 
 
 def mixture_posterior(answers, abilities, mixture: DifficultyMixture, k: int) -> np.ndarray:
     """Posterior over the true label under the difficulty-mixture model.
 
-    Computed in log space so that extreme alpha * beta products cannot
-    overflow.
+    ``answers`` is one vector (N,) or a batch (V, N); the result is (K,)
+    or (V, K). Computed in log space so that extreme alpha * beta products
+    cannot overflow, in row blocks whose (rows, nodes, K) scratch stays
+    within ``core._BLOCK_CELLS`` cells.
     """
 
-    arr = np.asarray(answers)
     beta = np.asarray(abilities, dtype=float)
-    if arr.ndim != 1 or arr.shape != beta.shape:
-        raise DimensionError(f"answers shape {arr.shape} does not match abilities {beta.shape}")
-    if arr.min() < 0 or arr.max() >= k:
-        raise DomainError(f"answer indices must lie in [0, {k})")
+    arr = _check_vectors(answers, beta.shape, k, "abilities")
+    batch = arr.reshape(-1, beta.shape[0])
     alphas, weights = mixture.nodes()
     # log P(a | s, alpha) = alpha * T_s - sum_i log(K - 1 + e^{alpha b_i})
-    # with T_s the total ability of agents answering s.
-    support = np.zeros(k)
-    for s in range(k):
-        support[s] = beta[arr == s].sum()
+    # with T_s the total ability of agents answering s: the weighted vote.
     z = alphas[:, None] * beta[None, :]  # (T, N)
     log_norm = np.logaddexp(np.log(k - 1.0), z).sum(axis=1)  # (T,)
-    log_terms = np.log(weights)[:, None] + alphas[:, None] * support[None, :] - log_norm[:, None]
-    log_post = _logsumexp(log_terms, axis=0)
-    log_post -= log_post.max()
-    post = np.exp(log_post)
-    return post / post.sum()
+    post = np.empty((batch.shape[0], k))
+    rows = max(1, core._BLOCK_CELLS // (alphas.shape[0] * k))
+    for lo in range(0, batch.shape[0], rows):
+        support = agg.weighted_scores_batch(batch[lo : lo + rows], beta, k)  # (V, K)
+        log_terms = (
+            np.log(weights)[:, None] + alphas[:, None] * support[:, None, :] - log_norm[:, None]
+        )  # (V, T, K)
+        log_post = _logsumexp(log_terms, axis=1)
+        log_post -= log_post.max(axis=1, keepdims=True)
+        p = np.exp(log_post)
+        post[lo : lo + rows] = p / p.sum(axis=1, keepdims=True)
+    return post.reshape(arr.shape[:-1] + (k,))
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -267,18 +376,35 @@ def mixture_second_order(abilities, mixture: DifficultyMixture, k: int) -> Secon
 # ---------------------------------------------------------------------------
 
 
-def _expected_true_advantage(
-    rule: str, vectors: np.ndarray, probs: np.ndarray, k: int, so: SecondOrderMatrix | None
-) -> float:
-    """E[advantage of label 0] when label 0 is true and ``probs`` weights ``vectors``.
+def _expectation(n: int, k: int, orbits: bool, likelihoods, scores, per_label) -> float:
+    """(1/K) sum over true labels t and answer vectors v of P(v | t) * f[v, t].
 
-    A rule's advantage is its score minus the mean over labels: for majority
-    vote that is N/K; the peer rules' scores already sum to zero, so for
-    them it changes only rounding.
+    ``likelihoods(v)`` gives P(v | t) as (V, K), ``scores(v)`` a rule's
+    (V, K) scores and ``per_label(scores)`` the value f of each label as
+    the truth. The K^N vectors are streamed in chunks of about
+    ``core._BLOCK_CELLS // N`` vectors. With ``orbits`` the stream holds one
+    vector per orbit of label relabellings, weighted by the orbit size,
+    which is exact when relabelling v and t together leaves P(v | t) and
+    f[v, t] unchanged: both models and every rule here are label-symmetric,
+    and so is every ``per_label`` but the lowest-index tie credit.
     """
 
-    scores = agg.score_batch(rule, vectors, k, so=so)
-    return float(np.dot(probs, scores[:, 0] - scores.mean(axis=1)))
+    rows = max(1, core._BLOCK_CELLS // n)
+    total = 0.0
+    for vectors, sizes in _vector_chunks(n, k, rows, orbits):
+        values = (likelihoods(vectors) * per_label(scores(vectors))).sum(axis=1) / k
+        total += float(values.sum() if sizes is None else np.dot(sizes, values))
+    return total
+
+
+def _centred(scores: np.ndarray) -> np.ndarray:
+    """Advantage of each label: its score minus the mean over labels.
+
+    For majority vote that subtracts N/K; the peer rules' scores already
+    sum to zero, so for them it changes only rounding.
+    """
+
+    return scores - scores.mean(axis=1, keepdims=True)
 
 
 def exact_expected_advantage(
@@ -286,15 +412,21 @@ def exact_expected_advantage(
 ) -> float:
     """E[advantage of the true label] under conditional independence.
 
-    The expectation is over answer vectors; by label symmetry the true
-    label can be fixed to index 0.
+    The expectation is over answer vectors and, by label symmetry, the
+    same for every true label.
     """
 
     x = _check_acc(accuracies)
-    vectors = enumerate_vectors(x.shape[0], k, budget)
-    probs = answer_vector_probs(vectors, 0, x, k)
+    _check_enumeration(x.shape[0], k, budget)
     so = exact_second_order(x, k) if rule in agg.SECOND_ORDER_RULES else None
-    return _expected_true_advantage(rule, vectors, probs, k, so)
+    return _expectation(
+        x.shape[0],
+        k,
+        True,
+        lambda v: _label_likelihoods(v, x, k),
+        lambda v: agg.score_batch(rule, v, k, so=so),
+        _centred,
+    )
 
 
 def expected_mv_advantage(accuracies, k: int) -> float:
@@ -323,22 +455,20 @@ def expected_advantage_gaps(accuracies, k: int) -> tuple[float, float]:
     return gap_isp_mv, gap_mv_sp
 
 
-def _expected_credit(scores: np.ndarray, vector_probs, k: int, tie_mode: str) -> float:
-    """Probability that the row argmax of ``scores`` is the true label.
+def _credit(tie_mode: str):
+    """Share of the decision on each vector that each label earns as the truth.
 
-    ``vector_probs(t)`` gives P(vector | true label t). The true label is
-    averaged over all K values, and a tie shared by the true label earns
-    1/(number tied) under ``uniform_random``, 1 or 0 under ``lowest_index``.
+    A tie shared by the true label earns 1/(number tied) under
+    ``uniform_random``, 1 or 0 under ``lowest_index``.
     """
 
-    tied = agg.tied_mask(scores)
-    n_tied = tied.sum(axis=1)
-    first = np.argmax(tied, axis=1)
-    acc = 0.0
-    for t in range(k):
-        credit = tied[:, t] / n_tied if tie_mode == agg.TIE_UNIFORM else (first == t).astype(float)
-        acc += float(np.dot(vector_probs(t), credit)) / k
-    return acc
+    def credit(scores: np.ndarray) -> np.ndarray:
+        tied = agg.tied_mask(scores)
+        if tie_mode == agg.TIE_UNIFORM:
+            return tied / tied.sum(axis=1, keepdims=True)
+        return (np.arange(scores.shape[1]) == np.argmax(tied, axis=1)[:, None]).astype(float)
+
+    return credit
 
 
 def expected_accuracy(
@@ -353,14 +483,31 @@ def expected_accuracy(
 
     Ties contribute fractional credit under ``uniform_random`` and are
     averaged over all true labels, so asymmetric tie-breaking is handled
-    correctly.
+    correctly; only ``uniform_random`` enumerates one vector per orbit of
+    relabellings.
     """
 
     x = _check_acc(accuracies)
-    vectors = enumerate_vectors(x.shape[0], k, budget)
+    _check_enumeration(x.shape[0], k, budget)
     so = exact_second_order(x, k) if rule in agg.SECOND_ORDER_RULES else None
-    scores = agg.score_batch(rule, vectors, k, so=so, weights=weights)
-    return _expected_credit(scores, lambda t: answer_vector_probs(vectors, t, x, k), k, tie_mode)
+    return _expectation(
+        x.shape[0],
+        k,
+        tie_mode == agg.TIE_UNIFORM,
+        lambda v: _label_likelihoods(v, x, k),
+        lambda v: agg.score_batch(rule, v, k, so=so, weights=weights),
+        _credit(tie_mode),
+    )
+
+
+def _mixture_scorer(rule: str, beta: np.ndarray, mixture: DifficultyMixture, k: int):
+    """Scores of a mixture-model rule; ``eow`` is ``weighted`` with the abilities as weights."""
+
+    if rule == "posterior":
+        return lambda v: mixture_posterior(v, beta, mixture, k)
+    rule = "weighted" if rule == "eow" else rule
+    so = mixture_second_order(beta, mixture, k) if rule in agg.SECOND_ORDER_RULES else None
+    return lambda v: agg.score_batch(rule, v, k, so=so, weights=beta)
 
 
 def mixture_expected_advantage(
@@ -369,10 +516,16 @@ def mixture_expected_advantage(
     """E[advantage of the true label] under the difficulty-mixture model."""
 
     beta = np.asarray(abilities, dtype=float)
-    vectors = enumerate_vectors(beta.shape[0], k, budget)
-    probs = mixture_answer_vector_probs(vectors, 0, beta, mixture, k)
-    so = mixture_second_order(beta, mixture, k) if rule in agg.SECOND_ORDER_RULES else None
-    return _expected_true_advantage(rule, vectors, probs, k, so)
+    _check_enumeration(beta.shape[0], k, budget)
+    xs, weights = _mixture_correct_probs(beta, mixture, k)
+    return _expectation(
+        beta.shape[0],
+        k,
+        True,
+        lambda v: _mixture_likelihoods(v, xs, weights, k),
+        _mixture_scorer(rule, beta, mixture, k),
+        _centred,
+    )
 
 
 def mixture_expected_accuracy(
@@ -391,13 +544,13 @@ def mixture_expected_accuracy(
     """
 
     beta = np.asarray(abilities, dtype=float)
-    vectors = enumerate_vectors(beta.shape[0], k, budget)
-    if rule == "posterior":
-        scores = np.stack([mixture_posterior(v, beta, mixture, k) for v in vectors])
-    else:
-        rule = "weighted" if rule == "eow" else rule
-        so = mixture_second_order(beta, mixture, k) if rule in agg.SECOND_ORDER_RULES else None
-        scores = agg.score_batch(rule, vectors, k, so=so, weights=beta)
-    return _expected_credit(
-        scores, lambda t: mixture_answer_vector_probs(vectors, t, beta, mixture, k), k, tie_mode
+    _check_enumeration(beta.shape[0], k, budget)
+    xs, weights = _mixture_correct_probs(beta, mixture, k)
+    return _expectation(
+        beta.shape[0],
+        k,
+        tie_mode == agg.TIE_UNIFORM,
+        lambda v: _mixture_likelihoods(v, xs, weights, k),
+        _mixture_scorer(rule, beta, mixture, k),
+        _credit(tie_mode),
     )

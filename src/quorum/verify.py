@@ -147,6 +147,12 @@ def _suite_examples(seed: int, budget: int) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
+def _argmax_escapes(scores: np.ndarray, posteriors: np.ndarray) -> bool:
+    """True if on some row a label tied for the top score is not tied for the top posterior."""
+
+    return bool((agg.tied_mask(scores) & ~agg.tied_mask(posteriors)).any())
+
+
 def _suite_thm1(seed: int, budget: int) -> list[CheckResult]:
     """Log-odds weighting tracks the exact posterior; dominance behaves."""
 
@@ -166,16 +172,11 @@ def _suite_thm1(seed: int, budget: int) -> list[CheckResult]:
         w = ow_weights(x, k)
         vectors = oracle.enumerate_vectors(n, k, budget)
         scores = agg.score_batch("weighted", vectors, k, weights=w)
-        for vec, sc in zip(vectors, scores):
-            post = oracle.bayes_posterior(vec, x, k)
-            if not set(agg.argmax_set(sc)) <= set(agg.argmax_set(post)):
-                consistent = False
+        consistent &= not _argmax_escapes(scores, oracle.bayes_posterior(vectors, x, k))
         x_h = np.full(n, float(1.0 / k + 0.05 + (0.90 - 1.0 / k) * rng.random()))
         sc_h = agg.score_batch("weighted", vectors, k, weights=ow_weights(x_h, k))
         counts = agg.score_batch("mv", vectors, k)
-        for sch, cnt in zip(sc_h, counts):
-            if set(agg.argmax_set(sch)) != set(agg.argmax_set(cnt)):
-                homogeneous = False
+        homogeneous &= bool(np.array_equal(agg.tied_mask(sc_h), agg.tied_mask(counts)))
     rec.check("weighted_vote_matches_posterior", consistent, f"{draws} random instances, exhaustive")
     rec.check("homogeneous_equals_majority", homogeneous, f"{draws} random instances, exhaustive")
 
@@ -188,10 +189,9 @@ def _suite_thm1(seed: int, budget: int) -> list[CheckResult]:
         if k**n > budget:
             continue
         x = 1.0 / k + 0.01 + (0.98 - 1.0 / k) * rng.random(n)
+        acc = oracle.expected_accuracy("weighted", x, k, weights=ow_weights(x, k), budget=budget)
         for i in range(n):
             thr = agg.dominance_threshold(x, k, i)
-            w = ow_weights(x, k)
-            acc = oracle.expected_accuracy("weighted", x, k, weights=w, budget=budget)
             if x[i] < thr - 1e-6:
                 below += 1
                 below_ok &= acc > x[i]
@@ -308,10 +308,7 @@ def _suite_thm4(seed: int, budget: int) -> list[CheckResult]:
         mix = DifficultyMixture.atoms(zip(3.0 * rng.random(t), w / w.sum()))
         vectors = oracle.enumerate_vectors(n, k, budget)
         scores = agg.score_batch("weighted", vectors, k, weights=beta)
-        for vec, sc in zip(vectors, scores):
-            post = oracle.mixture_posterior(vec, beta, mix, k)
-            if not set(agg.argmax_set(sc)) <= set(agg.argmax_set(post)):
-                consistent = False
+        consistent &= not _argmax_escapes(scores, oracle.mixture_posterior(vectors, beta, mix, k))
     rec.check("ability_vote_matches_posterior", consistent, f"{draws} random mixtures, exhaustive")
 
     degenerate = True
@@ -378,12 +375,10 @@ def _suite_thm5(seed: int, budget: int) -> list[CheckResult]:
     edges = np.linspace(np.log(0.1), np.log(10.0), 20001)
     grid = np.exp(0.5 * (edges[:-1] + edges[1:]))
     mix_d = DifficultyMixture.atoms([(a, 1.0 / grid.size) for a in grid])
-    worst = 0.0
-    for _ in range(10):
-        vec = rng.integers(0, 2, size=3)
-        pq = oracle.mixture_posterior(vec, beta, mix_q, 2)
-        pd = oracle.mixture_posterior(vec, beta, mix_d, 2)
-        worst = max(worst, float(np.max(np.abs(pq - pd))))
+    vecs = np.stack([rng.integers(0, 2, size=3) for _ in range(10)])
+    pq = oracle.mixture_posterior(vecs, beta, mix_q, 2)
+    pd = oracle.mixture_posterior(vecs, beta, mix_d, 2)
+    worst = float(np.max(np.abs(pq - pd)))
     rec.check("log_uniform_quadrature", worst <= 1e-6, f"worst posterior gap {worst:.2e}")
     return rec.results
 

@@ -19,7 +19,6 @@ from quorum.core import (
     clamp_accuracies,
     derive_seed,
     ow_weights,
-    question_rng,
     random_shuffle_map,
     shuffle_apply,
     shuffle_invert,
@@ -240,12 +239,6 @@ class TestDeterministicRandomness:
             uniform_block(0, -1, 2)
         with pytest.raises(DimensionError):
             uniform_block(0, 10, 0)
-
-    def test_question_rng_is_order_independent(self):
-        forward = [question_rng(5, q).random() for q in range(10)]
-        backward = [question_rng(5, q).random() for q in reversed(range(10))]
-        np.testing.assert_array_equal(forward, backward[::-1])
-        assert question_rng(5, 3).random() != question_rng(6, 3).random()
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quorum import aggregate as agg
+from quorum import core, oracle
 from quorum.core import DimensionError, DomainError, ResourceError, ow_weights, sigma_k
 from quorum.oracle import (
     DifficultyMixture,
@@ -19,6 +20,7 @@ from quorum.oracle import (
     expected_mv_advantage,
     joint_correct_probability,
     mixture_expected_accuracy,
+    mixture_answer_vector_probs,
     mixture_expected_advantage,
     mixture_posterior,
     mixture_second_order,
@@ -227,6 +229,13 @@ class TestMixtureOracles:
         assert post.sum() == pytest.approx(1.0, abs=1e-12)
         assert post[0] > post[1]
 
+    def test_mixture_vector_probabilities_sum_to_one(self):
+        vectors = enumerate_vectors(3, 3)
+        beta = np.array([0.5, 1.0, 1.5])
+        for t in range(3):
+            probs = mixture_answer_vector_probs(vectors, t, beta, self.mix, 3)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_mixture_second_order_is_valid_and_correlated(self):
         so = mixture_second_order(self.beta, self.mix, 2)
         np.testing.assert_allclose(so.probs.sum(axis=2), 1.0, atol=1e-12)
@@ -261,3 +270,175 @@ class TestMixtureOracles:
             pq = mixture_posterior(np.array(vec), beta, quad, 2)
             pd = mixture_posterior(np.array(vec), beta, dense, 2)
             np.testing.assert_allclose(pq, pd, atol=1e-5)
+
+
+def _instance(n, k, seed):
+    """Accuracies, abilities and an atom mixture for one random oracle instance."""
+
+    rng = np.random.default_rng(seed)
+    x = 1.0 / k + (0.99 - 1.0 / k) * rng.random(n)
+    beta = 0.2 + 2.8 * rng.random(n)
+    alphas = 0.3 + 2.5 * rng.random(2)
+    mix = DifficultyMixture.atoms([(alphas[0], 0.4), (alphas[1], 0.6)])
+    return x, beta, mix
+
+
+def _oracle_values(n, k, seed, rules=None):
+    """Every expectation oracle's value on one instance, keyed by (entry point, rule)."""
+
+    x, beta, mix = _instance(n, k, seed)
+    peer = ("sp", "isp") if n >= 2 else ()
+    calls = {}
+    for rule in ("mv", "weighted") + peer:
+        calls["acc", rule] = lambda r=rule: expected_accuracy(r, x, k, weights=ow_weights(x, k))
+    for rule in ("mv", "eow", "posterior") + peer:
+        calls["mixture_acc", rule] = lambda r=rule: mixture_expected_accuracy(r, beta, mix, k)
+    for rule in ("mv",) + peer:
+        calls["adv", rule] = lambda r=rule: exact_expected_advantage(r, x, k)
+        calls["mixture_adv", rule] = lambda r=rule: mixture_expected_advantage(r, beta, mix, k)
+    return {key: fn() for key, fn in calls.items() if rules is None or key in rules}
+
+
+def _loop_bayes_posterior(vec, x, k):
+    """One vector at a time, one label at a time: the reference for the batched posterior."""
+
+    like = np.array([np.prod(np.where(vec == s, x, (1.0 - x) / (k - 1))) for s in range(k)])
+    return like / like.sum()
+
+
+def _loop_mixture_posterior(vec, beta, mixture, k):
+    """One vector at a time, in log space: the reference for the batched mixture posterior."""
+
+    alphas, weights = mixture.nodes()
+    support = np.array([beta[vec == s].sum() for s in range(k)])
+    log_norm = np.logaddexp(np.log(k - 1.0), alphas[:, None] * beta[None, :]).sum(axis=1)
+    log_terms = np.log(weights)[:, None] + alphas[:, None] * support[None, :] - log_norm[:, None]
+    top = log_terms.max(axis=0)
+    log_post = top + np.log(np.exp(log_terms - top).sum(axis=0))
+    post = np.exp(log_post - log_post.max())
+    return post / post.sum()
+
+
+class TestBatchedPosteriors:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_batch_rows_equal_single_vector_calls(self, k):
+        rng = np.random.default_rng(k)
+        for n in (1, 3, 9):
+            x, beta, _ = _instance(n, k, 10 * k + n)
+            batch = rng.integers(0, k, size=(40, n))
+            post = bayes_posterior(batch, x, k)
+            assert post.shape == (40, k)
+            np.testing.assert_array_equal(post, np.stack([bayes_posterior(v, x, k) for v in batch]))
+            np.testing.assert_array_equal(post, [_loop_bayes_posterior(v, x, k) for v in batch])
+            for mix in (_instance(n, k, n)[2], DifficultyMixture.log_uniform(0.2, 5.0)):
+                post = mixture_posterior(batch, beta, mix, k)
+                rows = np.stack([mixture_posterior(v, beta, mix, k) for v in batch])
+                np.testing.assert_array_equal(post, rows)
+                # the ability totals may be summed in another order than the loop's
+                loop = [_loop_mixture_posterior(v, beta, mix, k) for v in batch]
+                np.testing.assert_allclose(post, loop, rtol=1e-13, atol=1e-15)
+                np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_single_vector_keeps_its_shape(self):
+        x = np.array([0.9, 0.6, 0.6])
+        assert bayes_posterior(np.array([0, 1, 1]), x, 2).shape == (2,)
+        mix = DifficultyMixture.atoms([(1.0, 1.0)])
+        assert mixture_posterior(np.array([0, 1, 1]), x, mix, 2).shape == (2,)
+
+    def test_zero_probability_row_in_batch_rejected(self):
+        batch = np.array([[0, 0], [1, 1], [0, 1]])
+        with pytest.raises(DomainError):
+            bayes_posterior(batch, np.array([1.0, 1.0]), 2)
+
+    def test_batch_shape_and_range_checked(self):
+        x = np.array([0.7, 0.8])
+        mix = DifficultyMixture.atoms([(1.0, 1.0)])
+        for fn in (lambda a: bayes_posterior(a, x, 2), lambda a: mixture_posterior(a, x, mix, 2)):
+            with pytest.raises(DimensionError):
+                fn(np.zeros((3, 3), dtype=int))
+            with pytest.raises(DimensionError):
+                fn(np.zeros((2, 2, 2), dtype=int))
+            with pytest.raises(DomainError):
+                fn(np.array([[0, 1], [1, 2]]))
+
+    def test_mixture_posterior_row_blocks_do_not_change_values(self, monkeypatch):
+        beta = np.array([0.5, 1.0, 2.0, 1.5])
+        mix = DifficultyMixture.log_uniform(0.2, 5.0)
+        batch = enumerate_vectors(4, 3)
+        whole = mixture_posterior(batch, beta, mix, 3)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 500)  # 2 rows per block
+        np.testing.assert_array_equal(mixture_posterior(batch, beta, mix, 3), whole)
+
+
+class TestOrbitEnumeration:
+    @pytest.mark.parametrize("n,k", [(1, 2), (3, 2), (4, 3), (5, 4), (3, 6), (6, 3)])
+    def test_one_representative_per_orbit(self, n, k):
+        reps, sizes = zip(*oracle._vector_chunks(n, k, 7, True))
+        reps, sizes = np.concatenate(reps), np.concatenate(sizes)
+        assert sizes.sum() == k**n
+
+        def canonical(v):  # relabel in order of first appearance
+            seen = {}
+            return tuple(seen.setdefault(a, len(seen)) for a in v)
+
+        assert [tuple(r) for r in reps] == sorted({canonical(v) for v in enumerate_vectors(n, k)})
+        for r, size in zip(reps, sizes):
+            b = len(set(r))
+            assert size == math.perm(k, b)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_orbit_path_matches_full_stream(self, k, monkeypatch):
+        for n in range(1, 9):
+            # the full stream at 5^7 and 5^8 vectors is checked on the two peer tables only
+            rules = None if k**n <= 4**8 else {("acc", "isp"), ("mixture_adv", "sp")}
+            orbit = _oracle_values(n, k, 100 * k + n, rules)
+            with monkeypatch.context() as m:
+                chunks = oracle._vector_chunks
+                m.setattr(oracle, "_vector_chunks", lambda *args: chunks(*args[:3], False))
+                full = _oracle_values(n, k, 100 * k + n, rules)
+            assert orbit.keys() == full.keys()
+            for key in orbit:
+                assert orbit[key] == pytest.approx(full[key], abs=1e-12), (n, k, key)
+
+    def test_lowest_index_ties_take_the_full_stream(self, monkeypatch):
+        seen = []
+        chunks = oracle._vector_chunks
+
+        def record(n, k, rows, orbits):
+            seen.append(orbits)
+            return chunks(n, k, rows, orbits)
+
+        monkeypatch.setattr(oracle, "_vector_chunks", record)
+        x, beta, mix = _instance(4, 3, 0)
+        expected_accuracy("mv", x, 3, tie_mode=agg.TIE_LOWEST)
+        mixture_expected_accuracy("posterior", beta, mix, 3, tie_mode=agg.TIE_LOWEST)
+        assert seen == [False, False]
+        expected_accuracy("mv", x, 3)
+        mixture_expected_accuracy("posterior", beta, mix, 3)
+        exact_expected_advantage("isp", x, 3)
+        mixture_expected_advantage("sp", beta, mix, 3)
+        assert seen[2:] == [True] * 4
+
+    def test_many_chunks_equal_one_chunk(self, monkeypatch):
+        one = _oracle_values(5, 3, 7)
+        x, beta, mix = _instance(5, 3, 7)
+        low = expected_accuracy("isp", x, 3, tie_mode=agg.TIE_LOWEST)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 11)  # 2 vectors per chunk at N=5
+        many = _oracle_values(5, 3, 7)
+        for key in one:
+            assert many[key] == pytest.approx(one[key], abs=1e-12), key
+        low_many = expected_accuracy("isp", x, 3, tie_mode=agg.TIE_LOWEST)
+        assert low_many == pytest.approx(low, abs=1e-12)
+
+    def test_every_entry_point_enforces_the_budget(self):
+        x, beta, mix = _instance(4, 3, 1)  # 3^4 = 81 vectors
+        calls = (
+            lambda b: expected_accuracy("isp", x, 3, budget=b),
+            lambda b: exact_expected_advantage("isp", x, 3, budget=b),
+            lambda b: mixture_expected_accuracy("posterior", beta, mix, 3, budget=b),
+            lambda b: mixture_expected_advantage("mv", beta, mix, 3, budget=b),
+        )
+        for call in calls:
+            assert np.isfinite(call(81))
+            with pytest.raises(ResourceError):
+                call(80)

@@ -35,3 +35,16 @@ def test_seed_changes_draws_not_verdicts():
     for seed in (1, 2):
         results = run_suites("thm2", seed=seed)
         assert all(r.passed for r in results)
+
+
+def test_posterior_consistency_checks_can_fail(monkeypatch):
+    # a posterior with its labels reversed disagrees with the weighted vote on
+    # most answer vectors, and both batched consistency checks must say so
+    from quorum import oracle
+
+    bayes, mixture = oracle.bayes_posterior, oracle.mixture_posterior
+    monkeypatch.setattr(oracle, "bayes_posterior", lambda *a: bayes(*a)[..., ::-1])
+    monkeypatch.setattr(oracle, "mixture_posterior", lambda *a: mixture(*a)[..., ::-1])
+    verdicts = {r.name: r.passed for r in run_suites(["thm1", "thm4"])}
+    assert not verdicts["weighted_vote_matches_posterior"]
+    assert not verdicts["ability_vote_matches_posterior"]
