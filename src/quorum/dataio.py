@@ -93,9 +93,7 @@ def _first_repeat(items: list[str]) -> int | None:
     return None
 
 
-# Cells parsed per block of rows. A block's row lists are dropped as soon as
-# their cells are copied into the flat cell list, so the row lists and the
-# flat list are never both fully alive.
+# Cells parsed per block of rows; no cell's ``str`` outlives its block.
 _CELLS_PER_BLOCK = 2**14
 
 
@@ -116,25 +114,38 @@ def _gc_paused():
             gc.enable()
 
 
-def _read_cells(reader, width: int) -> tuple[list[str], tuple[int, int] | None]:
-    """Every cell of the data rows, row-major, up to the first row of the wrong width.
+class _FirstSeen(dict):
+    """Codes for cells, handed out in first-seen order as cells are looked up."""
 
-    Returns the flat cells and, if some row does not have ``width`` fields,
-    that row's (line, field count); the cells of the rows before it are kept
-    so that a fault earlier in the file can still be reported first.
+    def __missing__(self, cell: str) -> int:
+        return self.setdefault(cell, len(self))
+
+
+def _read_cells(reader, width: int) -> tuple[list[str], np.ndarray, list[str], tuple | None]:
+    """The data rows up to the first row of the wrong width, encoded block by block.
+
+    Returns the ids, the other cells as an (M, width - 1) matrix of codes in the
+    narrowest unsigned dtype, the distinct cells in code order and, for a row
+    without ``width`` fields, its (line, field count); the rows before it are
+    kept so that a fault earlier in the file can still be reported first.
     """
 
-    flat: list[str] = []
-    rows = 0
+    qids: list[str] = []
+    blocks = [np.zeros(0, np.uint8)]
+    lut = _FirstSeen()
+    bad_width = None
     block_rows = max(1, _CELLS_PER_BLOCK // width)
-    while block := list(itertools.islice(reader, block_rows)):
+    while bad_width is None and (block := list(itertools.islice(reader, block_rows))):
         if set(map(len, block)) != {width}:
             bad = next(i for i, row in enumerate(block) if len(row) != width)
-            flat.extend(itertools.chain.from_iterable(block[:bad]))
-            return flat, (rows + bad + 2, len(block[bad]))
-        flat.extend(itertools.chain.from_iterable(block))
-        rows += len(block)
-    return flat, None
+            bad_width = (len(qids) + bad + 2, len(block[bad]))
+            del block[bad:]
+        cells = list(itertools.chain.from_iterable(block))
+        qids.extend(cells[::width])
+        del cells[::width]
+        codes = np.fromiter(map(lut.__getitem__, cells), np.uint32, len(cells))
+        blocks.append(codes.astype(np.min_scalar_type(len(lut))))
+    return qids, np.concatenate(blocks).reshape(len(qids), width - 1), list(lut), bad_width
 
 
 def _screen_rows(
@@ -211,22 +222,9 @@ def read_predictions_csv(
         names, has_truth = _parse_header(header, path)
         space = LabelSpace(tuple(labels)) if labels is not None else None
         width = 1 + len(names) + (1 if has_truth else 0)
-        flat, bad_width = _read_cells(reader, width)
+        qids, codes, vocab, bad_width = _read_cells(reader, width)
 
-        qids = flat[::width]
-        del flat[::width]
-        # Without empty cells or labels outside the space (the usual file),
-        # cells are encoded straight to label indices; otherwise to indices
-        # into the sorted distinct cells, which are screened and then remapped.
-        distinct = set(flat)
-        clean = "" not in distinct and (space is None or distinct.issubset(space.labels))
-        vocab = list(space.labels) if clean and space is not None else sorted(distinct)
-        lut = {lab: i for i, lab in enumerate(vocab)}
-        codes = np.fromiter(
-            map(lut.__getitem__, flat), dtype=np.min_scalar_type(len(vocab)), count=len(flat)
-        ).reshape(len(qids), width - 1)
-        del flat
-
+    clean = "" not in vocab and (space is None or set(vocab).issubset(space.labels))
     kept = None if clean else _screen_rows(codes, vocab, space, names, drop_incomplete, path)
     if bad_width is not None:
         lineno, got = bad_width
@@ -246,10 +244,12 @@ def read_predictions_csv(
         present = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(vocab)))
         if present.size < 2:
             raise FormatError(f"{path}: fewer than 2 distinct labels in data")
-        space = LabelSpace(tuple(vocab[i] for i in present))
+        space = LabelSpace(tuple(sorted(vocab[i] for i in present)))
     if tuple(vocab) != space.labels:
+        # Cells outside the space occur only in dropped rows, so their code is never read.
         index = {lab: i for i, lab in enumerate(space.labels)}
-        codes = np.array([index.get(lab, -1) for lab in vocab], dtype=np.int64)[codes]
+        remap = np.array([index.get(lab, 0) for lab in vocab], np.min_scalar_type(space.k))
+        codes = remap[codes]
 
     n = len(names)
     pm = PredictionMatrix(space, codes[:, :n], codes[:, n] if has_truth else None)

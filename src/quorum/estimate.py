@@ -46,7 +46,6 @@ __all__ = [
     "fit_ow_l",
     "fit_ow_i",
     "run_pipeline",
-    "pipeline_aggregate",
 ]
 
 METHODS = ("mv", "sp", "isp", "ow-l", "ow-i", "ow-oracle", "eow")
@@ -368,9 +367,3 @@ def run_pipeline(
     scores = agg.score_batch(rule, pm.answers, pm.k, so=so, weights=weights)
     labels = agg.decide_batch(scores, tie)
     return PipelineResult(labels=labels, method=method, fit=fit)
-
-
-def pipeline_aggregate(pm: PredictionMatrix, method: str, **kwargs) -> np.ndarray:
-    """One label per question; see ``run_pipeline`` for options."""
-
-    return run_pipeline(pm, method, **kwargs).labels

@@ -3,15 +3,18 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from quorum import dataio
 from quorum.core import FormatError, LabelSpace, PredictionMatrix
 from quorum.dataio import (
     _parse_header,
+    _read_cells,
     atomic_write_text,
     read_predictions_csv,
     write_json,
@@ -127,6 +130,13 @@ def _prediction_files(draw):
     return buf.getvalue(), labels, draw(st.booleans())
 
 
+# More distinct labels than uint8 codes can hold, one new label per row.
+_MANY = [f"L{i:03d}" for i in range(300)]
+_MANY_LABELS_FILE = "question_id,agent_a,agent_b\n" + "".join(
+    f"q{i},{lab},{_MANY[i // 2]}\n" for i, lab in enumerate(_MANY)
+)
+
+
 def _pm(k=3, with_truth=True):
     answers = np.array([[0, 1, 1], [2, 2, 0], [1, 1, 1], [0, 0, 2]])
     truth = np.array([1, 2, 1, 0]) if with_truth else None
@@ -210,12 +220,38 @@ class TestAgainstRowByRowReader:
         max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
     def test_same_matrix_meta_or_error(self, tmp_path, case):
-        text, labels, drop = case
+        self._check(tmp_path, *case)
+
+    @given(_prediction_files(), st.integers(1, 12))
+    # a label first seen after a block boundary
+    @example(("question_id,agent_x,agent_y\nq0,A,A\nq1,A,B\nq2,C,A\n", None, False), 2)
+    # an earlier label fault wins over an empty cell and a width fault in later blocks
+    @example(("question_id,agent_x,agent_y\nq0,A,C\nq1,,B\nq2,A\n", ["A", "B"], False), 3)
+    @example((_MANY_LABELS_FILE, None, False), 7)
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_same_outcome_across_block_boundaries(self, tmp_path, case, cells_per_block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
+            self._check(tmp_path, *case)
+
+    @staticmethod
+    def _check(tmp_path, text, labels, drop):
         path = tmp_path / "p.csv"
         path.write_text(text, newline="")
         expected = _outcome(_reference_read, path, labels=labels, drop_incomplete=drop)
         got = _outcome(read_predictions_csv, path, labels=labels, drop_incomplete=drop)
         assert got == expected
+
+    def test_codes_widen_past_256_labels(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_CELLS_PER_BLOCK", 8)
+        reader = csv.reader(io.StringIO(_MANY_LABELS_FILE))
+        next(reader)
+        qids, codes, vocab, bad_width = _read_cells(reader, 3)
+        assert codes.dtype == np.uint16 and bad_width is None
+        assert vocab == _MANY and len(qids) == 300
+        np.testing.assert_array_equal(codes[:, 0], np.arange(300))
 
     def test_label_seen_only_in_dropped_row_is_not_in_space(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -226,6 +262,23 @@ class TestAgainstRowByRowReader:
         np.testing.assert_array_equal(pm.truth, [1, 0])
         assert meta["question_ids"] == ["q0", "q2"]
         assert meta["dropped"] == 1
+
+
+def test_ingest_memory_is_bounded_by_a_block(tmp_path):
+    # the cells' strings must not all be alive at once: beyond what the
+    # result keeps, the read may hold only about one block of cells
+    labels = tuple(f"label_{c}" for c in "abcde")
+    answers = np.random.default_rng(0).integers(0, 5, size=(20_000, 20))
+    path = str(tmp_path / "p.csv")
+    write_predictions_csv(path, PredictionMatrix(LabelSpace(labels), answers))
+    tracemalloc.start()
+    try:
+        pm, meta = read_predictions_csv(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(pm.answers, answers)
+    assert peak <= retained + 2 * 2**20, (peak, retained)
 
 
 class TestAgentSelection:

@@ -14,7 +14,6 @@ from quorum.estimate import (
     fit_accuracies,
     fit_ow_i,
     fit_ow_l,
-    pipeline_aggregate,
     run_pipeline,
 )
 from quorum.secondorder import exact_second_order
@@ -198,11 +197,6 @@ class TestRunPipeline:
         res = run_pipeline(self.pm, "eow", abilities=np.array([1.0, 1.5, 2.0, 2.5]))
         assert np.isnan(res.fit.accuracies).all()
         np.testing.assert_array_equal(res.fit.weights, [1.0, 1.5, 2.0, 2.5])
-
-    def test_pipeline_aggregate_wrapper(self):
-        np.testing.assert_array_equal(
-            pipeline_aggregate(self.pm, "mv"), run_pipeline(self.pm, "mv").labels
-        )
 
     def test_better_weights_do_not_hurt(self):
         truth = self.pm.truth

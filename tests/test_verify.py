@@ -48,3 +48,19 @@ def test_posterior_consistency_checks_can_fail(monkeypatch):
     verdicts = {r.name: r.passed for r in run_suites(["thm1", "thm4"])}
     assert not verdicts["weighted_vote_matches_posterior"]
     assert not verdicts["ability_vote_matches_posterior"]
+
+
+def test_homogeneous_majority_check_can_fail(monkeypatch):
+    # majority counts with their labels reversed pick other winners than the
+    # homogeneous weighted vote, and the thm1 check must say so
+    from quorum import aggregate
+
+    score_batch = aggregate.score_batch
+
+    def reversed_mv(rule, *args, **kwargs):
+        scores = score_batch(rule, *args, **kwargs)
+        return scores[..., ::-1] if rule == "mv" else scores
+
+    monkeypatch.setattr(aggregate, "score_batch", reversed_mv)
+    verdicts = {r.name: r.passed for r in run_suites("thm1")}
+    assert not verdicts["homogeneous_equals_majority"]
