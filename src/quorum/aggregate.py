@@ -219,15 +219,8 @@ def aggregate_weighted(
 ) -> int:
     """Pick the label with the largest total weight of supporting agents."""
 
-    arr = _check_answers(answers, k)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != arr.shape:
-        raise DimensionError(f"weights shape {w.shape} does not match answers shape {arr.shape}")
-    if not np.all(np.isfinite(w)):
-        raise DomainError("weights must be finite")
-    scores = np.bincount(arr, weights=w, minlength=k)
-    tie = tie or TiePolicy()
-    return tie.pick(scores, question_index)
+    scores = weighted_scores_batch(_check_answers(answers, k)[None, :], weights, k)[0]
+    return (tie or TiePolicy()).pick(scores, question_index)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +287,8 @@ def weighted_scores_batch(answers: np.ndarray, weights: np.ndarray, k: int) -> n
     w = np.asarray(weights, dtype=float)
     if w.shape != (answers.shape[1],):
         raise DimensionError(f"weights shape {w.shape} does not match N={answers.shape[1]}")
+    if not np.all(np.isfinite(w)):
+        raise DomainError("weights must be finite")
     return _label_totals(answers, k, w)
 
 

@@ -55,12 +55,9 @@ def _fail_resource(exc: Exception) -> "SystemExit":
 
 def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError:
         raise click.UsageError(f"{flag}: expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise click.UsageError(f"{flag}: empty list")
-    return values
 
 
 def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
@@ -86,14 +83,19 @@ def _parse_mixture(text: str) -> DifficultyMixture:
         )
 
 
-def _check_unit_interval(values: tuple[float, ...], flag: str, lo_open: float = 0.0) -> None:
+def _check_unit_interval(values: tuple[float, ...], flag: str) -> None:
     for v in values:
-        if not (lo_open < v <= 1.0):
-            raise click.UsageError(f"{flag}: value {v} outside ({lo_open}, 1]")
+        if not 0.0 < v <= 1.0:
+            raise click.UsageError(f"{flag}: value {v} outside (0, 1]")
 
 
 def _apply_config(ctx: click.Context, config_path: str | None, params: dict) -> dict:
-    """Fill defaults from a JSON config file; explicit flags win."""
+    """Fill options not given on the command line from a JSON config file.
+
+    Each value is spelt as on the command line and goes through its option's
+    click type, so it is converted and checked exactly like the same flag (a
+    JSON 2.5 is no integer); ``null`` keeps the default.
+    """
 
     if not config_path:
         return params
@@ -106,12 +108,13 @@ def _apply_config(ctx: click.Context, config_path: str | None, params: dict) -> 
         raise _fail_format(FormatError(f"{config_path}: invalid JSON ({exc})"))
     if not isinstance(cfg, dict):
         raise _fail_format(FormatError(f"{config_path}: config must be a JSON object"))
+    options = {p.name: p for p in ctx.command.params}
     for key, value in cfg.items():
         name = key.replace("-", "_")
         if name not in params:
             raise click.UsageError(f"--config: unknown key {key!r}")
-        if ctx.get_parameter_source(name).name == "DEFAULT":
-            params[name] = value
+        if value is not None and ctx.get_parameter_source(name).name == "DEFAULT":
+            params[name] = options[name].type_cast_value(ctx, str(value))
     return params
 
 
@@ -156,21 +159,18 @@ def simulate(ctx, config_path, **params):
         if params["model"] == "ci":
             if params["accuracies"] is None:
                 raise click.UsageError("--accuracies is required for the ci model")
-            acc = _parse_floats(str(params["accuracies"]), "--accuracies")
-            spec = CiSimSpec(acc, int(params["k"]), int(params["questions"]), int(params["seed"]))
-            pm = simulate_ci(spec)
+            acc = _parse_floats(params["accuracies"], "--accuracies")
+            pm = simulate_ci(CiSimSpec(acc, params["k"], params["questions"], params["seed"]))
         else:
             if params["abilities"] is None or params["mixture"] is None:
                 raise click.UsageError("--abilities and --mixture are required for the difficulty model")
-            beta = _parse_floats(str(params["abilities"]), "--abilities")
-            mix = _parse_mixture(str(params["mixture"]))
-            spec = DifficultySimSpec(
-                beta, mix, int(params["k"]), int(params["questions"]), int(params["seed"])
-            )
+            beta = _parse_floats(params["abilities"], "--abilities")
+            mix = _parse_mixture(params["mixture"])
+            spec = DifficultySimSpec(beta, mix, params["k"], params["questions"], params["seed"])
             pm = simulate_difficulty(spec)
     except (DomainError, DimensionError) as exc:
         raise click.UsageError(str(exc))
-    write_predictions_csv(str(params["out"]), pm, include_truth=not params["no_truth"])
+    write_predictions_csv(params["out"], pm, include_truth=not params["no_truth"])
     click.echo(f"wrote {pm.m} questions x {pm.n} agents (K={pm.k}) to {params['out']}")
 
 
@@ -185,13 +185,16 @@ def simulate(ctx, config_path, **params):
 @click.option("--method", type=click.Choice(list(METHODS)), default="isp", show_default=True)
 @click.option("--tie", type=click.Choice(sorted(_TIE_CHOICES)), default="uniform", show_default=True)
 @click.option("--tie-seed", type=int, default=0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True, help="Estimator seed.")
-@click.option("--starts", type=int, default=8, show_default=True, help="Fit restarts.")
-@click.option("--max-iters", type=int, default=2000, show_default=True)
-@click.option("--smoothing", type=float, default=0.0, show_default=True)
-@click.option("--eps", type=float, default=1e-6, show_default=True, help="Accuracy clamp epsilon.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Estimator seed.")
+@click.option("--starts", type=click.IntRange(min=1), default=8, show_default=True, help="Fit restarts.")
+@click.option("--max-iters", type=click.IntRange(min=1), default=2000, show_default=True)
+@click.option("--smoothing", type=click.FloatRange(min=0), default=0.0, show_default=True)
 @click.option(
-    "--threads", type=int, default=1, show_default=True, help="Accepted for compatibility; no effect."
+    "--eps",
+    type=click.FloatRange(0, 0.5, min_open=True, max_open=True),
+    default=1e-6,
+    show_default=True,
+    help="Accuracy clamp epsilon.",
 )
 @click.option("--accuracies", default=None, help="True accuracies for --method ow-oracle.")
 @click.option("--abilities", default=None, help="Per-agent abilities for --method eow.")
@@ -210,36 +213,21 @@ def aggregate(ctx, config_path, **params):
     """
 
     params = _apply_config(ctx, config_path, params)
-    if params["tie"] not in _TIE_CHOICES:
-        raise click.UsageError(f"--tie: expected one of {sorted(_TIE_CHOICES)}")
-    if params["method"] not in METHODS:
-        raise click.UsageError(f"--method: expected one of {METHODS}")
     acc = abil = None
     if params["accuracies"] is not None:
-        acc = _parse_floats(str(params["accuracies"]), "--accuracies")
+        acc = _parse_floats(params["accuracies"], "--accuracies")
         _check_unit_interval(acc, "--accuracies")
     if params["abilities"] is not None:
-        abil = _parse_floats(str(params["abilities"]), "--abilities")
-        for v in abil:
-            if v < 0:
-                raise click.UsageError(f"--abilities: value {v} must be nonnegative")
-    if params["method"] == "ow-oracle" and acc is None:
-        raise click.UsageError("--method ow-oracle requires --accuracies")
-    if params["method"] == "eow" and abil is None:
-        raise click.UsageError("--method eow requires --abilities")
-    if params["threads"] < 1:
-        raise click.UsageError("--threads must be >= 1")
-    if params["smoothing"] < 0:
-        raise click.UsageError("--smoothing must be nonnegative")
+        abil = _parse_floats(params["abilities"], "--abilities")
 
-    label_list = str(params["labels"]).split(",") if params["labels"] else None
-    agent_list = str(params["agents"]).split(",") if params["agents"] else None
+    label_list = params["labels"].split(",") if params["labels"] else None
+    agent_list = params["agents"].split(",") if params["agents"] else None
     try:
         pm, meta = read_predictions_csv(
-            str(params["input"]),
+            params["input"],
             agents=agent_list,
             labels=label_list,
-            drop_incomplete=bool(params["drop_incomplete"]),
+            drop_incomplete=params["drop_incomplete"],
         )
     except FormatError as exc:
         raise _fail_format(exc)
@@ -249,26 +237,23 @@ def aggregate(ctx, config_path, **params):
     work = pm
     smap = None
     if params["shuffle_seed"] is not None:
-        work, smap = shuffle_apply(pm.with_truth(None), int(params["shuffle_seed"]))
+        work, smap = shuffle_apply(pm.with_truth(None), params["shuffle_seed"])
 
-    tie_policy = TiePolicy(_TIE_CHOICES[params["tie"]], int(params["tie_seed"]))
-    erm = ErmConfig(
-        starts=int(params["starts"]),
-        max_iters=int(params["max_iters"]),
-        eps=float(params["eps"]),
-        seed=int(params["seed"]),
-        threads=int(params["threads"]),
-    )
     try:
         result = run_pipeline(
             work,
-            str(params["method"]),
-            tie=tie_policy,
-            erm=erm,
+            params["method"],
+            tie=TiePolicy(_TIE_CHOICES[params["tie"]], params["tie_seed"]),
+            erm=ErmConfig(
+                starts=params["starts"],
+                max_iters=params["max_iters"],
+                eps=params["eps"],
+                seed=params["seed"],
+            ),
             accuracies=acc,
             abilities=abil,
-            smoothing=float(params["smoothing"]),
-            eps=float(params["eps"]),
+            smoothing=params["smoothing"],
+            eps=params["eps"],
         )
     except (DomainError, DimensionError) as exc:
         raise click.UsageError(str(exc))
@@ -279,12 +264,12 @@ def aggregate(ctx, config_path, **params):
     if smap is not None:
         idx = shuffle_invert(idx, smap)
     label_strings = np.array(pm.space.labels, dtype=object).take(idx)
-    write_labels_csv(str(params["out"]), meta["question_ids"], label_strings)
+    write_labels_csv(params["out"], meta["question_ids"], label_strings)
     click.echo(f"wrote {pm.m} aggregated labels to {params['out']}")
 
     want_summary = pm.truth is not None or params["summary"] is not None
     if want_summary:
-        path = params["summary"] or str(params["out"]) + ".summary.json"
+        path = params["summary"] or params["out"] + ".summary.json"
         payload = {
             "command": "aggregate",
             "timestamp": _timestamp(),
@@ -372,8 +357,8 @@ def verify(suite, seed, budget):
 @click.option("--gap-curve", is_flag=True, help="Rule accuracy gaps versus K.")
 @click.option("--out", default="report", show_default=True, help="Output base path.")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--questions", "-m", type=int, default=10_000, show_default=True)
-@click.option("--replications", type=int, default=1, show_default=True)
+@click.option("--questions", "-m", type=click.IntRange(min=1), default=10_000, show_default=True)
+@click.option("--replications", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--k-values", default="2,4,6,8,10", show_default=True)
 @click.option("--accuracies", default="0.6,0.7,0.8,0.9", show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=False), default=None)
@@ -382,26 +367,22 @@ def report(ctx, config_path, **params):
     """Reproduce a standard experiment and write .txt/.csv/.json artifacts."""
 
     params = _apply_config(ctx, config_path, params)
-    if bool(params["table2"]) == bool(params["gap_curve"]):
+    if params["table2"] == params["gap_curve"]:
         raise click.UsageError("choose exactly one of --table2 or --gap-curve")
-    ks = _parse_ints(str(params["k_values"]), "--k-values")
-    acc = _parse_floats(str(params["accuracies"]), "--accuracies")
-    _check_unit_interval(acc, "--accuracies")
-    for k in ks:
-        if k < 2:
-            raise click.UsageError(f"--k-values: {k} < 2")
-        for v in acc:
-            if v < 1.0 / k:
-                raise click.UsageError(f"--accuracies: {v} below chance level 1/{k}")
-    if params["replications"] < 1:
-        raise click.UsageError("--replications must be >= 1")
-    if params["questions"] < 1:
-        raise click.UsageError("--questions must be >= 1")
+    ks = _parse_ints(params["k_values"], "--k-values")
+    acc = _parse_floats(params["accuracies"], "--accuracies")
+    seed, m = params["seed"], params["questions"]
+    try:
+        if params["table2"]:
+            table = run_accuracy_table(seed, m, ks, acc)
+        else:
+            curve = run_gap_curve(seed, m, ks, acc, params["replications"])
+    except (DomainError, DimensionError) as exc:
+        raise click.UsageError(str(exc))
 
-    base = str(params["out"])
+    base = params["out"]
     resolved = {k: params[k] for k in sorted(params)}
     if params["table2"]:
-        table = run_accuracy_table(int(params["seed"]), int(params["questions"]), ks, acc)
         header = "k," + ",".join(table.methods)
         csv_lines = [header] + [
             ",".join([str(k)] + [f"{v:.4f}" for v in row])
@@ -420,9 +401,6 @@ def report(ctx, config_path, **params):
             },
         )
     else:
-        curve = run_gap_curve(
-            int(params["seed"]), int(params["questions"]), ks, acc, int(params["replications"])
-        )
         rows = curve.to_rows()
         csv_lines = ["k,gap_isp_mv,gap_mv_sp,stderr"] + [
             f"{r['k']},{r['gap_isp_mv']:.6f},{r['gap_mv_sp']:.6f},{r['stderr']:.6f}" for r in rows

@@ -27,7 +27,6 @@ __all__ = [
     "LabelSpace",
     "PredictionMatrix",
     "ShuffleMap",
-    "AgentProfile",
     "sigma_k",
     "sigma_k_inverse",
     "clamp_accuracies",
@@ -180,57 +179,6 @@ class PredictionMatrix:
         if len(indices) < 1:
             raise DimensionError("need at least one agent")
         return PredictionMatrix(self.space, self.answers[:, indices], self.truth)
-
-
-@dataclass(frozen=True)
-class AgentProfile:
-    """Per-agent parameters: accuracy x_i, ability b_i, and/or weight w_i.
-
-    Any field may be absent. When weights are derived from accuracies they
-    equal the inverse sigmoid of the clamped accuracy (see ``ow_weights``).
-    """
-
-    accuracy: np.ndarray | None = None
-    ability: np.ndarray | None = None
-    weight: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        sizes = set()
-        for name in ("accuracy", "ability", "weight"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            arr = np.asarray(val, dtype=float)
-            if arr.ndim != 1:
-                raise DimensionError(f"{name} must be 1-d, got shape {arr.shape}")
-            sizes.add(arr.shape[0])
-            object.__setattr__(self, name, _as_readonly(arr))
-        if not sizes:
-            raise DomainError("profile must set at least one of accuracy/ability/weight")
-        if len(sizes) > 1:
-            raise DimensionError(f"profile fields disagree on agent count: {sorted(sizes)}")
-        if self.accuracy is not None:
-            if np.any(self.accuracy <= 0.0) or np.any(self.accuracy >= 1.0):
-                raise DomainError("accuracies must lie strictly in (0, 1)")
-        if self.ability is not None and np.any(self.ability < 0.0):
-            raise DomainError("abilities must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        for val in (self.accuracy, self.ability, self.weight):
-            if val is not None:
-                return int(val.shape[0])
-        raise AssertionError("unreachable")
-
-    @classmethod
-    def from_accuracies(cls, accuracies, k: int, eps: float = 1e-6) -> "AgentProfile":
-        acc = clamp_accuracies(accuracies, k, eps)
-        return cls(accuracy=acc, weight=ow_weights(accuracies, k, eps))
-
-    @classmethod
-    def from_abilities(cls, abilities) -> "AgentProfile":
-        beta = np.asarray(abilities, dtype=float)
-        return cls(ability=beta, weight=beta)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ class ErmConfig:
     step0: float = 0.1
     eps: float = 1e-6
     seed: int = 0
-    threads: int = 1  # accepted and validated; has no effect
 
     def __post_init__(self) -> None:
         if self.starts < 1:
@@ -72,8 +71,6 @@ class ErmConfig:
             raise DomainError(f"eps must lie in (0, 0.5), got {self.eps}")
         if self.step0 <= 0.0 or self.grad_tol <= 0.0:
             raise DomainError("step0 and grad_tol must be positive")
-        if self.threads < 1:
-            raise DomainError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -235,8 +232,7 @@ def fit_accuracies(so: SecondOrderMatrix, cfg: ErmConfig | None = None) -> FitRe
     (plus the box midpoint) and keeps the lowest loss. The box is
     [1/K + eps, 1 - eps]; under relabeling symmetry the reflected solution
     lies outside the box, so the minimizer in the box is unique for
-    informative data. The starts run serially; ``cfg.threads`` has no
-    effect.
+    informative data.
     """
 
     cfg = cfg or ErmConfig()

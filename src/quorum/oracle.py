@@ -248,16 +248,46 @@ def answer_vector_probs(vectors: np.ndarray, truth_index: int, accuracies, k: in
     return per_agent.prod(axis=1)
 
 
-def _mixture_correct_probs(abilities, mixture: DifficultyMixture, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component per-agent correctness probabilities, shape (T, N)."""
-
+def _check_abilities(abilities) -> np.ndarray:
     beta = np.asarray(abilities, dtype=float)
     if beta.ndim != 1 or beta.shape[0] < 1:
         raise DimensionError(f"abilities must be a non-empty vector, got shape {beta.shape}")
     if np.any(beta < 0.0) or np.any(~np.isfinite(beta)):
         raise DomainError("abilities must be finite and nonnegative")
+    return beta
+
+
+def _mixture_correct_probs(abilities, mixture: DifficultyMixture, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component per-agent correctness probabilities, shape (T, N)."""
+
+    beta = _check_abilities(abilities)
     alphas, weights = mixture.nodes()
     return sigma_k(alphas[:, None] * beta[None, :], k), weights
+
+
+def _mixture_log_likelihoods(
+    vectors: np.ndarray, beta: np.ndarray, mixture: DifficultyMixture, k: int
+) -> np.ndarray:
+    """log_like[v, s] = log P(answer vector v | true label s) under the difficulty-mixture model.
+
+    Per node, log P(v | s, alpha) = alpha * T_s - sum_i log(K - 1 + e^{alpha b_i}),
+    with T_s the total ability of the agents answering s: the weighted
+    vote. The nodes are mixed by a log-sum-exp, so extreme alpha * beta
+    products cannot overflow, in row blocks whose (rows, nodes, K) scratch
+    stays within ``core._BLOCK_CELLS`` cells.
+    """
+
+    alphas, weights = mixture.nodes()
+    log_norm = np.logaddexp(np.log(k - 1.0), alphas[:, None] * beta[None, :]).sum(axis=1)  # (T,)
+    log_like = np.empty((vectors.shape[0], k))
+    rows = max(1, core._BLOCK_CELLS // (alphas.shape[0] * k))
+    for lo in range(0, vectors.shape[0], rows):
+        support = agg.weighted_scores_batch(vectors[lo : lo + rows], beta, k)  # (V, K)
+        log_terms = (
+            np.log(weights)[:, None] + alphas[:, None] * support[:, None, :] - log_norm[:, None]
+        )  # (V, T, K)
+        log_like[lo : lo + rows] = _logsumexp(log_terms, axis=1)
+    return log_like
 
 
 def mixture_answer_vector_probs(
@@ -265,14 +295,8 @@ def mixture_answer_vector_probs(
 ) -> np.ndarray:
     """P(answer vector | true label) under the difficulty-mixture model."""
 
-    xs, weights = _mixture_correct_probs(abilities, mixture, k)
-    return _mixture_likelihoods(vectors, xs, weights, k)[:, truth_index]
-
-
-def _mixture_likelihoods(vectors: np.ndarray, xs: np.ndarray, weights, k: int) -> np.ndarray:
-    """like[v, s] = P(answer vector v | true label s), mixing the nodes' independent models."""
-
-    return sum(w_t * _label_likelihoods(vectors, x_t, k) for x_t, w_t in zip(xs, weights))
+    beta = _check_abilities(abilities)
+    return np.exp(_mixture_log_likelihoods(np.asarray(vectors), beta, mixture, k)[:, truth_index])
 
 
 def joint_correct_probability(abilities, mixture: DifficultyMixture, k: int) -> float:
@@ -328,30 +352,15 @@ def mixture_posterior(answers, abilities, mixture: DifficultyMixture, k: int) ->
     """Posterior over the true label under the difficulty-mixture model.
 
     ``answers`` is one vector (N,) or a batch (V, N); the result is (K,)
-    or (V, K). Computed in log space so that extreme alpha * beta products
-    cannot overflow, in row blocks whose (rows, nodes, K) scratch stays
-    within ``core._BLOCK_CELLS`` cells.
+    or (V, K): the softmax over labels of the mixture log-likelihoods.
     """
 
     beta = np.asarray(abilities, dtype=float)
     arr = _check_vectors(answers, beta.shape, k, "abilities")
-    batch = arr.reshape(-1, beta.shape[0])
-    alphas, weights = mixture.nodes()
-    # log P(a | s, alpha) = alpha * T_s - sum_i log(K - 1 + e^{alpha b_i})
-    # with T_s the total ability of agents answering s: the weighted vote.
-    z = alphas[:, None] * beta[None, :]  # (T, N)
-    log_norm = np.logaddexp(np.log(k - 1.0), z).sum(axis=1)  # (T,)
-    post = np.empty((batch.shape[0], k))
-    rows = max(1, core._BLOCK_CELLS // (alphas.shape[0] * k))
-    for lo in range(0, batch.shape[0], rows):
-        support = agg.weighted_scores_batch(batch[lo : lo + rows], beta, k)  # (V, K)
-        log_terms = (
-            np.log(weights)[:, None] + alphas[:, None] * support[:, None, :] - log_norm[:, None]
-        )  # (V, T, K)
-        log_post = _logsumexp(log_terms, axis=1)
-        log_post -= log_post.max(axis=1, keepdims=True)
-        p = np.exp(log_post)
-        post[lo : lo + rows] = p / p.sum(axis=1, keepdims=True)
+    post = _mixture_log_likelihoods(arr.reshape(-1, beta.shape[0]), beta, mixture, k)
+    post -= post.max(axis=1, keepdims=True)
+    np.exp(post, out=post)
+    post /= post.sum(axis=1, keepdims=True)
     return post.reshape(arr.shape[:-1] + (k,))
 
 
@@ -515,14 +524,13 @@ def mixture_expected_advantage(
 ) -> float:
     """E[advantage of the true label] under the difficulty-mixture model."""
 
-    beta = np.asarray(abilities, dtype=float)
+    beta = _check_abilities(abilities)
     _check_enumeration(beta.shape[0], k, budget)
-    xs, weights = _mixture_correct_probs(beta, mixture, k)
     return _expectation(
         beta.shape[0],
         k,
         True,
-        lambda v: _mixture_likelihoods(v, xs, weights, k),
+        lambda v: np.exp(_mixture_log_likelihoods(v, beta, mixture, k)),
         _mixture_scorer(rule, beta, mixture, k),
         _centred,
     )
@@ -543,14 +551,13 @@ def mixture_expected_accuracy(
     posterior, which is not a sum over agents).
     """
 
-    beta = np.asarray(abilities, dtype=float)
+    beta = _check_abilities(abilities)
     _check_enumeration(beta.shape[0], k, budget)
-    xs, weights = _mixture_correct_probs(beta, mixture, k)
     return _expectation(
         beta.shape[0],
         k,
         tie_mode == agg.TIE_UNIFORM,
-        lambda v: _mixture_likelihoods(v, xs, weights, k),
+        lambda v: np.exp(_mixture_log_likelihoods(v, beta, mixture, k)),
         _mixture_scorer(rule, beta, mixture, k),
         _credit(tie_mode),
     )

@@ -34,7 +34,6 @@ __all__ = [
     "cross_label_prob",
     "exact_second_order",
     "empirical_second_order",
-    "loo_second_order",
     "pair_counts",
     "write_second_order_csv",
     "read_second_order_csv",
@@ -229,40 +228,6 @@ def empirical_second_order(pm: PredictionMatrix, smoothing: float = 0.0) -> Seco
     counts, denom = pair_counts(pm)
     return _from_counts(
         counts, denom, pm.k, smoothing, source="empirical", meta={"m": pm.m, "smoothing": smoothing}
-    )
-
-
-def loo_second_order(
-    pm: PredictionMatrix,
-    exclude_question: int,
-    smoothing: float = 0.0,
-    _counts: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SecondOrderMatrix:
-    """Empirical second-order matrix with one question left out.
-
-    Precomputed ``pair_counts(pm)`` may be passed via ``_counts`` when
-    calling this in a loop over questions.
-    """
-
-    q = exclude_question
-    if not 0 <= q < pm.m:
-        raise DimensionError(f"exclude_question {q} out of range [0, {pm.m})")
-    if pm.m < 2:
-        raise DimensionError("leave-one-out needs at least 2 questions")
-    counts, denom = _counts if _counts is not None else pair_counts(pm)
-    counts = counts.copy()
-    denom = denom.copy()
-    row = pm.answers[q]
-    n = pm.n
-    counts[np.repeat(np.arange(n), n), np.tile(np.arange(n), n), np.repeat(row, n), np.tile(row, n)] -= 1
-    denom[np.arange(n), row] -= 1
-    return _from_counts(
-        counts,
-        denom,
-        pm.k,
-        smoothing,
-        source="leave_one_out",
-        meta={"m": pm.m, "excluded": int(q), "smoothing": smoothing},
     )
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quorum import aggregate as agg
 from quorum.core import DimensionError, DomainError, LabelSpace, PredictionMatrix, ow_weights
-from quorum.oracle import bayes_posterior, enumerate_vectors
+from quorum.oracle import bayes_posterior, enumerate_vectors, expected_accuracy
 from quorum.secondorder import empirical_second_order, exact_second_order
 
 
@@ -150,6 +150,18 @@ class TestWeightedVote:
         # the heavy agent outvotes two light ones
         label = agg.aggregate_weighted([0, 1, 1], np.array([3.0, 1.0, 1.0]), 2)
         assert label == 0
+        with pytest.raises(DimensionError):
+            agg.aggregate_weighted([0, 1, 1], np.ones(2), 2)
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0, 1.0], [np.inf, 1.0, -np.inf]])
+    def test_non_finite_weights_rejected(self, weights):
+        # a NaN or infinite total must not pass for a decision on any path
+        with pytest.raises(DomainError, match="finite"):
+            agg.score_batch("weighted", [[0, 1, 1], [1, 0, 0]], 2, weights=weights)
+        with pytest.raises(DomainError, match="finite"):
+            agg.aggregate_weighted([0, 1, 1], weights, 2)
+        with pytest.raises(DomainError, match="finite"):
+            expected_accuracy("weighted", [0.7, 0.6, 0.8], 2, weights=weights)
 
 
 def _scored(rule, pm, weights):

@@ -319,7 +319,6 @@ class TestAggregateCommand:
             ["aggregate", "--input", str(pred), "--out", out, "--method", "eow"],
             ["aggregate", "--input", str(pred), "--out", out, "--method", "nope"],
             ["aggregate", "--input", str(pred), "--out", out, "--accuracies", "1.2,0.9,0.9,0.9", "--method", "ow-oracle"],
-            ["aggregate", "--input", str(pred), "--out", out, "--threads", "0"],
             ["aggregate", "--input", str(pred), "--out", out, "--smoothing", "-1"],
             ["aggregate", "--input", str(pred), "--out", out, "--agents", "1", "--method", "ow-i"],
         ]
@@ -390,6 +389,67 @@ class TestAggregateCommand:
             main, ["aggregate", "--input", str(pred), "--out", out, "--config", str(not_json)]
         )
         assert result.exit_code == 3
+
+
+_EMPTY_CELL = "question_id,agent_x,agent_y,agent_z\nq0,A,B,A\nq1,,B,B\nq2,B,B,A\n"
+
+
+@pytest.mark.parametrize(
+    "command,flags,config,csv_text,code,named",
+    [
+        ("aggregate", ["--starts", "0"], None, None, 2, "--starts"),
+        ("aggregate", ["--max-iters", "0"], None, None, 2, "--max-iters"),
+        ("aggregate", ["--eps", "0.7"], None, None, 2, "--eps"),
+        ("aggregate", ["--seed", "-1"], None, None, 2, "--seed"),
+        ("aggregate", [], {"starts": "abc"}, None, 2, "--starts"),
+        ("aggregate", [], {"starts": 2.5}, None, 2, "--starts"),
+        ("aggregate", [], {"drop_incomplete": "maybe"}, None, 2, "--drop-incomplete"),
+        ("aggregate", [], {"tie": "coin"}, None, 2, "--tie"),
+        ("report", ["--table2"], {"questions": 0}, None, 2, "--questions"),
+        # "no" is false, so the empty cell is still a format error
+        ("aggregate", [], {"drop_incomplete": "no"}, _EMPTY_CELL, 3, None),
+        # null keeps the default; a numeric string is recorded as the number the fit used
+        ("aggregate", [], {"starts": None, "seed": "7", "drop_incomplete": True}, None, 0, None),
+    ],
+    ids=[
+        "starts-flag",
+        "max-iters-flag",
+        "eps-flag",
+        "negative-seed-flag",
+        "starts-config",
+        "starts-not-integer",
+        "drop-incomplete-maybe",
+        "tie-config",
+        "report-questions-config",
+        "drop-incomplete-no",
+        "null-and-string-seed",
+    ],
+)
+def test_flags_and_config_values_are_checked_alike(
+    runner, tmp_path, command, flags, config, csv_text, code, named
+):
+    out = tmp_path / "out.csv"
+    args = [command, *flags, "--out", str(out)]
+    if command == "aggregate":
+        pred = tmp_path / "p.csv"
+        if csv_text is None:
+            _simulate(runner, pred)
+        else:
+            pred.write_text(csv_text)
+        args += ["--input", str(pred), "--method", "ow-l"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if named is not None:
+        assert f"Invalid value for '{named}'" in result.output
+    if code == 0:
+        cfg = json.loads((tmp_path / "out.csv.summary.json").read_text())["config"]
+        assert cfg["seed"] == 7 and cfg["starts"] == 8 and cfg["drop_incomplete"] is True
+        assert "threads" not in cfg
 
 
 class TestVerifyCommand:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quorum.core import (
-    AgentProfile,
     DimensionError,
     DomainError,
     LabelSpace,
@@ -196,29 +195,6 @@ class TestPredictionMatrix:
             PredictionMatrix(space, np.array([[0, 1]]), np.array([0, 1]))
         with pytest.raises(DomainError):
             PredictionMatrix(space, np.array([[0, 1]]), np.array([2]))
-
-
-class TestAgentProfile:
-    def test_from_accuracies_is_consistent_with_weights(self):
-        prof = AgentProfile.from_accuracies([0.6, 0.9], 3)
-        np.testing.assert_allclose(
-            prof.weight, sigma_k_inverse(prof.accuracy, 3), atol=1e-15
-        )
-        assert prof.n == 2
-
-    def test_from_abilities(self):
-        prof = AgentProfile.from_abilities([1.0, 2.5])
-        np.testing.assert_array_equal(prof.weight, [1.0, 2.5])
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            AgentProfile()
-        with pytest.raises(DimensionError):
-            AgentProfile(accuracy=np.array([0.5, 0.6]), weight=np.array([1.0]))
-        with pytest.raises(DomainError):
-            AgentProfile(accuracy=np.array([1.0]))
-        with pytest.raises(DomainError):
-            AgentProfile(ability=np.array([-0.1]))
 
 
 class TestDeterministicRandomness:

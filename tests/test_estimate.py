@@ -83,8 +83,6 @@ class TestErmConfig:
             ErmConfig(max_iters=0)
         with pytest.raises(DomainError):
             ErmConfig(eps=0.6)
-        with pytest.raises(DomainError):
-            ErmConfig(threads=0)
 
 
 class TestFitAccuracies:
@@ -96,13 +94,6 @@ class TestFitAccuracies:
         assert fit.loss <= 1e-10
         assert fit.method == "ow-l"
         assert fit.starts_agreeing >= 2
-
-    def test_threaded_fit_is_identical(self):
-        so = exact_second_order(np.array([0.65, 0.8, 0.75]), 3)
-        a = fit_accuracies(so, ErmConfig(starts=6, seed=3, threads=1))
-        b = fit_accuracies(so, ErmConfig(starts=6, seed=3, threads=3))
-        np.testing.assert_array_equal(a.accuracies, b.accuracies)
-        assert a.loss == b.loss
 
     def test_seed_changes_restarts_not_answer(self):
         # needs N >= 3: with two agents a single agreement equation

@@ -319,6 +319,30 @@ def _loop_mixture_posterior(vec, beta, mixture, k):
     return post / post.sum()
 
 
+@pytest.mark.parametrize(
+    "n,k,mixture",
+    [
+        (4, 3, DifficultyMixture.log_uniform(0.1, 3.0)),
+        (5, 2, DifficultyMixture.atoms([(0.3, 0.4), (2.0, 0.6)])),
+        (3, 5, DifficultyMixture.atoms([(0.0, 0.2), (1.5, 0.8)])),
+    ],
+)
+def test_log_space_mixture_likelihoods_match_the_node_product(n, k, mixture):
+    # reference: P(v | s) = sum_t w_t prod_i P(v_i | s, alpha_t), multiplied
+    # out in linear space; moderate alpha * beta keeps 1 - x accurate there
+    beta = 0.2 + 1.8 * np.random.default_rng(n * k).random(n)
+    vectors = enumerate_vectors(n, k)
+    alphas, weights = mixture.nodes()
+    xs = sigma_k(alphas[:, None] * beta[None, :], k)
+    for s in range(k):
+        ref = sum(
+            w * np.where(vectors == s, x, (1.0 - x) / (k - 1)).prod(axis=1)
+            for x, w in zip(xs, weights)
+        )
+        got = mixture_answer_vector_probs(vectors, s, beta, mixture, k)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
 class TestBatchedPosteriors:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_batch_rows_equal_single_vector_calls(self, k):

@@ -19,7 +19,6 @@ from quorum.secondorder import (
     cross_label_prob,
     empirical_second_order,
     exact_second_order,
-    loo_second_order,
     mixture_weighted_second_order,
     pair_counts,
     read_second_order_csv,
@@ -194,53 +193,6 @@ class TestEmpiricalSecondOrder:
         est = empirical_second_order(pm)
         exact = exact_second_order(x, 2)
         assert np.max(np.abs(est.probs - exact.probs)) < 0.01
-
-
-class TestLeaveOneOut:
-    def test_matches_recomputation_without_the_question(self):
-        pm = _random_pm(25, 3, 3, seed=3)
-        counts = pair_counts(pm)
-        for q in (0, 7, 24):
-            loo = loo_second_order(pm, q, _counts=counts)
-            keep = [r for r in range(pm.m) if r != q]
-            rebuilt = empirical_second_order(
-                PredictionMatrix(pm.space, pm.answers[keep])
-            )
-            np.testing.assert_array_equal(loo.probs, rebuilt.probs)
-            np.testing.assert_array_equal(loo.imputed, rebuilt.imputed)
-
-    def test_precomputed_counts_path_matches_direct(self):
-        pm = _random_pm(30, 3, 2, seed=4)
-        counts = pair_counts(pm)
-        for q in range(0, 30, 10):
-            a = loo_second_order(pm, q)
-            b = loo_second_order(pm, q, _counts=counts)
-            np.testing.assert_array_equal(a.probs, b.probs)
-
-    def test_validation(self):
-        pm = _random_pm(5, 2, 2)
-        with pytest.raises(DimensionError):
-            loo_second_order(pm, 5)
-        with pytest.raises(DimensionError):
-            loo_second_order(pm, -1)
-        one = PredictionMatrix(LabelSpace.default(2), np.array([[0, 1]]))
-        with pytest.raises(DimensionError):
-            loo_second_order(one, 0)
-
-    def test_loo_decisions_track_full_matrix_at_scale(self):
-        # leaving out the scored question barely moves the matrix once M
-        # is large, so counterfactual decisions agree almost everywhere
-        from quorum.aggregate import advantage_isp, argmax_set, isp_advantage_batch
-        from quorum.simulate import CiSimSpec, simulate_ci
-
-        pm = simulate_ci(CiSimSpec((0.6, 0.7, 0.8, 0.9), 4, 4_000, 9))
-        full = isp_advantage_batch(pm, empirical_second_order(pm))
-        counts = pair_counts(pm)
-        agree = 0
-        for q in range(pm.m):
-            loo = advantage_isp(pm.answers[q], loo_second_order(pm, q, _counts=counts))
-            agree += set(argmax_set(loo.values)) == set(argmax_set(full[q]))
-        assert agree / pm.m >= 0.99
 
 
 class TestMixtureWeighted:
