@@ -3,8 +3,10 @@
 #   bash scripts/ci.sh
 # Tier-1 tests, the benchmark harness's own tests, every verification suite,
 # a check that the uniform tie-break gives the same labels twice, a check that
-# a bad flag or config value exits 2 without a traceback, and a check that a
-# malformed row deep in a file exits 3 and names its line.
+# isp is at least as accurate as mv on a K=50 panel (narrow answer codes that
+# overflowed would break it) and that each summary counts its tie-broken
+# labels, a check that a bad flag or config value exits 2 without a traceback,
+# and a check that a malformed row deep in a file exits 3 and names its line.
 set -euo pipefail
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -25,6 +27,27 @@ python -m quorum simulate --accuracies 0.6,0.7,0.8,0.9 --k 4 -m 20000 --seed 0 -
 python -m quorum aggregate --input "$tmp/panel.csv" --out "$tmp/a.csv" --method mv --tie uniform
 python -m quorum aggregate --input "$tmp/panel.csv" --out "$tmp/b.csv" --method mv --tie uniform
 cmp "$tmp/a.csv" "$tmp/b.csv"
+
+echo "== at K=50, isp is at least as accurate as mv, and summaries count ties"
+python -m quorum simulate --accuracies 0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75 --k 50 \
+  -m 20000 --seed 0 --out "$tmp/k50.csv"
+for method in mv isp ow-i; do
+  python -m quorum aggregate --input "$tmp/k50.csv" --out "$tmp/k50-$method.csv" --method "$method"
+done
+python - "$tmp" <<'EOF'
+import json
+import sys
+
+acc = {}
+for method in ("mv", "isp", "ow-i"):
+    with open(f"{sys.argv[1]}/k50-{method}.csv.summary.json") as fh:
+        summary = json.load(fh)
+    ties = summary["ties_broken"]["count"]
+    assert isinstance(ties, int) and ties >= 0, (method, ties)
+    acc[method] = summary["overall_accuracy"]
+    print(method, acc[method], "ties_broken", ties)
+assert acc["isp"] >= acc["mv"], acc
+EOF
 
 echo "== a bad flag or config value exits 2 without a traceback"
 echo '{"drop_incomplete": "maybe"}' > "$tmp/bad.json"

@@ -282,6 +282,7 @@ def aggregate(ctx, config_path, **params):
             "dropped_questions": meta["dropped"],
             "method": params["method"],
             "fit": _sanitize_fit(result.fit),
+            "ties_broken": {"count": result.ties_broken, "fraction": result.ties_broken / pm.m},
         }
         if pm.truth is not None:
             correct = idx == pm.truth

@@ -114,6 +114,12 @@ class LabelSpace:
         return cls(_default_labels(k))
 
 
+def _code_dtype(k: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds the label codes 0..K-1."""
+
+    return np.min_scalar_type(k - 1)
+
+
 def _as_readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
     """An owned, read-only copy of ``arr`` (converted to ``dtype`` if given)."""
 
@@ -127,8 +133,10 @@ class PredictionMatrix:
     """Answers of N agents on M questions, with optional ground truth.
 
     ``answers[q, i]`` is the canonical label index chosen by agent i on
-    question q. ``truth`` (if present) holds the true label index per
-    question. Arrays are stored read-only; instances are safe to share
+    question q, stored as a narrow code: the smallest unsigned dtype that
+    holds K codes (uint8 up to K = 256). Kernels widen it one row block at
+    a time. ``truth`` (if present) holds the true label index per question,
+    as int64. Arrays are stored read-only; instances are safe to share
     across threads.
     """
 
@@ -147,7 +155,7 @@ class PredictionMatrix:
         k = self.space.k
         if ans.min() < 0 or ans.max() >= k:
             raise DomainError(f"answer indices must lie in [0, {k})")
-        object.__setattr__(self, "answers", _as_readonly(ans, np.int64))
+        object.__setattr__(self, "answers", _as_readonly(ans, _code_dtype(k)))
         if self.truth is not None:
             tr = np.asarray(self.truth)
             if tr.shape != (ans.shape[0],):

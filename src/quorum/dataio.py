@@ -21,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from .core import DimensionError, FormatError, LabelSpace, PredictionMatrix
+from .core import DimensionError, FormatError, LabelSpace, PredictionMatrix, _code_dtype
 
 __all__ = [
     "atomic_write_text",
@@ -145,6 +145,7 @@ def _read_cells(reader, width: int) -> tuple[list[str], np.ndarray, list[str], t
         del cells[::width]
         codes = np.fromiter(map(lut.__getitem__, cells), np.uint32, len(cells))
         blocks.append(codes.astype(np.min_scalar_type(len(lut))))
+        del block, cells  # or they stay alive while the next block is parsed
     return qids, np.concatenate(blocks).reshape(len(qids), width - 1), list(lut), bad_width
 
 
@@ -241,14 +242,20 @@ def read_predictions_csv(
         raise FormatError(f"{path}:{lineno}: duplicate question_id {qids[repeat]!r}")
 
     if space is None:
-        present = np.flatnonzero(np.bincount(codes.ravel(), minlength=len(vocab)))
+        # counted one block of rows at a time: bincount widens its input to int64
+        rows = max(1, _CELLS_PER_BLOCK // codes.shape[1])
+        seen = sum(
+            np.bincount(codes[i : i + rows].ravel(), minlength=len(vocab))
+            for i in range(0, len(codes), rows)
+        )
+        present = np.flatnonzero(seen)
         if present.size < 2:
             raise FormatError(f"{path}: fewer than 2 distinct labels in data")
         space = LabelSpace(tuple(sorted(vocab[i] for i in present)))
     if tuple(vocab) != space.labels:
         # Cells outside the space occur only in dropped rows, so their code is never read.
         index = {lab: i for i, lab in enumerate(space.labels)}
-        remap = np.array([index.get(lab, 0) for lab in vocab], np.min_scalar_type(space.k))
+        remap = np.array([index.get(lab, 0) for lab in vocab], _code_dtype(space.k))
         codes = remap[codes]
 
     n = len(names)

@@ -280,8 +280,7 @@ def fit_ow_i(pm: PredictionMatrix, eps: float = 1e-6, smoothing: float = 0.0) ->
     if pm.n < 2:
         raise DimensionError("the pseudo-label estimator needs at least 2 agents")
     so = empirical_second_order(pm, smoothing)
-    adv = agg.score_batch("isp", pm.answers, pm.k, so=so)
-    pseudo = agg.decide_batch(adv, TiePolicy(TIE_LOWEST))
+    pseudo, _ = agg.aggregate_batch("isp", pm.answers, pm.k, TiePolicy(TIE_LOWEST), so=so)
     acc = (pm.answers == pseudo[:, None]).mean(axis=0)
     return FitResult(
         accuracies=acc,
@@ -299,9 +298,12 @@ def fit_ow_i(pm: PredictionMatrix, eps: float = 1e-6, smoothing: float = 0.0) ->
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """The label of every question, plus how many came from a tie-break."""
+
     labels: np.ndarray
     method: str
     fit: FitResult | None = None
+    ties_broken: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", _as_readonly(np.asarray(self.labels)))
@@ -360,6 +362,5 @@ def run_pipeline(
         fit = _given_abilities_fit(pm, abilities)
     # mv, sp and isp are rules of their own; every other method votes with its fit's weights
     rule, weights = (method, None) if fit is None else ("weighted", fit.weights)
-    scores = agg.score_batch(rule, pm.answers, pm.k, so=so, weights=weights)
-    labels = agg.decide_batch(scores, tie)
-    return PipelineResult(labels=labels, method=method, fit=fit)
+    labels, ties = agg.aggregate_batch(rule, pm.answers, pm.k, tie, so=so, weights=weights)
+    return PipelineResult(labels=labels, method=method, fit=fit, ties_broken=ties)

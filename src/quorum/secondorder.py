@@ -188,8 +188,10 @@ def pair_counts(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
         for start in range(0, pm.m, rows):
             block = answers[start : start + rows]
             for j in range(n):
-                # code (i - j)*K^2 + A_i*K + A_j for every agent i >= j at once
-                codes = block[:, j:] * k + block[:, j : j + 1]
+                # code (i - j)*K^2 + A_i*K + A_j for every agent i >= j at once, in
+                # int64: in the answers' narrow dtype A_i*K would overflow
+                codes = np.multiply(block[:, j:], k, dtype=np.int64)
+                codes += block[:, j : j + 1]
                 codes += np.arange(n - j) * (k * k)
                 pairs = np.bincount(codes.ravel(), minlength=(n - j) * k * k)
                 counts[j:, j] += pairs.reshape(n - j, k, k)
@@ -205,10 +207,13 @@ def _from_counts(counts: np.ndarray, denom: np.ndarray, k: int, smoothing: float
     if smoothing < 0.0:
         raise DomainError(f"smoothing must be nonnegative, got {smoothing}")
     den = denom.astype(float) + k * smoothing
-    num = counts.astype(float) + smoothing
     unseen = denom == 0  # (n, k): conditioning label never observed for agent j
+    # in place, so that the (N, N, K, K) counts take one float copy, not three
+    probs = counts.astype(float)
+    probs += smoothing
     with np.errstate(invalid="ignore", divide="ignore"):
-        probs = np.where(den[None, :, None, :] == 0.0, 1.0 / k, num / den[None, :, None, :])
+        probs /= den[None, :, None, :]
+    np.copyto(probs, 1.0 / k, where=den[None, :, None, :] == 0.0)
     imputed = np.broadcast_to(unseen[None, :, None, :], probs.shape).copy()
     # diagonal blocks are identity by convention, never estimated
     idx = np.arange(n)

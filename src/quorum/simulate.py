@@ -236,10 +236,11 @@ def run_accuracy_table(
     """
 
     acc = np.asarray(accuracies, dtype=float)
+    # every spec is checked before the first simulation, so a bad K fails at once
+    specs = [CiSimSpec(tuple(acc), int(k), int(m), derive_seed(seed, k)) for k in ks]
     values = np.zeros((len(ks), len(TABLE_METHODS)))
-    for i, k in enumerate(ks):
-        pm = simulate_ci(CiSimSpec(tuple(acc), int(k), int(m), derive_seed(seed, k)))
-        stats = _method_accuracies(pm, acc, derive_seed(seed, k))
+    for i, spec in enumerate(specs):
+        stats = _method_accuracies(simulate_ci(spec), acc, spec.seed)
         for j, meth in enumerate(TABLE_METHODS):
             values[i, j] = 100.0 * stats[meth]
     return AccuracyTable(
@@ -268,13 +269,16 @@ def run_gap_curve(
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
     acc = np.asarray(accuracies, dtype=float)
+    # every spec is checked before the first simulation, so a bad K fails at once
+    specs = [
+        [CiSimSpec(tuple(acc), int(k), int(m), derive_seed(seed, r, k)) for k in ks]
+        for r in range(replications)
+    ]
     gaps_im = np.zeros((replications, len(ks)))
     gaps_ms = np.zeros((replications, len(ks)))
-    for r in range(replications):
-        for i, k in enumerate(ks):
-            sim_seed = derive_seed(seed, r, k)
-            pm = simulate_ci(CiSimSpec(tuple(acc), int(k), int(m), sim_seed))
-            stats = _method_accuracies(pm, acc, sim_seed)
+    for r, row in enumerate(specs):
+        for i, spec in enumerate(row):
+            stats = _method_accuracies(simulate_ci(spec), acc, spec.seed)
             gaps_im[r, i] = 100.0 * (stats["isp"] - stats["mv"])
             gaps_ms[r, i] = 100.0 * (stats["mv"] - stats["sp"])
     stderr = (

@@ -261,6 +261,70 @@ class TestScoreBatch:
         )
 
 
+class TestAggregateBatch:
+    """``aggregate_batch`` decides row blocks; it must equal one-shot scoring."""
+
+    @pytest.mark.parametrize("rows", range(1, 8))
+    @pytest.mark.parametrize("mode", [agg.TIE_UNIFORM, agg.TIE_LOWEST])
+    def test_matches_one_shot_at_forced_block_sizes(self, rows, mode, monkeypatch):
+        rng = np.random.default_rng(rows)
+        m, n, k = 23, 5, 3
+        pm = PredictionMatrix(LabelSpace.default(k), rng.integers(0, k, size=(m, n)))
+        so = empirical_second_order(pm)
+        w = rng.integers(1, 3, size=n).astype(float)  # whole weights: ties happen
+        tie = agg.TiePolicy(mode, seed=11)
+        expected = {
+            rule: agg.decide_batch(
+                agg.score_batch(rule, pm.answers, k, so=so, weights=w), tie, return_ties=True
+            )
+            for rule in agg.RULES
+        }
+        calls = []
+        score_batch = agg.score_batch
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return score_batch(*args, **kwargs)
+
+        monkeypatch.setattr(agg, "score_batch", counted)
+        monkeypatch.setattr(agg, "_BLOCK_CELLS", 2 * rows * max(n, k))
+        for rule in agg.RULES:
+            calls.clear()
+            labels, ties = agg.aggregate_batch(rule, pm.answers, k, tie, so=so, weights=w)
+            assert len(calls) == -(-m // rows), rule
+            np.testing.assert_array_equal(labels, expected[rule][0], err_msg=rule)
+            assert ties == expected[rule][1], rule
+        assert expected["mv"][1] > 0
+
+    def test_tie_draws_keyed_by_global_question_index(self):
+        scores = np.ones((40, 3))
+        pol = agg.TiePolicy(agg.TIE_UNIFORM, seed=5)
+        full = agg.decide_batch(scores, pol)
+        np.testing.assert_array_equal(agg.decide_batch(scores[17:], pol, 17), full[17:])
+
+    def test_rule_inputs_checked(self):
+        answers = np.array([[0, 1, 1], [2, 2, 0]])
+        with pytest.raises(DomainError, match="unknown rule"):
+            agg.aggregate_batch("median", answers, 3)
+        with pytest.raises(DomainError, match="second-order"):
+            agg.aggregate_batch("isp", answers, 3)
+        with pytest.raises(DimensionError):
+            agg.aggregate_batch("isp", answers, 3, so=exact_second_order(np.full(4, 0.7), 3))
+
+    @pytest.mark.parametrize("k", [3, 50])
+    def test_row_gather_is_bit_identical_to_slab_formula(self, k):
+        # the (K, M) slab gather it replaces: totals[q, s] = sum_j tables[j, s, answers[q, j]]
+        rng = np.random.default_rng(k)
+        pm = PredictionMatrix(LabelSpace.default(k), rng.integers(0, k, size=(500, 6)))
+        so = empirical_second_order(pm)
+        for rule in agg.SECOND_ORDER_RULES:
+            tables = agg._peer_tables(rule, so)
+            slab = np.zeros((pm.m, k))
+            for j, table in enumerate(tables.transpose(0, 2, 1)):  # (K_score, K_answer)
+                slab += table[:, pm.answers[:, j]].T
+            assert np.array_equal(agg._gather_totals(tables, pm.answers), slab), rule
+
+
 class TestTiePolicies:
     def test_argmax_set_tolerance(self):
         np.testing.assert_array_equal(agg.argmax_set(np.array([1.0, 1.0 - 1e-13, 0.5])), [0, 1])

@@ -149,6 +149,14 @@ class TestAggregateCommand:
         assert set(summary["per_agent_accuracy"]) == {"1", "2", "3", "4"}
         assert summary["disagreement_count"] > 0
 
+    def test_summary_counts_tie_broken_labels(self, runner, tmp_path):
+        pred, out = tmp_path / "p.csv", tmp_path / "labels.csv"
+        # the two split questions are ties under mv
+        pred.write_text("question_id,agent_a,agent_b,truth\nq0,A,A,A\nq1,A,B,A\nq2,C,B,B\nq3,B,B,B\n")
+        _invoke(runner, ["aggregate", "--input", str(pred), "--out", str(out), "--method", "mv"])
+        summary = json.loads((tmp_path / "labels.csv.summary.json").read_text())
+        assert summary["ties_broken"] == {"count": 2, "fraction": 0.5}
+
     def test_reruns_are_identical_up_to_timestamp(self, runner, tmp_path):
         pred = tmp_path / "p.csv"
         _simulate(runner, pred)
@@ -559,6 +567,15 @@ class TestReportCommand:
         for args in cases:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)
+
+    def test_bad_k_exits_before_simulating(self, runner, tmp_path, monkeypatch):
+        import quorum.simulate as sim
+
+        calls = []
+        monkeypatch.setattr(sim, "simulate_ci", lambda spec: calls.append(spec))
+        args = ["report", "--table2", "--out", str(tmp_path / "rep"), "--k-values", "10,1"]
+        assert runner.invoke(main, args).exit_code == 2
+        assert calls == []
 
 
 class TestTopLevel:

@@ -170,6 +170,14 @@ class TestPredictionMatrix:
         with pytest.raises(ValueError):
             pm.truth[0] = 0
 
+    @pytest.mark.parametrize("k, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_answers_stored_as_narrow_codes(self, k, dtype):
+        answers = np.array([[0, k - 1], [k - 1, 1]], dtype=np.int64)
+        pm = PredictionMatrix(LabelSpace.default(k), answers, np.array([0, k - 1]))
+        assert pm.answers.dtype == dtype
+        np.testing.assert_array_equal(pm.answers, answers)
+        assert pm.truth.dtype == np.int64
+
     def test_with_truth_and_select_agents(self):
         pm = PredictionMatrix(
             LabelSpace.default(2),

@@ -1,6 +1,8 @@
 """Unit tests for label-free accuracy estimation: the least-squares fit
 to second-order statistics, the pseudo-label estimator, and the pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,48 @@ class TestRunPipeline:
         }
         assert acc["ow-oracle"] >= acc["mv"] - 0.01
         assert acc["isp"] >= acc["mv"] - 0.01
+
+
+def _pipeline_args(method, n):
+    x = np.linspace(0.5, 0.9, n)
+    return dict(
+        erm=ErmConfig(starts=2, seed=0),
+        accuracies=x if method == "ow-oracle" else None,
+        abilities=2 * x if method == "eow" else None,
+    )
+
+
+class TestBlockedPipeline:
+    """The pipeline decides row blocks of narrow answer codes."""
+
+    @pytest.mark.parametrize("k", [4, 50])  # K=50 counts pairs on the bincount path
+    def test_narrow_and_wide_codes_give_identical_labels(self, k):
+        pm = simulate_ci(CiSimSpec(tuple(np.linspace(0.3, 0.75, 6)), k, 2000, 3))
+        assert pm.answers.dtype == np.uint8
+        wide = PredictionMatrix(pm.space, pm.answers)
+        object.__setattr__(wide, "answers", pm.answers.astype(np.int64))  # the old storage
+        for method in METHODS:
+            narrow_res = run_pipeline(pm, method, **_pipeline_args(method, pm.n))
+            wide_res = run_pipeline(wide, method, **_pipeline_args(method, pm.n))
+            np.testing.assert_array_equal(narrow_res.labels, wide_res.labels, err_msg=method)
+            assert narrow_res.ties_broken == wide_res.ties_broken, method
+
+    def test_ties_broken_counts_tied_questions(self):
+        # two agents over three labels: the two split questions are ties under mv
+        answers = np.array([[0, 0], [0, 1], [2, 1], [1, 1], [2, 2], [0, 0]])
+        pm = PredictionMatrix(LabelSpace.default(3), answers)
+        assert run_pipeline(pm, "mv").ties_broken == 2
+        assert run_pipeline(pm, "eow", abilities=[1.0, 1.0]).ties_broken == 2
+        assert run_pipeline(pm, "eow", abilities=[1.0, 2.0]).ties_broken == 0
+
+    @pytest.mark.parametrize("method", ["isp", "ow-i"])
+    def test_peak_memory_below_one_score_matrix(self, method):
+        m, n, k = 20_000, 10, 50
+        pm = simulate_ci(CiSimSpec(tuple(np.linspace(0.3, 0.75, n)), k, m, 0))
+        tracemalloc.start()
+        try:
+            run_pipeline(pm, method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * k * 8, peak

@@ -150,6 +150,17 @@ class TestGapCurve:
             run_gap_curve(seed=0, m=100, ks=(2,), accuracies=(0.6, 0.7), replications=0)
 
 
+@pytest.mark.parametrize("run", [run_accuracy_table, run_gap_curve])
+def test_bad_k_rejected_before_any_simulation(run, monkeypatch):
+    import quorum.simulate as sim
+
+    calls = []
+    monkeypatch.setattr(sim, "simulate_ci", lambda spec: calls.append(spec))
+    with pytest.raises(DomainError):
+        run(seed=0, m=100, ks=(10, 1), accuracies=(0.6, 0.7))
+    assert calls == []
+
+
 def test_seed_streams_are_independent():
     # the per-K datasets inside one table come from distinct derived seeds
     s1 = derive_seed(0, 2)
