@@ -5,8 +5,10 @@
 # a check that the uniform tie-break gives the same labels twice, a check that
 # isp is at least as accurate as mv on a K=50 panel (narrow answer codes that
 # overflowed would break it) and that each summary counts its tie-broken
-# labels, a check that a bad flag or config value exits 2 without a traceback,
-# and a check that a malformed row deep in a file exits 3 and names its line.
+# labels, a check that plain, quoted and CRLF copies of one panel give the same
+# isp labels (the byte tokenizer reads the first, csv.reader the others), a
+# check that a bad flag or config value exits 2 without a traceback, and a
+# check that a malformed row deep in a file exits 3 and names its line.
 set -euo pipefail
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -48,6 +50,27 @@ for method in ("mv", "isp", "ow-i"):
     print(method, acc[method], "ties_broken", ties)
 assert acc["isp"] >= acc["mv"], acc
 EOF
+
+echo "== plain, quoted and CRLF copies of a panel give the same isp labels"
+python - "$tmp" <<'EOF'
+import csv
+import sys
+
+with open(f"{sys.argv[1]}/panel.csv", newline="") as fh:
+    rows = list(csv.reader(fh))
+for name, options in [
+    ("plain", {"lineterminator": "\n"}),
+    ("quoted", {"lineterminator": "\n", "quoting": csv.QUOTE_ALL}),
+    ("crlf", {"lineterminator": "\r\n"}),
+]:
+    with open(f"{sys.argv[1]}/{name}.csv", "w", newline="") as fh:
+        csv.writer(fh, **options).writerows(rows)
+EOF
+for copy in plain quoted crlf; do
+  python -m quorum aggregate --input "$tmp/$copy.csv" --out "$tmp/$copy-isp.csv" --method isp
+done
+cmp "$tmp/plain-isp.csv" "$tmp/quoted-isp.csv"
+cmp "$tmp/plain-isp.csv" "$tmp/crlf-isp.csv"
 
 echo "== a bad flag or config value exits 2 without a traceback"
 echo '{"drop_incomplete": "maybe"}' > "$tmp/bad.json"

@@ -121,8 +121,20 @@ def _code_dtype(k: int) -> np.dtype:
 
 
 def _as_readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
-    """An owned, read-only copy of ``arr`` (converted to ``dtype`` if given)."""
+    """``arr`` as a read-only array that no writable array shares (of ``dtype`` if given).
 
+    An array of the dtype that is read-only, like every array it is a view
+    of, is kept as it is: code that builds an array for an instance freezes
+    it first, so that it is not copied. Anything else is copied.
+    """
+
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        if base.base is None:
+            if dtype is None or arr.dtype == dtype:
+                return arr
+            break
+        base = base.base
     out = np.array(arr, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
@@ -282,8 +294,13 @@ def uniform_block(seed: int, m: int, width: int) -> np.ndarray:
 
     if m < 0 or width < 1:
         raise DimensionError(f"invalid block shape ({m}, {width})")
-    gen = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-    return gen.random((m, width))
+    return _stream(seed).random((m, width))
+
+
+def _stream(seed: int) -> np.random.Generator:
+    """The Philox stream keyed by ``seed`` that ``uniform_block`` draws its rows from."""
+
+    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -303,7 +320,8 @@ class ShuffleMap:
     """Per-question label permutations.
 
     ``perms[q]`` maps original label index c to shuffled index
-    ``perms[q, c]``. Applying a map and then inverting it is the identity.
+    ``perms[q, c]``, stored as a narrow code like ``PredictionMatrix.answers``.
+    Applying a map and then inverting it is the identity.
     """
 
     perms: np.ndarray
@@ -318,7 +336,7 @@ class ShuffleMap:
         k = perms.shape[1]
         if not np.all(np.sort(perms, axis=1) == np.arange(k)):
             raise DomainError("each row of perms must be a permutation of 0..K-1")
-        object.__setattr__(self, "perms", _as_readonly(perms, np.int64))
+        object.__setattr__(self, "perms", _as_readonly(perms, _code_dtype(k)))
 
     @property
     def m(self) -> int:
@@ -341,9 +359,17 @@ def random_shuffle_map(m: int, k: int, seed: int) -> ShuffleMap:
     """Uniformly random permutation per question, derived from ``seed``."""
 
     _check_k(k)
-    u = uniform_block(seed, m, k)
+    if m < 0:
+        raise DimensionError(f"invalid block shape ({m}, {k})")
+    perms = np.empty((m, k), _code_dtype(k))
+    # the rows of uniform_block(seed, m, k), drawn one block at a time; the
     # argsort of iid uniforms is a uniformly random permutation
-    return ShuffleMap(np.argsort(u, axis=1), seed=int(seed))
+    stream, rows = _stream(seed), max(1, _BLOCK_CELLS // k)
+    for start in range(0, m, rows):
+        block = perms[start : start + rows]
+        block[:] = np.argsort(stream.random(block.shape), axis=1)
+    perms.flags.writeable = False
+    return ShuffleMap(perms, seed=int(seed))
 
 
 def apply_shuffle_map(pm: PredictionMatrix, smap: ShuffleMap) -> PredictionMatrix:
@@ -374,11 +400,14 @@ def shuffle_apply(pm: PredictionMatrix, seed: int) -> tuple[PredictionMatrix, Sh
 
 
 def shuffle_invert(obj, smap: ShuffleMap):
-    """Undo a shuffle on a PredictionMatrix or a length-M label-index vector."""
+    """Undo a shuffle on a PredictionMatrix or a length-M label-index vector.
 
-    inv = smap.inverse()
+    A vector's entry q is mapped to its preimage under ``perms[q]``, found
+    by comparison; only a matrix needs the inverse map.
+    """
+
     if isinstance(obj, PredictionMatrix):
-        return apply_shuffle_map(obj, inv)
+        return apply_shuffle_map(obj, smap.inverse())
     arr = np.asarray(obj)
     if arr.shape != (smap.m,):
         raise DimensionError(f"expected shape ({smap.m},), got {arr.shape}")
@@ -386,4 +415,4 @@ def shuffle_invert(obj, smap: ShuffleMap):
         raise DomainError("label vector must hold integer indices")
     if arr.min() < 0 or arr.max() >= smap.k:
         raise DomainError(f"label indices must lie in [0, {smap.k})")
-    return inv.perms[np.arange(smap.m), arr]
+    return np.argmax(smap.perms == arr[:, None], axis=1)

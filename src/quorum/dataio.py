@@ -93,7 +93,8 @@ def _first_repeat(items: list[str]) -> int | None:
     return None
 
 
-# Cells parsed per block of rows; no cell's ``str`` outlives its block.
+# Cells parsed per block of rows; no cell's ``str`` outlives its block. The
+# byte tokenizer reads chunks of 4 bytes per cell of a block.
 _CELLS_PER_BLOCK = 2**14
 
 
@@ -149,6 +150,148 @@ def _read_cells(reader, width: int) -> tuple[list[str], np.ndarray, list[str], t
     return qids, np.concatenate(blocks).reshape(len(qids), width - 1), list(lut), bad_width
 
 
+_COMMA, _NEWLINE = ord(","), ord("\n")
+# _LOW_BYTES[r] keeps the low r bytes of a little-endian word
+_LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
+
+
+def _plain(data: bytes) -> bool:
+    """Whether ``data`` lacks every byte that the byte tokenizer leaves to csv.reader."""
+
+    return not (b'"' in data or b"\r" in data or b"\0" in data)
+
+
+def _line_chunks(fh, size: int):
+    """The rest of binary file ``fh`` in chunks of about ``size`` bytes, each cut
+    after a newline; the last one gets a newline if the file lacks it."""
+
+    pending = []
+    while piece := fh.read(size):
+        cut = piece.rfind(b"\n") + 1
+        if cut:
+            chunk = b"".join([*pending, piece[:cut]])
+            pending = [piece[cut:]]
+            yield chunk
+        else:
+            pending.append(piece)
+    if rest := b"".join(pending):
+        yield rest + b"\n"
+
+
+def _read_cells_bytes(fh, width: int) -> tuple[list[str], np.ndarray, list[str], None] | None:
+    """``_read_cells`` for the rest of binary file ``fh``, tokenized with numpy.
+
+    Each chunk of about 4 bytes per cell of a block is split at every ``,``
+    and newline at once, and its cells are coded by ``_cell_codes``; the
+    result equals ``_read_cells``'s. Returns None, part way through the file,
+    at a ``"``, carriage return or NUL byte, at a line without ``width``
+    fields, at a cell longer than ``csv.field_size_limit()`` or at text that
+    is not UTF-8, so that csv.reader reads the file again and reports as usual.
+    """
+
+    qids: list[str] = []
+    blocks = [np.zeros(0, np.uint8)]
+    vocab: list[str] = []
+    tables: dict = {}
+    limit = csv.field_size_limit()
+    for chunk in _line_chunks(fh, 4 * _CELLS_PER_BLOCK):
+        if not _plain(chunk):
+            return None
+        buf = np.frombuffer(chunk + bytes(8), np.uint8)  # padded for the last word's gather
+        ends = np.flatnonzero((buf == _COMMA) | (buf == _NEWLINE))
+        rows = chunk.count(b"\n")
+        if ends.size != rows * width or (buf[ends[width - 1 :: width]] != _NEWLINE).any():
+            return None
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        if (ends - starts).max() > limit:
+            return None
+        answers = np.ones(ends.size, bool)
+        answers[::width] = False
+        try:
+            qids += _first_cells(buf, starts[::width], ends[::width])
+            codes = _cell_codes(buf, starts[answers], ends[answers], tables, vocab)
+        except UnicodeDecodeError:
+            return None
+        blocks.append(codes.astype(np.min_scalar_type(len(vocab))))
+    return qids, np.concatenate(blocks).reshape(len(qids), width - 1), vocab, None
+
+
+def _first_cells(buf: np.ndarray, starts: np.ndarray, commas: np.ndarray) -> list[str]:
+    """The text of each line's first cell, ``buf[starts[i]:commas[i]]``.
+
+    Every cell is gathered with the comma after it, which becomes the
+    separator, in one step: the offsets step by one and jump from each
+    comma to the next line's start.
+    """
+
+    spans = commas + 1 - starts
+    steps = np.ones(spans.sum(), np.intp)
+    steps[0] = starts[0]
+    steps[np.cumsum(spans[:-1])] = starts[1:] - commas[:-1]
+    cells = buf[np.cumsum(steps, out=steps)]
+    cells[cells == _COMMA] = _NEWLINE
+    return cells.tobytes().decode().split("\n")[:-1]
+
+
+def _cell_codes(
+    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, tables: dict, vocab: list[str]
+) -> np.ndarray:
+    """Codes of the cells ``buf[starts[i]:ends[i]]``, which hold no NUL byte.
+
+    A cell's key is its bytes zero-padded into as many little-endian 64-bit
+    words as it needs, each word one gather from an unaligned view of ``buf``.
+    ``tables`` maps a word count to the sorted keys seen so far and their
+    codes. Unseen cells get the next codes in first-seen order, and their
+    text joins ``vocab``.
+    """
+
+    words = np.ndarray((buf.size - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each offset
+    lens = ends - starts
+    codes = np.empty(lens.size, np.uint32)
+    if lens.max() <= 8:
+        groups = [(1, slice(None))]
+    else:
+        nwords = np.maximum(1, (lens + 7) >> 3)
+        counts = np.bincount(nwords)
+        groups = [(c, np.flatnonzero(nwords == c)) for c in np.flatnonzero(counts).tolist()]
+    unseen = []  # per word count: the cells whose key is not in the table, their keys, and
+    # the index among them of each distinct key's first occurrence
+    for c, at in groups:
+        offsets = 8 * np.arange(c)
+        key = words[starts[at, None] + offsets]
+        key &= _LOW_BYTES[np.minimum(lens[at, None] - offsets, 8)]  # >= 0: c words all hold bytes
+        key = key.ravel() if c == 1 else key.view(np.dtype((np.void, 8 * c))).ravel()
+        known, known_codes = tables.setdefault(c, (key[:0], codes[:0]))
+        if known.size:
+            pos = np.minimum(np.searchsorted(known, key), known.size - 1)
+            codes[at] = known_codes[pos]
+            miss = known[pos] != key
+        else:
+            miss = np.ones(key.size, bool)
+        if miss.any():
+            at, key = np.arange(lens.size)[at][miss], key[miss]
+            order = np.argsort(key, kind="stable")
+            first = np.ones(key.size, bool)
+            first[1:] = key[order[1:]] != key[order[:-1]]
+            unseen.append((c, at, key, order[first]))
+    if unseen:
+        firsts = np.concatenate([at[first] for _, at, _, first in unseen])
+        rank = np.empty(firsts.size, np.uint32)
+        rank[np.argsort(firsts)] = np.arange(len(vocab), len(vocab) + firsts.size)
+        vocab += [buf[starts[i] : ends[i]].tobytes().decode() for i in np.sort(firsts).tolist()]
+        for c, at, key, first in unseen:
+            new_codes, rank = rank[: first.size], rank[first.size :]
+            known, known_codes = tables[c]
+            known = np.concatenate([known, key[first]])
+            known_codes = np.concatenate([known_codes, new_codes])
+            order = np.argsort(known)
+            tables[c] = known, known_codes = known[order], known_codes[order]
+            codes[at] = known_codes[np.searchsorted(known, key)]
+    return codes
+
+
 def _screen_rows(
     codes: np.ndarray,
     vocab: list[str],
@@ -191,6 +334,40 @@ def _screen_rows(
     return np.flatnonzero(~empty_rows)
 
 
+def _read_table(path: str) -> tuple[list[str], bool, tuple]:
+    """The agent names, whether the last column is truth, and the data rows as
+    ``_read_cells`` returns them.
+
+    The byte tokenizer reads the file when its header line is plain text;
+    when it is not, or the tokenizer gives up part way, csv.reader reads the
+    file from the start.
+    """
+
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"cannot open {path}: {exc}") from None
+    with fh, _gc_paused():
+        line = fh.readline()
+        try:
+            header = next(csv.reader([line.decode()])) if line and _plain(line) else None
+        except UnicodeDecodeError:
+            header = None
+        if header is not None:
+            names, has_truth = _parse_header(header, path)
+            cells = _read_cells_bytes(fh, 1 + len(names) + has_truth)
+            if cells is not None:
+                return names, has_truth, cells
+    with open(path, newline="", encoding="utf-8") as fh, _gc_paused():
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{path}: empty file") from None
+        names, has_truth = _parse_header(header, path)
+        return names, has_truth, _read_cells(reader, 1 + len(names) + has_truth)
+
+
 def read_predictions_csv(
     path: str,
     agents: list[str] | None = None,
@@ -210,21 +387,9 @@ def read_predictions_csv(
     first faulty row in file order is the one reported.
     """
 
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise FormatError(f"cannot open {path}: {exc}") from None
-    with fh, _gc_paused():
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        names, has_truth = _parse_header(header, path)
-        space = LabelSpace(tuple(labels)) if labels is not None else None
-        width = 1 + len(names) + (1 if has_truth else 0)
-        qids, codes, vocab, bad_width = _read_cells(reader, width)
-
+    names, has_truth, (qids, codes, vocab, bad_width) = _read_table(path)
+    space = LabelSpace(tuple(labels)) if labels is not None else None
+    width = 1 + len(names) + has_truth
     clean = "" not in vocab and (space is None or set(vocab).issubset(space.labels))
     kept = None if clean else _screen_rows(codes, vocab, space, names, drop_incomplete, path)
     if bad_width is not None:
@@ -301,6 +466,22 @@ def write_predictions_csv(
 def write_labels_csv(path: str, question_ids: list[str], labels: list[str]) -> None:
     if len(question_ids) != len(labels):
         raise DimensionError("question ids and labels must have equal length")
+    # Joined directly when no id or label needs quoting, which the counts
+    # show: one comma per row and no quote or line break but the separators.
+    # The text is then what csv.writer would write.
+    try:
+        rows = "\r\n".join(map(",".join, zip(question_ids, labels)))
+    except TypeError:  # a cell that is not a str, which csv.writer converts
+        rows = None
+    m = len(labels)
+    if (
+        rows is not None
+        and rows.count(",") == m
+        and rows.count("\r") == rows.count("\n") == max(m - 1, 0)
+        and '"' not in rows
+    ):
+        atomic_write_text(path, "question_id,label\r\n" + rows + "\r\n" * (m > 0))
+        return
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["question_id", "label"])

@@ -195,6 +195,7 @@ def pair_counts(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
                 codes += np.arange(n - j) * (k * k)
                 pairs = np.bincount(codes.ravel(), minlength=(n - j) * k * k)
                 counts[j:, j] += pairs.reshape(n - j, k, k)
+                del codes  # or it is still alive while the next agent's codes are built
         for j in range(n):
             counts[j, j + 1 :] = counts[j + 1 :, j].transpose(0, 2, 1)
     idx = np.arange(n)
@@ -203,13 +204,19 @@ def pair_counts(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _from_counts(counts: np.ndarray, denom: np.ndarray, k: int, smoothing: float, source: str, meta: dict) -> SecondOrderMatrix:
+    """The matrix of conditional frequencies; ``counts`` (int64) becomes its table."""
+
     n = counts.shape[0]
     if smoothing < 0.0:
         raise DomainError(f"smoothing must be nonnegative, got {smoothing}")
     den = denom.astype(float) + k * smoothing
     unseen = denom == 0  # (n, k): conditioning label never observed for agent j
-    # in place, so that the (N, N, K, K) counts take one float copy, not three
-    probs = counts.astype(float)
+    # The float table takes over the counts' buffer, converted one agent's
+    # block at a time (numpy copies an overlapping source before casting it),
+    # so the (N, N, K, K) counts take no second table.
+    probs = counts.view(float)
+    for i in range(n):
+        probs[i] = counts[i]
     probs += smoothing
     with np.errstate(invalid="ignore", divide="ignore"):
         probs /= den[None, :, None, :]
@@ -219,6 +226,8 @@ def _from_counts(counts: np.ndarray, denom: np.ndarray, k: int, smoothing: float
     idx = np.arange(n)
     probs[idx, idx] = np.eye(k)
     imputed[idx, idx] = False
+    # frozen here, so that the matrix keeps them instead of copying them
+    probs.flags.writeable = counts.flags.writeable = imputed.flags.writeable = False
     return SecondOrderMatrix(probs, imputed, source=source, meta=meta)
 
 

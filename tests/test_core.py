@@ -2,12 +2,14 @@
 generalized sigmoid pair, deterministic randomness, and label shuffling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quorum import core
 from quorum.core import (
     DimensionError,
     DomainError,
@@ -230,6 +232,24 @@ class TestDeterministicRandomness:
         assert len(seen) == 64
 
 
+class TestReadOnlyArrays:
+    def test_callers_array_is_copied_not_frozen(self):
+        answers = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        pm = PredictionMatrix(LabelSpace.default(2), answers)
+        assert answers.flags.writeable and not pm.answers.flags.writeable
+        answers[0, 0] = 1
+        assert pm.answers[0, 0] == 0
+
+    def test_frozen_array_is_kept(self):
+        answers = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        answers.flags.writeable = False
+        assert PredictionMatrix(LabelSpace.default(2), answers).answers is answers
+        # a read-only view of a writable array is copied
+        view = np.array([[0, 1], [1, 0]], dtype=np.uint8)[:]
+        view.flags.writeable = False
+        assert PredictionMatrix(LabelSpace.default(2), view).answers is not view
+
+
 class TestShuffle:
     def test_identity_map(self):
         smap = ShuffleMap.identity(4, 3)
@@ -290,6 +310,35 @@ class TestShuffle:
         np.testing.assert_array_equal(
             inv.perms[rows, a.perms], np.tile(np.arange(4), (20, 1))
         )
+
+    def test_map_is_the_argsort_of_uniform_block(self, monkeypatch):
+        # drawn a few rows at a time, the map is still a function of (seed, question)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 12)
+        smap = random_shuffle_map(50, 5, 3)
+        assert smap.perms.dtype == np.uint8 and not smap.perms.flags.writeable
+        np.testing.assert_array_equal(smap.perms, np.argsort(uniform_block(3, 50, 5), axis=1))
+        assert random_shuffle_map(3, 300, 0).perms.dtype == np.uint16
+
+    def test_memory_is_a_few_narrow_maps(self):
+        # the (M, K) map is held as narrow codes; inverting a label vector
+        # compares each row with its label instead of inverting the map
+        m, k = 50_000, 50
+        rng = np.random.default_rng(0)
+        pm = PredictionMatrix(LabelSpace.default(k), rng.integers(0, k, size=(m, 10)))
+        labels = rng.integers(0, k, size=m)
+        tracemalloc.start()
+        try:
+            _, smap = shuffle_apply(pm, 0)
+            applied, apply_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            restored = shuffle_invert(labels, smap)
+            inverted, invert_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # scratch: the map's validation, or one block of uniforms and their argsort
+        assert apply_peak <= applied + 2 * m * k + 16 * core._BLOCK_CELLS, (apply_peak, applied)
+        assert invert_peak <= inverted + m * k + 2**20, (invert_peak, inverted)
+        np.testing.assert_array_equal(restored, smap.inverse().perms[np.arange(m), labels])
 
     def test_invert_validates_vector(self):
         _, smap = shuffle_apply(

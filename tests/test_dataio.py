@@ -15,6 +15,7 @@ from quorum.core import FormatError, LabelSpace, PredictionMatrix
 from quorum.dataio import (
     _parse_header,
     _read_cells,
+    _read_cells_bytes,
     atomic_write_text,
     read_predictions_csv,
     write_json,
@@ -92,6 +93,35 @@ _OUTSIDE = "not, listed"
 _ROW_FAULTS = ("empty", "outside", "empty+outside", "wide", "short", "blank", "duplicate")
 
 
+def _draw_table(draw, labels, outside, ids):
+    """A header and up to 8 rows of cells from ``labels``, with up to two kinds of
+    row fault; ``ids(q)`` lists the ids that row q may have."""
+
+    n = draw(st.integers(1, 3))
+    has_truth = draw(st.booleans())
+    header = ["question_id"] + [f"agent_{j}" for j in range(n)] + (["truth"] if has_truth else [])
+    kinds = ("ok",) * 3 + tuple(draw(st.lists(st.sampled_from(_ROW_FAULTS), max_size=2, unique=True)))
+    rows = []
+    for q in range(draw(st.integers(0, 8))):
+        row = [draw(st.sampled_from(ids(q)))] + [draw(st.sampled_from(labels)) for _ in header[1:]]
+        kind = draw(st.sampled_from(kinds))
+        cells = draw(st.permutations(range(1, len(row))))
+        if "outside" in kind:
+            row[cells[-1]] = outside
+        if "empty" in kind:
+            row[cells[0]] = ""
+        if kind == "wide":
+            row.append(draw(st.sampled_from(labels)))
+        elif kind == "short":
+            row.pop()
+        elif kind == "blank":
+            row = []
+        elif kind == "duplicate" and q:
+            row[0] = f"q{draw(st.integers(0, q - 1))}"
+        rows.append(row)
+    return header, rows
+
+
 @st.composite
 def _prediction_files(draw):
     """(CSV text, labels argument, drop_incomplete) with up to two kinds of row fault.
@@ -100,34 +130,41 @@ def _prediction_files(draw):
     (then a permutation of ``_LABELS``) is given.
     """
 
-    n = draw(st.integers(1, 3))
-    has_truth = draw(st.booleans())
-    header = ["question_id"] + [f"agent_{j}" for j in range(n)] + (["truth"] if has_truth else [])
-    kinds = ("ok",) * 3 + tuple(draw(st.lists(st.sampled_from(_ROW_FAULTS), max_size=2, unique=True)))
-    rows = []
-    for q in range(draw(st.integers(0, 8))):
-        row = [f"q{q}"] + [draw(st.sampled_from(_LABELS)) for _ in range(len(header) - 1)]
-        kind = draw(st.sampled_from(kinds))
-        cells = draw(st.permutations(range(1, len(row))))
-        if "outside" in kind:
-            row[cells[-1]] = _OUTSIDE
-        if "empty" in kind:
-            row[cells[0]] = ""
-        if kind == "wide":
-            row.append(draw(st.sampled_from(_LABELS)))
-        elif kind == "short":
-            row.pop()
-        elif kind == "blank":
-            row = []
-        elif kind == "duplicate" and q:
-            row[0] = f"q{draw(st.integers(0, q - 1))}"
-        rows.append(row)
+    header, rows = _draw_table(draw, _LABELS, _OUTSIDE, lambda q: [f"q{q}"])
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
     writer.writerow(header)
     writer.writerows(rows)
     labels = draw(st.none() | st.permutations(_LABELS))
     return buf.getvalue(), labels, draw(st.booleans())
+
+
+# Labels that need no quoting: of 1, 8, 9 and 17 bytes, and non-ASCII ones
+# (the last of 9 bytes); and one more that is outside them.
+_PLAIN_LABELS = ("A", "eight-ch", "nine-char", "seventeen-bytes!!", "é", "naïve-ü")
+_PLAIN_OUTSIDE = "not-listed"
+
+
+@st.composite
+def _plain_prediction_files(draw):
+    """Like ``_prediction_files``, but no cell needs quoting.
+
+    Ids may be non-ASCII or empty. The file may use CRLF line breaks, may
+    lack its final line break, and may quote one cell of its last row, so
+    that the first ``"`` comes late in the file.
+    """
+
+    header, rows = _draw_table(
+        draw, _PLAIN_LABELS, _PLAIN_OUTSIDE, lambda q: [f"q{q}", f"ü{q}", f"q{q}", ""]
+    )
+    if rows and rows[-1] and draw(st.booleans()):
+        rows[-1][-1] = f'"{rows[-1][-1]}"'
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(",".join(row) + end for row in [header, *rows])
+    if draw(st.booleans()):
+        text = text[: -len(end)]
+    labels = draw(st.none() | st.permutations(_PLAIN_LABELS))
+    return text, labels, draw(st.booleans())
 
 
 # More distinct labels than uint8 codes can hold, one new label per row.
@@ -172,6 +209,29 @@ class TestRoundTrip:
         path = tmp_path / "labels.csv"
         write_labels_csv(str(path), ["q1", "q2"], ["A", "C"])
         assert path.read_text() == "question_id,label\nq1,A\nq2,C\n"
+
+    @pytest.mark.parametrize(
+        "ids, labels",
+        [
+            (["q1", "q2"], ["A", "C"]),
+            (["", "ü2", "q3"], ["naïve", "", "A"]),
+            (["q,1", 'q"2', "q\r3", "q\n4", "q5"], ["A", "B", "C", "D", "E"]),
+            (["q1", "q2", "q3", "q4", "q5"], ["a,b", 'say "hi"', "cr\r", "lf\n", "crlf\r\n"]),
+            (['q"1', "q2"], ["A", 'say "hi"']),
+            ([""], [""]),
+            ([], []),
+            (["q1", "q2"], np.array(["A", "B"], dtype=object)),
+            (["q1", "q2"], [1, 2]),
+        ],
+    )
+    def test_labels_csv_matches_csv_writer(self, tmp_path, ids, labels):
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["question_id", "label"])
+        writer.writerows(zip(ids, labels))
+        path = tmp_path / "labels.csv"
+        write_labels_csv(str(path), ids, labels)
+        assert path.read_bytes() == expected.getvalue().encode()
 
 
 class TestLabelSpaceInference:
@@ -236,6 +296,40 @@ class TestAgainstRowByRowReader:
             mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
             self._check(tmp_path, *case)
 
+    @given(_plain_prediction_files(), st.integers(1, 12))
+    # a cell of 17 bytes first seen after a block boundary, and no final line break
+    @example(("question_id,agent_x\nq0,A\nq1,seventeen-bytes!!", None, False), 1)
+    # a quote after the first chunk: the file is read again by csv.reader
+    @example(("question_id,agent_x\nq0,A\nq1,B\nq2,\"B\"\n", None, False), 1)
+    # a wide and a short row in one chunk, with as many commas as two good rows
+    @example(("question_id,agent_x,agent_y\nq0,A,B,A\nq1,A\n", None, False), 12)
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_plain_files_same_outcome_across_block_boundaries(self, tmp_path, case, cells_per_block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
+            self._check(tmp_path, *case)
+
+    @given(_plain_prediction_files(), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_byte_tokenizer_matches_csv_reader(self, case, cells_per_block):
+        # the byte tokenizer returns what _read_cells does, and gives up only
+        # at a quote, a carriage return or a row of the wrong width
+        header, _, body = case[0].partition("\n")
+        width = len(header.split(","))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
+            got = _read_cells_bytes(io.BytesIO(body.encode()), width)
+            expected = _read_cells(csv.reader(io.StringIO(body, newline="")), width)
+        if got is None:
+            assert '"' in body or "\r" in body or expected[3] is not None
+        else:
+            assert expected[3] is None
+            assert got[0] == expected[0] and got[2] == expected[2]
+            assert got[1].dtype == expected[1].dtype
+            np.testing.assert_array_equal(got[1], expected[1])
+
     @staticmethod
     def _check(tmp_path, text, labels, drop):
         path = tmp_path / "p.csv"
@@ -264,6 +358,15 @@ class TestAgainstRowByRowReader:
         assert meta["dropped"] == 1
 
 
+def _refuse_csv_reader(monkeypatch):
+    """Make the read fail if the csv.reader path reads the rows."""
+
+    def refuse(*args):
+        raise AssertionError("the csv.reader path was used")
+
+    monkeypatch.setattr(dataio, "_read_cells", refuse)
+
+
 def test_ingest_memory_is_bounded_by_a_block(tmp_path):
     # the cells' strings must not all be alive at once: beyond what the
     # result keeps, the read may hold only about one block of cells
@@ -278,6 +381,46 @@ def test_ingest_memory_is_bounded_by_a_block(tmp_path):
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(pm.answers, answers)
+    assert peak <= retained + 2 * 2**20, (peak, retained)
+
+
+def _traced_read(path):
+    """What ``path`` reads as, and the read's retained and peak traced bytes."""
+
+    tracemalloc.start()
+    try:
+        pm, meta = read_predictions_csv(str(path))
+        return (pm, meta, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
+def test_byte_ingest_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
+    # the bound above, for the same file with LF line breaks instead of
+    # CRLF, which the byte tokenizer reads
+    labels = tuple(f"label_{c}" for c in "abcde")
+    answers = np.random.default_rng(0).integers(0, 5, size=(20_000, 20))
+    path = tmp_path / "p.csv"
+    write_predictions_csv(str(path), PredictionMatrix(LabelSpace(labels), answers))
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    _refuse_csv_reader(monkeypatch)
+    pm, _, retained, peak = _traced_read(path)
+    np.testing.assert_array_equal(pm.answers, answers)
+    assert peak <= retained + 2 * 2**20, (peak, retained)
+
+
+def test_long_cells_are_read_within_a_block_of_memory(tmp_path, monkeypatch):
+    # a 100 KB id and a 100 KB label: the byte tokenizer keys the label by
+    # 12,500 words without widening every other cell's key to as many
+    long_id, long_label = "i" * 100_000, "L" * 100_000
+    rows = [f"q{i},{'AB'[i % 2]},B" for i in range(5_000)]
+    rows.insert(2_500, f"{long_id},A,{long_label}")
+    path = tmp_path / "p.csv"
+    path.write_text("question_id,agent_x,agent_y\n" + "\n".join(rows) + "\n")
+    _refuse_csv_reader(monkeypatch)
+    pm, meta, retained, peak = _traced_read(path)
+    assert pm.space.labels == ("A", "B", long_label)
+    assert meta["question_ids"][2_500] == long_id and pm.answers[2_500].tolist() == [0, 2]
     assert peak <= retained + 2 * 2**20, (peak, retained)
 
 

@@ -1,6 +1,8 @@
 """Unit tests for second-order matrices: exact construction, empirical
 estimation with imputation, leave-one-out updates, and CSV round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,3 +271,17 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(FormatError):
             read_second_order_csv(str(path))
+
+
+def test_empirical_memory_is_its_table_plus_a_block():
+    # the table is built in the counts' own buffer and kept without a copy;
+    # beyond what it keeps, the build holds one block of int64 pair codes
+    pm = _random_pm(20_000, 10, 50)
+    tracemalloc.start()
+    try:
+        so = empirical_second_order(pm)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not so.probs.flags.writeable and not so.imputed.flags.writeable
+    assert peak <= retained + 8 * _BLOCK_CELLS, (peak, retained)
