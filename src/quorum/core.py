@@ -121,20 +121,8 @@ def _code_dtype(k: int) -> np.dtype:
 
 
 def _as_readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
-    """``arr`` as a read-only array that no writable array shares (of ``dtype`` if given).
+    """An owned, read-only copy of ``arr`` (converted to ``dtype`` if given)."""
 
-    An array of the dtype that is read-only, like every array it is a view
-    of, is kept as it is: code that builds an array for an instance freezes
-    it first, so that it is not copied. Anything else is copied.
-    """
-
-    base = arr
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        if base.base is None:
-            if dtype is None or arr.dtype == dtype:
-                return arr
-            break
-        base = base.base
     out = np.array(arr, dtype=dtype, copy=True)
     out.flags.writeable = False
     return out
@@ -329,6 +317,11 @@ class ShuffleMap:
 
     def __post_init__(self) -> None:
         perms = np.asarray(self.perms)
+        self._check(perms)
+        object.__setattr__(self, "perms", _as_readonly(perms, _code_dtype(perms.shape[1])))
+
+    @staticmethod
+    def _check(perms: np.ndarray) -> None:
         if perms.ndim != 2:
             raise DimensionError(f"perms must be 2-d, got shape {perms.shape}")
         if not np.issubdtype(perms.dtype, np.integer):
@@ -336,7 +329,19 @@ class ShuffleMap:
         k = perms.shape[1]
         if not np.all(np.sort(perms, axis=1) == np.arange(k)):
             raise DomainError("each row of perms must be a permutation of 0..K-1")
-        object.__setattr__(self, "perms", _as_readonly(perms, _code_dtype(k)))
+
+    @classmethod
+    def _adopt(cls, perms: np.ndarray, seed: int) -> "ShuffleMap":
+        """A map that keeps ``perms``, an array that only the caller holds,
+        frozen in place where the constructor would copy it."""
+
+        cls._check(perms)
+        perms = perms.astype(_code_dtype(perms.shape[1]), copy=False)
+        perms.flags.writeable = False
+        smap = object.__new__(cls)
+        object.__setattr__(smap, "perms", perms)
+        object.__setattr__(smap, "seed", int(seed))
+        return smap
 
     @property
     def m(self) -> int:
@@ -368,8 +373,7 @@ def random_shuffle_map(m: int, k: int, seed: int) -> ShuffleMap:
     for start in range(0, m, rows):
         block = perms[start : start + rows]
         block[:] = np.argsort(stream.random(block.shape), axis=1)
-    perms.flags.writeable = False
-    return ShuffleMap(perms, seed=int(seed))
+    return ShuffleMap._adopt(perms, seed)
 
 
 def apply_shuffle_map(pm: PredictionMatrix, smap: ShuffleMap) -> PredictionMatrix:

@@ -163,10 +163,18 @@ def _plain(data: bytes) -> bool:
 
 def _line_chunks(fh, size: int):
     """The rest of binary file ``fh`` in chunks of about ``size`` bytes, each cut
-    after a newline; the last one gets a newline if the file lacks it."""
+    after a newline; the last one gets a newline if the file lacks it.
+
+    Yields None and stops at the first piece that is not ``_plain``, before
+    it is kept or the next piece is read, so a file whose lines end in a bare
+    carriage return is never held whole.
+    """
 
     pending = []
     while piece := fh.read(size):
+        if not _plain(piece):
+            yield None
+            return
         cut = piece.rfind(b"\n") + 1
         if cut:
             chunk = b"".join([*pending, piece[:cut]])
@@ -195,7 +203,7 @@ def _read_cells_bytes(fh, width: int) -> tuple[list[str], np.ndarray, list[str],
     tables: dict = {}
     limit = csv.field_size_limit()
     for chunk in _line_chunks(fh, 4 * _CELLS_PER_BLOCK):
-        if not _plain(chunk):
+        if chunk is None:
             return None
         buf = np.frombuffer(chunk + bytes(8), np.uint8)  # padded for the last word's gather
         ends = np.flatnonzero((buf == _COMMA) | (buf == _NEWLINE))
@@ -334,13 +342,28 @@ def _screen_rows(
     return np.flatnonzero(~empty_rows)
 
 
+def _plain_header(fh) -> list[str] | None:
+    """The cells of binary file ``fh``'s first line, or None if that line is
+    not plain UTF-8 text ending in a newline within ``csv.field_size_limit()``
+    bytes (the cap keeps a file without newlines from being read whole)."""
+
+    line = fh.readline(csv.field_size_limit())
+    if not (line.endswith(b"\n") and _plain(line)):
+        return None
+    try:
+        return next(csv.reader([line.decode()]))
+    except UnicodeDecodeError:
+        return None
+
+
 def _read_table(path: str) -> tuple[list[str], bool, tuple]:
     """The agent names, whether the last column is truth, and the data rows as
     ``_read_cells`` returns them.
 
-    The byte tokenizer reads the file when its header line is plain text;
-    when it is not, or the tokenizer gives up part way, csv.reader reads the
-    file from the start.
+    The file is opened once. When it can be rewound and its header line is
+    plain text, the byte tokenizer reads it; otherwise, or when the tokenizer
+    gives up part way, csv.reader reads it from the start. So a pipe or FIFO,
+    which cannot be read twice, always takes csv.reader.
     """
 
     try:
@@ -348,18 +371,14 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple]:
     except OSError as exc:
         raise FormatError(f"cannot open {path}: {exc}") from None
     with fh, _gc_paused():
-        line = fh.readline()
-        try:
-            header = next(csv.reader([line.decode()])) if line and _plain(line) else None
-        except UnicodeDecodeError:
-            header = None
-        if header is not None:
-            names, has_truth = _parse_header(header, path)
-            cells = _read_cells_bytes(fh, 1 + len(names) + has_truth)
-            if cells is not None:
-                return names, has_truth, cells
-    with open(path, newline="", encoding="utf-8") as fh, _gc_paused():
-        reader = csv.reader(fh)
+        if fh.seekable():
+            if (header := _plain_header(fh)) is not None:
+                names, has_truth = _parse_header(header, path)
+                cells = _read_cells_bytes(fh, 1 + len(names) + has_truth)
+                if cells is not None:
+                    return names, has_truth, cells
+            fh.seek(0)
+        reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
         try:
             header = next(reader)
         except StopIteration:

@@ -58,6 +58,12 @@ class SecondOrderMatrix:
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
+        self._check(probs, self.imputed)
+        object.__setattr__(self, "probs", _as_readonly(probs))
+        object.__setattr__(self, "imputed", _as_readonly(self.imputed, bool))
+
+    @staticmethod
+    def _check(probs: np.ndarray, imputed) -> None:
         if probs.ndim != 4 or probs.shape[0] != probs.shape[1] or probs.shape[2] != probs.shape[3]:
             raise DimensionError(f"probs must have shape (N, N, K, K), got {probs.shape}")
         n, _, k, _ = probs.shape
@@ -69,11 +75,22 @@ class SecondOrderMatrix:
         if not np.allclose(colsums, 1.0, atol=_COLSUM_TOL):
             worst = float(np.abs(colsums - 1.0).max())
             raise DomainError(f"each conditional column must sum to 1 (worst deviation {worst:.3e})")
-        imputed = np.asarray(self.imputed, dtype=bool)
-        if imputed.shape != probs.shape:
-            raise DimensionError(f"imputed flags must match probs shape, got {imputed.shape}")
-        object.__setattr__(self, "probs", _as_readonly(probs))
-        object.__setattr__(self, "imputed", _as_readonly(imputed))
+        if np.shape(imputed) != probs.shape:
+            raise DimensionError(f"imputed flags must match probs shape, got {np.shape(imputed)}")
+
+    @classmethod
+    def _adopt(cls, probs: np.ndarray, imputed: np.ndarray, source: str, meta: dict) -> "SecondOrderMatrix":
+        """A matrix that keeps ``probs`` (float) and ``imputed`` (bool), arrays
+        that only the caller holds, frozen in place where the constructor
+        would copy them."""
+
+        cls._check(probs, imputed)
+        so = object.__new__(cls)
+        for name, value in (("probs", probs), ("imputed", imputed), ("source", source), ("meta", meta)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(so, name, value)
+        return so
 
     @property
     def n(self) -> int:
@@ -226,9 +243,7 @@ def _from_counts(counts: np.ndarray, denom: np.ndarray, k: int, smoothing: float
     idx = np.arange(n)
     probs[idx, idx] = np.eye(k)
     imputed[idx, idx] = False
-    # frozen here, so that the matrix keeps them instead of copying them
-    probs.flags.writeable = counts.flags.writeable = imputed.flags.writeable = False
-    return SecondOrderMatrix(probs, imputed, source=source, meta=meta)
+    return SecondOrderMatrix._adopt(probs, imputed, source, meta)
 
 
 def empirical_second_order(pm: PredictionMatrix, smoothing: float = 0.0) -> SecondOrderMatrix:

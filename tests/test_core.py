@@ -240,14 +240,18 @@ class TestReadOnlyArrays:
         answers[0, 0] = 1
         assert pm.answers[0, 0] == 0
 
-    def test_frozen_array_is_kept(self):
+    def test_frozen_callers_array_is_copied(self):
+        # numpy lets the owner of a frozen array make it writable again, so
+        # the public constructors copy even a frozen array
         answers = np.array([[0, 1], [1, 0]], dtype=np.uint8)
         answers.flags.writeable = False
-        assert PredictionMatrix(LabelSpace.default(2), answers).answers is answers
-        # a read-only view of a writable array is copied
-        view = np.array([[0, 1], [1, 0]], dtype=np.uint8)[:]
-        view.flags.writeable = False
-        assert PredictionMatrix(LabelSpace.default(2), view).answers is not view
+        pm = PredictionMatrix(LabelSpace.default(2), answers)
+        perms = random_shuffle_map(3, 4, 0).perms
+        smap = ShuffleMap(perms)
+        assert pm.answers is not answers and smap.perms is not perms
+        answers.flags.writeable = True
+        answers[0, 0] = 1
+        assert pm.answers[0, 0] == 0
 
 
 class TestShuffle:

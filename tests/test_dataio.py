@@ -1,8 +1,11 @@
 """Unit tests for prediction-CSV parsing and the atomic writers."""
 
+import contextlib
 import csv
 import io
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -421,6 +424,61 @@ def test_long_cells_are_read_within_a_block_of_memory(tmp_path, monkeypatch):
     pm, meta, retained, peak = _traced_read(path)
     assert pm.space.labels == ("A", "B", long_label)
     assert meta["question_ids"][2_500] == long_id and pm.answers[2_500].tolist() == [0, 2]
+    assert peak <= retained + 2 * 2**20, (peak, retained)
+
+
+def _panel_lines(rows):
+    """The lines of a header and ``rows`` rows of two agents and truth, plain text."""
+
+    return ["question_id,agent_x,agent_y,truth"] + [
+        f"q{i},{'AB'[i % 2]},{'BA'[i % 3 > 0]},A" for i in range(rows)
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("variant", ["lf", "crlf", "late-quote"])
+def test_a_pipe_reads_like_a_file(tmp_path, variant):
+    # a pipe cannot be rewound or opened afresh, so the file must be opened
+    # once and read once; the late quote sits well past the first chunk
+    lines = _panel_lines(20_000)
+    if variant == "late-quote":
+        lines[-2] = lines[-2].replace(",A", ',"A"', 1)
+    data = ("\r\n" if variant == "crlf" else "\n").join(lines).encode() + b"\n"
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    expected = _outcome(read_predictions_csv, path)
+    assert isinstance(expected, tuple) and len(expected[3]["question_ids"]) == 20_000
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=_write_and_close, args=(write_end, data), daemon=True)
+    writer.start()
+    try:
+        got = _outcome(read_predictions_csv, f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == expected
+
+
+def _write_and_close(fd, data):
+    with contextlib.suppress(BrokenPipeError), open(fd, "wb") as fh:
+        fh.write(data)
+
+
+@pytest.mark.parametrize("header_end", ["\n", "\r"])
+def test_bare_cr_file_is_read_within_a_block_of_memory(tmp_path, header_end):
+    # lines ending in a bare carriage return leave the byte tokenizer before
+    # more than a chunk of the file is held, header line included; long
+    # labels keep what the read returns small beside the file
+    answers = np.random.default_rng(0).integers(0, 2, size=(3_000, 100))
+    space = LabelSpace(("a-long-label-no", "a-long-label-yes"))
+    path = tmp_path / "p.csv"
+    write_predictions_csv(str(path), PredictionMatrix(space, answers))
+    header, _, body = path.read_bytes().partition(b"\r\n")
+    path.write_bytes(header + header_end.encode() + body.replace(b"\r\n", b"\r"))
+    assert path.stat().st_size > 4 * 10**6
+    pm, _, retained, peak = _traced_read(path)
+    np.testing.assert_array_equal(pm.answers, answers)
     assert peak <= retained + 2 * 2**20, (peak, retained)
 
 

@@ -285,3 +285,5 @@ def test_empirical_memory_is_its_table_plus_a_block():
         tracemalloc.stop()
     assert not so.probs.flags.writeable and not so.imputed.flags.writeable
     assert peak <= retained + 8 * _BLOCK_CELLS, (peak, retained)
+    # the public constructor still copies what it is given
+    assert SecondOrderMatrix(so.probs, so.imputed, "copy").probs is not so.probs
