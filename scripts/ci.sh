@@ -7,8 +7,10 @@
 # overflowed would break it) and that each summary counts its tie-broken
 # labels, a check that plain, quoted and CRLF copies of one panel give the same
 # isp labels (the byte tokenizer reads the first, csv.reader the others), a
-# check that a bad flag or config value exits 2 without a traceback, and a
-# check that a malformed row deep in a file exits 3 and names its line.
+# check that a bad flag or config value exits 2 without a traceback, a check
+# that a malformed row deep in a file exits 3 and names its line, and a check
+# that a byte that is not UTF-8 or an over-long field deep in a file, or a
+# config file that is not UTF-8, exits 3 without a traceback.
 set -euo pipefail
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -92,4 +94,34 @@ cat "$tmp/err.txt"
 test "$status" -eq 3
 grep -q "panel.csv:20002" "$tmp/err.txt"
 if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
+
+echo "== a byte that is not UTF-8 or an over-long field deep in a CSV, or a config"
+echo "   that is not UTF-8, exits 3 without a traceback"
+python - "$tmp" <<'EOF'
+import sys
+
+with open(f"{sys.argv[1]}/plain.csv", "rb") as fh:
+    lines = fh.read().split(b"\n")
+rest = lines[15001][lines[15001].index(b",") :]
+for name, qid in [("not-utf8", b"q\xff"), ("long-field", b"q" * 200_000)]:
+    with open(f"{sys.argv[1]}/{name}.csv", "wb") as fh:
+        fh.write(b"\n".join(lines[:15001] + [qid + rest] + lines[15002:]))
+with open(f"{sys.argv[1]}/not-utf8.json", "wb") as fh:
+    fh.write(b'{"method": "mv\xff"}')
+EOF
+for named in "not-utf8.csv:15002:" "long-field.csv:15002:" "not-utf8.json:"; do
+  file="${named%%:*}"
+  if [ "${file##*.}" = csv ]; then
+    inputs=(--input "$tmp/$file")
+  else
+    inputs=(--input "$tmp/plain.csv" --config "$tmp/$file")
+  fi
+  status=0
+  python -m quorum aggregate "${inputs[@]}" --out "$tmp/h.csv" --method mv \
+    2> "$tmp/err.txt" || status=$?
+  cat "$tmp/err.txt"
+  test "$status" -eq 3
+  grep -qF "$named" "$tmp/err.txt"
+  if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
+done
 echo "== all checks passed"

@@ -8,134 +8,20 @@ accuracy estimation, exact small-instance oracles, and generative
 simulators, plus a CLI wrapping the lot.
 """
 
-from .core import (
-    DimensionError,
-    DomainError,
-    FormatError,
-    LabelSpace,
-    PredictionMatrix,
-    ResourceError,
-    ShuffleMap,
-    clamp_accuracies,
-    derive_seed,
-    ow_weights,
-    shuffle_apply,
-    shuffle_invert,
-    sigma_k,
-    sigma_k_inverse,
-)
-from .aggregate import (
-    AdvantageVector,
-    TiePolicy,
-    advantage_isp,
-    advantage_mv,
-    advantage_sp,
-    aggregate_isp,
-    aggregate_mv,
-    aggregate_sp,
-    aggregate_weighted,
-    dominance_threshold,
-    isp_score,
-    sp_score,
-)
-from .secondorder import (
-    SecondOrderMatrix,
-    empirical_second_order,
-    exact_second_order,
-    read_second_order_csv,
-    write_second_order_csv,
-)
-from .estimate import (
-    ErmConfig,
-    FitResult,
-    PipelineResult,
-    erm_gradient,
-    erm_loss,
-    fit_accuracies,
-    fit_ow_i,
-    fit_ow_l,
-    run_pipeline,
-)
-from .oracle import (
-    DifficultyMixture,
-    bayes_posterior,
-    exact_expected_advantage,
-    expected_accuracy,
-    expected_advantage_gaps,
-    expected_mv_advantage,
-    mixture_expected_accuracy,
-    mixture_expected_advantage,
-    mixture_posterior,
-    mixture_second_order,
-)
-from .simulate import (
-    CiSimSpec,
-    DifficultySimSpec,
-    run_accuracy_table,
-    run_gap_curve,
-    simulate_ci,
-    simulate_difficulty,
-)
-from .verify import run_suites
+from . import aggregate, core, estimate, oracle, secondorder, simulate, verify
+from .core import *  # noqa: F403
+from .aggregate import *  # noqa: F403
+from .secondorder import *  # noqa: F403
+from .estimate import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is its public surface; the package exports their union.
 __all__ = [
-    "AdvantageVector",
-    "CiSimSpec",
-    "DifficultyMixture",
-    "DifficultySimSpec",
-    "DimensionError",
-    "DomainError",
-    "ErmConfig",
-    "FitResult",
-    "FormatError",
-    "LabelSpace",
-    "PipelineResult",
-    "PredictionMatrix",
-    "ResourceError",
-    "SecondOrderMatrix",
-    "ShuffleMap",
-    "TiePolicy",
-    "advantage_isp",
-    "advantage_mv",
-    "advantage_sp",
-    "aggregate_isp",
-    "aggregate_mv",
-    "aggregate_sp",
-    "aggregate_weighted",
-    "bayes_posterior",
-    "clamp_accuracies",
-    "derive_seed",
-    "dominance_threshold",
-    "empirical_second_order",
-    "erm_gradient",
-    "erm_loss",
-    "exact_expected_advantage",
-    "exact_second_order",
-    "expected_accuracy",
-    "expected_advantage_gaps",
-    "expected_mv_advantage",
-    "fit_accuracies",
-    "fit_ow_i",
-    "fit_ow_l",
-    "isp_score",
-    "mixture_expected_accuracy",
-    "mixture_expected_advantage",
-    "mixture_posterior",
-    "mixture_second_order",
-    "ow_weights",
-    "read_second_order_csv",
-    "run_accuracy_table",
-    "run_gap_curve",
-    "run_pipeline",
-    "run_suites",
-    "shuffle_apply",
-    "shuffle_invert",
-    "sigma_k",
-    "sigma_k_inverse",
-    "simulate_ci",
-    "simulate_difficulty",
-    "sp_score",
-    "write_second_order_csv",
+    name
+    for module in (core, aggregate, secondorder, estimate, oracle, simulate, verify)
+    for name in module.__all__
 ]

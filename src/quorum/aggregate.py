@@ -131,14 +131,9 @@ class TiePolicy:
             raise DomainError(f"unknown tie mode {self.mode!r}")
 
     def pick(self, scores: np.ndarray, question_index: int = 0) -> int:
-        return self.pick_tied(argmax_set(scores), question_index)
+        """The label ``decide_batch`` gives one question's scores."""
 
-    def pick_tied(self, tied: np.ndarray, question_index: int = 0) -> int:
-        """Choose among the tied label indices ``tied`` (ascending)."""
-
-        if tied.size == 1 or self.mode == TIE_LOWEST:
-            return int(tied[0])
-        return int(tied[_tie_draw(self.seed, question_index, tied.size)[0]])
+        return int(decide_batch(np.asarray(scores)[None], self, question_index)[0])
 
 
 @dataclass(frozen=True)

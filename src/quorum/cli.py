@@ -100,11 +100,11 @@ def _apply_config(ctx: click.Context, config_path: str | None, params: dict) -> 
     if not config_path:
         return params
     try:
-        with open(config_path) as fh:
+        with open(config_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise _fail_format(FormatError(f"cannot open {config_path}: {exc}"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or UnicodeDecodeError: JSON text is UTF-8
         raise _fail_format(FormatError(f"{config_path}: invalid JSON ({exc})"))
     if not isinstance(cfg, dict):
         raise _fail_format(FormatError(f"{config_path}: config must be a JSON object"))

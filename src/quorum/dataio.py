@@ -122,32 +122,56 @@ class _FirstSeen(dict):
         return self.setdefault(cell, len(self))
 
 
+def _escaped(cells) -> bool:
+    """Whether a cell holds bytes that were not UTF-8, left as surrogates by ``surrogateescape``."""
+
+    try:
+        "".join(cells).encode()
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _read_cells(reader, width: int) -> tuple[list[str], np.ndarray, list[str], tuple | None]:
-    """The data rows up to the first row of the wrong width, encoded block by block.
+    """The data rows up to the first faulty record, encoded block by block.
 
     Returns the ids, the other cells as an (M, width - 1) matrix of codes in the
-    narrowest unsigned dtype, the distinct cells in code order and, for a row
-    without ``width`` fields, its (line, field count); the rows before it are
-    kept so that a fault earlier in the file can still be reported first.
+    narrowest unsigned dtype, the distinct cells in code order and, for a record
+    without ``width`` fields, one csv.reader rejects or one that is not UTF-8,
+    its (line, message); the rows before it are kept so that a fault earlier in
+    the file can still be reported first.
     """
 
     qids: list[str] = []
     blocks = [np.zeros(0, np.uint8)]
     lut = _FirstSeen()
-    bad_width = None
+    fault = None
     block_rows = max(1, _CELLS_PER_BLOCK // width)
-    while bad_width is None and (block := list(itertools.islice(reader, block_rows))):
-        if set(map(len, block)) != {width}:
+    while fault is None:
+        block = []
+        try:
+            block.extend(itertools.islice(reader, block_rows))  # keeps the rows before an error
+        except csv.Error as exc:
+            fault = (len(qids) + len(block) + 2, str(exc))
+        if set(map(len, block)) - {width}:
             bad = next(i for i, row in enumerate(block) if len(row) != width)
-            bad_width = (len(qids) + bad + 2, len(block[bad]))
+            fault = (len(qids) + bad + 2, f"expected {width} fields, got {len(block[bad])}")
             del block[bad:]
+        if not block:
+            break
+        known = len(lut)
         cells = list(itertools.chain.from_iterable(block))
-        qids.extend(cells[::width])
+        ids = cells[::width]
         del cells[::width]
         codes = np.fromiter(map(lut.__getitem__, cells), np.uint32, len(cells))
+        if _escaped(ids + list(itertools.islice(lut, known, None))):  # cells lut has seen before passed
+            bad = next(i for i, row in enumerate(block) if _escaped(row))
+            fault = (len(qids) + bad + 2, "not UTF-8 text")
+            ids, codes = ids[:bad], codes[: bad * (width - 1)]
+        qids += ids
         blocks.append(codes.astype(np.min_scalar_type(len(lut))))
         del block, cells  # or they stay alive while the next block is parsed
-    return qids, np.concatenate(blocks).reshape(len(qids), width - 1), list(lut), bad_width
+    return qids, np.concatenate(blocks).reshape(len(qids), width - 1), list(lut), fault
 
 
 _COMMA, _NEWLINE = ord(","), ord("\n")
@@ -378,11 +402,15 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple]:
                 if cells is not None:
                     return names, has_truth, cells
             fh.seek(0)
-        reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
+        reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=""))
         try:
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise FormatError(f"{path}:1: {exc}") from None
+        if _escaped(header):
+            raise FormatError(f"{path}:1: not UTF-8 text")
         names, has_truth = _parse_header(header, path)
         return names, has_truth, _read_cells(reader, 1 + len(names) + has_truth)
 
@@ -406,14 +434,12 @@ def read_predictions_csv(
     first faulty row in file order is the one reported.
     """
 
-    names, has_truth, (qids, codes, vocab, bad_width) = _read_table(path)
+    names, has_truth, (qids, codes, vocab, fault) = _read_table(path)
     space = LabelSpace(tuple(labels)) if labels is not None else None
-    width = 1 + len(names) + has_truth
     clean = "" not in vocab and (space is None or set(vocab).issubset(space.labels))
     kept = None if clean else _screen_rows(codes, vocab, space, names, drop_incomplete, path)
-    if bad_width is not None:
-        lineno, got = bad_width
-        raise FormatError(f"{path}:{lineno}: expected {width} fields, got {got}")
+    if fault is not None:
+        raise FormatError(f"{path}:{fault[0]}: {fault[1]}")
     dropped = 0 if kept is None else len(qids) - kept.size
     if dropped:
         codes = codes[kept]

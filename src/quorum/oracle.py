@@ -9,8 +9,9 @@ estimates elsewhere in the package.
 Enumeration cost is K^N; calls beyond the configured budget raise
 ``ResourceError`` rather than silently grinding. The expectations stream
 the vectors in chunks of about ``core._BLOCK_CELLS`` answers, so memory
-stays bounded whatever the budget allows, and when every ingredient is
-label-symmetric they visit one vector per orbit of label relabellings.
+stays bounded whatever the budget allows. Both answer models and every
+rule are label-symmetric, so the expectations visit one vector per orbit
+of label relabellings, and the tie-break mode cannot change their value.
 """
 
 from __future__ import annotations
@@ -157,21 +158,15 @@ def _check_enumeration(n: int, k: int, budget: int) -> None:
         raise ResourceError(f"enumeration of {k}^{n} = {total} vectors exceeds budget {budget}")
 
 
-def _mixed_radix(lo: int, hi: int, n: int, k: int) -> np.ndarray:
-    """Answer vectors lo..hi-1 of the lexicographic K^N stream, shape (hi - lo, N)."""
-
-    rest = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        rest, out[:, j] = np.divmod(rest, k)
-    return out
-
-
 def enumerate_vectors(n: int, k: int, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All K^N answer vectors, shape (K^N, N), lexicographic order."""
 
     _check_enumeration(n, k, budget)
-    return _mixed_radix(0, k**n, n, k)
+    rest = np.arange(k**n, dtype=np.int64)
+    out = np.empty((k**n, n), dtype=np.int64)
+    for j in range(n - 1, -1, -1):
+        rest, out[:, j] = np.divmod(rest, k)
+    return out
 
 
 def _completions(n: int, k: int) -> np.ndarray:
@@ -209,20 +204,14 @@ def _restricted_growth(lo: int, hi: int, n: int, counts: np.ndarray) -> tuple[np
     return out, top
 
 
-def _vector_chunks(n: int, k: int, rows: int, orbits: bool):
-    """Yield (vectors, multiplicities) chunks of at most ``rows`` vectors covering all K^N.
+def _vector_chunks(n: int, k: int, rows: int):
+    """Yield (vectors, multiplicities) chunks of at most ``rows`` orbit representatives.
 
-    Without ``orbits`` this is the mixed-radix stream and every multiplicity
-    is 1 (given as None). With ``orbits`` it holds one restricted-growth
-    representative per orbit of label relabellings; a representative with
-    b distinct labels stands for the K!/(K-b)! vectors that relabel it.
+    Each chunk holds restricted-growth representatives of the orbits of label
+    relabellings; a representative with b distinct labels stands for the
+    K!/(K-b)! vectors that relabel it, so the multiplicities sum to K^N.
     """
 
-    if not orbits:
-        total = k**n
-        for lo in range(0, total, rows):
-            yield _mixed_radix(lo, min(lo + rows, total), n, k), None
-        return
     counts = _completions(n, k)
     sizes = np.cumprod(np.arange(k, k - min(n, k), -1, dtype=np.float64))  # K!/(K-b)!, b = 1..
     total = int(counts[1, 0])
@@ -385,24 +374,23 @@ def mixture_second_order(abilities, mixture: DifficultyMixture, k: int) -> Secon
 # ---------------------------------------------------------------------------
 
 
-def _expectation(n: int, k: int, orbits: bool, likelihoods, scores, per_label) -> float:
+def _expectation(n: int, k: int, likelihoods, scores, per_label) -> float:
     """(1/K) sum over true labels t and answer vectors v of P(v | t) * f[v, t].
 
     ``likelihoods(v)`` gives P(v | t) as (V, K), ``scores(v)`` a rule's
     (V, K) scores and ``per_label(scores)`` the value f of each label as
-    the truth. The K^N vectors are streamed in chunks of about
-    ``core._BLOCK_CELLS // N`` vectors. With ``orbits`` the stream holds one
-    vector per orbit of label relabellings, weighted by the orbit size,
-    which is exact when relabelling v and t together leaves P(v | t) and
-    f[v, t] unchanged: both models and every rule here are label-symmetric,
-    and so is every ``per_label`` but the lowest-index tie credit.
+    the truth. The stream holds one vector per orbit of label relabellings,
+    weighted by the orbit size, in chunks of about ``core._BLOCK_CELLS // N``
+    vectors. That is exact because relabelling v and t together leaves
+    P(v | t) and f[v, t] unchanged: both models, every rule and every
+    ``per_label`` here are label-symmetric.
     """
 
     rows = max(1, core._BLOCK_CELLS // n)
     total = 0.0
-    for vectors, sizes in _vector_chunks(n, k, rows, orbits):
+    for vectors, sizes in _vector_chunks(n, k, rows):
         values = (likelihoods(vectors) * per_label(scores(vectors))).sum(axis=1) / k
-        total += float(values.sum() if sizes is None else np.dot(sizes, values))
+        total += float(np.dot(sizes, values))
     return total
 
 
@@ -431,7 +419,6 @@ def exact_expected_advantage(
     return _expectation(
         x.shape[0],
         k,
-        True,
         lambda v: _label_likelihoods(v, x, k),
         lambda v: agg.score_batch(rule, v, k, so=so),
         _centred,
@@ -464,20 +451,17 @@ def expected_advantage_gaps(accuracies, k: int) -> tuple[float, float]:
     return gap_isp_mv, gap_mv_sp
 
 
-def _credit(tie_mode: str):
+def _credit(scores: np.ndarray) -> np.ndarray:
     """Share of the decision on each vector that each label earns as the truth.
 
-    A tie shared by the true label earns 1/(number tied) under
-    ``uniform_random``, 1 or 0 under ``lowest_index``.
+    A tie shared by the true label earns 1/(number tied). That is the
+    expected credit under either tie mode: relabelling (v, t) jointly by a
+    uniformly random permutation makes the lowest tied index uniform over
+    the tied set, and the expectations average over exactly such relabellings.
     """
 
-    def credit(scores: np.ndarray) -> np.ndarray:
-        tied = agg.tied_mask(scores)
-        if tie_mode == agg.TIE_UNIFORM:
-            return tied / tied.sum(axis=1, keepdims=True)
-        return (np.arange(scores.shape[1]) == np.argmax(tied, axis=1)[:, None]).astype(float)
-
-    return credit
+    tied = agg.tied_mask(scores)
+    return tied / tied.sum(axis=1, keepdims=True)
 
 
 def expected_accuracy(
@@ -490,22 +474,22 @@ def expected_accuracy(
 ) -> float:
     """Exact expected accuracy of a rule under conditional independence.
 
-    Ties contribute fractional credit under ``uniform_random`` and are
-    averaged over all true labels, so asymmetric tie-breaking is handled
-    correctly; only ``uniform_random`` enumerates one vector per orbit of
-    relabellings.
+    A tie earns the true label 1/(number tied) under either ``tie_mode``:
+    averaged over all true labels, lowest-index tie-breaking gives the same
+    value as uniform tie-breaking (see ``_credit``), so the mode is checked
+    but cannot change the result.
     """
 
     x = _check_acc(accuracies)
+    agg.TiePolicy(tie_mode)  # rejects an unknown mode
     _check_enumeration(x.shape[0], k, budget)
     so = exact_second_order(x, k) if rule in agg.SECOND_ORDER_RULES else None
     return _expectation(
         x.shape[0],
         k,
-        tie_mode == agg.TIE_UNIFORM,
         lambda v: _label_likelihoods(v, x, k),
         lambda v: agg.score_batch(rule, v, k, so=so, weights=weights),
-        _credit(tie_mode),
+        _credit,
     )
 
 
@@ -529,7 +513,6 @@ def mixture_expected_advantage(
     return _expectation(
         beta.shape[0],
         k,
-        True,
         lambda v: np.exp(_mixture_log_likelihoods(v, beta, mixture, k)),
         _mixture_scorer(rule, beta, mixture, k),
         _centred,
@@ -548,16 +531,17 @@ def mixture_expected_accuracy(
 
     Rules: ``mv``, ``sp``, ``isp``, ``eow`` (the ``weighted`` rule with the
     abilities as weights), and ``posterior`` (argmax of the exact mixture
-    posterior, which is not a sum over agents).
+    posterior, which is not a sum over agents). As in ``expected_accuracy``,
+    ``tie_mode`` is checked but cannot change the result.
     """
 
     beta = _check_abilities(abilities)
+    agg.TiePolicy(tie_mode)  # rejects an unknown mode
     _check_enumeration(beta.shape[0], k, budget)
     return _expectation(
         beta.shape[0],
         k,
-        tie_mode == agg.TIE_UNIFORM,
         lambda v: np.exp(_mixture_log_likelihoods(v, beta, mixture, k)),
         _mixture_scorer(rule, beta, mixture, k),
-        _credit(tie_mode),
+        _credit,
     )

@@ -282,7 +282,8 @@ def write_second_order_csv(so: SecondOrderMatrix, path: str) -> None:
 
 
 def read_second_order_csv(path: str) -> SecondOrderMatrix:
-    with open(path, newline="") as fh:
+    # bytes that are not UTF-8 become lone surrogates, which no int or float accepts
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -399,6 +399,33 @@ class TestAggregateCommand:
         assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "bad_row,config,named",
+    [
+        (b"q\xff,A,B,A", None, "p.csv:5002: not UTF-8 text"),
+        (b"q" * 200_000 + b",A,B,A", None, "p.csv:5002: field larger than field limit"),
+        (None, b'{"method": "mv\xff"}', "cfg.json: invalid JSON"),
+    ],
+    ids=["csv-not-utf8", "csv-field-over-limit", "config-not-utf8"],
+)
+def test_hostile_input_exits_3_without_a_traceback(runner, tmp_path, bad_row, config, named):
+    # row 5002 sits past the first ingest block and the first decoded chunk
+    lines = [b"question_id,agent_x,agent_y,truth"]
+    lines += [f"q{i},{'AB'[i % 2]},{'BA'[i % 3 > 0]},A".encode() for i in range(6000)]
+    if bad_row is not None:
+        lines[5001] = bad_row
+    (tmp_path / "p.csv").write_bytes(b"\n".join(lines) + b"\n")
+    args = ["aggregate", "--input", str(tmp_path / "p.csv"), "--out", str(tmp_path / "l.csv")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_bytes(config)
+        args += ["--config", str(tmp_path / "cfg.json")]
+    result = _invoke(runner, args)
+    assert result.exit_code == 3
+    assert named in result.stderr
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "l.csv").exists()
+
+
 _EMPTY_CELL = "question_id,agent_x,agent_y,agent_z\nq0,A,B,A\nq1,,B,B\nq2,B,B,A\n"
 
 

@@ -567,6 +567,42 @@ class TestMalformedInputs:
         with pytest.raises(FormatError, match="empty"):
             read_predictions_csv(str(path))
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize(
+        "line,row,message",
+        [
+            (5002, b"q\xff,A,B,A", "not UTF-8 text"),
+            (5002, b"q5000,A,\xfeB,A", "not UTF-8 text"),
+            (5002, b"q" * 200_000 + b",A,B,A", "field larger than field limit"),
+            (5002, b'"' + b"q" * 200_000 + b'",A,B,A', "field larger than field limit"),
+            (1, b"question_id,agent_\xff,agent_y,truth", "not UTF-8 text"),
+            (1, b"question_id,agent_" + b"x" * 200_000 + b",agent_y,truth", "field larger"),
+        ],
+        ids=["id-not-utf8", "label-not-utf8", "long-id", "long-quoted-id", "header-not-utf8", "long-header"],
+    )
+    def test_hostile_record_reports_its_line(self, tmp_path, newline, line, row, message):
+        # line 5002 lies past the first ingest block (4096 rows of 4 cells) and
+        # the first chunk the text decoder reads
+        lines = [text.encode() for text in _panel_lines(6000)]
+        lines[line - 1] = row
+        path = tmp_path / "p.csv"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(FormatError, match=rf"p\.csv:{line}: {message}"):
+            read_predictions_csv(str(path))
+
+    def test_earlier_fault_wins_over_a_hostile_record(self, tmp_path):
+        lines = [text.encode() for text in _panel_lines(6000)]
+        lines[5001] = b"q\xff,A,B,A"
+        lines[3000] = b"q2999,A"
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(FormatError, match=r"p\.csv:3001: expected 4 fields, got 2"):
+            read_predictions_csv(str(path))
+        lines[3000] = b"q2999,,B,A"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(FormatError, match=r"p\.csv:3001: empty cell"):
+            read_predictions_csv(str(path))
+
 
 class TestAtomicWriters:
     def test_text_replaces_existing(self, tmp_path):

@@ -1,6 +1,7 @@
 """Unit tests for the brute-force oracles: answer-vector enumeration,
 exact posteriors, closed-form expectations, and difficulty mixtures."""
 
+import itertools
 import math
 
 import numpy as np
@@ -299,6 +300,43 @@ def _oracle_values(n, k, seed, rules=None):
     return {key: fn() for key, fn in calls.items() if rules is None or key in rules}
 
 
+def _full_stream(n, k, rows):
+    """Every one of the K^N answer vectors, each with multiplicity 1, in chunks of ``rows``."""
+
+    vectors = enumerate_vectors(n, k)
+    for lo in range(0, len(vectors), rows):
+        chunk = vectors[lo : lo + rows]
+        yield chunk, np.ones(len(chunk))
+
+
+def _loop_likelihood(vec, t, x, k):
+    """P(answer vector | true label t) under conditional independence, one vector at a time."""
+
+    return float(np.prod(np.where(vec == t, x, (1.0 - x) / (k - 1))))
+
+
+def _loop_mixture_likelihood(vec, t, beta, mixture, k):
+    """P(answer vector | true label t) under the difficulty mixture, one node at a time."""
+
+    alphas, weights = mixture.nodes()
+    return sum(w * _loop_likelihood(vec, t, sigma_k(a * beta, k), k) for a, w in zip(alphas, weights))
+
+
+def _brute_force_accuracy(n, k, likelihood, scores):
+    """(1/K) sum over all K^N vectors v and true labels t of P(v | t) * [t wins v].
+
+    On a tie the true label earns its lowest-index credit: 1 when it is the
+    smallest tied index, else 0.
+    """
+
+    total = 0.0
+    for vec in itertools.product(range(k), repeat=n):
+        vec = np.array(vec)
+        winner = int(np.argmax(agg.tied_mask(np.asarray(scores(vec), dtype=float))))
+        total += likelihood(vec, winner) / k
+    return total
+
+
 def _loop_bayes_posterior(vec, x, k):
     """One vector at a time, one label at a time: the reference for the batched posterior."""
 
@@ -397,7 +435,7 @@ class TestBatchedPosteriors:
 class TestOrbitEnumeration:
     @pytest.mark.parametrize("n,k", [(1, 2), (3, 2), (4, 3), (5, 4), (3, 6), (6, 3)])
     def test_one_representative_per_orbit(self, n, k):
-        reps, sizes = zip(*oracle._vector_chunks(n, k, 7, True))
+        reps, sizes = zip(*oracle._vector_chunks(n, k, 7))
         reps, sizes = np.concatenate(reps), np.concatenate(sizes)
         assert sizes.sum() == k**n
 
@@ -417,31 +455,48 @@ class TestOrbitEnumeration:
             rules = None if k**n <= 4**8 else {("acc", "isp"), ("mixture_adv", "sp")}
             orbit = _oracle_values(n, k, 100 * k + n, rules)
             with monkeypatch.context() as m:
-                chunks = oracle._vector_chunks
-                m.setattr(oracle, "_vector_chunks", lambda *args: chunks(*args[:3], False))
+                m.setattr(oracle, "_vector_chunks", _full_stream)
                 full = _oracle_values(n, k, 100 * k + n, rules)
             assert orbit.keys() == full.keys()
             for key in orbit:
                 assert orbit[key] == pytest.approx(full[key], abs=1e-12), (n, k, key)
 
-    def test_lowest_index_ties_take_the_full_stream(self, monkeypatch):
-        seen = []
-        chunks = oracle._vector_chunks
+    @pytest.mark.parametrize("n,k,seed", [(4, 2, 0), (3, 3, 1), (5, 3, 2), (4, 4, 3)])
+    def test_tie_modes_equal_a_brute_force_sum(self, n, k, seed):
+        # lowest-index ties favour label 0 on each vector, yet after averaging
+        # over the true label they score exactly what uniform ties score
+        rng = np.random.default_rng(seed)
+        x = rng.choice([0.55, 0.7, 0.9], n)  # repeated accuracies make ties
+        beta = rng.choice([0.5, 1.5], n)
+        mix = DifficultyMixture.atoms([(0.5, 0.4), (1.7, 0.6)])
+        so, w = exact_second_order(x, k), ow_weights(x, k)
+        ci_scores = {
+            "mv": lambda v: np.bincount(v, minlength=k),
+            "weighted": lambda v: np.bincount(v, weights=w, minlength=k),
+            "sp": lambda v: agg.advantage_sp(v, so).values,
+            "isp": lambda v: agg.advantage_isp(v, so).values,
+        }
+        for rule, scores in ci_scores.items():
+            want = _brute_force_accuracy(n, k, lambda v, t: _loop_likelihood(v, t, x, k), scores)
+            for mode in (agg.TIE_UNIFORM, agg.TIE_LOWEST):
+                got = expected_accuracy(rule, x, k, weights=w, tie_mode=mode)
+                assert got == pytest.approx(want, abs=1e-12), (rule, mode)
+        want = _brute_force_accuracy(
+            n,
+            k,
+            lambda v, t: _loop_mixture_likelihood(v, t, beta, mix, k),
+            lambda v: _loop_mixture_posterior(v, beta, mix, k),
+        )
+        for mode in (agg.TIE_UNIFORM, agg.TIE_LOWEST):
+            got = mixture_expected_accuracy("posterior", beta, mix, k, tie_mode=mode)
+            assert got == pytest.approx(want, abs=1e-12), mode
 
-        def record(n, k, rows, orbits):
-            seen.append(orbits)
-            return chunks(n, k, rows, orbits)
-
-        monkeypatch.setattr(oracle, "_vector_chunks", record)
-        x, beta, mix = _instance(4, 3, 0)
-        expected_accuracy("mv", x, 3, tie_mode=agg.TIE_LOWEST)
-        mixture_expected_accuracy("posterior", beta, mix, 3, tie_mode=agg.TIE_LOWEST)
-        assert seen == [False, False]
-        expected_accuracy("mv", x, 3)
-        mixture_expected_accuracy("posterior", beta, mix, 3)
-        exact_expected_advantage("isp", x, 3)
-        mixture_expected_advantage("sp", beta, mix, 3)
-        assert seen[2:] == [True] * 4
+    def test_unknown_tie_mode_is_rejected(self):
+        x, beta, mix = _instance(3, 3, 0)
+        with pytest.raises(DomainError):
+            expected_accuracy("mv", x, 3, tie_mode="highest_index")
+        with pytest.raises(DomainError):
+            mixture_expected_accuracy("posterior", beta, mix, 3, tie_mode="highest_index")
 
     def test_many_chunks_equal_one_chunk(self, monkeypatch):
         one = _oracle_values(5, 3, 7)

@@ -241,6 +241,13 @@ class TestCsvRoundTrip:
         path.write_text("i,j,k,l,prob,imputed\n0,0,0,0,oops,0\n")
         with pytest.raises(FormatError, match=":2:"):
             read_second_order_csv(str(path))
+        # a byte that is not UTF-8, past the first chunk the text decoder reads
+        write_second_order_csv(empirical_second_order(_random_pm(40, 6, 4, seed=1)), str(path))
+        lines = path.read_bytes().split(b"\n")
+        lines[499] = lines[499].replace(b",", b"\xff,", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match=":500:"):
+            read_second_order_csv(str(path))
 
     def test_structural_errors(self, tmp_path):
         path = tmp_path / "bad.csv"
