@@ -10,7 +10,9 @@
 # check that a bad flag or config value exits 2 without a traceback, a check
 # that a malformed row deep in a file exits 3 and names its line, and a check
 # that a byte that is not UTF-8 or an over-long field deep in a file, or a
-# config file that is not UTF-8, exits 3 without a traceback.
+# config file that is not UTF-8, exits 3 without a traceback, and a check that
+# ow-l on a 20,000 x 60 panel gives the same labels with one BLAS thread as
+# with the default, and fits without a warning: converged, all 8 starts agreeing.
 set -euo pipefail
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -124,4 +126,25 @@ for named in "not-utf8.csv:15002:" "long-field.csv:15002:" "not-utf8.json:"; do
   grep -qF "$named" "$tmp/err.txt"
   if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
 done
+echo "== ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread,"
+echo "   a converged fit whose 8 starts agree, and no warning"
+accuracies="$(python -c 'import numpy as np; print(",".join(f"{v:.4f}" for v in np.linspace(0.51, 0.65, 60)))')"
+python -m quorum simulate --accuracies "$accuracies" --k 2 -m 20000 --seed 0 --out "$tmp/wide.csv"
+python -m quorum aggregate --input "$tmp/wide.csv" --out "$tmp/wide-owl.csv" --method ow-l \
+  2> "$tmp/err.txt"
+OPENBLAS_NUM_THREADS=1 python -m quorum aggregate --input "$tmp/wide.csv" --out "$tmp/wide-owl-1.csv" \
+  --method ow-l 2>> "$tmp/err.txt"
+cat "$tmp/err.txt"
+cmp "$tmp/wide-owl.csv" "$tmp/wide-owl-1.csv"
+if grep -q warning "$tmp/err.txt"; then exit 1; fi
+python - "$tmp" <<'EOF'
+import json
+import sys
+
+for name in ("wide-owl", "wide-owl-1"):
+    with open(f"{sys.argv[1]}/{name}.csv.summary.json") as fh:
+        fit = json.load(fh)["fit"]
+    print(name, "converged", fit["converged"], "starts_agreeing", fit["starts_agreeing"])
+    assert fit["converged"] is True and fit["starts_agreeing"] == 8, fit
+EOF
 echo "== all checks passed"

@@ -259,6 +259,14 @@ def aggregate(ctx, config_path, **params):
         raise click.UsageError(str(exc))
     except ResourceError as exc:
         raise _fail_resource(exc)
+    fit = result.fit
+    if fit is not None and not fit.converged:
+        click.echo(
+            f"warning: the accuracy fit did not converge in --max-iters {params['max_iters']}", err=True
+        )
+    agreeing = None if fit is None else fit.starts_agreeing
+    if agreeing is not None and agreeing < params["starts"]:
+        click.echo(f"warning: only {agreeing} of {params['starts']} fit starts agree", err=True)
 
     idx = result.labels
     if smap is not None:

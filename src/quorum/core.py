@@ -352,8 +352,11 @@ class ShuffleMap:
         return int(self.perms.shape[1])
 
     def inverse(self) -> "ShuffleMap":
-        inv = np.argsort(self.perms, axis=1)
-        return ShuffleMap(inv, self.seed)
+        inv = np.empty_like(self.perms)
+        rows = max(1, _BLOCK_CELLS // self.k)
+        for start in range(0, self.m, rows):
+            inv[start : start + rows] = _inverse_rows(self.perms[start : start + rows])
+        return ShuffleMap._adopt(inv, self.seed)
 
     @classmethod
     def identity(cls, m: int, k: int) -> "ShuffleMap":
@@ -379,16 +382,36 @@ def random_shuffle_map(m: int, k: int, seed: int) -> ShuffleMap:
 def apply_shuffle_map(pm: PredictionMatrix, smap: ShuffleMap) -> PredictionMatrix:
     """Relabel every answer (and truth) through the given per-question map."""
 
+    return _relabel(pm, smap, invert=False)
+
+
+def _inverse_rows(perms: np.ndarray) -> np.ndarray:
+    """``np.argsort(perms, axis=1)`` for rows that are permutations, in their dtype."""
+
+    inv = np.empty_like(perms)
+    np.put_along_axis(inv, perms, np.arange(perms.shape[1], dtype=perms.dtype), axis=1)
+    return inv
+
+
+def _relabel(pm: PredictionMatrix, smap: ShuffleMap, invert: bool) -> PredictionMatrix:
+    """Map each question's answers and truth through its row of ``smap`` (or
+    of its inverse), a block of rows at a time, so that neither a whole
+    inverse map nor a whole-matrix index array is ever built."""
+
     if smap.m != pm.m or smap.k != pm.k:
         raise DimensionError(
             f"shuffle map shape ({smap.m}, {smap.k}) does not match matrix ({pm.m}, {pm.k})"
         )
-    rows = np.arange(pm.m)[:, None]
-    shuffled = smap.perms[rows, pm.answers]
-    truth = None
-    if pm.truth is not None:
-        truth = smap.perms[np.arange(pm.m), pm.truth]
-    return PredictionMatrix(pm.space, shuffled, truth)
+    answers = np.empty_like(pm.answers)
+    truth = None if pm.truth is None else np.empty_like(pm.truth)
+    rows = max(1, _BLOCK_CELLS // max(pm.n, pm.k))
+    for start in range(0, pm.m, rows):
+        block = slice(start, start + rows)
+        perms = _inverse_rows(smap.perms[block]) if invert else smap.perms[block]
+        answers[block] = np.take_along_axis(perms, pm.answers[block], axis=1)
+        if truth is not None:
+            truth[block] = np.take_along_axis(perms, pm.truth[block, None], axis=1)[:, 0]
+    return PredictionMatrix(pm.space, answers, truth)
 
 
 def shuffle_apply(pm: PredictionMatrix, seed: int) -> tuple[PredictionMatrix, ShuffleMap]:
@@ -407,11 +430,12 @@ def shuffle_invert(obj, smap: ShuffleMap):
     """Undo a shuffle on a PredictionMatrix or a length-M label-index vector.
 
     A vector's entry q is mapped to its preimage under ``perms[q]``, found
-    by comparison; only a matrix needs the inverse map.
+    by comparison; a matrix is mapped through the inverse map, built one
+    block of rows at a time.
     """
 
     if isinstance(obj, PredictionMatrix):
-        return apply_shuffle_map(obj, smap.inverse())
+        return _relabel(obj, smap, invert=True)
     arr = np.asarray(obj)
     if arr.shape != (smap.m,):
         raise DimensionError(f"expected shape ({smap.m},), got {arr.shape}")

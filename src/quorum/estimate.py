@@ -107,74 +107,75 @@ class FitResult:
 
 
 class _ErmData:
-    """Per-pair sufficient statistics of the target second-order matrix.
+    """Sufficient statistics of the target second-order matrix.
 
     The loss sums squared residuals over all ordered pairs i != j and all
-    (k, l) cells; grouping cells by same-label vs cross-label reduces both
-    the loss and its gradient to O(N^2) work per evaluation.
+    (k, l) cells; grouping cells by same-label vs cross-label leaves the
+    model's per-pair s_ij and c_ij against the targets' per-pair sums. Both
+    are bilinear in phi_i = (x_i, 1 - x_i): s_ij = phi_i' A phi_j and
+    c_ij = phi_i' B phi_j. So every pair sum in the loss and its gradient
+    reduces to the 2x2 Gram G = Phi' Phi, one (2N, N) x (N, 2) product of
+    the stacked targets with Phi, and O(N) diagonal terms.
     """
 
     def __init__(self, so: SecondOrderMatrix):
-        self.n = so.n
-        self.k = so.k
-        k = self.k
-        diag = so.probs[:, :, np.arange(k), np.arange(k)]  # (N, N, K)
-        self.same_sum = diag.sum(axis=2)
-        self.same_sq = (diag**2).sum(axis=2)
-        total_sum = so.probs.sum(axis=(2, 3))
-        total_sq = (so.probs**2).sum(axis=(2, 3))
-        self.cross_sum = total_sum - self.same_sum
-        self.cross_sq = total_sq - self.same_sq
-        self.offdiag = ~np.eye(self.n, dtype=bool)
+        n, k = so.n, so.k
+        self.n, self.k = n, k
+        same = so.probs[:, :, np.arange(k), np.arange(k)].sum(axis=2)
+        # targets[t, i, j]: the observed same- (t=0) or cross-label (t=1) sum of
+        # pair (i, j) plus that of (j, i), since s and c are symmetric; 0 if i == j
+        targets = np.stack([same, so.probs.sum(axis=(2, 3)) - same])
+        targets = targets + targets.transpose(0, 2, 1)
+        targets[:, np.arange(n), np.arange(n)] = 0.0
+        self.targets = targets.reshape(2 * n, n)
+        sq = np.einsum("ijkl,ijkl->ij", so.probs, so.probs)
+        np.fill_diagonal(sq, 0.0)
+        self.const = float(sq.sum())
+        # A and B: as s and c are affine in each accuracy, their values at the
+        # corners x in {1, 0}, where phi is (1, 0) or (0, 1), are the forms' entries
+        x, y = np.array([[1.0], [0.0]]), np.array([1.0, 0.0])
+        self.forms = np.stack([same_label_prob(x, y, k), cross_label_prob(x, y, k)])
+        self.cells = np.array([k, k * (k - 1)], dtype=float)  # same- and cross-label cells per pair
 
-    def _loss_terms(self, x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Loss and the model's per-pair same/cross-label probabilities at x."""
+    def evaluate(self, x: np.ndarray) -> tuple[float, tuple]:
+        """The loss at x, and the terms its gradient there is built from."""
 
-        k = self.k
-        s = same_label_prob(x[:, None], x[None, :], k)
-        c = cross_label_prob(x[:, None], x[None, :], k)
-        per_pair = (
-            k * s**2
-            - 2 * s * self.same_sum
-            + self.same_sq
-            + k * (k - 1) * c**2
-            - 2 * c * self.cross_sum
-            + self.cross_sq
-        )
-        return float(per_pair[self.offdiag].sum()), s, c
+        phi = np.stack([x, 1.0 - x], axis=1)
+        gram = phi.T @ phi
+        t_phi = (self.targets @ phi).reshape(2, self.n, 2)  # targets[0] @ Phi and targets[1] @ Phi
+        phi_f = phi @ self.forms  # (2, N, 2): Phi A and Phi B
+        own = np.einsum("tnb,nb->tn", phi_f, phi)  # s_ii and c_ii
+        fg = self.forms @ gram
+        # over i != j, sum s_ij^2 = tr(AGAG) - sum_i s_ii^2 and 2 sum s_ij S_ij = tr(A Phi' T Phi),
+        # with S the observed same-label sums and T = targets[0]; likewise for c, B
+        sq = np.einsum("tab,tba->t", fg, fg) - np.einsum("tn,tn->t", own, own)
+        loss = self.cells @ sq - np.einsum("tnb,tnb->", phi_f, t_phi) + self.const
+        return float(loss), (phi_f, t_phi, own, gram)
 
-    def loss(self, x: np.ndarray) -> float:
-        return self._loss_terms(x)[0]
+    def gradient(self, terms: tuple) -> np.ndarray:
+        """The gradient at the point whose ``evaluate`` gave ``terms``."""
 
-    def loss_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        k = self.k
-        loss, s, c = self._loss_terms(x)
-        # residual sums: A_ij = sum_k (S_ij - target_kk), B_ij likewise off-diagonal
-        a = k * s - self.same_sum
-        b = k * (k - 1) * c - self.cross_sum
-        a = np.where(self.offdiag, a, 0.0)
-        b = np.where(self.offdiag, b, 0.0)
-        ds = x - (1 - x) / (k - 1)  # d S_ij / d x_i evaluated at x_j
-        dc = (1 - 2 * x) / (k - 1) - (k - 2) * (1 - x) / (k - 1) ** 2
-        grad = 2 * (
-            a @ ds + b @ dc  # m is the first index of the pair
-            + a.T @ ds + b.T @ dc  # m is the second index
-        )
-        return loss, grad
+        phi_f, t_phi, own, gram = terms
+        # d phi_m / d x_m = (1, -1), which A and B map to their column differences
+        resid = 2.0 * self.cells[:, None, None] * (phi_f @ gram) - t_phi
+        grad = np.einsum("tnb,tb->tn", resid, self.forms[:, :, 0] - self.forms[:, :, 1])
+        grad -= 2.0 * self.cells[:, None] * own * (phi_f[:, :, 0] - phi_f[:, :, 1])
+        return 2.0 * grad.sum(axis=0)
 
 
 def erm_loss(accuracies, so: SecondOrderMatrix) -> float:
     """Squared-residual fit of model-implied to observed second-order cells."""
 
     x = _check_fit_point(accuracies, so)
-    return _ErmData(so).loss(x)
+    return _ErmData(so).evaluate(x)[0]
 
 
 def erm_gradient(accuracies, so: SecondOrderMatrix) -> np.ndarray:
     """Analytic gradient of ``erm_loss`` in the accuracies."""
 
     x = _check_fit_point(accuracies, so)
-    return _ErmData(so).loss_grad(x)[1]
+    data = _ErmData(so)
+    return data.gradient(data.evaluate(x)[1])
 
 
 def _check_fit_point(accuracies, so: SecondOrderMatrix) -> np.ndarray:
@@ -195,7 +196,8 @@ def _check_fit_point(accuracies, so: SecondOrderMatrix) -> np.ndarray:
 
 def _pgd_single(data: _ErmData, x0: np.ndarray, lo: float, hi: float, cfg: ErmConfig):
     x = np.clip(x0, lo, hi)
-    loss, grad = data.loss_grad(x)
+    loss, terms = data.evaluate(x)
+    grad = data.gradient(terms)
     step = cfg.step0
     iters = 0
     converged = False
@@ -206,10 +208,9 @@ def _pgd_single(data: _ErmData, x0: np.ndarray, lo: float, hi: float, cfg: ErmCo
             delta = x_new - x
             if not np.any(delta):
                 break
-            new_loss = data.loss(x_new)
+            new_loss, terms = data.evaluate(x_new)
             if new_loss <= loss + float(grad @ delta) + float(delta @ delta) / (2 * step):
-                x = x_new
-                loss, grad = data.loss_grad(x)
+                x, loss, grad = x_new, new_loss, data.gradient(terms)
                 step *= 1.25
                 moved = True
                 break

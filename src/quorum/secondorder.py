@@ -285,22 +285,27 @@ def read_second_order_csv(path: str) -> SecondOrderMatrix:
     # bytes that are not UTF-8 become lone surrogates, which no int or float accepts
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
+        rows: list[tuple] = []
+        header = None
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if header != ["i", "j", "k", "l", "prob", "imputed"]:
-            raise FormatError(f"{path}: unexpected header {header!r}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise FormatError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            try:
-                rows.append(
-                    (int(row[0]), int(row[1]), int(row[2]), int(row[3]), float(row[4]), int(row[5]))
-                )
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file")
+            if header != ["i", "j", "k", "l", "prob", "imputed"]:
+                raise FormatError(f"{path}: unexpected header {header!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 6:
+                    raise FormatError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
+                try:
+                    rows.append(
+                        (int(row[0]), int(row[1]), int(row[2]), int(row[3]), float(row[4]), int(row[5]))
+                    )
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: {exc}") from None
+        except csv.Error as exc:
+            # a field over csv.field_size_limit(), in the record after the last one read
+            lineno = 1 if header is None else len(rows) + 2
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: no data rows")
     n = max(r[0] for r in rows) + 1

@@ -426,6 +426,34 @@ def test_hostile_input_exits_3_without_a_traceback(runner, tmp_path, bad_row, co
     assert not (tmp_path / "l.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "accuracies,k,flags,warning",
+    [
+        ("0.6,0.7,0.8,0.9", "4", [], None),
+        ("0.6,0.7,0.8,0.9", "4", ["--max-iters", "1"], "warning: the accuracy fit did not converge"),
+        # two agents give one agreement equation for two accuracies: a manifold of fits
+        ("0.6,0.8", "3", [], "warning: only 1 of 8 fit starts agree"),
+    ],
+    ids=["clean", "not-converged", "starts-disagree"],
+)
+def test_fit_warnings_on_stderr(runner, tmp_path, accuracies, k, flags, warning):
+    pred, out = tmp_path / "p.csv", tmp_path / "l.csv"
+    args = ["simulate", "--accuracies", accuracies, "--k", k, "-m", "5000", "--seed", "0"]
+    _invoke(runner, [*args, "--out", str(pred)])
+    result = _invoke(runner, ["aggregate", "--input", str(pred), "--out", str(out), "--method", "ow-l", *flags])
+    assert result.exit_code == 0, result.output
+    warnings = [line for line in result.stderr.splitlines() if line.startswith("warning:")]
+    assert warnings == [line for line in result.stderr.splitlines() if line]  # nothing else on stderr
+    fit = json.loads((tmp_path / "l.csv.summary.json").read_text())["fit"]
+    if warning is None:
+        assert warnings == []
+        assert fit["converged"] and fit["starts_agreeing"] == 8
+    else:
+        assert sum(line.startswith(warning) for line in warnings) == 1, warnings
+    assert fit["converged"] == (not any("converge" in line for line in warnings))
+    assert (fit["starts_agreeing"] < 8) == any("starts agree" in line for line in warnings)
+
+
 _EMPTY_CELL = "question_id,agent_x,agent_y,agent_z\nq0,A,B,A\nq1,,B,B\nq2,B,B,A\n"
 
 

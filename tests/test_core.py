@@ -344,6 +344,43 @@ class TestShuffle:
         assert invert_peak <= inverted + m * k + 2**20, (invert_peak, inverted)
         np.testing.assert_array_equal(restored, smap.inverse().perms[np.arange(m), labels])
 
+    def test_inverse_map_is_the_narrow_argsort(self, monkeypatch):
+        # built a few rows at a time, in the map's own dtype
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 12)
+        for m, k in ((50, 5), (7, 300)):
+            smap = random_shuffle_map(m, k, 4)
+            inv = smap.inverse()
+            assert inv.perms.dtype == smap.perms.dtype and not inv.perms.flags.writeable
+            np.testing.assert_array_equal(inv.perms, np.argsort(smap.perms, axis=1))
+
+    def test_matrix_round_trip_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 12)
+        rng = np.random.default_rng(3)
+        answers, truth = rng.integers(0, 5, size=(41, 3)), rng.integers(0, 5, size=41)
+        pm = PredictionMatrix(LabelSpace.default(5), answers, truth)
+        shuffled, smap = shuffle_apply(pm, 8)
+        rows = np.arange(41)
+        np.testing.assert_array_equal(shuffled.answers, smap.perms[rows[:, None], pm.answers])
+        np.testing.assert_array_equal(shuffled.truth, smap.perms[rows, pm.truth])
+        back = shuffle_invert(shuffled, smap)
+        np.testing.assert_array_equal(back.answers, pm.answers)
+        np.testing.assert_array_equal(back.truth, pm.truth)
+
+    def test_matrix_invert_memory_is_its_result_plus_a_block(self):
+        # no whole-map argsort: the inverse is built and applied a block of rows at a time
+        m, k = 50_000, 50
+        rng = np.random.default_rng(0)
+        pm = PredictionMatrix(LabelSpace.default(k), rng.integers(0, k, size=(m, 10)))
+        shuffled, smap = shuffle_apply(pm, 0)
+        tracemalloc.start()
+        try:
+            restored = shuffle_invert(shuffled, smap)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= retained + 8 * core._BLOCK_CELLS, (peak, retained)
+        np.testing.assert_array_equal(restored.answers, pm.answers)
+
     def test_invert_validates_vector(self):
         _, smap = shuffle_apply(
             PredictionMatrix(LabelSpace.default(2), np.zeros((3, 2), dtype=int)), 0

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quorum import estimate
 from quorum.core import DimensionError, DomainError, LabelSpace, PredictionMatrix, ow_weights
 from quorum.estimate import (
     METHODS,
@@ -18,7 +19,12 @@ from quorum.estimate import (
     fit_ow_l,
     run_pipeline,
 )
-from quorum.secondorder import exact_second_order
+from quorum.secondorder import (
+    cross_label_prob,
+    empirical_second_order,
+    exact_second_order,
+    same_label_prob,
+)
 from quorum.simulate import CiSimSpec, simulate_ci
 
 X_TRUE = np.array([0.6, 0.7, 0.8, 0.9])
@@ -75,6 +81,99 @@ class TestErmLoss:
         so = exact_second_order(X_TRUE, 4)
         with pytest.raises(DimensionError):
             erm_loss(np.array([0.5, 0.5]), so)
+
+
+class _PairwiseErm:
+    """The per-pair objective the factorised kernel replaced, kept as its
+    slow reference: O(N^2) elementwise work per evaluation."""
+
+    def __init__(self, so):
+        self.n = so.n
+        self.k = so.k
+        k = self.k
+        diag = so.probs[:, :, np.arange(k), np.arange(k)]  # (N, N, K)
+        self.same_sum = diag.sum(axis=2)
+        self.same_sq = (diag**2).sum(axis=2)
+        total_sum = so.probs.sum(axis=(2, 3))
+        total_sq = (so.probs**2).sum(axis=(2, 3))
+        self.cross_sum = total_sum - self.same_sum
+        self.cross_sq = total_sq - self.same_sq
+        self.offdiag = ~np.eye(self.n, dtype=bool)
+
+    def _loss_terms(self, x):
+        k = self.k
+        s = same_label_prob(x[:, None], x[None, :], k)
+        c = cross_label_prob(x[:, None], x[None, :], k)
+        per_pair = (
+            k * s**2
+            - 2 * s * self.same_sum
+            + self.same_sq
+            + k * (k - 1) * c**2
+            - 2 * c * self.cross_sum
+            + self.cross_sq
+        )
+        return float(per_pair[self.offdiag].sum()), s, c
+
+    def loss_grad(self, x):
+        k = self.k
+        loss, s, c = self._loss_terms(x)
+        a = k * s - self.same_sum
+        b = k * (k - 1) * c - self.cross_sum
+        a = np.where(self.offdiag, a, 0.0)
+        b = np.where(self.offdiag, b, 0.0)
+        ds = x - (1 - x) / (k - 1)
+        dc = (1 - 2 * x) / (k - 1) - (k - 2) * (1 - x) / (k - 1) ** 2
+        grad = 2 * (a @ ds + b @ dc + a.T @ ds + b.T @ dc)
+        return loss, grad
+
+    # the interface the projected-gradient loop calls
+    def evaluate(self, x):
+        return self._loss_terms(x)[0], x
+
+    def gradient(self, x):
+        return self.loss_grad(x)[1]
+
+
+def _differential_cases():
+    rng = np.random.default_rng(20)
+    for n in (2, 3, 7, 40):
+        for k in (2, 3, 5, 50):
+            x_gen = 1.0 / k + (1.0 - 1.0 / k) * rng.random(n)
+            # 60 questions leave answer labels unseen at K=50, so cells are imputed
+            pm = simulate_ci(CiSimSpec(tuple(x_gen), k, 60, int(rng.integers(1 << 30))))
+            sos = [exact_second_order(x_gen, k), empirical_second_order(pm), empirical_second_order(pm, 0.5)]
+            for so in sos:
+                for x in (x_gen, 1.0 / k + (1.0 - 1.0 / k) * rng.random(n)):
+                    yield so, x
+
+
+class TestFactorisedKernel:
+    """The rank-2 kernel against the per-pair objective it replaced."""
+
+    def test_cases_include_imputed_cells(self):
+        assert any(so.imputed.any() for so, _ in _differential_cases())
+
+    def test_loss_and_gradient_match_the_pairwise_reference(self):
+        for so, x in _differential_cases():
+            loss, grad = _PairwiseErm(so).loss_grad(x)
+            # the factorised loss adds three sums as large as the targets' sum of
+            # squares; near a zero loss their rounding is the error that remains
+            atol = 1e-13 * float(np.sum(so.probs**2))
+            assert erm_loss(x, so) == pytest.approx(loss, rel=1e-10, abs=atol), (so.n, so.k, so.source)
+            got = erm_gradient(x, so)
+            scale = max(np.max(np.abs(grad)), 1.0)
+            assert np.max(np.abs(got - grad)) <= 1e-9 * scale, (so.n, so.k, so.source)
+
+    def test_fit_matches_the_fit_on_the_pairwise_reference(self, monkeypatch):
+        x_gen = np.linspace(0.4, 0.9, 30)
+        so = empirical_second_order(simulate_ci(CiSimSpec(tuple(x_gen), 3, 5000, 4)))
+        fast = fit_accuracies(so)
+        monkeypatch.setattr(estimate, "_ErmData", _PairwiseErm)
+        slow = fit_accuracies(so)
+        np.testing.assert_allclose(fast.accuracies, slow.accuracies, rtol=0, atol=1e-7)
+        assert fast.converged == slow.converged
+        assert fast.starts_agreeing == slow.starts_agreeing
+        assert fast.loss == pytest.approx(slow.loss, rel=1e-10)
 
 
 class TestErmConfig:

@@ -249,6 +249,16 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match=":500:"):
             read_second_order_csv(str(path))
 
+    def test_over_long_field_names_its_line(self, tmp_path):
+        # a field over csv.field_size_limit() is a FormatError, not a csv.Error
+        path = tmp_path / "long.csv"
+        path.write_text("i,j,k,l,prob,imputed\n0,0,0,0," + "1" * 200_000 + ",0\n")
+        with pytest.raises(FormatError, match=r"long\.csv:2: field larger than field limit"):
+            read_second_order_csv(str(path))
+        path.write_text("i,j,k,l,prob," + "x" * 200_000 + "\n0,0,0,0,1.0,0\n")
+        with pytest.raises(FormatError, match=r"long\.csv:1: field larger than field limit"):
+            read_second_order_csv(str(path))
+
     def test_structural_errors(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("wrong,header\n")
