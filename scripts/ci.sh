@@ -7,40 +7,62 @@
 # overflowed would break it) and that each summary counts its tie-broken
 # labels, a check that plain, quoted and CRLF copies of one panel give the same
 # isp labels (the byte tokenizer reads the first, csv.reader the others), a
-# check that a bad flag or config value exits 2 without a traceback, a check
-# that a malformed row deep in a file exits 3 and names its line, and a check
-# that a byte that is not UTF-8 or an over-long field deep in a file, or a
-# config file that is not UTF-8, exits 3 without a traceback, and a check that
-# ow-l on a 20,000 x 60 panel gives the same labels with one BLAS thread as
-# with the default, and fits without a warning: converged, all 8 starts agreeing.
-set -euo pipefail
+# check that a QUOTE_ALL panel whose ids need quoting gets the labels CSV
+# csv.writer writes, a check that a bad flag or config value exits 2 without a
+# traceback, a check that a malformed row deep in a file exits 3 and names its
+# line, and a check that a byte that is not UTF-8 or an over-long field deep in
+# a file, or a config file that is not UTF-8, exits 3 without a traceback, and a
+# check that ow-l on a 20,000 x 60 panel gives the same labels with one BLAS
+# thread as with the default, and fits without a warning: converged, all 8
+# starts agreeing.
+#
+# Every step runs, even after one fails; each step stops at its own first
+# failing command. The script lists the failed steps at the end and then exits
+# non-zero if there were any.
+set -uo pipefail
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 tmp="$(mktemp -d "${RUNNER_TEMP:-${TMPDIR:-/tmp}}/quorum-ci.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
+failed=()
 
-echo "== tier-1 tests"
-python -m pytest -q --continue-on-collection-errors
+# step TITLE FUNCTION: run FUNCTION in a subshell that exits at its first failing command
+step() {
+  echo "== $1"
+  (set -euo pipefail; "$2")
+  local status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "!! failed with exit status $status: $1"
+    failed+=("$1")
+  fi
+}
 
-echo "== benchmark harness tests"
-python -m pytest -q perfbench
+tier1_tests() {
+  python -m pytest -q --continue-on-collection-errors
+}
 
-echo "== verification suites"
-python -m quorum.cli verify --suite all
+harness_tests() {
+  python -m pytest -q perfbench
+}
 
-echo "== uniform tie-break is reproducible"
-python -m quorum simulate --accuracies 0.6,0.7,0.8,0.9 --k 4 -m 20000 --seed 0 --out "$tmp/panel.csv"
-python -m quorum aggregate --input "$tmp/panel.csv" --out "$tmp/a.csv" --method mv --tie uniform
-python -m quorum aggregate --input "$tmp/panel.csv" --out "$tmp/b.csv" --method mv --tie uniform
-cmp "$tmp/a.csv" "$tmp/b.csv"
+verification_suites() {
+  python -m quorum.cli verify --suite all
+}
 
-echo "== at K=50, isp is at least as accurate as mv, and summaries count ties"
-python -m quorum simulate --accuracies 0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75 --k 50 \
-  -m 20000 --seed 0 --out "$tmp/k50.csv"
-for method in mv isp ow-i; do
-  python -m quorum aggregate --input "$tmp/k50.csv" --out "$tmp/k50-$method.csv" --method "$method"
-done
-python - "$tmp" <<'EOF'
+tie_break_reproducible() {
+  python -m quorum simulate --accuracies 0.6,0.7,0.8,0.9 --k 4 -m 20000 --seed 0 --out "$tmp/panel.csv"
+  python -m quorum aggregate --input "$tmp/panel.csv" --out "$tmp/a.csv" --method mv --tie uniform
+  python -m quorum aggregate --input "$tmp/panel.csv" --out "$tmp/b.csv" --method mv --tie uniform
+  cmp "$tmp/a.csv" "$tmp/b.csv"
+}
+
+isp_beats_mv_at_k50() {
+  python -m quorum simulate --accuracies 0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75 --k 50 \
+    -m 20000 --seed 0 --out "$tmp/k50.csv"
+  for method in mv isp ow-i; do
+    python -m quorum aggregate --input "$tmp/k50.csv" --out "$tmp/k50-$method.csv" --method "$method"
+  done
+  python - "$tmp" <<'EOF'
 import json
 import sys
 
@@ -54,9 +76,10 @@ for method in ("mv", "isp", "ow-i"):
     print(method, acc[method], "ties_broken", ties)
 assert acc["isp"] >= acc["mv"], acc
 EOF
+}
 
-echo "== plain, quoted and CRLF copies of a panel give the same isp labels"
-python - "$tmp" <<'EOF'
+copies_agree() {
+  python - "$tmp" <<'EOF'
 import csv
 import sys
 
@@ -70,36 +93,72 @@ for name, options in [
     with open(f"{sys.argv[1]}/{name}.csv", "w", newline="") as fh:
         csv.writer(fh, **options).writerows(rows)
 EOF
-for copy in plain quoted crlf; do
-  python -m quorum aggregate --input "$tmp/$copy.csv" --out "$tmp/$copy-isp.csv" --method isp
-done
-cmp "$tmp/plain-isp.csv" "$tmp/quoted-isp.csv"
-cmp "$tmp/plain-isp.csv" "$tmp/crlf-isp.csv"
+  for copy in plain quoted crlf; do
+    python -m quorum aggregate --input "$tmp/$copy.csv" --out "$tmp/$copy-isp.csv" --method isp
+  done
+  cmp "$tmp/plain-isp.csv" "$tmp/quoted-isp.csv"
+  cmp "$tmp/plain-isp.csv" "$tmp/crlf-isp.csv"
+}
 
-echo "== a bad flag or config value exits 2 without a traceback"
-echo '{"drop_incomplete": "maybe"}' > "$tmp/bad.json"
-for extra in "--starts=0" "--config=$tmp/bad.json"; do
+quoted_ids_written_as_csv_writer_does() {
+  # the ids get a comma, a quote, a line break or outer spaces; the labels
+  # come from the plain panel, whose aggregation the ids cannot change
+  python - "$tmp" <<'EOF'
+import csv
+import sys
+
+with open(f"{sys.argv[1]}/panel.csv", newline="") as fh:
+    rows = list(csv.reader(fh))
+marks = [",", '"', "\n", "\r\n", " "]
+for i, row in enumerate(rows[1:]):
+    row[0] = f"{marks[i % len(marks)]}{row[0]}é{marks[i % len(marks)]}"
+with open(f"{sys.argv[1]}/quoted-ids.csv", "w", newline="") as fh:
+    csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+EOF
+  python -m quorum aggregate --input "$tmp/quoted-ids.csv" --out "$tmp/quoted-ids-isp.csv" --method isp
+  python - "$tmp" <<'EOF'
+import csv
+import sys
+
+tmp = sys.argv[1]
+with open(f"{tmp}/quoted-ids.csv", newline="") as fh:
+    ids = [row[0] for row in csv.reader(fh)][1:]
+with open(f"{tmp}/plain-isp.csv", newline="") as fh:
+    labels = [row[1] for row in csv.reader(fh)][1:]
+with open(f"{tmp}/expected-ids-isp.csv", "w", newline="") as fh:
+    writer = csv.writer(fh)
+    writer.writerow(["question_id", "label"])
+    writer.writerows(zip(ids, labels))
+EOF
+  cmp "$tmp/quoted-ids-isp.csv" "$tmp/expected-ids-isp.csv"
+}
+
+bad_flags_exit_2() {
+  echo '{"drop_incomplete": "maybe"}' > "$tmp/bad.json"
+  for extra in "--starts=0" "--config=$tmp/bad.json"; do
+    status=0
+    python -m quorum aggregate --input "$tmp/panel.csv" --out "$tmp/d.csv" --method ow-l "$extra" \
+      2> "$tmp/err.txt" || status=$?
+    cat "$tmp/err.txt"
+    test "$status" -eq 2
+    if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
+  done
+}
+
+short_row_exits_3() {
+  cp "$tmp/panel.csv" "$tmp/short-row.csv"
+  echo "q_bad,A" >> "$tmp/short-row.csv"
   status=0
-  python -m quorum aggregate --input "$tmp/panel.csv" --out "$tmp/d.csv" --method ow-l "$extra" \
+  python -m quorum aggregate --input "$tmp/short-row.csv" --out "$tmp/c.csv" --method mv \
     2> "$tmp/err.txt" || status=$?
   cat "$tmp/err.txt"
-  test "$status" -eq 2
+  test "$status" -eq 3
+  grep -q "short-row.csv:20002" "$tmp/err.txt"
   if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
-done
+}
 
-echo "== a short row past the first ingest block exits 3 with its line"
-echo "q_bad,A" >> "$tmp/panel.csv"
-status=0
-python -m quorum aggregate --input "$tmp/panel.csv" --out "$tmp/c.csv" --method mv \
-  2> "$tmp/err.txt" || status=$?
-cat "$tmp/err.txt"
-test "$status" -eq 3
-grep -q "panel.csv:20002" "$tmp/err.txt"
-if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
-
-echo "== a byte that is not UTF-8 or an over-long field deep in a CSV, or a config"
-echo "   that is not UTF-8, exits 3 without a traceback"
-python - "$tmp" <<'EOF'
+hostile_bytes_exit_3() {
+  python - "$tmp" <<'EOF'
 import sys
 
 with open(f"{sys.argv[1]}/plain.csv", "rb") as fh:
@@ -111,33 +170,34 @@ for name, qid in [("not-utf8", b"q\xff"), ("long-field", b"q" * 200_000)]:
 with open(f"{sys.argv[1]}/not-utf8.json", "wb") as fh:
     fh.write(b'{"method": "mv\xff"}')
 EOF
-for named in "not-utf8.csv:15002:" "long-field.csv:15002:" "not-utf8.json:"; do
-  file="${named%%:*}"
-  if [ "${file##*.}" = csv ]; then
-    inputs=(--input "$tmp/$file")
-  else
-    inputs=(--input "$tmp/plain.csv" --config "$tmp/$file")
-  fi
-  status=0
-  python -m quorum aggregate "${inputs[@]}" --out "$tmp/h.csv" --method mv \
-    2> "$tmp/err.txt" || status=$?
+  for named in "not-utf8.csv:15002:" "long-field.csv:15002:" "not-utf8.json:"; do
+    file="${named%%:*}"
+    if [ "${file##*.}" = csv ]; then
+      inputs=(--input "$tmp/$file")
+    else
+      inputs=(--input "$tmp/plain.csv" --config "$tmp/$file")
+    fi
+    status=0
+    python -m quorum aggregate "${inputs[@]}" --out "$tmp/h.csv" --method mv \
+      2> "$tmp/err.txt" || status=$?
+    cat "$tmp/err.txt"
+    test "$status" -eq 3
+    grep -qF "$named" "$tmp/err.txt"
+    if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
+  done
+}
+
+owl_one_blas_thread() {
+  accuracies="$(python -c 'import numpy as np; print(",".join(f"{v:.4f}" for v in np.linspace(0.51, 0.65, 60)))')"
+  python -m quorum simulate --accuracies "$accuracies" --k 2 -m 20000 --seed 0 --out "$tmp/wide.csv"
+  python -m quorum aggregate --input "$tmp/wide.csv" --out "$tmp/wide-owl.csv" --method ow-l \
+    2> "$tmp/err.txt"
+  OPENBLAS_NUM_THREADS=1 python -m quorum aggregate --input "$tmp/wide.csv" --out "$tmp/wide-owl-1.csv" \
+    --method ow-l 2>> "$tmp/err.txt"
   cat "$tmp/err.txt"
-  test "$status" -eq 3
-  grep -qF "$named" "$tmp/err.txt"
-  if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
-done
-echo "== ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread,"
-echo "   a converged fit whose 8 starts agree, and no warning"
-accuracies="$(python -c 'import numpy as np; print(",".join(f"{v:.4f}" for v in np.linspace(0.51, 0.65, 60)))')"
-python -m quorum simulate --accuracies "$accuracies" --k 2 -m 20000 --seed 0 --out "$tmp/wide.csv"
-python -m quorum aggregate --input "$tmp/wide.csv" --out "$tmp/wide-owl.csv" --method ow-l \
-  2> "$tmp/err.txt"
-OPENBLAS_NUM_THREADS=1 python -m quorum aggregate --input "$tmp/wide.csv" --out "$tmp/wide-owl-1.csv" \
-  --method ow-l 2>> "$tmp/err.txt"
-cat "$tmp/err.txt"
-cmp "$tmp/wide-owl.csv" "$tmp/wide-owl-1.csv"
-if grep -q warning "$tmp/err.txt"; then exit 1; fi
-python - "$tmp" <<'EOF'
+  cmp "$tmp/wide-owl.csv" "$tmp/wide-owl-1.csv"
+  if grep -q warning "$tmp/err.txt"; then exit 1; fi
+  python - "$tmp" <<'EOF'
 import json
 import sys
 
@@ -147,4 +207,23 @@ for name in ("wide-owl", "wide-owl-1"):
     print(name, "converged", fit["converged"], "starts_agreeing", fit["starts_agreeing"])
     assert fit["converged"] is True and fit["starts_agreeing"] == 8, fit
 EOF
+}
+
+step "tier-1 tests" tier1_tests
+step "benchmark harness tests" harness_tests
+step "verification suites" verification_suites
+step "uniform tie-break is reproducible" tie_break_reproducible
+step "at K=50, isp is at least as accurate as mv, and summaries count ties" isp_beats_mv_at_k50
+step "plain, quoted and CRLF copies of a panel give the same isp labels" copies_agree
+step "ids that need quoting are written as csv.writer writes them" quoted_ids_written_as_csv_writer_does
+step "a bad flag or config value exits 2 without a traceback" bad_flags_exit_2
+step "a short row past the first ingest block exits 3 with its line" short_row_exits_3
+step "a byte that is not UTF-8 or an over-long field deep in a CSV, or a config that is not UTF-8, exits 3 without a traceback" hostile_bytes_exit_3
+step "ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread, a converged fit whose 8 starts agree, and no warning" owl_one_blas_thread
+
+if [ "${#failed[@]}" -ne 0 ]; then
+  echo "== ${#failed[@]} step(s) failed:"
+  printf '   %s\n' "${failed[@]}"
+  exit 1
+fi
 echo "== all checks passed"

@@ -267,12 +267,13 @@ def aggregate(ctx, config_path, **params):
     agreeing = None if fit is None else fit.starts_agreeing
     if agreeing is not None and agreeing < params["starts"]:
         click.echo(f"warning: only {agreeing} of {params['starts']} fit starts agree", err=True)
+    if result.imputed_cells:
+        click.echo(f"warning: {result.imputed_cells} second-order cells were imputed", err=True)
 
     idx = result.labels
     if smap is not None:
         idx = shuffle_invert(idx, smap)
-    label_strings = np.array(pm.space.labels, dtype=object).take(idx)
-    write_labels_csv(params["out"], meta["question_ids"], label_strings)
+    write_labels_csv(params["out"], meta["question_ids"], pm.space.labels, codes=idx)
     click.echo(f"wrote {pm.m} aggregated labels to {params['out']}")
 
     want_summary = pm.truth is not None or params["summary"] is not None

@@ -3,8 +3,10 @@
 Predictions travel as CSV with header ``question_id,agent_<name>,...``
 plus an optional trailing ``truth`` column. Labels are arbitrary
 non-empty strings; the label space is inferred from the file (sorted
-order) unless an explicit label list is supplied. All writes go through
-a temp-file-and-rename so readers never observe partial output.
+order) unless an explicit label list is supplied. Question ids are kept as
+UTF-8 bytes (``QuestionIds``) from the file they are read from to the labels
+CSV they are written to. All writes go through a temp-file-and-rename so
+readers never observe partial output.
 """
 
 from __future__ import annotations
@@ -18,12 +20,14 @@ import json
 import operator
 import os
 import tempfile
+from collections.abc import Sequence
 
 import numpy as np
 
 from .core import DimensionError, FormatError, LabelSpace, PredictionMatrix, _code_dtype
 
 __all__ = [
+    "QuestionIds",
     "atomic_write_text",
     "write_json",
     "read_predictions_csv",
@@ -34,14 +38,21 @@ __all__ = [
 _AGENT_PREFIX = "agent_"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to ``path`` via a temp file in the same directory."""
+def atomic_write_text(path: str, text) -> None:
+    """Write ``text`` to ``path`` via a temp file in the same directory.
+
+    ``text`` is a str, written as UTF-8, or an iterable of bytes-like blocks,
+    written in turn so that the whole text is never held at once.
+    """
 
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            if isinstance(text, str):
+                fh.write(text.encode())
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -74,23 +85,161 @@ def _parse_header(header: list[str], path: str) -> tuple[list[str], bool]:
     return names, has_truth
 
 
-def _first_repeat(items: list[str]) -> int | None:
-    """Index of the first item equal to an earlier one, or None if all differ.
+def _utf8(ids: list[str]) -> tuple[bytes, np.ndarray]:
+    """The UTF-8 bytes of ``ids`` end to end, and each id's length in bytes.
 
-    Whether any item repeats is read off a sorted copy, which costs one
-    pointer per item where a set would cost several; the set that locates
-    the repeat is built only when there is one.
+    Raises TypeError for an id that is not a str and UnicodeEncodeError for
+    one holding a lone surrogate.
     """
 
-    ordered = sorted(items)
-    if not any(map(operator.eq, ordered, itertools.islice(ordered, 1, None))):
-        return None
-    seen = set()
-    for idx, item in enumerate(items):
-        if item in seen:
-            return idx
-        seen.add(item)
-    return None
+    text = "".join(ids)
+    data = text.encode()
+    sizes = ids if len(data) == len(text) else map(str.encode, ids)  # ASCII: a char is a byte
+    return data, np.fromiter(map(len, sizes), np.intp, len(ids))
+
+
+def _gather(src: np.ndarray, starts: np.ndarray, lens: np.ndarray, pad: int = 0) -> np.ndarray:
+    """``src[starts[i] : starts[i] + lens[i]]`` for every i, end to end, then
+    ``pad`` zero bytes.
+
+    The offsets into ``src`` are one cumulative sum: they step by one and
+    jump from the end of each piece to the start of the next.
+    """
+
+    if not lens.all():
+        starts, lens = starts[lens > 0], lens[lens > 0]
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    steps = np.ones(total, np.intp)
+    if total:
+        steps[0] = starts[0]
+        steps[ends[:-1]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
+    out = np.zeros(total + pad, np.uint8)
+    np.take(src, np.cumsum(steps, out=steps), out=out[:total])
+    return out
+
+
+class QuestionIds(Sequence):
+    """The question ids of a predictions CSV: a read-only sequence of str.
+
+    The ids are held as their UTF-8 bytes end to end in one buffer, plus each
+    id's end offset in the narrowest unsigned dtype that holds it, after
+    Apache Arrow's variable-width layout; an id is decoded to ``str`` only when
+    it is indexed or iterated. So a million ids take a few bytes each, not a
+    ``str`` object each. It compares equal to the list of the same ids, and to
+    another ``QuestionIds`` holding them.
+    """
+
+    __slots__ = ("_data", "_ends")
+    __hash__ = None
+
+    def __init__(self, ids=()):
+        data, lens = _utf8(list(ids))
+        ends = np.cumsum(lens).astype(np.min_scalar_type(len(data)))
+        self._keep(np.frombuffer(data + bytes(8), np.uint8), ends)
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, ends: np.ndarray) -> "QuestionIds":
+        """Ids that keep ``data`` (uint8: the ids' bytes, then 8 zero bytes, so
+        that a 64-bit word can be read from any offset of an id) and ``ends``
+        (unsigned: each id's end offset), uncopied."""
+
+        ids = cls.__new__(cls)
+        ids._keep(data, ends)
+        return ids
+
+    def _keep(self, data: np.ndarray, ends: np.ndarray) -> None:
+        data.flags.writeable = ends.flags.writeable = False
+        self._data, self._ends = data, ends
+
+    def _bounds(self, a: int = 0, b: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end offsets in the buffer of ids ``a`` to ``b``, as intp."""
+
+        ends = self._ends[a:b].astype(np.intp)
+        starts = np.empty_like(ends)
+        starts[:1] = self._ends[a - 1] if a else 0
+        starts[1:] = ends[:-1]
+        return starts, ends
+
+    def _take(self, rows: np.ndarray) -> "QuestionIds":
+        """The ids at ``rows``, in that order."""
+
+        starts, ends = self._bounds()
+        lens = ends[rows] - starts[rows]
+        data = _gather(self._data, starts[rows], lens, pad=8)
+        return QuestionIds._adopt(data, np.cumsum(lens).astype(np.min_scalar_type(data.size - 8)))
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("question id index out of range")
+        start = int(self._ends[i - 1]) if i else 0
+        return self._data[start : int(self._ends[i])].tobytes().decode()
+
+    def __iter__(self):
+        ends = self._ends.tolist()
+        data = self._data[: ends[-1] if ends else 0].tobytes()
+        if data.isascii():  # then byte offsets are character offsets
+            data = data.decode()
+        cells = map(data.__getitem__, map(slice, [0, *ends[:-1]], ends))
+        return cells if isinstance(data, str) else map(bytes.decode, cells)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, QuestionIds):
+            size = int(self._ends[-1]) if len(self) else 0
+            return np.array_equal(self._ends, other._ends) and np.array_equal(
+                self._data[:size], other._data[:size]
+            )
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"QuestionIds({list(self)!r})"
+
+
+def _first_repeat(ids: QuestionIds) -> int | None:
+    """Index of the first id equal to an earlier one, or None if all differ.
+
+    The ids of each byte length are keyed by ``_packed_keys``, whose keys
+    are equal exactly where the ids are, and sorted in place: a repeat shows
+    as equal neighbours. Only a group that has one is keyed and sorted again,
+    stably, to find its earliest repeat.
+    """
+
+    ends = ids._ends
+    lens = np.diff(ends, prepend=ends.dtype.type(0))
+    if lens.min() == lens.max():
+        groups = [(int(lens[0]), slice(None))]
+    else:
+        lengths = np.flatnonzero(np.bincount(lens.astype(np.intp))).tolist()
+        groups = [(n, np.flatnonzero(lens == n)) for n in lengths]
+    del lens
+    words = _words(ids._data)
+    first = None
+    for n, at in groups:
+        c = max(1, (n + 7) >> 3)
+        starts = ends[at].astype(np.intp) - n
+        key = _packed_keys(words, starts, n, c)
+        if c == 1:
+            key.sort(axis=0)
+            if not (key[1:] == key[:-1]).any():
+                continue
+            key = _packed_keys(words, starts, n, c)
+        order = np.lexsort(key.T)
+        key = key[order]
+        same = (key[1:] == key[:-1]).all(axis=1)
+        if same.any():
+            repeat = int(np.arange(len(ids))[at][order[1:][same]].min())
+            first = repeat if first is None else min(first, repeat)
+    return first
 
 
 # Cells parsed per block of rows; no cell's ``str`` outlives its block. The
@@ -132,18 +281,88 @@ def _escaped(cells) -> bool:
     return False
 
 
-def _read_cells(reader, width: int) -> tuple[list[str], np.ndarray, list[str], tuple | None]:
+def _append(arr: np.ndarray, at: int, values: np.ndarray, dtype: np.dtype, scale: float) -> np.ndarray:
+    """``arr`` with ``values`` written from index ``at``.
+
+    ``arr`` is first widened to ``dtype`` if that is wider (a copy of its first
+    ``at`` items) and, if the values do not fit, grown in place to ``scale``
+    times the filled size or by a quarter, whichever is more.
+    """
+
+    if dtype.itemsize > arr.dtype.itemsize:
+        arr = arr[:at].astype(dtype)
+    end = at + len(values)
+    if end > arr.size:
+        arr.resize(max(end, int(end * scale), arr.size + arr.size // 4), refcheck=False)
+    arr[at:end] = values
+    return arr
+
+
+class _Columns:
+    """The data rows read so far: the ids' UTF-8 bytes end to end, each id's
+    end offset, and the other cells' codes row by row.
+
+    Each array is allocated when the first block arrives, at the size that
+    block predicts for the rest of the file from its byte count (unknown for
+    a pipe), and grown in place by ``ndarray.resize``, which reallocates,
+    when a later block does not fit; ``result`` cuts it to size the same way.
+    So the read never holds its blocks and their concatenation at once. Each
+    dtype is the narrowest that holds the values so far.
+    """
+
+    def __init__(self, width: int, fh=None):
+        self.width = width
+        self.rows = self.size = 0
+        self.data, self.ends, self.codes = (np.empty(0, np.uint8) for _ in range(3))
+        try:  # the bytes left in the file, and a clock of how many were read
+            self._start = fh.tell()
+            self._left = os.fstat(fh.fileno()).st_size - self._start
+            self._tell = fh.tell
+        except (AttributeError, OSError):  # no file, or one that cannot tell
+            self._left = 0
+
+    def add(self, data: np.ndarray, lens: np.ndarray, codes: np.ndarray, labels: int) -> None:
+        """Append a block of rows: ``data`` holds their ids' bytes end to end,
+        ``lens`` each id's length and ``codes`` their other cells' codes, which
+        take values below ``labels``."""
+
+        scale = 1.0
+        if not self.rows and self._left > 0:
+            # the bytes the block came from: as far as the file was read, and at
+            # least a separator or line end per cell (the reader may read ahead)
+            done = max(self._tell() - self._start, data.size + codes.size + lens.size)
+            scale = max(1.0, self._left / done)
+        ends = np.cumsum(lens)
+        ends += self.size
+        self.data = _append(self.data, self.size, data, self.data.dtype, scale)
+        self.size += data.size
+        self.ends = _append(self.ends, self.rows, ends, np.min_scalar_type(self.size), scale)
+        at = self.rows * (self.width - 1)
+        self.codes = _append(self.codes, at, codes, np.min_scalar_type(labels), scale)
+        self.rows += lens.size
+
+    def result(self) -> tuple[QuestionIds, np.ndarray]:
+        """The ids, and the codes as a (rows, width - 1) matrix."""
+
+        self.data.resize(self.size + 8, refcheck=False)
+        self.data[self.size :] = 0
+        self.ends.resize(self.rows, refcheck=False)
+        self.codes.resize(self.rows * (self.width - 1), refcheck=False)
+        return QuestionIds._adopt(self.data, self.ends), self.codes.reshape(self.rows, self.width - 1)
+
+
+def _read_cells(reader, width: int, fh=None) -> tuple[QuestionIds, np.ndarray, list[str], tuple | None]:
     """The data rows up to the first faulty record, encoded block by block.
 
     Returns the ids, the other cells as an (M, width - 1) matrix of codes in the
     narrowest unsigned dtype, the distinct cells in code order and, for a record
     without ``width`` fields, one csv.reader rejects or one that is not UTF-8,
     its (line, message); the rows before it are kept so that a fault earlier in
-    the file can still be reported first.
+    the file can still be reported first. ``fh``, the binary file under
+    ``reader`` if any, sizes the arrays.
     """
 
-    qids: list[str] = []
-    blocks = [np.zeros(0, np.uint8)]
+    rows = _Columns(width, fh)
     lut = _FirstSeen()
     fault = None
     block_rows = max(1, _CELLS_PER_BLOCK // width)
@@ -152,10 +371,10 @@ def _read_cells(reader, width: int) -> tuple[list[str], np.ndarray, list[str], t
         try:
             block.extend(itertools.islice(reader, block_rows))  # keeps the rows before an error
         except csv.Error as exc:
-            fault = (len(qids) + len(block) + 2, str(exc))
+            fault = (rows.rows + len(block) + 2, str(exc))
         if set(map(len, block)) - {width}:
             bad = next(i for i, row in enumerate(block) if len(row) != width)
-            fault = (len(qids) + bad + 2, f"expected {width} fields, got {len(block[bad])}")
+            fault = (rows.rows + bad + 2, f"expected {width} fields, got {len(block[bad])}")
             del block[bad:]
         if not block:
             break
@@ -164,14 +383,19 @@ def _read_cells(reader, width: int) -> tuple[list[str], np.ndarray, list[str], t
         ids = cells[::width]
         del cells[::width]
         codes = np.fromiter(map(lut.__getitem__, cells), np.uint32, len(cells))
-        if _escaped(ids + list(itertools.islice(lut, known, None))):  # cells lut has seen before passed
+        try:
+            data, lens = _utf8(ids)
+            escaped = _escaped(itertools.islice(lut, known, None))  # cells lut has seen before passed
+        except UnicodeEncodeError:
+            escaped = True
+        if escaped:
             bad = next(i for i, row in enumerate(block) if _escaped(row))
-            fault = (len(qids) + bad + 2, "not UTF-8 text")
-            ids, codes = ids[:bad], codes[: bad * (width - 1)]
-        qids += ids
-        blocks.append(codes.astype(np.min_scalar_type(len(lut))))
-        del block, cells  # or they stay alive while the next block is parsed
-    return qids, np.concatenate(blocks).reshape(len(qids), width - 1), list(lut), fault
+            fault = (rows.rows + bad + 2, "not UTF-8 text")
+            data, lens = _utf8(ids[:bad])
+            codes = codes[: bad * (width - 1)]
+        rows.add(np.frombuffer(data, np.uint8), lens, codes, len(lut))
+        del block, cells, ids  # or they stay alive while the next block is parsed
+    return (*rows.result(), list(lut), fault)
 
 
 _COMMA, _NEWLINE = ord(","), ord("\n")
@@ -210,19 +434,19 @@ def _line_chunks(fh, size: int):
         yield rest + b"\n"
 
 
-def _read_cells_bytes(fh, width: int) -> tuple[list[str], np.ndarray, list[str], None] | None:
+def _read_cells_bytes(fh, width: int) -> tuple[QuestionIds, np.ndarray, list[str], None] | None:
     """``_read_cells`` for the rest of binary file ``fh``, tokenized with numpy.
 
     Each chunk of about 4 bytes per cell of a block is split at every ``,``
-    and newline at once, and its cells are coded by ``_cell_codes``; the
-    result equals ``_read_cells``'s. Returns None, part way through the file,
-    at a ``"``, carriage return or NUL byte, at a line without ``width``
-    fields, at a cell longer than ``csv.field_size_limit()`` or at text that
-    is not UTF-8, so that csv.reader reads the file again and reports as usual.
+    and newline at once; its ids' bytes are gathered undecoded and its other
+    cells are coded by ``_cell_codes``. The result equals ``_read_cells``'s.
+    Returns None, part way through the file, at a ``"``, carriage return or
+    NUL byte, at a line without ``width`` fields, at a cell longer than
+    ``csv.field_size_limit()`` or at text that is not UTF-8, so that
+    csv.reader reads the file again and reports as usual.
     """
 
-    qids: list[str] = []
-    blocks = [np.zeros(0, np.uint8)]
+    rows = _Columns(width, fh)
     vocab: list[str] = []
     tables: dict = {}
     limit = csv.field_size_limit()
@@ -231,40 +455,43 @@ def _read_cells_bytes(fh, width: int) -> tuple[list[str], np.ndarray, list[str],
             return None
         buf = np.frombuffer(chunk + bytes(8), np.uint8)  # padded for the last word's gather
         ends = np.flatnonzero((buf == _COMMA) | (buf == _NEWLINE))
-        rows = chunk.count(b"\n")
-        if ends.size != rows * width or (buf[ends[width - 1 :: width]] != _NEWLINE).any():
+        if ends.size != chunk.count(b"\n") * width or (buf[ends[width - 1 :: width]] != _NEWLINE).any():
             return None
         starts = np.empty_like(ends)
         starts[0] = 0
         starts[1:] = ends[:-1] + 1
         if (ends - starts).max() > limit:
             return None
+        if not chunk.isascii():
+            # the separators are ASCII, so the chunk is UTF-8 exactly when every cell is
+            try:
+                chunk.decode()
+            except UnicodeDecodeError:
+                return None
         answers = np.ones(ends.size, bool)
         answers[::width] = False
-        try:
-            qids += _first_cells(buf, starts[::width], ends[::width])
-            codes = _cell_codes(buf, starts[answers], ends[answers], tables, vocab)
-        except UnicodeDecodeError:
-            return None
-        blocks.append(codes.astype(np.min_scalar_type(len(vocab))))
-    return qids, np.concatenate(blocks).reshape(len(qids), width - 1), vocab, None
+        codes = _cell_codes(buf, starts[answers], ends[answers], tables, vocab)
+        lens = ends[::width] - starts[::width]
+        rows.add(_gather(buf, starts[::width], lens), lens, codes, len(vocab))
+    return (*rows.result(), vocab, None)
 
 
-def _first_cells(buf: np.ndarray, starts: np.ndarray, commas: np.ndarray) -> list[str]:
-    """The text of each line's first cell, ``buf[starts[i]:commas[i]]``.
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The 8 bytes from each offset of ``buf`` as a little-endian word; the
+    last 7 bytes of ``buf`` are padding."""
 
-    Every cell is gathered with the comma after it, which becomes the
-    separator, in one step: the offsets step by one and jump from each
-    comma to the next line's start.
-    """
+    return np.ndarray((buf.size - 7,), "<u8", buf, 0, (1,))
 
-    spans = commas + 1 - starts
-    steps = np.ones(spans.sum(), np.intp)
-    steps[0] = starts[0]
-    steps[np.cumsum(spans[:-1])] = starts[1:] - commas[:-1]
-    cells = buf[np.cumsum(steps, out=steps)]
-    cells[cells == _COMMA] = _NEWLINE
-    return cells.tobytes().decode().split("\n")[:-1]
+
+def _packed_keys(words: np.ndarray, starts: np.ndarray, lens, c: int) -> np.ndarray:
+    """The (len(starts), c) keys of cells of at most ``c`` words: each cell's
+    bytes, from ``starts[i]`` for ``lens[i]`` (or ``lens``, one length for
+    all), zero-padded into ``c`` words."""
+
+    offsets = 8 * np.arange(c)
+    key = words[starts[:, None] + offsets]
+    key &= _LOW_BYTES[np.minimum(np.reshape(lens, (-1, 1)) - offsets, 8)]  # >= 0: c words all hold bytes
+    return key
 
 
 def _cell_codes(
@@ -279,7 +506,7 @@ def _cell_codes(
     text joins ``vocab``.
     """
 
-    words = np.ndarray((buf.size - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each offset
+    words = _words(buf)
     lens = ends - starts
     codes = np.empty(lens.size, np.uint32)
     if lens.max() <= 8:
@@ -291,9 +518,7 @@ def _cell_codes(
     unseen = []  # per word count: the cells whose key is not in the table, their keys, and
     # the index among them of each distinct key's first occurrence
     for c, at in groups:
-        offsets = 8 * np.arange(c)
-        key = words[starts[at, None] + offsets]
-        key &= _LOW_BYTES[np.minimum(lens[at, None] - offsets, 8)]  # >= 0: c words all hold bytes
+        key = _packed_keys(words, starts[at], lens[at], c)
         key = key.ravel() if c == 1 else key.view(np.dtype((np.void, 8 * c))).ravel()
         known, known_codes = tables.setdefault(c, (key[:0], codes[:0]))
         if known.size:
@@ -412,7 +637,7 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple]:
         if _escaped(header):
             raise FormatError(f"{path}:1: not UTF-8 text")
         names, has_truth = _parse_header(header, path)
-        return names, has_truth, _read_cells(reader, 1 + len(names) + has_truth)
+        return names, has_truth, _read_cells(reader, 1 + len(names) + has_truth, fh)
 
 
 def read_predictions_csv(
@@ -423,7 +648,8 @@ def read_predictions_csv(
 ) -> tuple[PredictionMatrix, dict]:
     """Parse a predictions CSV.
 
-    Returns the matrix plus a meta dict with ``question_ids`` and
+    Returns the matrix plus a meta dict with ``question_ids`` (a
+    ``QuestionIds``, equal to the list of the ids as str) and
     ``agent_names``. Questions with empty cells are rejected unless
     ``drop_incomplete`` is set, in which case they are skipped. The truth
     column, when present, is carried on the matrix but plays no role in
@@ -443,7 +669,7 @@ def read_predictions_csv(
     dropped = 0 if kept is None else len(qids) - kept.size
     if dropped:
         codes = codes[kept]
-        qids = [qids[i] for i in kept.tolist()]
+        qids = qids._take(kept)
     if not qids:
         raise FormatError(f"{path}: no usable question rows")
     repeat = _first_repeat(qids)
@@ -508,27 +734,72 @@ def write_predictions_csv(
     atomic_write_text(path, buf.getvalue())
 
 
-def write_labels_csv(path: str, question_ids: list[str], labels: list[str]) -> None:
-    if len(question_ids) != len(labels):
+def write_labels_csv(path: str, question_ids, labels, codes=None) -> None:
+    """Write a ``question_id,label`` CSV, byte for byte as csv.writer would.
+
+    Row i holds ``question_ids[i]`` and ``labels[i]`` or, given ``codes``,
+    ``labels[codes[i]]``: then ``labels`` need list each label only once.
+    The ids are a sequence of str, such as the ``QuestionIds`` that
+    ``read_predictions_csv`` returns.
+    """
+
+    if len(question_ids) != len(labels if codes is None else codes):
         raise DimensionError("question ids and labels must have equal length")
-    # Joined directly when no id or label needs quoting, which the counts
-    # show: one comma per row and no quote or line break but the separators.
-    # The text is then what csv.writer would write.
-    try:
-        rows = "\r\n".join(map(",".join, zip(question_ids, labels)))
-    except TypeError:  # a cell that is not a str, which csv.writer converts
-        rows = None
-    m = len(labels)
-    if (
-        rows is not None
-        and rows.count(",") == m
-        and rows.count("\r") == rows.count("\n") == max(m - 1, 0)
-        and '"' not in rows
-    ):
-        atomic_write_text(path, "question_id,label\r\n" + rows + "\r\n" * (m > 0))
+    blocks = _plain_label_rows(question_ids, labels, codes)
+    if blocks is not None:
+        atomic_write_text(path, itertools.chain([b"question_id,label\r\n"], blocks))
         return
+    if codes is not None:
+        labels = [labels[c] for c in np.asarray(codes).tolist()]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["question_id", "label"])
     writer.writerows(zip(question_ids, labels))
     atomic_write_text(path, buf.getvalue())
+
+
+def _plain_label_rows(question_ids, labels, codes):
+    """The data rows of ``write_labels_csv``'s file in blocks of bytes, or None
+    if a cell is not a str or holds a comma, quote or line break, which
+    csv.writer then quotes.
+
+    A block is one gather from its ids' bytes and a table that holds, for
+    each label, a comma, the label and CRLF: for each row, the id and then
+    its label's entry.
+    """
+
+    if codes is None:
+        lut = _FirstSeen()
+        try:
+            codes = np.fromiter(map(lut.__getitem__, labels), np.intp, len(labels))
+        except TypeError:  # a label that cannot be hashed
+            return None
+        labels = list(lut)
+    if not all(isinstance(lab, str) for lab in labels):
+        return None
+    try:
+        ids = question_ids if isinstance(question_ids, QuestionIds) else QuestionIds(question_ids)
+    except TypeError:
+        return None
+    texts = (ids._data.tobytes(), "".join(labels).encode())
+    if any(c in text for text in texts for c in (b",", b'"', b"\r", b"\n")):
+        return None
+    entries = [f",{lab}\r\n".encode() for lab in labels]
+    return _gathered_rows(ids, entries, np.asarray(codes))
+
+
+def _gathered_rows(ids: QuestionIds, entries: list[bytes], codes: np.ndarray):
+    """Blocks of ``_CELLS_PER_BLOCK`` rows, each row an id and then ``entries[code]``."""
+
+    table = np.frombuffer(b"".join(entries), np.uint8)
+    entry_lens = np.fromiter(map(len, entries), np.intp, len(entries))
+    entry_starts = np.cumsum(entry_lens) - entry_lens
+    for a in range(0, len(ids), _CELLS_PER_BLOCK):
+        starts, ends = ids._bounds(a, a + _CELLS_PER_BLOCK)
+        lo, hi = int(starts[0]), int(ends[-1])
+        row_codes = codes[a : a + _CELLS_PER_BLOCK]
+        # segments alternate: row i's id, then its entry, which follows the ids in src
+        src = np.concatenate([ids._data[lo:hi], table])
+        seg_starts = np.stack([starts - lo, (hi - lo) + entry_starts[row_codes]], axis=1)
+        seg_lens = np.stack([ends - starts, entry_lens[row_codes]], axis=1)
+        yield _gather(src, seg_starts.ravel(), seg_lens.ravel())

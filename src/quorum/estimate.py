@@ -84,6 +84,7 @@ class FitResult:
     converged: bool = True
     iterations: int = 0
     starts_agreeing: int | None = None
+    imputed_cells: int = 0  # of the second-order matrix the fit read
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "accuracies", _as_readonly(np.asarray(self.accuracies, dtype=float)))
@@ -262,6 +263,7 @@ def fit_accuracies(so: SecondOrderMatrix, cfg: ErmConfig | None = None) -> FitRe
         converged=converged,
         iterations=iters,
         starts_agreeing=agreeing,
+        imputed_cells=int(so.imputed.sum()),
     )
 
 
@@ -289,6 +291,7 @@ def fit_ow_i(pm: PredictionMatrix, eps: float = 1e-6, smoothing: float = 0.0) ->
         method="ow-i",
         loss=None,
         converged=True,
+        imputed_cells=int(so.imputed.sum()),
     )
 
 
@@ -299,12 +302,14 @@ def fit_ow_i(pm: PredictionMatrix, eps: float = 1e-6, smoothing: float = 0.0) ->
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """The label of every question, plus how many came from a tie-break."""
+    """The label of every question, plus how many came from a tie-break and
+    how many second-order cells the rule or fit read were imputed."""
 
     labels: np.ndarray
     method: str
     fit: FitResult | None = None
     ties_broken: int = 0
+    imputed_cells: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", _as_readonly(np.asarray(self.labels)))
@@ -364,4 +369,5 @@ def run_pipeline(
     # mv, sp and isp are rules of their own; every other method votes with its fit's weights
     rule, weights = (method, None) if fit is None else ("weighted", fit.weights)
     labels, ties = agg.aggregate_batch(rule, pm.answers, pm.k, tie, so=so, weights=weights)
-    return PipelineResult(labels=labels, method=method, fit=fit, ties_broken=ties)
+    imputed = fit.imputed_cells if fit is not None else 0 if so is None else int(so.imputed.sum())
+    return PipelineResult(labels=labels, method=method, fit=fit, ties_broken=ties, imputed_cells=imputed)

@@ -454,6 +454,25 @@ def test_fit_warnings_on_stderr(runner, tmp_path, accuracies, k, flags, warning)
     assert (fit["starts_agreeing"] < 8) == any("starts agree" in line for line in warnings)
 
 
+def test_imputed_cells_warn_on_stderr(runner, tmp_path):
+    # agent_x never answers C, so agent_y's K = 3 cells conditioned on it are imputed
+    pred, out = tmp_path / "p.csv", tmp_path / "l.csv"
+    pred.write_text("question_id,agent_x,agent_y,truth\nq0,A,A,A\nq1,B,C,C\nq2,A,B,A\nq3,B,B,B\n")
+    for method in ("isp", "ow-i"):
+        result = _invoke(runner, ["aggregate", "--input", str(pred), "--out", str(out), "--method", method])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == ["warning: 3 second-order cells were imputed"], method
+        summary = json.loads((tmp_path / "l.csv.summary.json").read_text())
+        keys = [*summary, *(summary["fit"] or {})]
+        assert not [key for key in keys if "imputed" in key]  # the summary is unchanged
+    # mv reads no second-order cells, and a panel where every agent gives every label imputes none
+    result = _invoke(runner, ["aggregate", "--input", str(pred), "--out", str(out), "--method", "mv"])
+    assert result.exit_code == 0 and result.stderr == ""
+    _simulate(runner, pred)
+    result = _invoke(runner, ["aggregate", "--input", str(pred), "--out", str(out), "--method", "isp"])
+    assert result.exit_code == 0 and result.stderr == ""
+
+
 _EMPTY_CELL = "question_id,agent_x,agent_y,agent_z\nq0,A,B,A\nq1,,B,B\nq2,B,B,A\n"
 
 

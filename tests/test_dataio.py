@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import os
+import re
+import tempfile
 import threading
 import tracemalloc
 
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from quorum import dataio
 from quorum.core import FormatError, LabelSpace, PredictionMatrix
 from quorum.dataio import (
+    QuestionIds,
     _parse_header,
     _read_cells,
     _read_cells_bytes,
@@ -237,6 +240,45 @@ class TestRoundTrip:
         assert path.read_bytes() == expected.getvalue().encode()
 
 
+# Cells that csv.writer quotes (comma, quote, CR, LF), keeps outer spaces of,
+# or holds non-ASCII text; the plain alphabet keeps whole files on the gather path.
+_PLAIN_TEXT = st.text(alphabet="ab é", max_size=5)
+_ANY_TEXT = st.text(alphabet='ab ,"\r\né\u00fc', max_size=5)
+
+
+@given(
+    st.sampled_from([_PLAIN_TEXT, _ANY_TEXT]).flatmap(
+        lambda cell: st.lists(st.tuples(cell, cell), max_size=12)
+    ),
+    st.integers(1, 5),
+)
+@settings(max_examples=100, deadline=None)
+def test_labels_csv_matches_csv_writer_on_drawn_cells(rows, cells_per_block):
+    # the same bytes as csv.writer, whether labels come per row or as a
+    # vocabulary and codes, and whether ids come as a list or as QuestionIds
+    ids, labels = [r[0] for r in rows], [r[1] for r in rows]
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["question_id", "label"])
+    writer.writerows(rows)
+    vocab = sorted(set(labels))
+    codes = np.array([vocab.index(lab) for lab in labels], dtype=np.int64)
+    with contextlib.ExitStack() as stack:
+        tmp = stack.enter_context(tempfile.TemporaryDirectory())
+        mp = stack.enter_context(pytest.MonkeyPatch.context())
+        mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
+        path = os.path.join(tmp, "labels.csv")
+        for args, kwargs in [
+            ((ids, labels), {}),
+            ((QuestionIds(ids), labels), {}),
+            ((QuestionIds(ids), vocab), {"codes": codes}),
+            ((ids, tuple(vocab)), {"codes": codes}),
+        ]:
+            write_labels_csv(path, *args, **kwargs)
+            with open(path, "rb") as fh:
+                assert fh.read() == expected.getvalue().encode(), (args, kwargs)
+
+
 class TestLabelSpaceInference:
     def test_sorted_unique_labels(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -372,19 +414,21 @@ def _refuse_csv_reader(monkeypatch):
 
 def test_ingest_memory_is_bounded_by_a_block(tmp_path):
     # the cells' strings must not all be alive at once: beyond what the
-    # result keeps, the read may hold only about one block of cells
+    # result keeps, the read may hold only about one block of cells; at
+    # 100 agents the code matrix (2 MB) must not be held twice either
     labels = tuple(f"label_{c}" for c in "abcde")
-    answers = np.random.default_rng(0).integers(0, 5, size=(20_000, 20))
-    path = str(tmp_path / "p.csv")
-    write_predictions_csv(path, PredictionMatrix(LabelSpace(labels), answers))
-    tracemalloc.start()
-    try:
-        pm, meta = read_predictions_csv(path)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    np.testing.assert_array_equal(pm.answers, answers)
-    assert peak <= retained + 2 * 2**20, (peak, retained)
+    for n in (20, 100):
+        answers = np.random.default_rng(0).integers(0, 5, size=(20_000, n))
+        path = str(tmp_path / "p.csv")
+        write_predictions_csv(path, PredictionMatrix(LabelSpace(labels), answers))
+        tracemalloc.start()
+        try:
+            pm, meta = read_predictions_csv(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(pm.answers, answers)
+        assert peak <= retained + 2 * 2**20, (n, peak, retained)
 
 
 def _traced_read(path):
@@ -399,17 +443,18 @@ def _traced_read(path):
 
 
 def test_byte_ingest_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
-    # the bound above, for the same file with LF line breaks instead of
+    # the bound above, for the same files with LF line breaks instead of
     # CRLF, which the byte tokenizer reads
     labels = tuple(f"label_{c}" for c in "abcde")
-    answers = np.random.default_rng(0).integers(0, 5, size=(20_000, 20))
-    path = tmp_path / "p.csv"
-    write_predictions_csv(str(path), PredictionMatrix(LabelSpace(labels), answers))
-    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
     _refuse_csv_reader(monkeypatch)
-    pm, _, retained, peak = _traced_read(path)
-    np.testing.assert_array_equal(pm.answers, answers)
-    assert peak <= retained + 2 * 2**20, (peak, retained)
+    for n in (20, 100):
+        answers = np.random.default_rng(0).integers(0, 5, size=(20_000, n))
+        path = tmp_path / "p.csv"
+        write_predictions_csv(str(path), PredictionMatrix(LabelSpace(labels), answers))
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+        pm, _, retained, peak = _traced_read(path)
+        np.testing.assert_array_equal(pm.answers, answers)
+        assert peak <= retained + 2 * 2**20, (n, peak, retained)
 
 
 def test_long_cells_are_read_within_a_block_of_memory(tmp_path, monkeypatch):
@@ -458,6 +503,114 @@ def test_a_pipe_reads_like_a_file(tmp_path, variant):
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert got == expected
+
+
+_ID_ROWS = ["q0", "ü1", "", " q 3 ", "q4"]
+_QUOTED_ID_ROWS = ["q,0", 'q"1', "", "q\n3", "q\r\n4"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("variant", ["lf", "crlf", "quote-all", "pipe"])
+def test_question_ids_act_as_a_list(tmp_path, variant):
+    ids = _QUOTED_ID_ROWS if variant == "quote-all" else _ID_ROWS
+    buf = io.StringIO()
+    writer = csv.writer(
+        buf,
+        lineterminator="\r\n" if variant == "crlf" else "\n",
+        quoting=csv.QUOTE_ALL if variant == "quote-all" else csv.QUOTE_MINIMAL,
+    )
+    writer.writerow(["question_id", "agent_x", "agent_y"])
+    writer.writerows([qid, "AB"[i % 2], "B"] for i, qid in enumerate(ids))
+    data = buf.getvalue().encode()
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    if variant == "pipe":
+        read_end, write_end = os.pipe()
+        feeder = threading.Thread(target=_write_and_close, args=(write_end, data), daemon=True)
+        feeder.start()
+        try:
+            _, meta = read_predictions_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+            feeder.join(timeout=10)
+        assert not feeder.is_alive()
+    else:
+        _, meta = read_predictions_csv(str(path))
+    got = meta["question_ids"]
+    assert isinstance(got, QuestionIds)
+    assert len(got) == len(ids)
+    assert [got[i] for i in range(len(ids))] == ids
+    assert got[-1] == ids[-1] and got[1:4] == ids[1:4] and got[::-2] == ids[::-2]
+    with pytest.raises(IndexError):
+        got[len(ids)]
+    assert list(got) == ids and [*got] == ids
+    assert got == ids and ids == got and got == tuple(ids)
+    assert got != ids[:-1] and got != ids[::-1] and got != "".join(ids)
+    assert got == QuestionIds(ids) and got != QuestionIds(ids[::-1])
+
+
+# Bytes a mutation inserts or writes over: csv syntax, NUL, a byte that is
+# never UTF-8, a byte order mark, and a run longer than csv.field_size_limit().
+_HOSTILE_BYTES = (b'"', b"\r", b"\n", b",", b"\0", b"\xff", b"\xef\xbb\xbf", b"x" * 131_073)
+_VALID_PANEL = "".join(line + "\n" for line in _panel_lines(6)).encode()
+
+
+@st.composite
+def _mutated_panels(draw):
+    """``_VALID_PANEL`` after up to four insertions, deletions or replacements
+    of bytes, the new bytes drawn from ``_HOSTILE_BYTES``."""
+
+    data = bytearray(_VALID_PANEL)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if kind != "insert":
+            del data[at : at + draw(st.integers(1, 3))]
+        if kind != "delete":
+            data[at:at] = draw(st.sampled_from(_HOSTILE_BYTES))
+    return bytes(data)
+
+
+@given(_mutated_panels(), st.integers(1, 12))
+@example(b"question_id,agent_x\nq0,A\nq1,B\nq\xff,A\n", 1)
+@example(b"\xef\xbb\xbfquestion_id,agent_x\nq0,A\nq1,B\n", 12)
+@example(b"question_id,agent_x\nq\x000,A\nq\x00,B\nq,A\n", 2)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_bytes_read_like_the_reference_or_name_a_line(tmp_path, data, cells_per_block):
+    # a hostile file reads as the row-by-row reference reads it, or, where
+    # that reader cannot (bytes that are not UTF-8, an over-long field),
+    # fails with a FormatError that names the line
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
+        got = _outcome(read_predictions_csv, path)
+    try:
+        expected = _outcome(_reference_read, path)
+    except (UnicodeDecodeError, csv.Error):
+        fault = _header_fault(path)
+        if fault is not None:
+            assert got == fault
+        else:
+            assert isinstance(got, str) and re.match(rf"{re.escape(str(path))}:\d+: ", got), got
+    else:
+        assert got == expected
+
+
+def _header_fault(path):
+    """The error ``_parse_header`` raises for the first record of ``path``, if
+    that record is UTF-8 text csv.reader accepts; else None."""
+
+    try:
+        with open(path, newline="", errors="surrogateescape") as fh:
+            header = next(csv.reader(fh), [])
+        "".join(header).encode()
+        _parse_header(header, str(path))
+    except (csv.Error, UnicodeEncodeError):
+        return None
+    except FormatError as exc:
+        return str(exc)
+    return None
 
 
 def _write_and_close(fd, data):
