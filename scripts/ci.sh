@@ -14,7 +14,8 @@
 # a file, or a config file that is not UTF-8, exits 3 without a traceback, and a
 # check that ow-l on a 20,000 x 60 panel gives the same labels with one BLAS
 # thread as with the default, and fits without a warning: converged, all 8
-# starts agreeing.
+# starts agreeing, and a check that the parse cache gives a second run, and a
+# run after its entry was damaged, the labels of the first.
 #
 # Every step runs, even after one fails; each step stops at its own first
 # failing command. The script lists the failed steps at the end and then exits
@@ -24,6 +25,7 @@ set -uo pipefail
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 tmp="$(mktemp -d "${RUNNER_TEMP:-${TMPDIR:-/tmp}}/quorum-ci.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
+export XDG_CACHE_HOME="$tmp/xdg-cache"  # the parse cache stays out of the user's ~/.cache
 failed=()
 
 # step TITLE FUNCTION: run FUNCTION in a subshell that exits at its first failing command
@@ -209,6 +211,36 @@ for name in ("wide-owl", "wide-owl-1"):
 EOF
 }
 
+input_cache() {
+  python -c 'import json, sys; print(json.load(open(sys.argv[1]))["input_cache"])' "$1"
+}
+
+parse_cache_reads_like_a_parse() {
+  export XDG_CACHE_HOME="$tmp/parse-cache"
+  python -m quorum simulate --accuracies 0.6,0.7,0.8,0.9 --k 4 -m 80000 --seed 1 --out "$tmp/large.csv"
+  test "$(wc -c < "$tmp/large.csv")" -gt 1048576
+  for run in 1 2; do
+    python -m quorum aggregate --input "$tmp/large.csv" --out "$tmp/large-$run.csv" --method isp
+  done
+  cmp "$tmp/large-1.csv" "$tmp/large-2.csv"
+  test "$(input_cache "$tmp/large-1.csv.summary.json")" = stored
+  test "$(input_cache "$tmp/large-2.csv.summary.json")" = hit
+  entries=("$XDG_CACHE_HOME"/quorum/*)
+  test "${#entries[@]}" -eq 1
+  python - "${entries[0]}" <<'EOF'
+import sys
+
+with open(sys.argv[1], "r+b") as fh:
+    fh.seek(-4096, 2)
+    byte = fh.read(1)[0]
+    fh.seek(-4096, 2)
+    fh.write(bytes([byte ^ 0xFF]))
+EOF
+  python -m quorum aggregate --input "$tmp/large.csv" --out "$tmp/large-3.csv" --method isp
+  cmp "$tmp/large-1.csv" "$tmp/large-3.csv"
+  test "$(input_cache "$tmp/large-3.csv.summary.json")" = stored
+}
+
 step "tier-1 tests" tier1_tests
 step "benchmark harness tests" harness_tests
 step "verification suites" verification_suites
@@ -220,6 +252,7 @@ step "a bad flag or config value exits 2 without a traceback" bad_flags_exit_2
 step "a short row past the first ingest block exits 3 with its line" short_row_exits_3
 step "a byte that is not UTF-8 or an over-long field deep in a CSV, or a config that is not UTF-8, exits 3 without a traceback" hostile_bytes_exit_3
 step "ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread, a converged fit whose 8 starts agree, and no warning" owl_one_blas_thread
+step "the parse cache: a second run hits it, a damaged entry is parsed again, and all three give the same labels" parse_cache_reads_like_a_parse
 
 if [ "${#failed[@]}" -ne 0 ]; then
   echo "== ${#failed[@]} step(s) failed:"

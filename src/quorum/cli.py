@@ -289,6 +289,7 @@ def aggregate(ctx, config_path, **params):
             "labels": list(pm.space.labels),
             "agent_names": meta["agent_names"],
             "dropped_questions": meta["dropped"],
+            "input_cache": meta["cache"],
             "method": params["method"],
             "fit": _sanitize_fit(result.fit),
             "ties_broken": {"count": result.ties_broken, "fraction": result.ties_broken / pm.m},

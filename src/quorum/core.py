@@ -146,18 +146,23 @@ class PredictionMatrix:
 
     def __post_init__(self) -> None:
         ans = np.asarray(self.answers)
+        tr = None if self.truth is None else np.asarray(self.truth)
+        self._check(ans, tr, self.space.k)
+        object.__setattr__(self, "answers", _as_readonly(ans, _code_dtype(self.space.k)))
+        if tr is not None:
+            object.__setattr__(self, "truth", _as_readonly(tr, np.int64))
+
+    @staticmethod
+    def _check(ans: np.ndarray, tr: np.ndarray | None, k: int) -> None:
         if ans.ndim != 2:
             raise DimensionError(f"answers must be 2-d (questions x agents), got shape {ans.shape}")
         if ans.shape[0] < 1 or ans.shape[1] < 1:
             raise DimensionError(f"need at least one question and one agent, got shape {ans.shape}")
         if not np.issubdtype(ans.dtype, np.integer):
             raise DomainError(f"answers must be integer label indices, got dtype {ans.dtype}")
-        k = self.space.k
         if ans.min() < 0 or ans.max() >= k:
             raise DomainError(f"answer indices must lie in [0, {k})")
-        object.__setattr__(self, "answers", _as_readonly(ans, _code_dtype(k)))
-        if self.truth is not None:
-            tr = np.asarray(self.truth)
+        if tr is not None:
             if tr.shape != (ans.shape[0],):
                 raise DimensionError(
                     f"truth must have shape ({ans.shape[0]},), got {tr.shape}"
@@ -166,7 +171,20 @@ class PredictionMatrix:
                 raise DomainError(f"truth must be integer label indices, got dtype {tr.dtype}")
             if tr.min() < 0 or tr.max() >= k:
                 raise DomainError(f"truth indices must lie in [0, {k})")
-            object.__setattr__(self, "truth", _as_readonly(tr, np.int64))
+
+    @classmethod
+    def _adopt(cls, space: LabelSpace, answers: np.ndarray, truth: np.ndarray | None) -> "PredictionMatrix":
+        """A matrix that keeps ``answers`` (in the space's code dtype) and
+        ``truth`` (int64), arrays that only the caller holds, frozen in place
+        where the constructor would copy them."""
+
+        cls._check(answers, truth, space.k)
+        pm = object.__new__(cls)
+        for name, value in (("space", space), ("answers", answers), ("truth", truth)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(pm, name, value)
+        return pm
 
     @property
     def m(self) -> int:

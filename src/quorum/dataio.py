@@ -19,6 +19,7 @@ import itertools
 import json
 import operator
 import os
+import stat
 import tempfile
 from collections.abc import Sequence
 
@@ -605,14 +606,174 @@ def _plain_header(fh) -> list[str] | None:
         return None
 
 
-def _read_table(path: str) -> tuple[list[str], bool, tuple]:
+def _parse_table(fh, path: str) -> tuple[list[str], bool, tuple]:
     """The agent names, whether the last column is truth, and the data rows as
-    ``_read_cells`` returns them.
+    ``_read_cells`` returns them, parsed from binary file ``fh`` at its start.
 
-    The file is opened once. When it can be rewound and its header line is
-    plain text, the byte tokenizer reads it; otherwise, or when the tokenizer
-    gives up part way, csv.reader reads it from the start. So a pipe or FIFO,
-    which cannot be read twice, always takes csv.reader.
+    When ``fh`` can be rewound and its header line is plain text, the byte
+    tokenizer reads it; otherwise, or when the tokenizer gives up part way,
+    csv.reader reads it from the start. So a pipe or FIFO, which cannot be
+    read twice, always takes csv.reader.
+    """
+
+    if fh.seekable():
+        if (header := _plain_header(fh)) is not None:
+            names, has_truth = _parse_header(header, path)
+            cells = _read_cells_bytes(fh, 1 + len(names) + has_truth)
+            if cells is not None:
+                return names, has_truth, cells
+        fh.seek(0)
+    reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}:1: {exc}") from None
+    if _escaped(header):
+        raise FormatError(f"{path}:1: not UTF-8 text")
+    names, has_truth = _parse_header(header, path)
+    return names, has_truth, _read_cells(reader, 1 + len(names) + has_truth, fh)
+
+
+# The parse cache keeps what _parse_table returns for each regular file of at
+# least _CACHE_MIN_BYTES, one entry per file content, named by the SHA-256 of
+# its bytes. An entry is _CACHE_MAGIC, a line "<_CACHE_FORMAT> <header size>",
+# a JSON header (names, truth flag, vocabulary, each array's dtype and shape,
+# and the SHA-256 of the rest of the header and the arrays), then the arrays'
+# raw bytes.
+_CACHE_MAGIC = b"quorum parse cache\n"
+_CACHE_FORMAT = 1
+_CACHE_MIN_BYTES = 2**20
+_CACHE_ENTRIES = 8
+_CACHE_SUFFIX = ".table"
+
+
+def _sha256(blocks) -> str:
+    """The SHA-256 hex digest of ``blocks``, bytes-like objects end to end."""
+
+    import hashlib  # here: a process that hashes nothing does not pay for the import
+
+    digest = hashlib.sha256()
+    for block in blocks:
+        digest.update(block)
+    return digest.hexdigest()
+
+
+def _raw(arr: np.ndarray) -> np.ndarray:
+    """The bytes of C-contiguous ``arr`` as a flat uint8 view."""
+
+    return arr.reshape(-1).view(np.uint8)
+
+
+def _cache_dir() -> str:
+    """``$XDG_CACHE_HOME/quorum``, or ``~/.cache/quorum`` when that variable is unset or relative."""
+
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "quorum")
+
+
+def _file_state(st: os.stat_result) -> tuple[int, int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _cache_entry(fh) -> tuple[str, tuple] | None:
+    """The cache entry for binary file ``fh``'s bytes, hashed 256 KiB at a
+    time, and the file's state before they were read; or None, unread, for a
+    file that is not regular or is under ``_CACHE_MIN_BYTES``, or when there is
+    no cache directory. Leaves ``fh`` at its start."""
+
+    st, directory = os.fstat(fh.fileno()), _cache_dir()
+    if not (stat.S_ISREG(st.st_mode) and st.st_size >= _CACHE_MIN_BYTES and os.path.isabs(directory)):
+        return None  # the last: no home directory to expand "~" to
+    key = _sha256(iter(lambda: fh.read(2**18), b""))
+    fh.seek(0)
+    return os.path.join(directory, key + _CACHE_SUFFIX), _file_state(st)
+
+
+def _cache_load(entry: str) -> tuple[list[str], bool, tuple] | None:
+    """The table stored at ``entry``, read straight into one buffer per array;
+    or None if there is none or it fails a check: magic, format, lengths,
+    digest, nondecreasing id ends and codes below the vocabulary's size. A hit
+    marks the entry as the most recently used."""
+
+    try:
+        with open(entry, "rb") as fh:
+            if fh.readline(64) != _CACHE_MAGIC:
+                return None
+            version, size = map(int, fh.readline(64).split())
+            if version != _CACHE_FORMAT:
+                return None
+            head = json.loads(fh.read(size))
+            specs = [(np.dtype(dtype), tuple(shape)) for dtype, shape in head["arrays"]]
+            (_, (nbytes,)), _, (_, (rows, width)) = specs
+            if not (
+                all(dtype.kind == "u" for dtype, _ in specs)
+                and specs[1][1] == (rows,)
+                and sum(dtype.itemsize * int(np.prod(shape)) for dtype, shape in specs)
+                == os.fstat(fh.fileno()).st_size - fh.tell()
+            ):
+                return None
+            data = np.zeros(nbytes + 8, np.uint8)  # with QuestionIds' padding
+            ends, codes = (np.empty(shape, dtype) for dtype, shape in specs[1:])
+            raw = [data[:nbytes], _raw(ends), _raw(codes)]
+            if any(fh.readinto(buf) != buf.size for buf in raw):
+                return None
+        digest = head.pop("sha256")
+        names, has_truth, vocab = head["names"], head["has_truth"], head["vocab"]
+        if not (
+            _sha256([json.dumps(head).encode(), *raw]) == digest
+            and width == len(names) + has_truth
+            and (ends[1:] >= ends[:-1]).all()
+            and (int(ends[-1]) if rows else 0) == nbytes
+            and (not codes.size or int(codes.max()) < len(vocab))
+        ):
+            return None
+        with contextlib.suppress(OSError):
+            os.utime(entry)
+    except (OSError, ValueError, TypeError, KeyError, RecursionError):
+        return None
+    return names, has_truth, (QuestionIds._adopt(data, ends), codes, vocab, None)
+
+
+def _cache_store(entry: str, names: list[str], has_truth: bool, cells: tuple) -> bool:
+    """Store a table at ``entry`` through ``atomic_write_text``, in a directory
+    made private to the user, then evict all but the ``_CACHE_ENTRIES`` most
+    recently used entries. Returns whether the entry was stored; an
+    ``OSError`` only means it was not."""
+
+    qids, codes, vocab, _ = cells
+    arrays = (qids._data[: qids._data.size - 8], qids._ends, codes)
+    raw = [_raw(arr) for arr in arrays]
+    head = {"names": names, "has_truth": has_truth, "vocab": vocab,
+            "arrays": [[arr.dtype.str, arr.shape] for arr in arrays]}
+    head["sha256"] = _sha256([json.dumps(head).encode(), *raw])
+    head = json.dumps(head).encode()
+    directory = os.path.dirname(entry)
+    try:
+        os.makedirs(directory, 0o700, exist_ok=True)
+        atomic_write_text(entry, [_CACHE_MAGIC, b"%d %d\n" % (_CACHE_FORMAT, len(head)), head, *raw])
+    except OSError:
+        return False
+    with contextlib.suppress(OSError):
+        entries = [e for e in os.scandir(directory) if e.name.endswith(_CACHE_SUFFIX)]
+        entries.sort(key=lambda e: e.stat().st_mtime_ns, reverse=True)
+        for old in entries[_CACHE_ENTRIES:]:
+            os.unlink(old.path)
+    return True
+
+
+def _read_table(path: str) -> tuple[list[str], bool, tuple, str]:
+    """What ``_parse_table`` makes of the file at ``path``, and where it came
+    from: ``"hit"`` (the parse cache), ``"stored"`` (parsed, then cached) or
+    ``"off"`` (parsed only).
+
+    A cache entry is a memo of ``_parse_table`` on the exact bytes it is named
+    by, so bump ``_CACHE_FORMAT`` whenever what it returns changes. A parse is
+    stored only if it found no fault and the file's inode, size and times
+    were the same before hashing and after parsing.
     """
 
     try:
@@ -620,24 +781,52 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple]:
     except OSError as exc:
         raise FormatError(f"cannot open {path}: {exc}") from None
     with fh, _gc_paused():
-        if fh.seekable():
-            if (header := _plain_header(fh)) is not None:
-                names, has_truth = _parse_header(header, path)
-                cells = _read_cells_bytes(fh, 1 + len(names) + has_truth)
-                if cells is not None:
-                    return names, has_truth, cells
-            fh.seek(0)
-        reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=""))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        except csv.Error as exc:
-            raise FormatError(f"{path}:1: {exc}") from None
-        if _escaped(header):
-            raise FormatError(f"{path}:1: not UTF-8 text")
-        names, has_truth = _parse_header(header, path)
-        return names, has_truth, _read_cells(reader, 1 + len(names) + has_truth, fh)
+        cached = _cache_entry(fh)
+        if cached is not None and (table := _cache_load(cached[0])) is not None:
+            return (*table, "hit")
+        names, has_truth, cells = _parse_table(fh, path)
+        stored = False
+        if cached is not None and cells[3] is None:
+            entry, state = cached
+            with contextlib.suppress(OSError):  # by path: csv.reader's wrapper has closed fh
+                stored = _file_state(os.stat(path)) == state and _cache_store(entry, names, has_truth, cells)
+        return names, has_truth, cells, "stored" if stored else "off"
+
+
+def _label_indices(
+    codes: np.ndarray, vocab: list[str], space: LabelSpace, n: int, rows: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The answers (the first ``n`` columns of ``codes``) and the truth (the
+    column after them, if any) as label indices of ``space``.
+
+    ``codes`` holds indices into ``vocab``. Where its dtype is the space's
+    code dtype, the answers are rewritten in place over ``codes``' own
+    buffer, ``rows`` rows at a time, so the matrix is never held twice.
+    Cells outside the space occur only in dropped rows, so their index is
+    never read.
+    """
+
+    dtype = _code_dtype(space.k)
+    remap = None
+    if tuple(vocab) != space.labels or codes.dtype != dtype:
+        index = {lab: i for i, lab in enumerate(space.labels)}
+        remap = np.array([index.get(lab, 0) for lab in vocab], dtype)
+    truth = None
+    if codes.shape[1] > n:
+        truth = (codes[:, n] if remap is None else remap[codes[:, n]]).astype(np.int64)
+    if codes.dtype != dtype:
+        return remap[codes[:, :n]], truth
+    if remap is not None or truth is not None:
+        flat = codes.reshape(-1)
+        for i in range(0, len(codes), rows):
+            block = codes[i : i + rows, :n]  # not yet overwritten: flat[: i * n] ends before it
+            out = flat[i * n : i * n + block.size].reshape(block.shape)
+            if remap is None:
+                out[...] = block
+            else:  # the indices are copied first, so out may overlap block
+                np.take(remap, block.astype(np.intp), out=out, mode="clip")
+        codes = flat[: len(codes) * n].reshape(-1, n)
+    return codes, truth
 
 
 def read_predictions_csv(
@@ -649,9 +838,11 @@ def read_predictions_csv(
     """Parse a predictions CSV.
 
     Returns the matrix plus a meta dict with ``question_ids`` (a
-    ``QuestionIds``, equal to the list of the ids as str) and
-    ``agent_names``. Questions with empty cells are rejected unless
-    ``drop_incomplete`` is set, in which case they are skipped. The truth
+    ``QuestionIds``, equal to the list of the ids as str), ``agent_names``,
+    ``dropped`` (how many rows ``drop_incomplete`` skipped) and ``cache``
+    (``"hit"``, ``"stored"`` or ``"off"``: whether the parse came from the
+    parse cache, was stored in it or neither). Questions with empty cells are
+    rejected unless ``drop_incomplete`` is set, in which case they are skipped. The truth
     column, when present, is carried on the matrix but plays no role in
     aggregation.
 
@@ -660,7 +851,7 @@ def read_predictions_csv(
     first faulty row in file order is the one reported.
     """
 
-    names, has_truth, (qids, codes, vocab, fault) = _read_table(path)
+    names, has_truth, (qids, codes, vocab, fault), cache = _read_table(path)
     space = LabelSpace(tuple(labels)) if labels is not None else None
     clean = "" not in vocab and (space is None or set(vocab).issubset(space.labels))
     kept = None if clean else _screen_rows(codes, vocab, space, names, drop_incomplete, path)
@@ -677,9 +868,10 @@ def read_predictions_csv(
         lineno = (repeat if kept is None else int(kept[repeat])) + 2
         raise FormatError(f"{path}:{lineno}: duplicate question_id {qids[repeat]!r}")
 
+    # counted or rewritten one block of rows at a time: bincount widens its
+    # input to int64, and a fancy index copies it
+    rows = max(1, _CELLS_PER_BLOCK // codes.shape[1])
     if space is None:
-        # counted one block of rows at a time: bincount widens its input to int64
-        rows = max(1, _CELLS_PER_BLOCK // codes.shape[1])
         seen = sum(
             np.bincount(codes[i : i + rows].ravel(), minlength=len(vocab))
             for i in range(0, len(codes), rows)
@@ -688,15 +880,9 @@ def read_predictions_csv(
         if present.size < 2:
             raise FormatError(f"{path}: fewer than 2 distinct labels in data")
         space = LabelSpace(tuple(sorted(vocab[i] for i in present)))
-    if tuple(vocab) != space.labels:
-        # Cells outside the space occur only in dropped rows, so their code is never read.
-        index = {lab: i for i, lab in enumerate(space.labels)}
-        remap = np.array([index.get(lab, 0) for lab in vocab], _code_dtype(space.k))
-        codes = remap[codes]
-
     n = len(names)
-    pm = PredictionMatrix(space, codes[:, :n], codes[:, n] if has_truth else None)
-    meta = {"question_ids": qids, "agent_names": names, "dropped": dropped}
+    pm = PredictionMatrix._adopt(space, *_label_indices(codes, vocab, space, n, rows))
+    meta = {"question_ids": qids, "agent_names": names, "dropped": dropped, "cache": cache}
     if agents is not None:
         missing = [a for a in agents if a not in names]
         if missing:

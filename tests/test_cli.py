@@ -176,6 +176,22 @@ class TestAggregateCommand:
         d1["config"].pop("summary"), d2["config"].pop("summary")
         assert d1 == d2
 
+    def test_summary_says_where_the_parse_came_from(self, runner, tmp_path):
+        small, large = tmp_path / "small.csv", tmp_path / "large.csv"
+        _simulate(runner, small)
+        _simulate(runner, large, ["-m", "80000"])
+        assert large.stat().st_size >= 2**20 > small.stat().st_size
+        seen = []
+        for pred, name in ((small, "s1"), (small, "s2"), (large, "l1"), (large, "l2")):
+            out = tmp_path / f"{name}.csv"
+            _invoke(runner, ["aggregate", "--input", str(pred), "--out", str(out), "--method", "isp"])
+            summary = json.loads((tmp_path / f"{name}.csv.summary.json").read_text())
+            seen.append(summary.pop("input_cache"))
+            summary.pop("timestamp"), summary["config"].pop("out")
+            seen.append((out.read_bytes(), summary))
+        assert seen[0::2] == ["off", "off", "stored", "hit"]
+        assert seen[1] == seen[3] and seen[5] == seen[7]
+
     def test_each_method_runs(self, runner, tmp_path):
         pred = tmp_path / "p.csv"
         _simulate(runner, pred)

@@ -2,6 +2,8 @@
 
 import contextlib
 import csv
+import functools
+import hashlib
 import io
 import json
 import os
@@ -78,7 +80,8 @@ def _reference_read(path, labels=None, drop_incomplete=False):
     codes = np.array([[space.index(cell) for cell in row] for row in rows], dtype=np.int64)
     n = len(names)
     pm = PredictionMatrix(space, codes[:, :n], codes[:, n] if has_truth else None)
-    return pm, {"question_ids": qids, "agent_names": names, "dropped": dropped}
+    # the files it is compared on are under the parse cache's size floor
+    return pm, {"question_ids": qids, "agent_names": names, "dropped": dropped, "cache": "off"}
 
 
 def _outcome(reader, path, **kwargs):
@@ -772,3 +775,318 @@ class TestAtomicWriters:
         assert text.endswith("\n")
         assert json.loads(text) == {"a": 2, "b": 1}
         assert text.index('"a"') < text.index('"b"')
+
+
+# ---------------------------------------------------------------------------
+# Parse cache
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _large_panel_rows(empty_every):
+    labels = ("alpha", "bravo", "charlie", "delta", "echo,foxtrot")
+    codes = np.random.default_rng(1).integers(0, 5, size=(26_000, 5)).tolist()
+    table = [("question_id", "agent_a", "agent_b", "agent_c", "agent_d", "truth")]
+    for i, row in enumerate(codes):
+        cells = [labels[c] for c in row]
+        if empty_every and i % empty_every == 3:
+            cells[i % 4] = ""
+        table.append((f"q{i}", *cells))
+    return tuple(table)
+
+
+def _large_panel(empty_every=0):
+    """The csv rows of a panel of four agents and truth over five labels, one
+    of them quoted by csv.writer; every ``empty_every``-th row (if any) has
+    an empty cell. Each copy of it is over the cache's 1 MiB floor."""
+
+    return [list(row) for row in _large_panel_rows(empty_every)]
+
+
+def _write_copy(path, table, variant):
+    with open(path, "w", newline="") as fh:
+        csv.writer(
+            fh,
+            lineterminator="\r\n" if variant == "crlf" else "\n",
+            quoting=csv.QUOTE_ALL if variant == "quote-all" else csv.QUOTE_MINIMAL,
+        ).writerows(table)
+    assert os.path.getsize(path) >= dataio._CACHE_MIN_BYTES
+
+
+def _entries():
+    """The names of the parse cache's entries."""
+
+    directory = dataio._cache_dir()
+    if not os.path.isdir(directory):
+        return []
+    return sorted(name for name in os.listdir(directory) if name.endswith(dataio._CACHE_SUFFIX))
+
+
+def _entry_of(path):
+    return os.path.join(dataio._cache_dir(), hashlib.sha256(path.read_bytes()).hexdigest() + dataio._CACHE_SUFFIX)
+
+
+def _same_read(got, expected):
+    """Two reads' results agree in matrix, label space and meta, cache aside."""
+
+    (pm, meta), (pm0, meta0) = got, expected
+    assert pm.space == pm0.space
+    np.testing.assert_array_equal(pm.answers, pm0.answers)
+    assert pm.answers.dtype == pm0.answers.dtype and not pm.answers.flags.writeable
+    if pm0.truth is None:
+        assert pm.truth is None
+    else:
+        np.testing.assert_array_equal(pm.truth, pm0.truth)
+        assert pm.truth.dtype == np.int64
+    assert {k: v for k, v in meta.items() if k != "cache"} == {k: v for k, v in meta0.items() if k != "cache"}
+
+
+@pytest.mark.parametrize("variant", ["lf", "crlf", "quote-all"])
+@pytest.mark.parametrize(
+    "options",
+    [
+        {},
+        {"labels": ["echo,foxtrot", "delta", "charlie", "bravo", "alpha", "zulu"]},
+        {"agents": ["d", "b"]},
+        {"drop_incomplete": True},
+    ],
+    ids=["plain", "labels", "agents", "drop-incomplete"],
+)
+def test_a_cache_hit_reads_like_a_miss(tmp_path, variant, options):
+    table = _large_panel(empty_every=7 if options.get("drop_incomplete") else 0)
+    path = tmp_path / "p.csv"
+    _write_copy(path, table, variant)
+    stored = read_predictions_csv(str(path), **options)
+    hit = read_predictions_csv(str(path), **options)
+    assert (stored[1]["cache"], hit[1]["cache"]) == ("stored", "hit")
+    assert _entries() == [os.path.basename(_entry_of(path))]
+    _same_read(hit, stored)
+    # and both read like the row-by-row reference
+    ref_pm, ref_meta = _reference_read(
+        str(path), labels=options.get("labels"), drop_incomplete=options.get("drop_incomplete", False)
+    )
+    if "agents" in options:
+        ref_pm = ref_pm.select_agents([3, 1])
+        ref_meta["agent_names"] = ["d", "b"]
+    _same_read(hit, (ref_pm, ref_meta))
+
+
+def test_every_option_shares_one_entry_and_errors_survive_a_hit(tmp_path):
+    path = tmp_path / "p.csv"
+    _write_copy(path, _large_panel(empty_every=7), "lf")
+    with pytest.raises(FormatError, match=r"p\.csv:5: empty cell for 'd'"):
+        read_predictions_csv(str(path))
+    assert len(_entries()) == 1  # the parse was sound; the screening failed
+    with pytest.raises(FormatError, match=r"p\.csv:5: empty cell for 'd'"):
+        read_predictions_csv(str(path))
+    with pytest.raises(FormatError, match=r"label 'echo,foxtrot' not in label space"):
+        read_predictions_csv(str(path), labels=["alpha", "bravo", "charlie", "delta"], drop_incomplete=True)
+    _, meta = read_predictions_csv(str(path), drop_incomplete=True, agents=["a"])
+    assert meta["cache"] == "hit" and len(_entries()) == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_small_files_and_pipes_are_not_cached(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(_panel_lines(100)) + "\n")
+    assert read_predictions_csv(str(path))[1]["cache"] == "off"
+    _write_copy(path, _large_panel(), "lf")
+    read_end, write_end = os.pipe()
+    feeder = threading.Thread(target=_write_and_close, args=(write_end, path.read_bytes()), daemon=True)
+    feeder.start()
+    try:
+        assert read_predictions_csv(f"/dev/fd/{read_end}")[1]["cache"] == "off"
+    finally:
+        os.close(read_end)
+        feeder.join(timeout=10)
+    assert not feeder.is_alive()
+    assert _entries() == []
+
+
+def test_an_input_rewritten_in_place_is_parsed_again(tmp_path):
+    # same size, and the modification time put back: the content decides
+    path = tmp_path / "p.csv"
+    table = _large_panel()
+    _write_copy(path, table, "lf")
+    before = os.stat(path)
+    first = read_predictions_csv(str(path))
+    row = next(i for i, cells in enumerate(table) if cells[1] == "alpha")
+    table[row][1] = "bravo"
+    _write_copy(path, table, "lf")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_size == before.st_size and os.stat(path).st_mtime_ns == before.st_mtime_ns
+    second = read_predictions_csv(str(path))
+    assert (first[1]["cache"], second[1]["cache"]) == ("stored", "stored")
+    assert first[0].answers[row - 1, 0] != second[0].answers[row - 1, 0]
+    _same_read(second, _reference_read(str(path)))
+    assert len(_entries()) == 2
+
+
+def test_an_input_changed_during_the_read_is_not_stored(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    _write_copy(path, _large_panel(), "lf")
+    parse = dataio._parse_table
+
+    def parse_then_touch(fh, name):
+        result = parse(fh, name)
+        os.utime(path, ns=(0, 0))
+        return result
+
+    monkeypatch.setattr(dataio, "_parse_table", parse_then_touch)
+    assert read_predictions_csv(str(path))[1]["cache"] == "off"
+    assert _entries() == []
+
+
+def _damage_entry(entry, damage):
+    data = bytearray(open(entry, "rb").read())
+    if damage == "truncated":
+        del data[-100:]
+    elif damage == "bit-flipped-payload":
+        data[-1000] ^= 0x10
+    elif damage == "bit-flipped-label":  # still valid JSON, naming another label
+        at = data.index(b'"alpha"') + 2
+        data[at] ^= 0x01
+    elif damage == "wrong-version":
+        at = len(dataio._CACHE_MAGIC)
+        data[at : at + 1] = b"9"
+    elif damage == "wrong-magic":
+        data[0] ^= 0x20
+    elif damage == "extra-bytes":
+        data += b"\0"
+    with open(entry, "wb") as fh:
+        fh.write(data)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["truncated", "bit-flipped-payload", "bit-flipped-label", "wrong-version", "wrong-magic", "extra-bytes"],
+)
+def test_a_damaged_entry_reads_like_a_parse_and_is_rewritten(tmp_path, damage):
+    path = tmp_path / "p.csv"
+    _write_copy(path, _large_panel(), "lf")
+    first = read_predictions_csv(str(path))
+    entry = _entry_of(path)
+    good = open(entry, "rb").read()
+    _damage_entry(entry, damage)
+    assert open(entry, "rb").read() != good
+    again = read_predictions_csv(str(path))
+    assert again[1]["cache"] == "stored"
+    _same_read(again, first)
+    assert open(entry, "rb").read() == good
+    assert read_predictions_csv(str(path))[1]["cache"] == "hit"
+
+
+@pytest.mark.parametrize("fault", ["code-past-vocab", "ends-decrease"])
+def test_an_entry_with_a_sound_digest_but_impossible_arrays_is_a_miss(tmp_path, fault):
+    path = tmp_path / "p.csv"
+    _write_copy(path, _large_panel(), "lf")
+    first = read_predictions_csv(str(path))
+    entry = _entry_of(path)
+    with open(path, "rb") as fh:
+        names, has_truth, (qids, codes, vocab, _) = dataio._parse_table(fh, str(path))
+    data, ends = qids._data.copy(), qids._ends.copy()
+    if fault == "code-past-vocab":
+        codes[7, 2] = len(vocab)
+    else:
+        ends[3], ends[4] = ends[4], ends[3]
+    assert dataio._cache_store(entry, names, has_truth, (QuestionIds._adopt(data, ends), codes, vocab, None))
+    assert dataio._cache_load(entry) is None
+    again = read_predictions_csv(str(path))
+    assert again[1]["cache"] == "stored"
+    _same_read(again, first)
+
+
+def test_an_unusable_cache_directory_still_reads(tmp_path, monkeypatch):
+    # a file where the directory should be: even root cannot write there
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    path = tmp_path / "p.csv"
+    _write_copy(path, _large_panel(), "lf")
+    for _ in range(2):
+        got = read_predictions_csv(str(path))
+        assert got[1]["cache"] == "off"
+        _same_read(got, _reference_read(str(path)))
+
+
+def test_the_cache_directory_follows_xdg_cache_home(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    assert dataio._cache_dir() == str(tmp_path / "xdg" / "quorum")
+    for unusable in ("relative/dir", ""):
+        monkeypatch.setenv("XDG_CACHE_HOME", unusable)
+        assert dataio._cache_dir() == str(tmp_path / "home" / ".cache" / "quorum")
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    assert dataio._cache_dir() == str(tmp_path / "home" / ".cache" / "quorum")
+
+
+def test_no_home_directory_means_no_cache(tmp_path, monkeypatch):
+    # "~" that cannot be expanded must not become a directory named "~"
+    monkeypatch.delenv("XDG_CACHE_HOME")
+    monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "p.csv"
+    _write_copy(path, _large_panel(), "lf")
+    assert read_predictions_csv(str(path))[1]["cache"] == "off"
+    assert sorted(os.listdir(tmp_path)) == ["p.csv"]
+
+
+def test_entries_are_private_to_the_user(tmp_path):
+    path = tmp_path / "p.csv"
+    _write_copy(path, _large_panel(), "lf")
+    read_predictions_csv(str(path))
+    assert os.stat(dataio._cache_dir()).st_mode & 0o777 == 0o700
+    assert os.stat(_entry_of(path)).st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize("fault", ["short-row", "not-utf8"])
+def test_a_malformed_large_file_fails_alike_twice_and_stores_nothing(tmp_path, fault):
+    table = _large_panel()
+    path = tmp_path / "p.csv"
+    _write_copy(path, table, "lf")
+    data = path.read_bytes().split(b"\n")
+    if fault == "short-row":
+        data[20_001] = b"q_short,alpha"
+    else:
+        data[20_001] = b"q\xff" + data[20_001][data[20_001].index(b",") :]
+    path.write_bytes(b"\n".join(data))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(FormatError, match=r"p\.csv:20002: ") as info:
+            read_predictions_csv(str(path))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert _entries() == []
+
+
+def test_eviction_keeps_the_most_recently_used_entries(tmp_path):
+    table = _large_panel()
+    paths = []
+    past = os.stat(tmp_path).st_mtime_ns - 10**12  # entries made older by hand, in order
+    for i in range(dataio._CACHE_ENTRIES + 2):
+        table[1][0] = f"first-{i}"
+        paths.append(tmp_path / f"p{i}.csv")
+        _write_copy(paths[-1], table, "lf")
+    entry = [os.path.basename(_entry_of(p)) for p in paths]
+    for i, p in enumerate(paths[:-1]):
+        assert read_predictions_csv(str(p))[1]["cache"] == "stored"
+        os.utime(_entry_of(p), ns=(past + i, past + i))
+    assert _entries() == sorted(entry[1:-1])  # the ninth store evicted the oldest
+    assert read_predictions_csv(str(paths[1]))[1]["cache"] == "hit"  # and is now the newest
+    assert os.stat(_entry_of(paths[1])).st_mtime_ns > past + len(paths)
+    assert read_predictions_csv(str(paths[-1]))[1]["cache"] == "stored"
+    assert _entries() == sorted([entry[1], *entry[3:]])
+
+
+def test_parse_cache_memory_is_bounded_by_a_block(tmp_path):
+    # the store and the hit each keep the bound of the reads above
+    labels = tuple(f"label_{c}" for c in "abcde")
+    answers = np.random.default_rng(0).integers(0, 5, size=(20_000, 100))
+    path = tmp_path / "p.csv"
+    write_predictions_csv(str(path), PredictionMatrix(LabelSpace(labels), answers))
+    path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n"))
+    for expected in ("stored", "hit"):
+        pm, meta, retained, peak = _traced_read(path)
+        assert meta["cache"] == expected
+        np.testing.assert_array_equal(pm.answers, answers)
+        assert peak <= retained + 2 * 2**20, (expected, peak, retained)
