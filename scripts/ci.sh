@@ -219,6 +219,7 @@ parse_cache_reads_like_a_parse() {
   export XDG_CACHE_HOME="$tmp/parse-cache"
   python -m quorum simulate --accuracies 0.6,0.7,0.8,0.9 --k 4 -m 80000 --seed 1 --out "$tmp/large.csv"
   test "$(wc -c < "$tmp/large.csv")" -gt 1048576
+  sleep 2  # a file changed less than 2 s ago is read but not stored
   for run in 1 2; do
     python -m quorum aggregate --input "$tmp/large.csv" --out "$tmp/large-$run.csv" --method isp
   done

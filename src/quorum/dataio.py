@@ -21,6 +21,7 @@ import operator
 import os
 import stat
 import tempfile
+import time
 from collections.abc import Sequence
 
 import numpy as np
@@ -637,22 +638,28 @@ def _parse_table(fh, path: str) -> tuple[list[str], bool, tuple]:
 
 
 # The parse cache keeps what _parse_table returns for each regular file of at
-# least _CACHE_MIN_BYTES, one entry per file content, named by the SHA-256 of
-# its bytes. An entry is _CACHE_MAGIC, a line "<_CACHE_FORMAT> <header size>",
-# a JSON header (names, truth flag, vocabulary, each array's dtype and shape,
-# and the SHA-256 of the rest of the header and the arrays), then the arrays'
-# raw bytes.
+# least _CACHE_MIN_BYTES, one entry per file state: an entry is named by the
+# file's device, inode, size and modification and change times. Any write to
+# a file, and os.utime, sets its change time to the present, so a file that
+# was last changed _CACHE_SETTLE_NS or more before it was parsed never shows
+# that state again with other bytes; a younger file is not stored. An entry is
+# _CACHE_MAGIC, a line "<_CACHE_FORMAT> <header size>", a JSON header (names,
+# truth flag, vocabulary, each array's dtype and shape, and the SHA-256 of the
+# rest of the header and the arrays), then the arrays' raw bytes.
 _CACHE_MAGIC = b"quorum parse cache\n"
 _CACHE_FORMAT = 1
 _CACHE_MIN_BYTES = 2**20
 _CACHE_ENTRIES = 8
+_CACHE_BYTES = 2**28  # all entries together; a larger table is not stored
+_CACHE_SETTLE_NS = 2 * 10**9  # the coarsest file times in use, FAT's, step by 2 s
+_CACHE_STALE_NS = 3600 * 10**9  # a temp file this old was left by a store that was killed
 _CACHE_SUFFIX = ".table"
 
 
 def _sha256(blocks) -> str:
     """The SHA-256 hex digest of ``blocks``, bytes-like objects end to end."""
 
-    import hashlib  # here: a process that hashes nothing does not pay for the import
+    import hashlib  # here: a process that stores or loads nothing does not pay for the import
 
     digest = hashlib.sha256()
     for block in blocks:
@@ -675,32 +682,41 @@ def _cache_dir() -> str:
     return os.path.join(base, "quorum")
 
 
-def _file_state(st: os.stat_result) -> tuple[int, int, int, int]:
-    return st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+def _private(st: os.stat_result) -> bool:
+    """Whether a cache directory or entry is the user's own and writable by no one else."""
+
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
 
 
-def _cache_entry(fh) -> tuple[str, tuple] | None:
-    """The cache entry for binary file ``fh``'s bytes, hashed 256 KiB at a
-    time, and the file's state before they were read; or None, unread, for a
-    file that is not regular or is under ``_CACHE_MIN_BYTES``, or when there is
-    no cache directory. Leaves ``fh`` at its start."""
+def _file_state(st: os.stat_result) -> tuple[int, int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
-    st, directory = os.fstat(fh.fileno()), _cache_dir()
+
+def _cache_entry(fh) -> tuple[str, tuple | None] | None:
+    """The cache entry for binary file ``fh`` in its present state, and that
+    state if a parse of the file may be stored: only if it was last changed
+    ``_CACHE_SETTLE_NS`` or more ago. None for a file that is not regular or
+    is under ``_CACHE_MIN_BYTES``, or when there is no cache directory."""
+
+    now, st, directory = time.time_ns(), os.fstat(fh.fileno()), _cache_dir()
     if not (stat.S_ISREG(st.st_mode) and st.st_size >= _CACHE_MIN_BYTES and os.path.isabs(directory)):
         return None  # the last: no home directory to expand "~" to
-    key = _sha256(iter(lambda: fh.read(2**18), b""))
-    fh.seek(0)
-    return os.path.join(directory, key + _CACHE_SUFFIX), _file_state(st)
+    state = _file_state(st)
+    settled = now - max(st.st_mtime_ns, st.st_ctime_ns) >= _CACHE_SETTLE_NS
+    return os.path.join(directory, "%x-%x-%x-%d-%d" % state + _CACHE_SUFFIX), state if settled else None
 
 
 def _cache_load(entry: str) -> tuple[list[str], bool, tuple] | None:
     """The table stored at ``entry``, read straight into one buffer per array;
-    or None if there is none or it fails a check: magic, format, lengths,
-    digest, nondecreasing id ends and codes below the vocabulary's size. A hit
-    marks the entry as the most recently used."""
+    or None if there is none, if it or its directory is not ``_private``, or
+    if it fails a check: magic, format, lengths, digest, nondecreasing id ends
+    and codes below the vocabulary's size. A hit marks the entry as the most
+    recently used."""
 
     try:
         with open(entry, "rb") as fh:
+            if not (_private(os.stat(os.path.dirname(entry))) and _private(os.fstat(fh.fileno()))):
+                return None
             if fh.readline(64) != _CACHE_MAGIC:
                 return None
             version, size = map(int, fh.readline(64).split())
@@ -739,14 +755,16 @@ def _cache_load(entry: str) -> tuple[list[str], bool, tuple] | None:
 
 
 def _cache_store(entry: str, names: list[str], has_truth: bool, cells: tuple) -> bool:
-    """Store a table at ``entry`` through ``atomic_write_text``, in a directory
-    made private to the user, then evict all but the ``_CACHE_ENTRIES`` most
-    recently used entries. Returns whether the entry was stored; an
-    ``OSError`` only means it was not."""
+    """Store a table of at most ``_CACHE_BYTES`` at ``entry`` through
+    ``atomic_write_text``, in a directory made private to the user, then
+    ``_cache_evict``. Returns whether the entry was stored; an ``OSError``
+    only means it was not."""
 
     qids, codes, vocab, _ = cells
     arrays = (qids._data[: qids._data.size - 8], qids._ends, codes)
     raw = [_raw(arr) for arr in arrays]
+    if sum(buf.size for buf in raw) > _CACHE_BYTES:
+        return False
     head = {"names": names, "has_truth": has_truth, "vocab": vocab,
             "arrays": [[arr.dtype.str, arr.shape] for arr in arrays]}
     head["sha256"] = _sha256([json.dumps(head).encode(), *raw])
@@ -754,15 +772,33 @@ def _cache_store(entry: str, names: list[str], has_truth: bool, cells: tuple) ->
     directory = os.path.dirname(entry)
     try:
         os.makedirs(directory, 0o700, exist_ok=True)
+        if not _private(os.stat(directory)):
+            return False
         atomic_write_text(entry, [_CACHE_MAGIC, b"%d %d\n" % (_CACHE_FORMAT, len(head)), head, *raw])
     except OSError:
         return False
     with contextlib.suppress(OSError):
-        entries = [e for e in os.scandir(directory) if e.name.endswith(_CACHE_SUFFIX)]
-        entries.sort(key=lambda e: e.stat().st_mtime_ns, reverse=True)
-        for old in entries[_CACHE_ENTRIES:]:
-            os.unlink(old.path)
+        _cache_evict(directory)
     return True
+
+
+def _cache_evict(directory: str) -> None:
+    """Keep the most recently used entries while they number at most
+    ``_CACHE_ENTRIES`` and total at most ``_CACHE_BYTES`` (the newest always
+    stays), remove the rest, and remove temp files that stores left behind."""
+
+    now, entries = time.time_ns(), []
+    for e in os.scandir(directory):
+        st = e.stat(follow_symlinks=False)
+        if e.name.endswith(_CACHE_SUFFIX):
+            entries.append((st.st_mtime_ns, st.st_size, e.path))
+        elif e.name.startswith(".tmp-") and e.name.endswith("~") and now - st.st_mtime_ns > _CACHE_STALE_NS:
+            os.unlink(e.path)
+    total = 0
+    for kept, (_, size, path) in enumerate(sorted(entries, reverse=True)):
+        total += size
+        if kept and (kept >= _CACHE_ENTRIES or total > _CACHE_BYTES):
+            os.unlink(path)
 
 
 def _read_table(path: str) -> tuple[list[str], bool, tuple, str]:
@@ -770,10 +806,10 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple, str]:
     from: ``"hit"`` (the parse cache), ``"stored"`` (parsed, then cached) or
     ``"off"`` (parsed only).
 
-    A cache entry is a memo of ``_parse_table`` on the exact bytes it is named
+    A cache entry is a memo of ``_parse_table`` on the file state it is named
     by, so bump ``_CACHE_FORMAT`` whenever what it returns changes. A parse is
-    stored only if it found no fault and the file's inode, size and times
-    were the same before hashing and after parsing.
+    stored only if it found no fault and the file's state was settled before
+    parsing and the same after.
     """
 
     try:
@@ -786,7 +822,7 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple, str]:
             return (*table, "hit")
         names, has_truth, cells = _parse_table(fh, path)
         stored = False
-        if cached is not None and cells[3] is None:
+        if cached is not None and cached[1] is not None and cells[3] is None:
             entry, state = cached
             with contextlib.suppress(OSError):  # by path: csv.reader's wrapper has closed fh
                 stored = _file_state(os.stat(path)) == state and _cache_store(entry, names, has_truth, cells)

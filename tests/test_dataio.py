@@ -3,7 +3,6 @@
 import contextlib
 import csv
 import functools
-import hashlib
 import io
 import json
 import os
@@ -823,7 +822,8 @@ def _entries():
 
 
 def _entry_of(path):
-    return os.path.join(dataio._cache_dir(), hashlib.sha256(path.read_bytes()).hexdigest() + dataio._CACHE_SUFFIX)
+    with open(path, "rb") as fh:
+        return dataio._cache_entry(fh)[0]
 
 
 def _same_read(got, expected):
@@ -904,7 +904,7 @@ def test_small_files_and_pipes_are_not_cached(tmp_path):
 
 
 def test_an_input_rewritten_in_place_is_parsed_again(tmp_path):
-    # same size, and the modification time put back: the content decides
+    # same size, and the modification time put back: the change time decides
     path = tmp_path / "p.csv"
     table = _large_panel()
     _write_copy(path, table, "lf")
@@ -1039,6 +1039,49 @@ def test_entries_are_private_to_the_user(tmp_path):
     assert os.stat(_entry_of(path)).st_mode & 0o777 == 0o600
 
 
+def test_a_file_changed_too_recently_is_not_stored(tmp_path, monkeypatch):
+    # a change in the same tick of a coarse clock would keep its change time
+    monkeypatch.setattr(dataio, "_CACHE_SETTLE_NS", 3600 * 10**9)
+    path = tmp_path / "p.csv"
+    _write_copy(path, _large_panel(), "lf")
+    for _ in range(2):
+        got = read_predictions_csv(str(path))
+        assert got[1]["cache"] == "off"
+        _same_read(got, _reference_read(str(path)))
+    assert _entries() == []
+    monkeypatch.setattr(dataio, "_CACHE_SETTLE_NS", 0)
+    assert read_predictions_csv(str(path))[1]["cache"] == "stored"
+
+
+@pytest.mark.parametrize("owner", ["group-writable-directory", "someone-else", "group-writable-entry"])
+def test_entries_another_user_could_have_written_are_not_loaded(tmp_path, monkeypatch, owner):
+    path = tmp_path / "p.csv"
+    _write_copy(path, _large_panel(), "lf")
+    assert read_predictions_csv(str(path))[1]["cache"] == "stored"
+    entry = _entry_of(path)
+    # a planted entry: sound in every check, with every answer moved to the next label
+    with open(path, "rb") as fh:
+        names, has_truth, (qids, codes, vocab, _) = dataio._parse_table(fh, str(path))
+    codes = ((codes + 1) % len(vocab)).astype(codes.dtype)
+    assert dataio._cache_store(entry, names, has_truth, (qids, codes, vocab, None))
+    planted = open(entry, "rb").read()
+    assert dataio._cache_load(entry) is not None
+    if owner == "group-writable-directory":
+        os.chmod(dataio._cache_dir(), 0o770)
+    elif owner == "someone-else":
+        uid = os.getuid()
+        monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    else:
+        os.chmod(entry, 0o664)
+    got = read_predictions_csv(str(path))
+    _same_read(got, _reference_read(str(path)))
+    if owner == "group-writable-entry":  # in a private directory, it is replaced
+        assert got[1]["cache"] == "stored" and open(entry, "rb").read() != planted
+        assert os.stat(entry).st_mode & 0o777 == 0o600
+    else:
+        assert got[1]["cache"] == "off" and open(entry, "rb").read() == planted
+
+
 @pytest.mark.parametrize("fault", ["short-row", "not-utf8"])
 def test_a_malformed_large_file_fails_alike_twice_and_stores_nothing(tmp_path, fault):
     table = _large_panel()
@@ -1076,6 +1119,33 @@ def test_eviction_keeps_the_most_recently_used_entries(tmp_path):
     assert os.stat(_entry_of(paths[1])).st_mtime_ns > past + len(paths)
     assert read_predictions_csv(str(paths[-1]))[1]["cache"] == "stored"
     assert _entries() == sorted([entry[1], *entry[3:]])
+
+
+def test_eviction_keeps_the_entries_within_the_byte_budget_and_clears_stale_temp_files(tmp_path, monkeypatch):
+    table = _large_panel()
+    paths = []
+    for i in range(4):
+        table[1][0] = f"first-{i}"
+        paths.append(tmp_path / f"p{i}.csv")
+        _write_copy(paths[-1], table, "lf")
+    past = os.stat(tmp_path).st_mtime_ns - 10**12
+    assert read_predictions_csv(str(paths[0]))[1]["cache"] == "stored"
+    size = os.path.getsize(_entry_of(paths[0]))
+    os.utime(_entry_of(paths[0]), ns=(past, past))
+    monkeypatch.setattr(dataio, "_CACHE_BYTES", size * 5 // 2)  # room for two
+    assert read_predictions_csv(str(paths[1]))[1]["cache"] == "stored"
+    os.utime(_entry_of(paths[1]), ns=(past + 1, past + 1))
+    stale, fresh = (os.path.join(dataio._cache_dir(), name) for name in (".tmp-stale~", ".tmp-fresh~"))
+    for temp in (stale, fresh):
+        open(temp, "wb").close()
+    old = past - 2 * dataio._CACHE_STALE_NS
+    os.utime(stale, ns=(old, old))
+    assert read_predictions_csv(str(paths[2]))[1]["cache"] == "stored"
+    assert _entries() == sorted(os.path.basename(_entry_of(p)) for p in paths[1:3])
+    assert not os.path.exists(stale) and os.path.exists(fresh)
+    monkeypatch.setattr(dataio, "_CACHE_BYTES", size // 2)  # a table larger than the budget
+    assert read_predictions_csv(str(paths[3]))[1]["cache"] == "off"
+    assert len(_entries()) == 2
 
 
 def test_parse_cache_memory_is_bounded_by_a_block(tmp_path):
