@@ -14,8 +14,10 @@
 # a file, or a config file that is not UTF-8, exits 3 without a traceback, and a
 # check that ow-l on a 20,000 x 60 panel gives the same labels with one BLAS
 # thread as with the default, and fits without a warning: converged, all 8
-# starts agreeing, and a check that the parse cache gives a second run, and a
-# run after its entry was damaged, the labels of the first.
+# starts agreeing, a check that the parse cache gives a second run, and a
+# run after its entry was damaged, the labels of the first, and a check that
+# under umask 022 the files aggregate and simulate write are mode 644 while the
+# parse-cache entry stays 600.
 #
 # Every step runs, even after one fails; each step stops at its own first
 # failing command. The script lists the failed steps at the end and then exits
@@ -242,6 +244,26 @@ EOF
   test "$(input_cache "$tmp/large-3.csv.summary.json")" = stored
 }
 
+mode() {
+  python -c 'import os, stat, sys; print(format(stat.S_IMODE(os.stat(sys.argv[1]).st_mode), "o"))' "$1"
+}
+
+output_modes_follow_the_umask() {
+  export XDG_CACHE_HOME="$tmp/mode-cache"
+  umask 022
+  python -m quorum simulate --accuracies 0.6,0.7,0.8,0.9 --k 4 -m 80000 --seed 2 --out "$tmp/modes.csv"
+  sleep 2  # a file changed less than 2 s ago is read but not stored
+  python -m quorum aggregate --input "$tmp/modes.csv" --out "$tmp/modes-mv.csv" --method mv
+  for file in modes.csv modes-mv.csv modes-mv.csv.summary.json; do
+    echo "$file $(mode "$tmp/$file")"
+    test "$(mode "$tmp/$file")" = 644
+  done
+  entries=("$XDG_CACHE_HOME"/quorum/*.table)
+  test "${#entries[@]}" -eq 1
+  echo "cache entry $(mode "${entries[0]}")"
+  test "$(mode "${entries[0]}")" = 600
+}
+
 step "tier-1 tests" tier1_tests
 step "benchmark harness tests" harness_tests
 step "verification suites" verification_suites
@@ -254,6 +276,7 @@ step "a short row past the first ingest block exits 3 with its line" short_row_e
 step "a byte that is not UTF-8 or an over-long field deep in a CSV, or a config that is not UTF-8, exits 3 without a traceback" hostile_bytes_exit_3
 step "ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread, a converged fit whose 8 starts agree, and no warning" owl_one_blas_thread
 step "the parse cache: a second run hits it, a damaged entry is parsed again, and all three give the same labels" parse_cache_reads_like_a_parse
+step "under umask 022, aggregate and simulate outputs are mode 644 and the parse-cache entry 600" output_modes_follow_the_umask
 
 if [ "${#failed[@]}" -ne 0 ]; then
   echo "== ${#failed[@]} step(s) failed:"

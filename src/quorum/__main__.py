@@ -1,6 +1,6 @@
 """Run the command-line interface as ``python -m quorum``."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    main()
+    run()

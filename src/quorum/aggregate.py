@@ -74,11 +74,11 @@ RULES = ("mv", "weighted", "sp", "isp")
 SECOND_ORDER_RULES = ("sp", "isp")
 
 
-def tied_mask(scores: np.ndarray) -> np.ndarray:
-    """True where a score is within tolerance of the maximum along the last axis."""
+def tied_mask(scores: np.ndarray, axis: int = -1) -> np.ndarray:
+    """True where a score is within tolerance of the maximum along ``axis`` (the labels)."""
 
     scores = np.asarray(scores, dtype=float)
-    top = scores.max(axis=-1, keepdims=True)
+    top = scores.max(axis=axis, keepdims=True)
     return scores >= top - (1e-12 + 1e-9 * np.abs(top))
 
 
@@ -91,12 +91,12 @@ def argmax_set(scores: np.ndarray) -> np.ndarray:
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 output function (Steele, Lea & Flood, 2014) on a uint64 array."""
+def _splitmix64(x):
+    """The splitmix64 output function (Steele, Lea & Flood, 2014) on a uint64 array or a Python int."""
 
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK64
+    return x ^ (x >> 31)
 
 
 def _tie_draw(seed: int, questions, counts) -> np.ndarray:
@@ -107,7 +107,7 @@ def _tie_draw(seed: int, questions, counts) -> np.ndarray:
     top 53 bits give a uniform in [0, 1), scaled by the tie count.
     """
 
-    key = _splitmix64(np.array([int(seed) & _MASK64], dtype=np.uint64))
+    key = _splitmix64(int(seed) & _MASK64)  # a Python int: one key costs no array ops
     q = np.array(questions, ndmin=1).astype(np.uint64)
     bits = _splitmix64(key + (q + np.uint64(1)) * _GOLDEN_GAMMA)
     uniform = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -131,9 +131,12 @@ class TiePolicy:
             raise DomainError(f"unknown tie mode {self.mode!r}")
 
     def pick(self, scores: np.ndarray, question_index: int = 0) -> int:
-        """The label ``decide_batch`` gives one question's scores."""
+        """The label ``decide_batch`` gives one question's scores, decided on their own."""
 
-        return int(decide_batch(np.asarray(scores)[None], self, question_index)[0])
+        tied = argmax_set(scores)
+        if self.mode == TIE_LOWEST or tied.size < 2:  # none tied: a NaN or inf top, label K - 1
+            return int(tied[0]) if tied.size else np.shape(scores)[-1] - 1
+        return int(tied[_tie_draw(self.seed, question_index, tied.size)[0]])
 
 
 @dataclass(frozen=True)
@@ -249,33 +252,34 @@ def _peer_tables(rule: str, so: SecondOrderMatrix) -> np.ndarray:
 
 
 def _gather_totals(tables: np.ndarray, answers: np.ndarray) -> np.ndarray:
-    """totals[q, s] = sum over j of tables[j, answers[q, j], s], summed in agent order."""
+    """totals[s, q] = sum over j of tables[j, answers[q, j], s], summed in agent order. Shape (K, M)."""
 
     totals = np.zeros((answers.shape[0], tables.shape[2]))
     for j in range(answers.shape[1]):
         totals += np.take(tables[j], answers[:, j], axis=0)  # 2-4x faster than tables[j][...] at K <= 4
-    return totals
+    return np.ascontiguousarray(totals.T)  # one copy: faster at every K than a label-major gather
 
 
 def _label_totals(answers: np.ndarray, k: int, weights: np.ndarray | None = None) -> np.ndarray:
-    """totals[q, s] = sum of weights[j] (1 if unweighted) over agents j with answers[q, j] == s."""
+    """totals[s, q] = sum of weights[j] (1 if unweighted) over agents j with answers[q, j] == s."""
 
     m, n = answers.shape
-    totals = np.empty((m, k))
+    totals = np.empty((k, m))
     rows = max(1, min(m, _BLOCK_CELLS // max(n, k)))
-    row_codes = np.arange(0, rows * k, k)[:, None]
+    offsets = np.arange(rows)[:, None]
     block_weights = None if weights is None else np.tile(weights, rows)
     for start in range(0, m, rows):
         block = answers[start : start + rows]
         b = block.shape[0]
-        codes = (block + row_codes[:b]).ravel()  # flat code q*K + a within the block
+        codes = np.multiply(block, b, dtype=np.intp)  # widened first: a narrow code times b overflows
+        codes += offsets[:b]  # flat code a*b + q within the block
         w = None if weights is None else block_weights[: b * n]
-        totals[start : start + b] = np.bincount(codes, weights=w, minlength=b * k).reshape(b, k)
+        totals[:, start : start + b] = np.bincount(codes.ravel(), w, minlength=k * b).reshape(k, b)
     return totals
 
 
 def vote_counts_batch(answers: np.ndarray, k: int) -> np.ndarray:
-    return _label_totals(_check_answers(answers, k, ndim=2), k)
+    return _label_totals(_check_answers(answers, k, ndim=2), k).T
 
 
 def weighted_scores_batch(answers: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -285,7 +289,7 @@ def weighted_scores_batch(answers: np.ndarray, weights: np.ndarray, k: int) -> n
         raise DimensionError(f"weights shape {w.shape} does not match N={answers.shape[1]}")
     if not np.all(np.isfinite(w)):
         raise DomainError("weights must be finite")
-    return _label_totals(answers, k, w)
+    return _label_totals(answers, k, w).T
 
 
 def _peer_advantage_batch(
@@ -298,7 +302,7 @@ def _peer_advantage_batch(
     totals = _gather_totals(_peer_tables(rule, so) if tables is None else tables, answers)
     totals /= -(answers.shape[1] - 1)  # in place: the same bits as counts - totals / (N - 1)
     totals += _label_totals(answers, k)
-    return totals
+    return totals.T
 
 
 def sp_advantage_batch(
@@ -334,7 +338,8 @@ def score_batch(
     first two run as one bincount, the peer rules as a gather from
     per-agent (K, K) tables; a caller scoring many row blocks builds them
     once with ``_peer_tables`` and passes them as ``tables``. The decision
-    is the argmax of each row.
+    is the argmax of each row. The kernels work label-major, so the result
+    is the transposed view of a contiguous (K, M) array.
     """
 
     if rule == "mv":
@@ -438,19 +443,25 @@ def decide_batch(
 
     Row r is question ``first_question + r``, whose index keys its uniform
     tie draw. With ``return_ties`` the result is ``(labels, ties)``, where
-    ``ties`` counts the rows whose top score was tied.
+    ``ties`` counts the rows whose top score was tied. The work runs on the
+    (K, M) transpose, which the score kernels' own output gives without a copy.
     """
 
     tie = tie or TiePolicy()
-    tied = tied_mask(scores)
-    labels = np.argmax(tied, axis=1).astype(np.int64)  # lowest tied index
-    counts = tied.sum(axis=1)
-    rows = np.flatnonzero(counts > 1)
-    if tie.mode == TIE_UNIFORM:
-        draws = _tie_draw(tie.seed, rows + first_question, counts[rows])
-        # the draws-th tied label (0-based) of each row is where the running count passes draws
-        running = np.cumsum(tied[rows], axis=1, dtype=np.min_scalar_type(tied.shape[1]))
-        labels[rows] = np.argmax(running > draws[:, None], axis=1)
+    tied = tied_mask(np.ascontiguousarray(np.asarray(scores, dtype=float).T), axis=0)  # (K, M)
+    k, small = len(tied), np.min_scalar_type(len(tied))
+    # the lowest tied index from a max over the K rows (elementwise, unlike argmax along
+    # axis 0); K - 1 for a row with none tied, whose top is a NaN or inf
+    rank = np.multiply(tied, np.arange(k - 1, -1, -1, dtype=small)[:, None], dtype=small)
+    labels = np.subtract(k - 1, rank.max(axis=0), dtype=np.int64)
+    if tie.mode == TIE_LOWEST and not return_ties:
+        return labels
+    rows = np.flatnonzero(np.add.reduce(tied, axis=0, dtype=small) > 1)
+    if tie.mode == TIE_UNIFORM and rows.size:
+        # the draws-th tied label (0-based) is the first whose running count passes draws
+        running = np.cumsum(tied[:, rows], axis=0, dtype=small)
+        draws = _tie_draw(tie.seed, rows + first_question, running[-1]).astype(small)
+        labels[rows] = (running <= draws).sum(axis=0)
     return (labels, int(rows.size)) if return_ties else labels
 
 
@@ -465,10 +476,10 @@ def aggregate_batch(
     """Labels of all M questions under one rule, and how many had a tied top score.
 
     The labels equal ``decide_batch(score_batch(rule, answers, k, so, weights), tie)``,
-    but each block of ``_BLOCK_CELLS // (2 max(N, K))`` rows is widened to
-    int64, scored and decided on its own: memory holds the (M,) labels and
-    one block, whose (rows, K) float64 scores take about 1 MB (a peer rule
-    holds three such arrays at once), never an (M, K) array.
+    but each block of ``_BLOCK_CELLS // (2 max(N, K))`` rows is scored and
+    decided on its own: memory holds the (M,) labels and one block, whose
+    (K, rows) float64 scores take about 1 MB (a peer rule holds three such
+    arrays at once), never a (K, M) array.
     """
 
     answers = _check_answers(answers, k, ndim=2)
@@ -478,7 +489,7 @@ def aggregate_batch(
     labels = np.empty(m, dtype=np.int64)
     ties = 0
     for start in range(0, m, rows):
-        block = answers[start : start + rows].astype(np.int64)
+        block = answers[start : start + rows]
         labels[start : start + block.shape[0]], tied = decide_batch(
             score_batch(rule, block, k, so=so, weights=weights, tables=tables),
             tie,

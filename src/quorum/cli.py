@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import datetime
+import gc
 import json
 import sys
 
@@ -295,15 +296,17 @@ def aggregate(ctx, config_path, **params):
             "ties_broken": {"count": result.ties_broken, "fraction": result.ties_broken / pm.m},
         }
         if pm.truth is not None:
+            # column by column, no (M, N) temporary; a count / m has the bits of a bool mean
             correct = idx == pm.truth
-            disagree = ~(pm.answers == pm.answers[:, :1]).all(axis=1)
-            payload["overall_accuracy"] = float(correct.mean())
-            payload["disagreement_count"] = int(disagree.sum())
-            payload["disagreement_accuracy"] = (
-                float(correct[disagree].mean()) if disagree.any() else None
-            )
+            disagree = np.zeros(pm.m, dtype=bool)
+            for j in range(1, pm.n):
+                disagree |= pm.answers[:, j] != pm.answers[:, 0]
+            n_dis, n_right = int(np.count_nonzero(disagree)), int(np.count_nonzero(correct & disagree))
+            payload["overall_accuracy"] = int(np.count_nonzero(correct)) / pm.m
+            payload["disagreement_count"] = n_dis
+            payload["disagreement_accuracy"] = n_right / n_dis if n_dis else None
             payload["per_agent_accuracy"] = {
-                name: float((pm.answers[:, i] == pm.truth).mean())
+                name: int(np.count_nonzero(pm.answers[:, i] == pm.truth)) / pm.m
                 for i, name in enumerate(meta["agent_names"])
             }
         write_json(path, payload)
@@ -440,5 +443,14 @@ def _write_report_files(base: str, text: str | None, csv_text: str, payload: dic
     write_json(base + ".json", payload)
 
 
+def run() -> None:
+    """``main`` as a program: ``gc.freeze`` at the end spares shutdown collecting what the OS frees."""
+
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()

@@ -20,7 +20,6 @@ import json
 import operator
 import os
 import stat
-import tempfile
 import time
 from collections.abc import Sequence
 
@@ -40,15 +39,17 @@ __all__ = [
 _AGENT_PREFIX = "agent_"
 
 
-def atomic_write_text(path: str, text) -> None:
+def atomic_write_text(path: str, text, *, private: bool = False) -> None:
     """Write ``text`` to ``path`` via a temp file in the same directory.
 
     ``text`` is a str, written as UTF-8, or an iterable of bytes-like blocks,
-    written in turn so that the whole text is never held at once.
+    written in turn so that the whole text is never held at once. The file
+    gets mode 0666 less the umask, as any new file does, or 0600 if ``private``.
     """
 
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o600 if private else 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             if isinstance(text, str):
@@ -774,7 +775,8 @@ def _cache_store(entry: str, names: list[str], has_truth: bool, cells: tuple) ->
         os.makedirs(directory, 0o700, exist_ok=True)
         if not _private(os.stat(directory)):
             return False
-        atomic_write_text(entry, [_CACHE_MAGIC, b"%d %d\n" % (_CACHE_FORMAT, len(head)), head, *raw])
+        blocks = [_CACHE_MAGIC, b"%d %d\n" % (_CACHE_FORMAT, len(head)), head, *raw]
+        atomic_write_text(entry, blocks, private=True)
     except OSError:
         return False
     with contextlib.suppress(OSError):

@@ -2,6 +2,7 @@
 counterfactual scores, weighted votes, tie policies, and dominance."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -313,16 +314,71 @@ class TestAggregateBatch:
 
     @pytest.mark.parametrize("k", [3, 50])
     def test_row_gather_is_bit_identical_to_slab_formula(self, k):
-        # the (K, M) slab gather it replaces: totals[q, s] = sum_j tables[j, s, answers[q, j]]
+        # the slab gather it replaces, label-major: totals[s, q] = sum_j tables[j, answers[q, j], s]
         rng = np.random.default_rng(k)
         pm = PredictionMatrix(LabelSpace.default(k), rng.integers(0, k, size=(500, 6)))
         so = empirical_second_order(pm)
         for rule in agg.SECOND_ORDER_RULES:
             tables = agg._peer_tables(rule, so)
-            slab = np.zeros((pm.m, k))
+            slab = np.zeros((k, pm.m))
             for j, table in enumerate(tables.transpose(0, 2, 1)):  # (K_score, K_answer)
-                slab += table[:, pm.answers[:, j]].T
-            assert np.array_equal(agg._gather_totals(tables, pm.answers), slab), rule
+                slab += table[:, pm.answers[:, j]]
+            totals = agg._gather_totals(tables, pm.answers)
+            assert totals.flags.c_contiguous, rule
+            assert np.array_equal(totals, slab), rule
+
+
+class TestKernelDifferential:
+    """The blocked, label-major kernels against one-shot scoring and the per-question rules."""
+
+    @staticmethod
+    def _reference_scores(rule, row, k, so, weights, labels):
+        """One question's scores at ``labels``, from the per-question definitions."""
+
+        if rule == "mv":
+            return agg.vote_counts(row, k)[labels]
+        if rule == "weighted":
+            totals = np.zeros(k)
+            for j, a in enumerate(row):
+                totals[a] += weights[j]  # in agent order, as the kernels add
+            return totals[labels]
+        score = agg.sp_score if rule == "sp" else agg.isp_score
+        counts = agg.vote_counts(row, k)
+        # the advantage is the vote count less the peers' expected count, summed over agents
+        return np.array([counts[s] - sum(score(row, so, i, s) for i in range(len(row))) for s in labels])
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_match_one_shot_scoring_and_per_question_references(self, data):
+        k = data.draw(st.sampled_from([2, 3, 4, 10, 50, 300]), label="k")  # 300: uint16 codes
+        n = data.draw(st.integers(2, 5), label="n")
+        m = data.draw(st.integers(1, 12), label="m")
+        rows = data.draw(st.integers(1, 5), label="rows per block")
+        mode = data.draw(st.sampled_from([agg.TIE_UNIFORM, agg.TIE_LOWEST]), label="tie mode")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        used = rng.choice(k, size=min(k, 3), replace=False)  # few labels in use: ties, and high codes
+        pm = PredictionMatrix(LabelSpace.default(k), used[rng.integers(0, used.size, size=(m, n))])
+        so = empirical_second_order(pm)
+        w = rng.integers(1, 4, size=n).astype(float)  # whole weights: ties happen
+        tie = agg.TiePolicy(mode, seed=int(rng.integers(1000)))
+        for rule in agg.RULES:
+            scores = agg.score_batch(rule, pm.answers, k, so=so, weights=w)
+            expected = agg.decide_batch(scores, tie, return_ties=True)
+            with mock.patch.object(agg, "_BLOCK_CELLS", 2 * rows * max(n, k)):  # blocks of `rows`
+                labels, ties = agg.aggregate_batch(rule, pm.answers, k, tie, so=so, weights=w)
+                np.testing.assert_array_equal(
+                    agg.score_batch(rule, pm.answers, k, so=so, weights=w), scores, err_msg=rule
+                )
+            np.testing.assert_array_equal(labels, expected[0], err_msg=rule)
+            assert ties == expected[1], rule
+            for q in range(m):
+                assert labels[q] == tie.pick(scores[q], q), (rule, q)
+                at = np.unique(np.r_[used, labels[q], rng.integers(0, k, size=2)])
+                ref = self._reference_scores(rule, pm.answers[q], k, so, w, at)
+                if rule in agg.SECOND_ORDER_RULES:  # summed in another order
+                    np.testing.assert_allclose(scores[q, at], ref, rtol=1e-12, atol=1e-12, err_msg=rule)
+                else:
+                    np.testing.assert_array_equal(scores[q, at], ref, err_msg=rule)
 
 
 class TestTiePolicies:
@@ -391,6 +447,16 @@ class TestTiePolicies:
         counts = np.bincount(picks, minlength=2 * ways)
         assert counts[0::2].sum() == 0
         assert np.all(np.abs(counts[1::2] - m * p) <= 4 * np.sqrt(m * p * (1 - p)))
+
+    def test_a_row_whose_top_is_not_finite_gets_a_label_in_range(self):
+        scores = np.array([[np.nan, 1.0, 0.0], [1.0, np.inf, 0.0], [0.0, 2.0, 2.0]])
+        for mode in (agg.TIE_UNIFORM, agg.TIE_LOWEST):
+            pol = agg.TiePolicy(mode, seed=1)
+            with np.errstate(invalid="ignore"):  # the tolerance of an inf top is inf - inf
+                labels = agg.decide_batch(scores, pol)
+                picks = [pol.pick(row, q) for q, row in enumerate(scores)]
+            assert labels[:2].tolist() == [2, 2], mode  # no score is tied with a NaN or inf top
+            assert picks == labels.tolist(), mode
 
     def test_lowest_index_batch_picks_the_first_tied_label(self):
         scores = np.random.default_rng(2).integers(0, 3, size=(200, 4)).astype(float)

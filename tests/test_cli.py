@@ -4,12 +4,20 @@ Exit code contract: 0 success, 2 usage error, 3 malformed input file,
 4 computation over budget, 5 verification failure.
 """
 
+import atexit
+import gc
 import json
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import quorum
 from quorum import __version__
 from quorum.cli import main
 from quorum.verify import CheckResult
@@ -156,6 +164,19 @@ class TestAggregateCommand:
         _invoke(runner, ["aggregate", "--input", str(pred), "--out", str(out), "--method", "mv"])
         summary = json.loads((tmp_path / "labels.csv.summary.json").read_text())
         assert summary["ties_broken"] == {"count": 2, "fraction": 0.5}
+
+    def test_summary_accuracies_on_a_crafted_panel(self, runner, tmp_path):
+        pred, out = tmp_path / "p.csv", tmp_path / "labels.csv"
+        # mv labels A, A, A, B: q1 and q2 are disagreements, by the last agent and by the second
+        pred.write_text(
+            "question_id,agent_a,agent_b,agent_c,truth\nq0,A,A,A,A\nq1,A,A,B,A\nq2,A,B,A,B\nq3,B,B,B,A\n"
+        )
+        _invoke(runner, ["aggregate", "--input", str(pred), "--out", str(out), "--method", "mv"])
+        summary = json.loads((tmp_path / "labels.csv.summary.json").read_text())
+        assert summary["overall_accuracy"] == 0.5
+        assert summary["disagreement_count"] == 2
+        assert summary["disagreement_accuracy"] == 0.5
+        assert summary["per_agent_accuracy"] == {"a": 0.5, "b": 0.75, "c": 0.25}
 
     def test_reruns_are_identical_up_to_timestamp(self, runner, tmp_path):
         pred = tmp_path / "p.csv"
@@ -684,3 +705,87 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "aggregate" in proc.stdout.lower()
+
+
+def _python(args, **kwargs):
+    """Run a fresh interpreter with this checkout's package on the path, output piped."""
+
+    src = str(Path(quorum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120, env=env, **kwargs
+    )
+
+
+class TestProgramExit:
+    """``run`` (the console script, ``python -m quorum[.cli]``) skips the final collection only."""
+
+    @pytest.mark.parametrize("module", ["quorum.cli", "quorum"])
+    def test_exit_codes_and_piped_output_match_the_command(self, runner, tmp_path, module):
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("question_id,agent_x,agent_y\nq0,A,B\nq1,A\n")
+        out = str(tmp_path / "l.csv")
+        cases = [
+            (["verify", "--suite", "examples"], 0),
+            (["aggregate", "--input", str(ragged), "--out", out, "--starts", "0"], 2),
+            (["aggregate", "--input", str(ragged), "--out", out], 3),
+        ]
+        for args, code in cases:
+            expected = runner.invoke(main, args, prog_name=f"python -m {module}")
+            proc = _python(["-m", module, *args])
+            assert (proc.returncode, expected.exit_code) == (code, code), (args, proc.stderr)
+            assert (proc.stdout, proc.stderr) == (expected.stdout, expected.stderr), args
+            assert ("error" in proc.stderr.lower()) == (code != 0), args
+
+    def test_a_host_that_imports_the_cli_still_collects_cycles_at_exit(self):
+        host = (  # the cycle exists before the import, which must neither freeze nor register
+            "import atexit, gc, sys\n"
+            "class Cycle:\n"
+            "    def __del__(self):\n"
+            "        print('finalized', flush=True)\n"
+            "obj = Cycle()\n"
+            "obj.self = obj\n"
+            "import numpy, click\n"
+            "before = atexit._ncallbacks()\n"
+            "import quorum.cli\n"
+            "print(gc.get_freeze_count(), atexit._ncallbacks() - before, gc.isenabled())\n"
+            "del obj\n"
+            "if sys.argv[1:] == ['run']:\n"
+            "    sys.argv = ['quorum', '--version']\n"
+            "    quorum.cli.run()\n"
+        )
+        imported = _python(["-c", host])
+        assert (imported.returncode, imported.stdout) == (0, "0 0 True\nfinalized\n")
+        ran = _python(["-c", host, "run"])
+        assert ran.returncode == 0
+        assert ran.stdout == f"0 0 True\nquorum, version {__version__}\n"  # frozen: never collected
+
+    def test_in_process_invocations_register_nothing(self, runner, tmp_path):
+        before = (gc.get_freeze_count(), atexit._ncallbacks(), gc.isenabled())
+        _simulate(runner, tmp_path / "p.csv")
+        _invoke(runner, ["aggregate", "--input", str(tmp_path / "p.csv"), "--out", str(tmp_path / "l.csv")])
+        _invoke(runner, ["--version"])
+        assert (gc.get_freeze_count(), atexit._ncallbacks(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_take_the_umask_mode_and_cache_entries_stay_private(runner, tmp_path, umask, monkeypatch):
+    from quorum import dataio
+
+    monkeypatch.setattr(dataio, "_CACHE_MIN_BYTES", 0)  # the small panel's parse is stored too
+    panel, labels = tmp_path / "p.csv", tmp_path / "l.csv"
+    old = os.umask(umask)
+    try:
+        _simulate(runner, panel)
+        _invoke(runner, ["aggregate", "--input", str(panel), "--out", str(labels), "--method", "mv"])
+        args = ["report", "--table2", "--out", str(tmp_path / "rep"), "-m", "200", "--k-values", "2"]
+        assert _invoke(runner, args).exit_code == 0
+    finally:
+        os.umask(old)
+    outputs = [panel, labels, tmp_path / "l.csv.summary.json"]
+    outputs += [tmp_path / f"rep.{ext}" for ext in ("txt", "csv", "json")]
+    for path in outputs:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+    (entry,) = (tmp_path / "xdg-cache" / "quorum").glob("*.table")
+    assert stat.S_IMODE(entry.stat().st_mode) == 0o600
+    assert not list(tmp_path.glob(".tmp-*"))
