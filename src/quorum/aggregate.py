@@ -131,12 +131,9 @@ class TiePolicy:
             raise DomainError(f"unknown tie mode {self.mode!r}")
 
     def pick(self, scores: np.ndarray, question_index: int = 0) -> int:
-        """The label ``decide_batch`` gives one question's scores, decided on their own."""
+        """The label ``decide_batch`` gives one question's scores."""
 
-        tied = argmax_set(scores)
-        if self.mode == TIE_LOWEST or tied.size < 2:  # none tied: a NaN or inf top, label K - 1
-            return int(tied[0]) if tied.size else np.shape(scores)[-1] - 1
-        return int(tied[_tie_draw(self.seed, question_index, tied.size)[0]])
+        return int(decide_batch(np.asarray(scores)[None], self, question_index)[0])
 
 
 @dataclass(frozen=True)
@@ -330,7 +327,7 @@ def score_batch(
     *,
     tables: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score of every label on every question under one rule, shape (M, K).
+    """Score of every label on every question under one rule: an (M, K) view of a (K, M) array.
 
     ``mv`` counts votes, ``weighted`` sums the ``weights`` of the agents
     that chose each label, and ``sp``/``isp`` give each label's advantage
@@ -338,8 +335,7 @@ def score_batch(
     first two run as one bincount, the peer rules as a gather from
     per-agent (K, K) tables; a caller scoring many row blocks builds them
     once with ``_peer_tables`` and passes them as ``tables``. The decision
-    is the argmax of each row. The kernels work label-major, so the result
-    is the transposed view of a contiguous (K, M) array.
+    is the argmax of each row.
     """
 
     if rule == "mv":
@@ -443,17 +439,18 @@ def decide_batch(
 
     Row r is question ``first_question + r``, whose index keys its uniform
     tie draw. With ``return_ties`` the result is ``(labels, ties)``, where
-    ``ties`` counts the rows whose top score was tied. The work runs on the
-    (K, M) transpose, which the score kernels' own output gives without a copy.
+    ``ties`` counts the rows whose top score was tied. It works on the (K, M) transpose.
     """
 
     tie = tie or TiePolicy()
     tied = tied_mask(np.ascontiguousarray(np.asarray(scores, dtype=float).T), axis=0)  # (K, M)
-    k, small = len(tied), np.min_scalar_type(len(tied))
-    # the lowest tied index from a max over the K rows (elementwise, unlike argmax along
-    # axis 0); K - 1 for a row with none tied, whose top is a NaN or inf
-    rank = np.multiply(tied, np.arange(k - 1, -1, -1, dtype=small)[:, None], dtype=small)
-    labels = np.subtract(k - 1, rank.max(axis=0), dtype=np.int64)
+    (k, m), small = tied.shape, np.min_scalar_type(len(tied))
+    if m <= 64:  # argmax along axis 0 costs a call per row, the cheapest for a few rows only
+        labels = np.argmax(tied, axis=0)
+    else:  # the lowest tied index from a max over the K rows, elementwise
+        rank = np.multiply(tied, np.arange(k, 0, -1, dtype=small)[:, None], dtype=small)
+        labels = np.subtract(k, rank.max(axis=0), dtype=np.int64)
+        labels[labels == k] = 0  # none tied, as argmax gives: the top is a NaN or inf
     if tie.mode == TIE_LOWEST and not return_ties:
         return labels
     rows = np.flatnonzero(np.add.reduce(tied, axis=0, dtype=small) > 1)

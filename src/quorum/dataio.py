@@ -1018,10 +1018,18 @@ def _gathered_rows(ids: QuestionIds, entries: list[bytes], codes: np.ndarray):
     table = np.frombuffer(b"".join(entries), np.uint8)
     entry_lens = np.fromiter(map(len, entries), np.intp, len(entries))
     entry_starts = np.cumsum(entry_lens) - entry_lens
+    entry_width = entry_lens[0] if len(set(entry_lens.tolist())) == 1 else 0
     for a in range(0, len(ids), _CELLS_PER_BLOCK):
         starts, ends = ids._bounds(a, a + _CELLS_PER_BLOCK)
         lo, hi = int(starts[0]), int(ends[-1])
         row_codes = codes[a : a + _CELLS_PER_BLOCK]
+        width = ends[0] - starts[0]
+        if entry_width and width and (ends - starts == width).all():  # whole cells, no byte offsets
+            rows = np.empty(len(starts), [("id", f"V{width}"), ("entry", f"V{entry_width}")])
+            rows["id"] = ids._data[lo:hi].view(f"V{width}")
+            rows["entry"] = np.take(table.view(f"V{entry_width}"), row_codes)
+            yield rows.view(np.uint8)
+            continue
         # segments alternate: row i's id, then its entry, which follows the ids in src
         src = np.concatenate([ids._data[lo:hi], table])
         seg_starts = np.stack([starts - lo, (hi - lo) + entry_starts[row_codes]], axis=1)

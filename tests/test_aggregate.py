@@ -455,8 +455,10 @@ class TestTiePolicies:
             with np.errstate(invalid="ignore"):  # the tolerance of an inf top is inf - inf
                 labels = agg.decide_batch(scores, pol)
                 picks = [pol.pick(row, q) for q, row in enumerate(scores)]
-            assert labels[:2].tolist() == [2, 2], mode  # no score is tied with a NaN or inf top
+                many = agg.decide_batch(np.tile(scores, (40, 1)), pol)  # past argmax's few rows
+            assert labels[:2].tolist() == [0, 0], mode  # no score is tied with a NaN or inf top
             assert picks == labels.tolist(), mode
+            assert many[:2].tolist() == [0, 0] and many[-3:-1].tolist() == [0, 0], mode
 
     def test_lowest_index_batch_picks_the_first_tied_label(self):
         scores = np.random.default_rng(2).integers(0, 3, size=(200, 4)).astype(float)

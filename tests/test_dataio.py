@@ -230,6 +230,7 @@ class TestRoundTrip:
             ([], []),
             (["q1", "q2"], np.array(["A", "B"], dtype=object)),
             (["q1", "q2"], [1, 2]),
+            (["q1", "q22", "q"], ["A", "C", "A"]),  # 2 bytes an id on average, not each
         ],
     )
     def test_labels_csv_matches_csv_writer(self, tmp_path, ids, labels):
