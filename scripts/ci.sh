@@ -17,7 +17,9 @@
 # starts agreeing, a check that the parse cache gives a second run, and a
 # run after its entry was damaged, the labels of the first, and a check that
 # under umask 022 the files aggregate and simulate write are mode 644 while the
-# parse-cache entry stays 600.
+# parse-cache entry stays 600, and a check that the panels simulate writes for
+# the ci and the difficulty model, with and without truth, are what csv.writer
+# writes for the same simulated matrices.
 #
 # Every step runs, even after one fails; each step stops at its own first
 # failing command. The script lists the failed steps at the end and then exits
@@ -264,6 +266,36 @@ output_modes_follow_the_umask() {
   test "$(mode "${entries[0]}")" = 600
 }
 
+simulate_written_as_csv_writer_does() {
+  for truth in "" --no-truth; do
+    python -m quorum simulate --accuracies 0.6,0.7,0.8 --k 3 -m 40000 --seed 3 \
+      --out "$tmp/sim-ci.csv" $truth
+    python -m quorum simulate --model difficulty --abilities 0.5,1,2 --mixture 1:0.5,4:0.5 --k 30 \
+      -m 40000 --seed 4 --out "$tmp/sim-difficulty.csv" $truth
+    python - "$tmp" "$truth" <<'EOF'
+import csv
+import sys
+
+from quorum import CiSimSpec, DifficultyMixture, DifficultySimSpec, simulate_ci, simulate_difficulty
+
+tmp, truth = sys.argv[1], sys.argv[2] != "--no-truth"
+mixture = DifficultyMixture.atoms([(1.0, 0.5), (4.0, 0.5)])
+for name, pm in [
+    ("ci", simulate_ci(CiSimSpec((0.6, 0.7, 0.8), 3, 40000, 3))),
+    ("difficulty", simulate_difficulty(DifficultySimSpec((0.5, 1.0, 2.0), mixture, 30, 40000, 4))),
+]:
+    with open(f"{tmp}/expected-{name}.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["question_id"] + [f"agent_{j + 1}" for j in range(pm.n)] + ["truth"] * truth)
+        for q in range(pm.m):
+            cells = list(pm.answers[q]) + [pm.truth[q]] * truth
+            writer.writerow([str(q)] + [pm.space.labels[c] for c in cells])
+EOF
+    cmp "$tmp/sim-ci.csv" "$tmp/expected-ci.csv"
+    cmp "$tmp/sim-difficulty.csv" "$tmp/expected-difficulty.csv"
+  done
+}
+
 step "tier-1 tests" tier1_tests
 step "benchmark harness tests" harness_tests
 step "verification suites" verification_suites
@@ -277,6 +309,7 @@ step "a byte that is not UTF-8 or an over-long field deep in a CSV, or a config 
 step "ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread, a converged fit whose 8 starts agree, and no warning" owl_one_blas_thread
 step "the parse cache: a second run hits it, a damaged entry is parsed again, and all three give the same labels" parse_cache_reads_like_a_parse
 step "under umask 022, aggregate and simulate outputs are mode 644 and the parse-cache entry 600" output_modes_follow_the_umask
+step "simulated panels, with and without truth, are what csv.writer writes" simulate_written_as_csv_writer_does
 
 if [ "${#failed[@]}" -ne 0 ]; then
   echo "== ${#failed[@]} step(s) failed:"

@@ -176,23 +176,24 @@ class QuestionIds(Sequence):
         return len(self._ends)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("question id index out of range")
-        start = int(self._ends[i - 1]) if i else 0
-        return self._data[start : int(self._ends[i])].tobytes().decode()
+        rows = range(len(self))[index]  # a range for a slice; an IndexError out of range
+        if isinstance(rows, range):
+            return list(self._decode(rows.start, rows.stop)) if rows.step == 1 else [self[i] for i in rows]
+        start = int(self._ends[rows - 1]) if rows else 0
+        return self._data[start : int(self._ends[rows])].tobytes().decode()
 
-    def __iter__(self):
-        ends = self._ends.tolist()
-        data = self._data[: ends[-1] if ends else 0].tobytes()
+    def _decode(self, a: int = 0, b: int | None = None):
+        """An iterator over ids ``a`` to ``b`` as str."""
+
+        starts, ends = self._bounds(a, b)
+        lo = int(starts[0]) if starts.size else 0
+        data = self._data[lo : int(ends[-1]) if ends.size else 0].tobytes()
         if data.isascii():  # then byte offsets are character offsets
             data = data.decode()
-        cells = map(data.__getitem__, map(slice, [0, *ends[:-1]], ends))
+        cells = map(data.__getitem__, map(slice, (starts - lo).tolist(), (ends - lo).tolist()))
         return cells if isinstance(data, str) else map(bytes.decode, cells)
+
+    __iter__ = _decode
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuestionIds):
@@ -947,15 +948,9 @@ def write_predictions_csv(
     if len(qids) != pm.m:
         raise DimensionError(f"got {len(qids)} question ids for {pm.m} questions")
     with_truth = include_truth and pm.truth is not None
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["question_id"] + [_AGENT_PREFIX + n for n in names] + (["truth"] if with_truth else [])
-    )
-    labels = np.array(pm.space.labels, dtype=object)
-    columns = list(labels[pm.answers.T]) + ([labels[pm.truth]] if with_truth else [])
-    writer.writerows(zip(qids, *columns))
-    atomic_write_text(path, buf.getvalue())
+    header = ["question_id"] + [_AGENT_PREFIX + n for n in names] + (["truth"] if with_truth else [])
+    columns = list(pm.answers.T) + ([pm.truth] if with_truth else [])
+    atomic_write_text(path, _csv_blocks(header, qids, pm.space.labels, columns))
 
 
 def write_labels_csv(path: str, question_ids, labels, codes=None) -> None:
@@ -969,69 +964,70 @@ def write_labels_csv(path: str, question_ids, labels, codes=None) -> None:
 
     if len(question_ids) != len(labels if codes is None else codes):
         raise DimensionError("question ids and labels must have equal length")
-    blocks = _plain_label_rows(question_ids, labels, codes)
-    if blocks is not None:
-        atomic_write_text(path, itertools.chain([b"question_id,label\r\n"], blocks))
-        return
-    if codes is not None:
-        labels = [labels[c] for c in np.asarray(codes).tolist()]
+    if codes is None and all(map(isinstance, labels, itertools.repeat(str))):
+        lut = _FirstSeen()  # equal str labels are written alike, so a table needs each only once
+        codes = np.fromiter(map(lut.__getitem__, labels), np.intp, len(labels))
+        labels = list(lut)
+    codes = np.arange(len(labels)) if codes is None else np.asarray(codes)
+    atomic_write_text(path, _csv_blocks(["question_id", "label"], question_ids, labels, [codes]))
+
+
+def _csv_text(rows) -> bytes:
+    """The UTF-8 bytes csv.writer writes for ``rows``."""
+
     buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["question_id", "label"])
-    writer.writerows(zip(question_ids, labels))
-    atomic_write_text(path, buf.getvalue())
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
 
 
-def _plain_label_rows(question_ids, labels, codes):
-    """The data rows of ``write_labels_csv``'s file in blocks of bytes, or None
-    if a cell is not a str or holds a comma, quote or line break, which
-    csv.writer then quotes.
+def _unquoted(text: bytes) -> bool:
+    """Whether ``text`` lacks every byte that makes csv.writer quote a cell."""
 
-    A block is one gather from its ids' bytes and a table that holds, for
-    each label, a comma, the label and CRLF: for each row, the id and then
-    its label's entry.
+    return not (b"," in text or b'"' in text or b"\r" in text or b"\n" in text)
+
+
+def _csv_blocks(header: list[str], ids, labels, columns: list[np.ndarray]):
+    """The bytes csv.writer writes for the row ``header``, then for each i the
+    row of ``ids[i]`` and ``labels[col[i]]`` for each ``col`` of ``columns``,
+    in blocks of ``_CELLS_PER_BLOCK`` rows.
+
+    A block whose cells are all str free of commas, quotes and line breaks is
+    gathered from its ids' bytes and a table of ``,label\\r\\n`` entries, the
+    CRLF left out but in the last column; whole cells at a time when the ids
+    and the entries each have one width. Any other block is csv.writer's.
     """
 
-    if codes is None:
-        lut = _FirstSeen()
-        try:
-            codes = np.fromiter(map(lut.__getitem__, labels), np.intp, len(labels))
-        except TypeError:  # a label that cannot be hashed
-            return None
-        labels = list(lut)
-    if not all(isinstance(lab, str) for lab in labels):
-        return None
+    yield _csv_text([header])
     try:
-        ids = question_ids if isinstance(question_ids, QuestionIds) else QuestionIds(question_ids)
-    except TypeError:
-        return None
-    texts = (ids._data.tobytes(), "".join(labels).encode())
-    if any(c in text for text in texts for c in (b",", b'"', b"\r", b"\n")):
-        return None
-    entries = [f",{lab}\r\n".encode() for lab in labels]
-    return _gathered_rows(ids, entries, np.asarray(codes))
-
-
-def _gathered_rows(ids: QuestionIds, entries: list[bytes], codes: np.ndarray):
-    """Blocks of ``_CELLS_PER_BLOCK`` rows, each row an id and then ``entries[code]``."""
-
-    table = np.frombuffer(b"".join(entries), np.uint8)
-    entry_lens = np.fromiter(map(len, entries), np.intp, len(entries))
-    entry_starts = np.cumsum(entry_lens) - entry_lens
-    entry_width = entry_lens[0] if len(set(entry_lens.tolist())) == 1 else 0
+        ids = ids if isinstance(ids, QuestionIds) else QuestionIds(ids)
+        plain = _unquoted("".join(labels).encode())
+    except TypeError:  # an id or a label that is not a str, which csv.writer writes
+        plain = False
+    if plain:
+        table, sizes = _utf8([f",{lab}\r\n" for lab in labels])
+        table, at = np.frombuffer(table, np.uint8), np.cumsum(sizes) - sizes
+        lens = [sizes - 2] * (len(columns) - 1) + [sizes]  # each column's entry lengths
+        w = sizes[0] if len(set(sizes.tolist())) == 1 else 0
+        entries = [np.ndarray(len(labels), f"V{n[0]}", table, 0, (w,)) for n in lens] if w else None
     for a in range(0, len(ids), _CELLS_PER_BLOCK):
-        starts, ends = ids._bounds(a, a + _CELLS_PER_BLOCK)
-        lo, hi = int(starts[0]), int(ends[-1])
-        row_codes = codes[a : a + _CELLS_PER_BLOCK]
-        width = ends[0] - starts[0]
-        if entry_width and width and (ends - starts == width).all():  # whole cells, no byte offsets
-            rows = np.empty(len(starts), [("id", f"V{width}"), ("entry", f"V{entry_width}")])
-            rows["id"] = ids._data[lo:hi].view(f"V{width}")
-            rows["entry"] = np.take(table.view(f"V{entry_width}"), row_codes)
-            yield rows.view(np.uint8)
+        b = a + _CELLS_PER_BLOCK
+        if plain:
+            starts, ends = ids._bounds(a, b)
+            lo, hi = int(starts[0]), int(ends[-1])
+            data = ids._data[lo:hi]
+        if not (plain and _unquoted(data.tobytes())):
+            cells = (map(labels.__getitem__, col[a:b].tolist()) for col in columns)
+            yield _csv_text(zip(ids[a:b], *cells))
             continue
-        # segments alternate: row i's id, then its entry, which follows the ids in src
-        src = np.concatenate([ids._data[lo:hi], table])
-        seg_starts = np.stack([starts - lo, (hi - lo) + entry_starts[row_codes]], axis=1)
-        seg_lens = np.stack([ends - starts, entry_lens[row_codes]], axis=1)
-        yield _gather(src, seg_starts.ravel(), seg_lens.ravel())
+        codes = [col[a:b] for col in columns]
+        width = ends[0] - starts[0]
+        if entries and width and (ends - starts == width).all():
+            cells = [data.view(f"V{width}")] + [np.take(e, c) for e, c in zip(entries, codes)]
+            rows = np.empty(len(starts), [(f"c{j}", c.dtype) for j, c in enumerate(cells)])
+            for j, c in enumerate(cells):
+                rows[f"c{j}"] = c
+            yield rows.view(np.uint8)
+        else:  # segments run row by row: the id, then its entries, which follow the ids in src
+            seg_starts = np.stack([starts - lo] + [(hi - lo) + at[c] for c in codes], axis=1)
+            seg_lens = np.stack([ends - starts] + [n[c] for n, c in zip(lens, codes)], axis=1)
+            yield _gather(np.concatenate([data, table]), seg_starts.ravel(), seg_lens.ravel())

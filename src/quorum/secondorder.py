@@ -27,6 +27,7 @@ from .core import (
     _BLOCK_CELLS,
     _as_readonly,
 )
+from .dataio import _csv_text, atomic_write_text
 
 __all__ = [
     "SecondOrderMatrix",
@@ -266,19 +267,17 @@ def empirical_second_order(pm: PredictionMatrix, smoothing: float = 0.0) -> Seco
 
 
 def write_second_order_csv(so: SecondOrderMatrix, path: str) -> None:
-    """Write the matrix as long-form CSV; floats survive round-trip exactly."""
+    """Write the matrix as long-form CSV; floats survive round-trip exactly.
+    A failed write leaves ``path`` as it was: rows go through a temp file."""
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "k", "l", "prob", "imputed"])
-        n, k = so.n, so.k
-        for i in range(n):
-            for j in range(n):
-                for a in range(k):
-                    for b in range(k):
-                        writer.writerow(
-                            [i, j, a, b, repr(float(so.probs[i, j, a, b])), int(so.imputed[i, j, a, b])]
-                        )
+    def blocks():
+        yield _csv_text([["i", "j", "k", "l", "prob", "imputed"]])
+        pairs = list(np.ndindex(so.k, so.k))
+        for i, j in np.ndindex(so.n, so.n):
+            probs, imputed = so.probs[i, j].tolist(), so.imputed[i, j].tolist()
+            yield _csv_text([i, j, a, b, repr(probs[a][b]), int(imputed[a][b])] for a, b in pairs)
+
+    atomic_write_text(path, blocks())
 
 
 def read_second_order_csv(path: str) -> SecondOrderMatrix:

@@ -231,6 +231,7 @@ class TestRoundTrip:
             (["q1", "q2"], np.array(["A", "B"], dtype=object)),
             (["q1", "q2"], [1, 2]),
             (["q1", "q22", "q"], ["A", "C", "A"]),  # 2 bytes an id on average, not each
+            (["q1", "q2", "q3", "q4"], [1, True, 1.0, "1"]),  # equal, but written apart
         ],
     )
     def test_labels_csv_matches_csv_writer(self, tmp_path, ids, labels):
@@ -280,6 +281,60 @@ def test_labels_csv_matches_csv_writer_on_drawn_cells(rows, cells_per_block):
             write_labels_csv(path, *args, **kwargs)
             with open(path, "rb") as fh:
                 assert fh.read() == expected.getvalue().encode(), (args, kwargs)
+
+
+# Cells of one width, which the writer copies whole rather than byte by byte.
+_ONE_WIDTH_TEXT = st.text(alphabet="ab", min_size=2, max_size=2)
+
+
+@given(st.data(), st.integers(1, 5))
+@settings(max_examples=150, deadline=None)
+def test_predictions_csv_matches_csv_writer_on_drawn_cells(data, cells_per_block):
+    # the same bytes as csv.writer, for labels and ids that need quoting or
+    # not, with and without truth, and for default, list and QuestionIds ids
+    cells = st.sampled_from([_PLAIN_TEXT, _ANY_TEXT, _ONE_WIDTH_TEXT])
+    labels = data.draw(st.lists(data.draw(cells).filter(bool), min_size=2, max_size=4, unique=True))
+    ids = data.draw(st.lists(data.draw(cells), min_size=1, max_size=12))
+    m, n, k = len(ids), data.draw(st.integers(1, 3)), len(labels)
+    codes = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m * (n + 1), max_size=m * (n + 1))))
+    pm = PredictionMatrix(LabelSpace(tuple(labels)), codes[: m * n].reshape(m, n), codes[m * n :])
+    with_truth = data.draw(st.booleans())
+    given_ids = data.draw(st.sampled_from([None, ids, QuestionIds(ids)]))
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["question_id"] + [f"agent_{j + 1}" for j in range(n)] + ["truth"] * with_truth)
+    columns = [pm.answers[:, j] for j in range(n)] + [pm.truth] * with_truth
+    rows_ids = [str(q) for q in range(m)] if given_ids is None else ids
+    writer.writerows([qid, *(labels[col[i]] for col in columns)] for i, qid in enumerate(rows_ids))
+    with contextlib.ExitStack() as stack:
+        tmp = stack.enter_context(tempfile.TemporaryDirectory())
+        mp = stack.enter_context(pytest.MonkeyPatch.context())
+        mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
+        path = os.path.join(tmp, "p.csv")
+        write_predictions_csv(path, pm, question_ids=given_ids, include_truth=with_truth)
+        with open(path, "rb") as fh:
+            assert fh.read() == expected.getvalue().encode()
+
+
+def test_labels_csv_memory_is_a_block_when_ids_need_quoting(tmp_path):
+    # csv.writer writes one block of rows at a time: beyond what the caller
+    # holds, the write peaks at about a block's rows and text, not at the
+    # text of the whole file
+    m = 300_000
+    ids = QuestionIds(f'q"{i:030d}' for i in range(m))
+    codes = np.arange(m) % 3
+    path = tmp_path / "labels.csv"
+    tracemalloc.start()
+    try:
+        write_labels_csv(str(path), ids, ["A", "B", "C"], codes=codes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["question_id", "label"] and len(rows) == m + 1
+    assert rows[-1] == [f'q"{m - 1:030d}', "ABC"[(m - 1) % 3]]
+    assert peak < path.stat().st_size / 2, (peak, path.stat().st_size)
 
 
 class TestLabelSpaceInference:
@@ -544,6 +599,7 @@ def test_question_ids_act_as_a_list(tmp_path, variant):
     assert len(got) == len(ids)
     assert [got[i] for i in range(len(ids))] == ids
     assert got[-1] == ids[-1] and got[1:4] == ids[1:4] and got[::-2] == ids[::-2]
+    assert got[3:1] == ids[3:1] and got[-2:] == ids[-2:] and got[:] == ids
     with pytest.raises(IndexError):
         got[len(ids)]
     assert list(got) == ids and [*got] == ids

@@ -2,6 +2,7 @@
 estimation with imputation, leave-one-out updates, and CSV round-trips."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -232,6 +233,26 @@ class TestCsvRoundTrip:
         back = read_second_order_csv(str(path))
         np.testing.assert_array_equal(so.probs, back.probs)
         np.testing.assert_array_equal(so.imputed, back.imputed)
+
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path):
+        # a write that fails part way replaces nothing and leaves no temp file
+        class Unwritable:
+            def __float__(self):
+                raise RuntimeError("unwritable")
+
+            __repr__ = __float__
+
+        so = empirical_second_order(_random_pm(17, 3, 3, seed=6))
+        probs = so.probs.astype(object)
+        probs[1, 2, 0, 0] = Unwritable()
+        broken = types.SimpleNamespace(n=so.n, k=so.k, probs=probs, imputed=so.imputed)
+        path = tmp_path / "so.csv"
+        write_second_order_csv(so, str(path))
+        good = path.read_bytes()
+        with pytest.raises(RuntimeError, match="unwritable"):
+            write_second_order_csv(broken, str(path))
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["so.csv"]
 
     def test_format_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
