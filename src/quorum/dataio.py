@@ -1005,9 +1005,9 @@ def _csv_blocks(header: list[str], ids, labels, columns: list[np.ndarray]):
         plain = False
     if plain:
         table, sizes = _utf8([f",{lab}\r\n" for lab in labels])
-        table, at = np.frombuffer(table, np.uint8), np.cumsum(sizes) - sizes
+        table, offsets = np.frombuffer(table, np.uint8), np.cumsum(sizes) - sizes
         lens = [sizes - 2] * (len(columns) - 1) + [sizes]  # each column's entry lengths
-        w = sizes[0] if len(set(sizes.tolist())) == 1 else 0
+        w = sizes[0] if len(set(sizes.tolist())) == 1 else 0  # the entries' one width, if they share one
         entries = [np.ndarray(len(labels), f"V{n[0]}", table, 0, (w,)) for n in lens] if w else None
     for a in range(0, len(ids), _CELLS_PER_BLOCK):
         b = a + _CELLS_PER_BLOCK
@@ -1028,6 +1028,6 @@ def _csv_blocks(header: list[str], ids, labels, columns: list[np.ndarray]):
                 rows[f"c{j}"] = c
             yield rows.view(np.uint8)
         else:  # segments run row by row: the id, then its entries, which follow the ids in src
-            seg_starts = np.stack([starts - lo] + [(hi - lo) + at[c] for c in codes], axis=1)
+            seg_starts = np.stack([starts - lo] + [(hi - lo) + offsets[c] for c in codes], axis=1)
             seg_lens = np.stack([ends - starts] + [n[c] for n, c in zip(lens, codes)], axis=1)
             yield _gather(np.concatenate([data, table]), seg_starts.ravel(), seg_lens.ravel())
