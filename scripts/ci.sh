@@ -6,11 +6,11 @@
 # isp is at least as accurate as mv on a K=50 panel (narrow answer codes that
 # overflowed would break it) and that each summary counts its tie-broken
 # labels, a check that plain, quoted and CRLF copies of one panel give the same
-# isp labels (the byte tokenizer reads the first, csv.reader the others), a
-# check that a QUOTE_ALL panel whose ids need quoting gets the labels CSV
-# csv.writer writes, a check that a bad flag or config value exits 2 without a
-# traceback, a check that a malformed row deep in a file exits 3 and names its
-# line, and a check that a byte that is not UTF-8 or an over-long field deep in
+# isp labels (the byte tokenizer reads the plain and CRLF ones, csv.reader the
+# quoted one), a check that a QUOTE_ALL panel whose ids need quoting gets the
+# labels CSV csv.writer writes, a check that a bad flag or config value exits 2
+# without a traceback, a check that a malformed row deep in a file exits 3 and
+# names its line, and a check that a byte that is not UTF-8 or an over-long field deep in
 # a file, or a config file that is not UTF-8, exits 3 without a traceback, and a
 # check that ow-l on a 20,000 x 60 panel gives the same labels with one BLAS
 # thread as with the default, and fits without a warning: converged, all 8
@@ -19,7 +19,9 @@
 # under umask 022 the files aggregate and simulate write are mode 644 while the
 # parse-cache entry stays 600, and a check that the panels simulate writes for
 # the ci and the difficulty model, with and without truth, are what csv.writer
-# writes for the same simulated matrices.
+# writes for the same simulated matrices. Last, it prints the source lines of
+# each module of the package and their total; that step reports and gates
+# nothing.
 #
 # Every step runs, even after one fails; each step stops at its own first
 # failing command. The script lists the failed steps at the end and then exits
@@ -296,6 +298,10 @@ EOF
   done
 }
 
+source_lines() {
+  wc -l src/quorum/*.py
+}
+
 step "tier-1 tests" tier1_tests
 step "benchmark harness tests" harness_tests
 step "verification suites" verification_suites
@@ -310,6 +316,7 @@ step "ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread, a 
 step "the parse cache: a second run hits it, a damaged entry is parsed again, and all three give the same labels" parse_cache_reads_like_a_parse
 step "under umask 022, aggregate and simulate outputs are mode 644 and the parse-cache entry 600" output_modes_follow_the_umask
 step "simulated panels, with and without truth, are what csv.writer writes" simulate_written_as_csv_writer_does
+step "source lines per module (reported, not gated)" source_lines
 
 if [ "${#failed[@]}" -ne 0 ]; then
   echo "== ${#failed[@]} step(s) failed:"

@@ -31,7 +31,8 @@ from .core import (
     PredictionMatrix,
     _BLOCK_CELLS,
     _MASK64,
-    _as_readonly,
+    _check_codes,
+    _freeze,
     ow_weights,
     sigma_k,
 )
@@ -151,7 +152,7 @@ class AdvantageVector:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.shape[0] < 2:
             raise DimensionError(f"advantage vector must be 1-d with K >= 2, got shape {vals.shape}")
-        object.__setattr__(self, "values", _as_readonly(vals))
+        _freeze(self, values=np.array(vals))
 
     @property
     def k(self) -> int:
@@ -179,10 +180,7 @@ def _check_answers(answers, k: int, min_agents: int = 1, ndim: int = 1) -> np.nd
         raise DimensionError(
             f"answers must be {what} of at least {min_agents} agents, got shape {arr.shape}"
         )
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise DomainError(f"answers must be integer label indices, got dtype {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() >= k):
-        raise DomainError(f"answer indices must lie in [0, {k})")
+    _check_codes(arr, k)
     return arr if np.can_cast(arr.dtype, np.int64) else arr.astype(np.int64)
 
 
@@ -365,9 +363,7 @@ def sp_score(answers, so: SecondOrderMatrix, target_agent: int, target_label: in
     S(s, i) = (1/(N-1)) * sum over j != i of P(A_i = s | A_j = a_j).
     """
 
-    arr = _check_answers(answers, so.k, min_agents=2)
-    _check_so(so, arr.shape[0], so.k)
-    i, s = _check_target(arr, so.k, target_agent, target_label)
+    arr, i, s = _check_target(answers, so, target_agent, target_label)
     peers = [j for j in range(arr.shape[0]) if j != i]
     vals = [so.probs[i, j, s, arr[j]] for j in peers]
     return float(np.mean(vals))
@@ -380,9 +376,7 @@ def isp_score(answers, so: SecondOrderMatrix, target_agent: int, target_label: i
               (1/(K-1)) * sum over a != a_j of P(A_i = s | A_j = a).
     """
 
-    arr = _check_answers(answers, so.k, min_agents=2)
-    _check_so(so, arr.shape[0], so.k)
-    i, s = _check_target(arr, so.k, target_agent, target_label)
+    arr, i, s = _check_target(answers, so, target_agent, target_label)
     k = so.k
     vals = []
     for j in range(arr.shape[0]):
@@ -393,12 +387,16 @@ def isp_score(answers, so: SecondOrderMatrix, target_agent: int, target_label: i
     return float(np.mean(vals))
 
 
-def _check_target(arr: np.ndarray, k: int, target_agent: int, target_label: int) -> tuple[int, int]:
+def _check_target(answers, so: SecondOrderMatrix, target_agent: int, target_label: int) -> tuple:
+    """The answers, agent and label a per-question peer score is asked for, checked against ``so``."""
+
+    arr = _check_answers(answers, so.k, min_agents=2)
+    _check_so(so, arr.shape[0], so.k)
     if not 0 <= target_agent < arr.shape[0]:
         raise DimensionError(f"target agent {target_agent} out of range [0, {arr.shape[0]})")
-    if not 0 <= target_label < k:
-        raise DomainError(f"target label {target_label} out of range [0, {k})")
-    return int(target_agent), int(target_label)
+    if not 0 <= target_label < so.k:
+        raise DomainError(f"target label {target_label} out of range [0, {so.k})")
+    return arr, int(target_agent), int(target_label)
 
 
 def _peer_advantage(rule: str, answers, so: SecondOrderMatrix) -> AdvantageVector:

@@ -29,7 +29,13 @@ from .core import (
     shuffle_apply,
     shuffle_invert,
 )
-from .dataio import read_predictions_csv, write_json, write_labels_csv, write_predictions_csv
+from .dataio import (
+    atomic_write_text,
+    read_predictions_csv,
+    write_json,
+    write_labels_csv,
+    write_predictions_csv,
+)
 from .estimate import METHODS, ErmConfig, run_pipeline
 from .oracle import DifficultyMixture
 from .simulate import (
@@ -44,28 +50,19 @@ from .simulate import (
 _TIE_CHOICES = {"uniform": TIE_UNIFORM, "lowest": TIE_LOWEST}
 
 
-def _fail_format(exc: Exception) -> "SystemExit":
+def _fail(exc: Exception, status: int) -> "SystemExit":
+    """Report ``exc`` on stderr; the exit to raise: 3 for a malformed input file, 4 for work over budget."""
+
     click.echo(f"error: {exc}", err=True)
-    return SystemExit(3)
+    return SystemExit(status)
 
 
-def _fail_resource(exc: Exception) -> "SystemExit":
-    click.echo(f"error: {exc}", err=True)
-    return SystemExit(4)
-
-
-def _parse_floats(text: str, flag: str) -> tuple[float, ...]:
+def _parse_numbers(text: str, flag: str, kind=float) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise click.UsageError(f"{flag}: expected comma-separated numbers, got {text!r}")
-
-
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise click.UsageError(f"{flag}: expected comma-separated integers, got {text!r}")
+        what = "integers" if kind is int else "numbers"
+        raise click.UsageError(f"{flag}: expected comma-separated {what}, got {text!r}")
 
 
 def _parse_mixture(text: str) -> DifficultyMixture:
@@ -104,11 +101,11 @@ def _apply_config(ctx: click.Context, config_path: str | None, params: dict) -> 
         with open(config_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise _fail_format(FormatError(f"cannot open {config_path}: {exc}"))
+        raise _fail(FormatError(f"cannot open {config_path}: {exc}"), 3)
     except ValueError as exc:  # json.JSONDecodeError, or UnicodeDecodeError: JSON text is UTF-8
-        raise _fail_format(FormatError(f"{config_path}: invalid JSON ({exc})"))
+        raise _fail(FormatError(f"{config_path}: invalid JSON ({exc})"), 3)
     if not isinstance(cfg, dict):
-        raise _fail_format(FormatError(f"{config_path}: config must be a JSON object"))
+        raise _fail(FormatError(f"{config_path}: config must be a JSON object"), 3)
     options = {p.name: p for p in ctx.command.params}
     for key, value in cfg.items():
         name = key.replace("-", "_")
@@ -160,12 +157,12 @@ def simulate(ctx, config_path, **params):
         if params["model"] == "ci":
             if params["accuracies"] is None:
                 raise click.UsageError("--accuracies is required for the ci model")
-            acc = _parse_floats(params["accuracies"], "--accuracies")
+            acc = _parse_numbers(params["accuracies"], "--accuracies")
             pm = simulate_ci(CiSimSpec(acc, params["k"], params["questions"], params["seed"]))
         else:
             if params["abilities"] is None or params["mixture"] is None:
                 raise click.UsageError("--abilities and --mixture are required for the difficulty model")
-            beta = _parse_floats(params["abilities"], "--abilities")
+            beta = _parse_numbers(params["abilities"], "--abilities")
             mix = _parse_mixture(params["mixture"])
             spec = DifficultySimSpec(beta, mix, params["k"], params["questions"], params["seed"])
             pm = simulate_difficulty(spec)
@@ -216,10 +213,10 @@ def aggregate(ctx, config_path, **params):
     params = _apply_config(ctx, config_path, params)
     acc = abil = None
     if params["accuracies"] is not None:
-        acc = _parse_floats(params["accuracies"], "--accuracies")
+        acc = _parse_numbers(params["accuracies"], "--accuracies")
         _check_unit_interval(acc, "--accuracies")
     if params["abilities"] is not None:
-        abil = _parse_floats(params["abilities"], "--abilities")
+        abil = _parse_numbers(params["abilities"], "--abilities")
 
     label_list = params["labels"].split(",") if params["labels"] else None
     agent_list = params["agents"].split(",") if params["agents"] else None
@@ -230,10 +227,8 @@ def aggregate(ctx, config_path, **params):
             labels=label_list,
             drop_incomplete=params["drop_incomplete"],
         )
-    except FormatError as exc:
-        raise _fail_format(exc)
-    except (DomainError, DimensionError) as exc:
-        raise _fail_format(FormatError(str(exc)))
+    except (FormatError, DomainError, DimensionError) as exc:
+        raise _fail(exc, 3)
 
     work = pm
     smap = None
@@ -259,7 +254,7 @@ def aggregate(ctx, config_path, **params):
     except (DomainError, DimensionError) as exc:
         raise click.UsageError(str(exc))
     except ResourceError as exc:
-        raise _fail_resource(exc)
+        raise _fail(exc, 4)
     fit = result.fit
     if fit is not None and not fit.converged:
         click.echo(
@@ -348,7 +343,7 @@ def verify(suite, seed, budget):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except ResourceError as exc:
-        raise _fail_resource(exc)
+        raise _fail(exc, 4)
     failed = 0
     for res in results:
         status = "SKIP" if res.skipped else ("PASS" if res.passed else "FAIL")
@@ -383,8 +378,8 @@ def report(ctx, config_path, **params):
     params = _apply_config(ctx, config_path, params)
     if params["table2"] == params["gap_curve"]:
         raise click.UsageError("choose exactly one of --table2 or --gap-curve")
-    ks = _parse_ints(params["k_values"], "--k-values")
-    acc = _parse_floats(params["accuracies"], "--accuracies")
+    ks = _parse_numbers(params["k_values"], "--k-values", int)
+    acc = _parse_numbers(params["accuracies"], "--accuracies")
     seed, m = params["seed"], params["questions"]
     try:
         if params["table2"]:
@@ -397,50 +392,22 @@ def report(ctx, config_path, **params):
     base = params["out"]
     resolved = {k: params[k] for k in sorted(params)}
     if params["table2"]:
-        header = "k," + ",".join(table.methods)
-        csv_lines = [header] + [
+        kind, rows = "accuracy_table", table.to_rows()
+        csv_lines = ["k," + ",".join(table.methods)] + [
             ",".join([str(k)] + [f"{v:.4f}" for v in row])
             for k, row in zip(table.ks, table.values)
         ]
-        _write_report_files(
-            base,
-            text="config: " + json.dumps(resolved, sort_keys=True) + "\n\n" + table.to_text(),
-            csv_text="\n".join(csv_lines) + "\n",
-            payload={
-                "command": "report",
-                "kind": "accuracy_table",
-                "timestamp": _timestamp(),
-                "config": resolved,
-                "rows": table.to_rows(),
-            },
-        )
+        text = "config: " + json.dumps(resolved, sort_keys=True) + "\n\n" + table.to_text()
+        atomic_write_text(base + ".txt", text)
     else:
-        rows = curve.to_rows()
+        kind, rows = "gap_curve", curve.to_rows()
         csv_lines = ["k,gap_isp_mv,gap_mv_sp,stderr"] + [
             f"{r['k']},{r['gap_isp_mv']:.6f},{r['gap_mv_sp']:.6f},{r['stderr']:.6f}" for r in rows
         ]
-        _write_report_files(
-            base,
-            text=None,
-            csv_text="\n".join(csv_lines) + "\n",
-            payload={
-                "command": "report",
-                "kind": "gap_curve",
-                "timestamp": _timestamp(),
-                "config": resolved,
-                "rows": rows,
-            },
-        )
-    click.echo(f"wrote report to {base}.csv / {base}.json" + (f" / {base}.txt" if params["table2"] else ""))
-
-
-def _write_report_files(base: str, text: str | None, csv_text: str, payload: dict) -> None:
-    from .dataio import atomic_write_text
-
-    if text is not None:
-        atomic_write_text(base + ".txt", text)
-    atomic_write_text(base + ".csv", csv_text)
+    atomic_write_text(base + ".csv", "\n".join(csv_lines) + "\n")
+    payload = {"command": "report", "kind": kind, "timestamp": _timestamp(), "config": resolved, "rows": rows}
     write_json(base + ".json", payload)
+    click.echo(f"wrote report to {base}.csv / {base}.json" + (f" / {base}.txt" if params["table2"] else ""))
 
 
 def run() -> None:

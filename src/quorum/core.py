@@ -120,12 +120,24 @@ def _code_dtype(k: int) -> np.dtype:
     return np.min_scalar_type(k - 1)
 
 
-def _as_readonly(arr: np.ndarray, dtype=None) -> np.ndarray:
-    """An owned, read-only copy of ``arr`` (converted to ``dtype`` if given)."""
+def _freeze(obj, **fields):
+    """``obj`` with ``fields`` set on it though its class is frozen, each array
+    among them made read-only in place: arrays that only the caller holds."""
 
-    out = np.array(arr, dtype=dtype, copy=True)
-    out.flags.writeable = False
-    return out
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _check_codes(codes: np.ndarray, k: int, plural: str = "answers", singular: str = "answer") -> None:
+    """The one check of answer (or truth) label codes: integers in [0, K)."""
+
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise DomainError(f"{plural} must be integer label indices, got dtype {codes.dtype}")
+    if codes.size and (codes.min() < 0 or codes.max() >= k):
+        raise DomainError(f"{singular} indices must lie in [0, {k})")
 
 
 @dataclass(frozen=True)
@@ -148,9 +160,8 @@ class PredictionMatrix:
         ans = np.asarray(self.answers)
         tr = None if self.truth is None else np.asarray(self.truth)
         self._check(ans, tr, self.space.k)
-        object.__setattr__(self, "answers", _as_readonly(ans, _code_dtype(self.space.k)))
-        if tr is not None:
-            object.__setattr__(self, "truth", _as_readonly(tr, np.int64))
+        answers = np.array(ans, _code_dtype(self.space.k))
+        _freeze(self, answers=answers, truth=None if tr is None else np.array(tr, np.int64))
 
     @staticmethod
     def _check(ans: np.ndarray, tr: np.ndarray | None, k: int) -> None:
@@ -158,19 +169,13 @@ class PredictionMatrix:
             raise DimensionError(f"answers must be 2-d (questions x agents), got shape {ans.shape}")
         if ans.shape[0] < 1 or ans.shape[1] < 1:
             raise DimensionError(f"need at least one question and one agent, got shape {ans.shape}")
-        if not np.issubdtype(ans.dtype, np.integer):
-            raise DomainError(f"answers must be integer label indices, got dtype {ans.dtype}")
-        if ans.min() < 0 or ans.max() >= k:
-            raise DomainError(f"answer indices must lie in [0, {k})")
+        _check_codes(ans, k)
         if tr is not None:
             if tr.shape != (ans.shape[0],):
                 raise DimensionError(
                     f"truth must have shape ({ans.shape[0]},), got {tr.shape}"
                 )
-            if not np.issubdtype(tr.dtype, np.integer):
-                raise DomainError(f"truth must be integer label indices, got dtype {tr.dtype}")
-            if tr.min() < 0 or tr.max() >= k:
-                raise DomainError(f"truth indices must lie in [0, {k})")
+            _check_codes(tr, k, "truth", "truth")
 
     @classmethod
     def _adopt(cls, space: LabelSpace, answers: np.ndarray, truth: np.ndarray | None) -> "PredictionMatrix":
@@ -179,12 +184,7 @@ class PredictionMatrix:
         where the constructor would copy them."""
 
         cls._check(answers, truth, space.k)
-        pm = object.__new__(cls)
-        for name, value in (("space", space), ("answers", answers), ("truth", truth)):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(pm, name, value)
-        return pm
+        return _freeze(object.__new__(cls), space=space, answers=answers, truth=truth)
 
     @property
     def m(self) -> int:
@@ -248,8 +248,35 @@ def sigma_k_inverse(p, k: int):
 
 
 def _check_k(k: int) -> None:
+    """The one check of a label count K."""
+
     if not isinstance(k, (int, np.integer)) or k < 2:
         raise DomainError(f"label count must be an integer >= 2, got {k!r}")
+
+
+def _check_acc(accuracies, k: int | None = None) -> np.ndarray:
+    """The one check of a vector of per-agent accuracies, as floats in [0, 1];
+    given ``k``, that label count is checked between its shape and its values."""
+
+    x = np.asarray(accuracies, dtype=float)
+    if x.ndim != 1 or x.shape[0] < 1:
+        raise DimensionError(f"accuracies must be a non-empty vector, got shape {x.shape}")
+    if k is not None:
+        _check_k(k)
+    if np.any(~np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0):
+        raise DomainError("accuracies must lie in [0, 1]")
+    return x
+
+
+def _check_abilities(abilities) -> np.ndarray:
+    """The one check of a vector of per-agent abilities, as finite floats >= 0."""
+
+    beta = np.asarray(abilities, dtype=float)
+    if beta.ndim != 1 or beta.shape[0] < 1:
+        raise DimensionError(f"abilities must be a non-empty vector, got shape {beta.shape}")
+    if np.any(beta < 0.0) or np.any(~np.isfinite(beta)):
+        raise DomainError("abilities must be finite and nonnegative")
+    return beta
 
 
 def clamp_accuracies(accuracies, k: int, eps: float = 1e-6) -> np.ndarray:
@@ -336,7 +363,7 @@ class ShuffleMap:
     def __post_init__(self) -> None:
         perms = np.asarray(self.perms)
         self._check(perms)
-        object.__setattr__(self, "perms", _as_readonly(perms, _code_dtype(perms.shape[1])))
+        _freeze(self, perms=np.array(perms, _code_dtype(perms.shape[1])))
 
     @staticmethod
     def _check(perms: np.ndarray) -> None:
@@ -355,11 +382,7 @@ class ShuffleMap:
 
         cls._check(perms)
         perms = perms.astype(_code_dtype(perms.shape[1]), copy=False)
-        perms.flags.writeable = False
-        smap = object.__new__(cls)
-        object.__setattr__(smap, "perms", perms)
-        object.__setattr__(smap, "seed", int(seed))
-        return smap
+        return _freeze(object.__new__(cls), perms=perms, seed=int(seed))
 
     @property
     def m(self) -> int:

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import DimensionError, FormatError, LabelSpace, PredictionMatrix, _code_dtype
+from .core import DimensionError, FormatError, LabelSpace, PredictionMatrix, _code_dtype, _freeze
 
 __all__ = [
     "QuestionIds",
@@ -139,7 +139,7 @@ class QuestionIds(Sequence):
     def __init__(self, ids=()):
         data, lens = _utf8(list(ids))
         ends = np.cumsum(lens).astype(np.min_scalar_type(len(data)))
-        self._keep(np.frombuffer(data + bytes(8), np.uint8), ends)
+        _freeze(self, _data=np.frombuffer(data + bytes(8), np.uint8), _ends=ends)
 
     @classmethod
     def _adopt(cls, data: np.ndarray, ends: np.ndarray) -> "QuestionIds":
@@ -147,13 +147,7 @@ class QuestionIds(Sequence):
         that a 64-bit word can be read from any offset of an id) and ``ends``
         (unsigned: each id's end offset), uncopied."""
 
-        ids = cls.__new__(cls)
-        ids._keep(data, ends)
-        return ids
-
-    def _keep(self, data: np.ndarray, ends: np.ndarray) -> None:
-        data.flags.writeable = ends.flags.writeable = False
-        self._data, self._ends = data, ends
+        return _freeze(cls.__new__(cls), _data=data, _ends=ends)
 
     def _bounds(self, a: int = 0, b: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The start and end offsets in the buffer of ids ``a`` to ``b``, as intp."""
@@ -207,6 +201,22 @@ class QuestionIds(Sequence):
 
     def __repr__(self) -> str:
         return f"QuestionIds({list(self)!r})"
+
+
+def _decimal_ids(m: int) -> QuestionIds:
+    """The ids "0", "1", ..., ``str(m - 1)``, encoded into one buffer a block at
+    a time, so that no more than a block of them is ever a ``str``."""
+
+    # a byte for each id q, and one more for each d >= 1 with q >= 10^d
+    size = m + sum(m - 10**d for d in range(1, len(str(m - 1))))
+    data, ends = np.zeros(size + 8, np.uint8), np.empty(m, np.min_scalar_type(size))
+    at = 0
+    for a in range(0, m, _CELLS_PER_BLOCK):
+        text, lens = _utf8(list(map(str, range(a, min(m, a + _CELLS_PER_BLOCK)))))
+        data[at : at + len(text)] = np.frombuffer(text, np.uint8)
+        ends[a : a + lens.size] = np.cumsum(lens) + at
+        at += len(text)
+    return QuestionIds._adopt(data, ends)
 
 
 def _first_repeat(ids: QuestionIds) -> int | None:
@@ -408,22 +418,29 @@ _LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
 
 
 def _plain(data: bytes) -> bool:
-    """Whether ``data`` lacks every byte that the byte tokenizer leaves to csv.reader."""
+    """Whether ``data``, its CRLFs folded to LFs, lacks every byte that the
+    byte tokenizer leaves to csv.reader: a quote, a bare carriage return, a NUL."""
 
     return not (b'"' in data or b"\r" in data or b"\0" in data)
 
 
 def _line_chunks(fh, size: int):
     """The rest of binary file ``fh`` in chunks of about ``size`` bytes, each cut
-    after a newline; the last one gets a newline if the file lacks it.
+    after a newline, with every CRLF folded to a LF; the last one gets a
+    newline if the file lacks it.
 
-    Yields None and stops at the first piece that is not ``_plain``, before
-    it is kept or the next piece is read, so a file whose lines end in a bare
-    carriage return is never held whole.
+    A piece that ends in a carriage return takes one more byte, so no CRLF is
+    split between pieces. Yields None and stops at the first piece that is not
+    ``_plain``, before it is kept or the next piece is read, so a file whose
+    lines end in a bare carriage return is never held whole.
     """
 
     pending = []
     while piece := fh.read(size):
+        if piece.endswith(b"\r"):
+            piece += fh.read(1)
+        if b"\r" in piece:  # far cheaper than a replace that finds no CRLF
+            piece = piece.replace(b"\r\n", b"\n")
         if not _plain(piece):
             yield None
             return
@@ -441,13 +458,13 @@ def _line_chunks(fh, size: int):
 def _read_cells_bytes(fh, width: int) -> tuple[QuestionIds, np.ndarray, list[str], None] | None:
     """``_read_cells`` for the rest of binary file ``fh``, tokenized with numpy.
 
-    Each chunk of about 4 bytes per cell of a block is split at every ``,``
-    and newline at once; its ids' bytes are gathered undecoded and its other
-    cells are coded by ``_cell_codes``. The result equals ``_read_cells``'s.
-    Returns None, part way through the file, at a ``"``, carriage return or
-    NUL byte, at a line without ``width`` fields, at a cell longer than
-    ``csv.field_size_limit()`` or at text that is not UTF-8, so that
-    csv.reader reads the file again and reports as usual.
+    Each chunk of about 4 bytes per cell of a block, its CRLFs folded to LFs,
+    is split at every ``,`` and newline at once; its ids' bytes are gathered
+    undecoded and its other cells are coded by ``_cell_codes``. The result
+    equals ``_read_cells``'s. Returns None, part way through the file, at a
+    ``"``, bare carriage return or NUL byte, at a line without ``width``
+    fields, at a cell longer than ``csv.field_size_limit()`` or at text that
+    is not UTF-8, so that csv.reader reads the file again and reports as usual.
     """
 
     rows = _Columns(width, fh)
@@ -597,10 +614,10 @@ def _screen_rows(
 
 def _plain_header(fh) -> list[str] | None:
     """The cells of binary file ``fh``'s first line, or None if that line is
-    not plain UTF-8 text ending in a newline within ``csv.field_size_limit()``
+    not plain UTF-8 text ending in a LF or CRLF within ``csv.field_size_limit()``
     bytes (the cap keeps a file without newlines from being read whole)."""
 
-    line = fh.readline(csv.field_size_limit())
+    line = fh.readline(csv.field_size_limit()).replace(b"\r\n", b"\n")  # only at its end
     if not (line.endswith(b"\n") and _plain(line)):
         return None
     try:
@@ -926,8 +943,6 @@ def read_predictions_csv(
         missing = [a for a in agents if a not in names]
         if missing:
             raise FormatError(f"{path}: unknown agents {missing}; file has {names}")
-        if len(agents) < 1:
-            raise DimensionError("need at least one agent")
         idx = [names.index(a) for a in agents]
         pm = pm.select_agents(idx)
         meta["agent_names"] = list(agents)
@@ -944,7 +959,7 @@ def write_predictions_csv(
     names = agent_names or [str(i + 1) for i in range(pm.n)]
     if len(names) != pm.n:
         raise DimensionError(f"got {len(names)} agent names for {pm.n} agents")
-    qids = question_ids or [str(q) for q in range(pm.m)]
+    qids = question_ids or _decimal_ids(pm.m)
     if len(qids) != pm.m:
         raise DimensionError(f"got {len(qids)} question ids for {pm.m} questions")
     with_truth = include_truth and pm.truth is not None
@@ -989,7 +1004,7 @@ def _unquoted(text: bytes) -> bool:
 def _csv_blocks(header: list[str], ids, labels, columns: list[np.ndarray]):
     """The bytes csv.writer writes for the row ``header``, then for each i the
     row of ``ids[i]`` and ``labels[col[i]]`` for each ``col`` of ``columns``,
-    in blocks of ``_CELLS_PER_BLOCK`` rows.
+    in blocks of about ``_CELLS_PER_BLOCK`` cells.
 
     A block whose cells are all str free of commas, quotes and line breaks is
     gathered from its ids' bytes and a table of ``,label\\r\\n`` entries, the
@@ -1009,8 +1024,9 @@ def _csv_blocks(header: list[str], ids, labels, columns: list[np.ndarray]):
         lens = [sizes - 2] * (len(columns) - 1) + [sizes]  # each column's entry lengths
         w = sizes[0] if len(set(sizes.tolist())) == 1 else 0  # the entries' one width, if they share one
         entries = [np.ndarray(len(labels), f"V{n[0]}", table, 0, (w,)) for n in lens] if w else None
-    for a in range(0, len(ids), _CELLS_PER_BLOCK):
-        b = a + _CELLS_PER_BLOCK
+    step = max(1, _CELLS_PER_BLOCK // (1 + len(columns)))
+    for a in range(0, len(ids), step):
+        b = a + step
         if plain:
             starts, ends = ids._bounds(a, b)
             lo, hi = int(starts[0]), int(ends[-1])

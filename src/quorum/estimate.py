@@ -23,7 +23,8 @@ from .core import (
     DimensionError,
     DomainError,
     PredictionMatrix,
-    _as_readonly,
+    _check_abilities,
+    _freeze,
     ow_weights,
 )
 from . import aggregate as agg
@@ -87,8 +88,7 @@ class FitResult:
     imputed_cells: int = 0  # of the second-order matrix the fit read
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "accuracies", _as_readonly(np.asarray(self.accuracies, dtype=float)))
-        object.__setattr__(self, "weights", _as_readonly(np.asarray(self.weights, dtype=float)))
+        _freeze(self, accuracies=np.array(self.accuracies, float), weights=np.array(self.weights, float))
 
     def to_dict(self) -> dict:
         return {
@@ -121,6 +121,8 @@ class _ErmData:
 
     def __init__(self, so: SecondOrderMatrix):
         n, k = so.n, so.k
+        if n < 2:
+            raise DimensionError("the fit needs at least 2 agents")
         self.n, self.k = n, k
         same = so.probs[:, :, np.arange(k), np.arange(k)].sum(axis=2)
         # targets[t, i, j]: the observed same- (t=0) or cross-label (t=1) sum of
@@ -185,8 +187,6 @@ def _check_fit_point(accuracies, so: SecondOrderMatrix) -> np.ndarray:
         raise DimensionError(f"accuracies shape {x.shape} does not match N={so.n}")
     if np.any(~np.isfinite(x)):
         raise DomainError("accuracies must be finite")
-    if so.n < 2:
-        raise DimensionError("the fit needs at least 2 agents")
     return x
 
 
@@ -217,11 +217,8 @@ def _pgd_single(data: _ErmData, x0: np.ndarray, lo: float, hi: float, cfg: ErmCo
                 break
             step *= 0.5
         proj_grad = x - np.clip(x - grad, lo, hi)
-        if np.max(np.abs(proj_grad)) <= cfg.grad_tol:
-            converged = True
-            break
-        if not moved:
-            # line search stalled: treat as converged to machine precision
+        # a stalled line search counts as converged to machine precision
+        if np.max(np.abs(proj_grad)) <= cfg.grad_tol or not moved:
             converged = True
             break
     return x, loss, converged, iters
@@ -239,8 +236,6 @@ def fit_accuracies(so: SecondOrderMatrix, cfg: ErmConfig | None = None) -> FitRe
 
     cfg = cfg or ErmConfig()
     data = _ErmData(so)
-    if data.n < 2:
-        raise DimensionError("the fit needs at least 2 agents")
     lo = 1.0 / data.k + cfg.eps
     hi = 1.0 - cfg.eps
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -312,7 +307,7 @@ class PipelineResult:
     imputed_cells: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", _as_readonly(np.asarray(self.labels)))
+        _freeze(self, labels=np.array(self.labels))
 
 
 def _given_accuracies_fit(pm: PredictionMatrix, accuracies, eps: float) -> FitResult:
@@ -330,9 +325,7 @@ def _given_abilities_fit(pm: PredictionMatrix, abilities) -> FitResult:
     beta = np.asarray(abilities, dtype=float)
     if beta.shape != (pm.n,):
         raise DimensionError(f"abilities shape {beta.shape} does not match N={pm.n}")
-    if np.any(beta < 0.0) or np.any(~np.isfinite(beta)):
-        raise DomainError("abilities must be finite and nonnegative")
-    return FitResult(accuracies=np.full(pm.n, np.nan), weights=beta, method="eow")
+    return FitResult(accuracies=np.full(pm.n, np.nan), weights=_check_abilities(beta), method="eow")
 
 
 def run_pipeline(

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import DimensionError, DomainError, ResourceError, _as_readonly, sigma_k
+from .core import (
+    DimensionError,
+    DomainError,
+    ResourceError,
+    _check_abilities,
+    _check_acc,
+    _check_codes,
+    _freeze,
+    sigma_k,
+)
 from .secondorder import (
     SecondOrderMatrix,
     cross_label_prob,
@@ -101,8 +110,7 @@ class DifficultyMixture:
                 raise DomainError("difficulty scales must be finite and nonnegative")
             if np.any(w <= 0.0) or abs(w.sum() - 1.0) > 1e-9:
                 raise DomainError("atom weights must be positive and sum to 1")
-            object.__setattr__(self, "alphas", _as_readonly(a))
-            object.__setattr__(self, "weights", _as_readonly(w))
+            _freeze(self, alphas=np.array(a), weights=np.array(w))
         elif self.family == _FAMILY_LOG_UNIFORM:
             if not (0.0 < self.lo < self.hi) or not np.isfinite(self.hi):
                 raise DomainError(f"log-uniform needs 0 < lo < hi, got [{self.lo}, {self.hi}]")
@@ -220,30 +228,12 @@ def _vector_chunks(n: int, k: int, rows: int):
         yield vectors, sizes[top]
 
 
-def _check_acc(accuracies) -> np.ndarray:
-    x = np.asarray(accuracies, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise DimensionError(f"accuracies must be a non-empty vector, got shape {x.shape}")
-    if np.any(~np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError("accuracies must lie in [0, 1]")
-    return x
-
-
 def answer_vector_probs(vectors: np.ndarray, truth_index: int, accuracies, k: int) -> np.ndarray:
     """P(answer vector | true label) under conditional independence."""
 
     x = _check_acc(accuracies)
     per_agent = np.where(vectors == truth_index, x[None, :], (1.0 - x[None, :]) / (k - 1))
     return per_agent.prod(axis=1)
-
-
-def _check_abilities(abilities) -> np.ndarray:
-    beta = np.asarray(abilities, dtype=float)
-    if beta.ndim != 1 or beta.shape[0] < 1:
-        raise DimensionError(f"abilities must be a non-empty vector, got shape {beta.shape}")
-    if np.any(beta < 0.0) or np.any(~np.isfinite(beta)):
-        raise DomainError("abilities must be finite and nonnegative")
-    return beta
 
 
 def _mixture_correct_probs(abilities, mixture: DifficultyMixture, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,8 +300,7 @@ def _check_vectors(answers, shape: tuple[int, ...], k: int, what: str) -> np.nda
     arr = np.asarray(answers)
     if arr.ndim not in (1, 2) or arr.shape[-1:] != shape:
         raise DimensionError(f"answers shape {arr.shape} does not match {what} {shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= k):
-        raise DomainError(f"answer indices must lie in [0, {k})")
+    _check_codes(arr, k)
     return arr
 
 
@@ -394,6 +383,47 @@ def _expectation(n: int, k: int, likelihoods, scores, per_label) -> float:
     return total
 
 
+def _ci_expectation(
+    rule: str, accuracies, k: int, budget: int, per_label, weights=None, tie_mode: str = agg.TIE_UNIFORM
+) -> float:
+    """``_expectation`` of a rule's ``per_label`` values under conditional independence."""
+
+    x = _check_acc(accuracies)
+    agg.TiePolicy(tie_mode)  # rejects an unknown mode
+    _check_enumeration(x.shape[0], k, budget)
+    so = exact_second_order(x, k) if rule in agg.SECOND_ORDER_RULES else None
+    return _expectation(
+        x.shape[0],
+        k,
+        lambda v: _label_likelihoods(v, x, k),
+        lambda v: agg.score_batch(rule, v, k, so=so, weights=weights),
+        per_label,
+    )
+
+
+def _mixture_expectation(
+    rule: str, abilities, mixture: DifficultyMixture, k: int, budget: int, per_label, tie_mode: str = agg.TIE_UNIFORM
+) -> float:
+    """``_expectation`` of a rule's ``per_label`` values under the difficulty-mixture
+    model; ``eow`` is ``weighted`` with the abilities as weights, and ``posterior``
+    scores each label by its exact mixture posterior."""
+
+    beta = _check_abilities(abilities)
+    agg.TiePolicy(tie_mode)  # rejects an unknown mode
+    _check_enumeration(beta.shape[0], k, budget)
+    rule = "weighted" if rule == "eow" else rule
+    so = mixture_second_order(beta, mixture, k) if rule in agg.SECOND_ORDER_RULES else None
+
+    def scores(v: np.ndarray) -> np.ndarray:
+        if rule == "posterior":
+            return mixture_posterior(v, beta, mixture, k)
+        return agg.score_batch(rule, v, k, so=so, weights=beta)
+
+    return _expectation(
+        beta.shape[0], k, lambda v: np.exp(_mixture_log_likelihoods(v, beta, mixture, k)), scores, per_label
+    )
+
+
 def _centred(scores: np.ndarray) -> np.ndarray:
     """Advantage of each label: its score minus the mean over labels.
 
@@ -413,16 +443,7 @@ def exact_expected_advantage(
     same for every true label.
     """
 
-    x = _check_acc(accuracies)
-    _check_enumeration(x.shape[0], k, budget)
-    so = exact_second_order(x, k) if rule in agg.SECOND_ORDER_RULES else None
-    return _expectation(
-        x.shape[0],
-        k,
-        lambda v: _label_likelihoods(v, x, k),
-        lambda v: agg.score_batch(rule, v, k, so=so),
-        _centred,
-    )
+    return _ci_expectation(rule, accuracies, k, budget, _centred)
 
 
 def expected_mv_advantage(accuracies, k: int) -> float:
@@ -480,27 +501,7 @@ def expected_accuracy(
     but cannot change the result.
     """
 
-    x = _check_acc(accuracies)
-    agg.TiePolicy(tie_mode)  # rejects an unknown mode
-    _check_enumeration(x.shape[0], k, budget)
-    so = exact_second_order(x, k) if rule in agg.SECOND_ORDER_RULES else None
-    return _expectation(
-        x.shape[0],
-        k,
-        lambda v: _label_likelihoods(v, x, k),
-        lambda v: agg.score_batch(rule, v, k, so=so, weights=weights),
-        _credit,
-    )
-
-
-def _mixture_scorer(rule: str, beta: np.ndarray, mixture: DifficultyMixture, k: int):
-    """Scores of a mixture-model rule; ``eow`` is ``weighted`` with the abilities as weights."""
-
-    if rule == "posterior":
-        return lambda v: mixture_posterior(v, beta, mixture, k)
-    rule = "weighted" if rule == "eow" else rule
-    so = mixture_second_order(beta, mixture, k) if rule in agg.SECOND_ORDER_RULES else None
-    return lambda v: agg.score_batch(rule, v, k, so=so, weights=beta)
+    return _ci_expectation(rule, accuracies, k, budget, _credit, weights, tie_mode)
 
 
 def mixture_expected_advantage(
@@ -508,15 +509,7 @@ def mixture_expected_advantage(
 ) -> float:
     """E[advantage of the true label] under the difficulty-mixture model."""
 
-    beta = _check_abilities(abilities)
-    _check_enumeration(beta.shape[0], k, budget)
-    return _expectation(
-        beta.shape[0],
-        k,
-        lambda v: np.exp(_mixture_log_likelihoods(v, beta, mixture, k)),
-        _mixture_scorer(rule, beta, mixture, k),
-        _centred,
-    )
+    return _mixture_expectation(rule, abilities, mixture, k, budget, _centred)
 
 
 def mixture_expected_accuracy(
@@ -535,13 +528,4 @@ def mixture_expected_accuracy(
     ``tie_mode`` is checked but cannot change the result.
     """
 
-    beta = _check_abilities(abilities)
-    agg.TiePolicy(tie_mode)  # rejects an unknown mode
-    _check_enumeration(beta.shape[0], k, budget)
-    return _expectation(
-        beta.shape[0],
-        k,
-        lambda v: np.exp(_mixture_log_likelihoods(v, beta, mixture, k)),
-        _mixture_scorer(rule, beta, mixture, k),
-        _credit,
-    )
+    return _mixture_expectation(rule, abilities, mixture, k, budget, _credit, tie_mode)

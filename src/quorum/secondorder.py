@@ -25,7 +25,8 @@ from .core import (
     FormatError,
     PredictionMatrix,
     _BLOCK_CELLS,
-    _as_readonly,
+    _check_acc,
+    _freeze,
 )
 from .dataio import _csv_text, atomic_write_text
 
@@ -60,8 +61,7 @@ class SecondOrderMatrix:
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
         self._check(probs, self.imputed)
-        object.__setattr__(self, "probs", _as_readonly(probs))
-        object.__setattr__(self, "imputed", _as_readonly(self.imputed, bool))
+        _freeze(self, probs=np.array(probs), imputed=np.array(self.imputed, bool))
 
     @staticmethod
     def _check(probs: np.ndarray, imputed) -> None:
@@ -86,12 +86,7 @@ class SecondOrderMatrix:
         would copy them."""
 
         cls._check(probs, imputed)
-        so = object.__new__(cls)
-        for name, value in (("probs", probs), ("imputed", imputed), ("source", source), ("meta", meta)):
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            object.__setattr__(so, name, value)
-        return so
+        return _freeze(object.__new__(cls), probs=probs, imputed=imputed, source=source, meta=meta)
 
     @property
     def n(self) -> int:
@@ -116,15 +111,16 @@ def cross_label_prob(x_i, x_j, k: int):
     ) / (k - 1) ** 2
 
 
-def _assemble(same: np.ndarray, cross: np.ndarray, k: int) -> np.ndarray:
-    """Build (N, N, K, K) probs from per-pair same/cross values."""
+def _assemble(same: np.ndarray, cross: np.ndarray, k: int, source: str, meta: dict) -> SecondOrderMatrix:
+    """The matrix whose (N, N, K, K) probs are built from per-pair same/cross
+    values, with no cell imputed."""
 
     n = same.shape[0]
     eye = np.eye(k, dtype=bool)
     probs = np.where(eye, same[:, :, None, None], cross[:, :, None, None])
     idx = np.arange(n)
     probs[idx, idx] = np.eye(k)
-    return probs
+    return SecondOrderMatrix._adopt(probs, np.zeros(probs.shape, dtype=bool), source, meta)
 
 
 def exact_second_order(accuracies, k: int) -> SecondOrderMatrix:
@@ -134,22 +130,11 @@ def exact_second_order(accuracies, k: int) -> SecondOrderMatrix:
     always-wrong and infallible agents); no clamping is applied here.
     """
 
-    x = np.asarray(accuracies, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise DimensionError(f"accuracies must be a non-empty vector, got shape {x.shape}")
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise DomainError(f"label count must be an integer >= 2, got {k!r}")
-    if np.any(~np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError("accuracies must lie in [0, 1]")
+    x = _check_acc(accuracies, k)
     same = same_label_prob(x[:, None], x[None, :], k)
     cross = cross_label_prob(x[:, None], x[None, :], k)
-    probs = _assemble(same, cross, k)
-    return SecondOrderMatrix(
-        probs,
-        np.zeros(probs.shape, dtype=bool),
-        source="exact",
-        meta={"accuracies": tuple(float(v) for v in x), "k": int(k)},
-    )
+    meta = {"accuracies": tuple(float(v) for v in x), "k": int(k)}
+    return _assemble(same, cross, k, "exact", meta)
 
 
 def mixture_weighted_second_order(sames, crosses, weights, k: int, meta=None) -> SecondOrderMatrix:
@@ -163,10 +148,7 @@ def mixture_weighted_second_order(sames, crosses, weights, k: int, meta=None) ->
     w = np.asarray(weights, dtype=float)
     same = np.tensordot(w, np.asarray(sames, dtype=float), axes=1)
     cross = np.tensordot(w, np.asarray(crosses, dtype=float), axes=1)
-    probs = _assemble(same, cross, k)
-    return SecondOrderMatrix(
-        probs, np.zeros(probs.shape, dtype=bool), source="exact_mixture", meta=dict(meta or {})
-    )
+    return _assemble(same, cross, k, "exact_mixture", dict(meta or {}))
 
 
 # Label counts up to this size take the one-hot Gram product; larger ones take

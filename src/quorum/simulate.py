@@ -23,6 +23,7 @@ from .core import (
     DomainError,
     LabelSpace,
     PredictionMatrix,
+    _check_k,
     derive_seed,
     sigma_k,
     uniform_block,
@@ -95,8 +96,7 @@ class DifficultySimSpec:
 
 
 def _check_sim_dims(k: int, m: int, n: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 2:
-        raise DomainError(f"label count must be an integer >= 2, got {k!r}")
+    _check_k(k)
     if m < 1:
         raise DimensionError(f"question count must be >= 1, got {m}")
     if n < 1:
@@ -210,16 +210,23 @@ def _method_accuracies(pm: PredictionMatrix, true_acc: np.ndarray, seed: int) ->
     if pm.truth is None:
         raise DomainError("table experiments need simulated truth")
     out = {}
-    for idx, method in enumerate(("mv", "sp", "isp")):
+    # opt votes with the weights of the true accuracies, which the other methods ignore
+    for idx, (name, method) in enumerate([("mv", "mv"), ("sp", "sp"), ("isp", "isp"), ("opt", "ow-oracle")]):
         tie = TiePolicy(seed=derive_seed(seed, 900 + idx))
-        labels = run_pipeline(pm, method, tie=tie).labels
-        out[method] = float((labels == pm.truth).mean())
+        labels = run_pipeline(pm, method, tie=tie, accuracies=true_acc).labels
+        out[name] = float((labels == pm.truth).mean())
     best = int(np.argmax(true_acc))
     out["single_best"] = float((pm.answers[:, best] == pm.truth).mean())
-    tie = TiePolicy(seed=derive_seed(seed, 903))
-    labels = run_pipeline(pm, "ow-oracle", tie=tie, accuracies=true_acc).labels
-    out["opt"] = float((labels == pm.truth).mean())
     return out
+
+
+def _table_stats(acc: np.ndarray, m, ks, seeds: list[tuple[int, ...]]) -> list[list[dict]]:
+    """``_method_accuracies`` on one dataset per K for each seed prefix: the
+    dataset for (prefix, K) is drawn from ``derive_seed(*prefix, K)``. Every
+    spec is checked before the first simulation, so a bad K fails at once."""
+
+    specs = [[CiSimSpec(tuple(acc), int(k), int(m), derive_seed(*prefix, k)) for k in ks] for prefix in seeds]
+    return [[_method_accuracies(simulate_ci(spec), acc, spec.seed) for spec in row] for row in specs]
 
 
 def run_accuracy_table(
@@ -236,13 +243,9 @@ def run_accuracy_table(
     """
 
     acc = np.asarray(accuracies, dtype=float)
-    # every spec is checked before the first simulation, so a bad K fails at once
-    specs = [CiSimSpec(tuple(acc), int(k), int(m), derive_seed(seed, k)) for k in ks]
     values = np.zeros((len(ks), len(TABLE_METHODS)))
-    for i, spec in enumerate(specs):
-        stats = _method_accuracies(simulate_ci(spec), acc, spec.seed)
-        for j, meth in enumerate(TABLE_METHODS):
-            values[i, j] = 100.0 * stats[meth]
+    for i, stats in enumerate(_table_stats(acc, m, ks, [(seed,)])[0]):
+        values[i] = [100.0 * stats[meth] for meth in TABLE_METHODS]
     return AccuracyTable(
         ks=tuple(int(k) for k in ks),
         methods=TABLE_METHODS,
@@ -269,18 +272,11 @@ def run_gap_curve(
     if replications < 1:
         raise DomainError(f"replications must be >= 1, got {replications}")
     acc = np.asarray(accuracies, dtype=float)
-    # every spec is checked before the first simulation, so a bad K fails at once
-    specs = [
-        [CiSimSpec(tuple(acc), int(k), int(m), derive_seed(seed, r, k)) for k in ks]
-        for r in range(replications)
-    ]
     gaps_im = np.zeros((replications, len(ks)))
     gaps_ms = np.zeros((replications, len(ks)))
-    for r, row in enumerate(specs):
-        for i, spec in enumerate(row):
-            stats = _method_accuracies(simulate_ci(spec), acc, spec.seed)
-            gaps_im[r, i] = 100.0 * (stats["isp"] - stats["mv"])
-            gaps_ms[r, i] = 100.0 * (stats["mv"] - stats["sp"])
+    for r, row in enumerate(_table_stats(acc, m, ks, [(seed, r) for r in range(replications)])):
+        gaps_im[r] = [100.0 * (stats["isp"] - stats["mv"]) for stats in row]
+        gaps_ms[r] = [100.0 * (stats["mv"] - stats["sp"]) for stats in row]
     stderr = (
         gaps_im.std(axis=0, ddof=1) / np.sqrt(replications)
         if replications > 1

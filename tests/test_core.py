@@ -391,3 +391,134 @@ class TestShuffle:
             shuffle_invert(np.array([0, 1, 2]), smap)
         with pytest.raises(DomainError):
             shuffle_invert(np.array([0.0, 1.0, 0.0]), smap)
+
+
+# One bad input per shared check, and every public entry point that checks
+# it: each must raise the same exception, with the same message.
+
+
+def _mixture():
+    from quorum.oracle import DifficultyMixture
+
+    return DifficultyMixture.atoms([(1.0, 0.5), (3.0, 0.5)])
+
+
+def _accuracy_entry_points():
+    from quorum import oracle, secondorder
+
+    vectors = np.array([[0, 1]])
+    return {
+        "answer_vector_probs": lambda x: oracle.answer_vector_probs(vectors, 0, x, 3),
+        "bayes_posterior": lambda x: oracle.bayes_posterior(vectors, x, 3),
+        "exact_expected_advantage": lambda x: oracle.exact_expected_advantage("isp", x, 3),
+        "expected_mv_advantage": lambda x: oracle.expected_mv_advantage(x, 3),
+        "expected_advantage_gaps": lambda x: oracle.expected_advantage_gaps(x, 3),
+        "expected_accuracy": lambda x: oracle.expected_accuracy("mv", x, 3),
+        "exact_second_order": lambda x: secondorder.exact_second_order(x, 3),
+    }
+
+
+def _label_count_entry_points():
+    from quorum import secondorder, simulate
+
+    return {
+        "sigma_k": lambda k: sigma_k(0.0, k),
+        "sigma_k_inverse": lambda k: sigma_k_inverse(0.5, k),
+        "clamp_accuracies": lambda k: clamp_accuracies([0.6], k),
+        "ow_weights": lambda k: ow_weights([0.6], k),
+        "random_shuffle_map": lambda k: random_shuffle_map(3, k, 0),
+        "exact_second_order": lambda k: secondorder.exact_second_order([0.6, 0.7], k),
+        "CiSimSpec": lambda k: simulate.CiSimSpec((0.6, 0.7), k, 10),
+        "DifficultySimSpec": lambda k: simulate.DifficultySimSpec((1.0, 2.0), _mixture(), k, 10),
+    }
+
+
+def _ability_entry_points():
+    from quorum import estimate, oracle
+
+    pm = PredictionMatrix(LabelSpace.default(3), np.array([[0, 1], [2, 1]]))
+    vectors = np.array([[0, 1]])
+    return {
+        "mixture_answer_vector_probs": lambda b: oracle.mixture_answer_vector_probs(vectors, 0, b, _mixture(), 3),
+        "joint_correct_probability": lambda b: oracle.joint_correct_probability(b, _mixture(), 3),
+        "mixture_second_order": lambda b: oracle.mixture_second_order(b, _mixture(), 3),
+        "mixture_expected_advantage": lambda b: oracle.mixture_expected_advantage("sp", b, _mixture(), 3),
+        "mixture_expected_accuracy": lambda b: oracle.mixture_expected_accuracy("posterior", b, _mixture(), 3),
+        "run_pipeline eow": lambda b: estimate.run_pipeline(pm, "eow", abilities=b),
+    }
+
+
+def _answer_code_entry_points():
+    from quorum import aggregate as agg
+    from quorum import oracle
+
+    space = LabelSpace.default(3)
+    return {
+        "PredictionMatrix": lambda a: PredictionMatrix(space, a[None, :]),
+        "vote_counts": lambda a: agg.vote_counts(a, 3),
+        "advantage_mv": lambda a: agg.advantage_mv(a, 3),
+        "aggregate_weighted": lambda a: agg.aggregate_weighted(a, [1.0, 1.0], 3),
+        "vote_counts_batch": lambda a: agg.vote_counts_batch(a[None, :], 3),
+        "score_batch": lambda a: agg.score_batch("mv", a[None, :], 3),
+        "aggregate_batch": lambda a: agg.aggregate_batch("mv", a[None, :], 3),
+        "bayes_posterior": lambda a: oracle.bayes_posterior(a, [0.6, 0.7], 3),
+        "mixture_posterior": lambda a: oracle.mixture_posterior(a, [1.0, 2.0], _mixture(), 3),
+    }
+
+
+def _raises_alike(entry_points, bad, error, message):
+    for name, call in entry_points.items():
+        with pytest.raises(error) as info:
+            call(bad)
+        assert str(info.value) == message, name
+
+
+class TestSharedChecks:
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ([0.5, 1.2], DomainError, "accuracies must lie in [0, 1]"),
+            ([0.5, float("nan")], DomainError, "accuracies must lie in [0, 1]"),
+            ([[0.5, 0.6]], DimensionError, "accuracies must be a non-empty vector, got shape (1, 2)"),
+        ],
+        ids=["above-one", "nan", "matrix"],
+    )
+    def test_accuracies(self, bad, error, message):
+        _raises_alike(_accuracy_entry_points(), bad, error, message)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(1, "label count must be an integer >= 2, got 1"), (2.0, "label count must be an integer >= 2, got 2.0")],
+        ids=["one", "float"],
+    )
+    def test_label_count(self, bad, message):
+        _raises_alike(_label_count_entry_points(), bad, DomainError, message)
+
+    @pytest.mark.parametrize("bad", [[1.0, -0.5], [1.0, float("inf")]], ids=["negative", "infinite"])
+    def test_abilities(self, bad):
+        _raises_alike(_ability_entry_points(), bad, DomainError, "abilities must be finite and nonnegative")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([0, 3]), "answer indices must lie in [0, 3)"),
+            (np.array([-1, 0]), "answer indices must lie in [0, 3)"),
+            (np.array([0.0, 1.0]), "answers must be integer label indices, got dtype float64"),
+        ],
+        ids=["too-large", "negative", "float"],
+    )
+    def test_answer_codes(self, bad, message):
+        _raises_alike(_answer_code_entry_points(), bad, DomainError, message)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([3]), "truth indices must lie in [0, 3)"),
+            (np.array([1.0]), "truth must be integer label indices, got dtype float64"),
+        ],
+        ids=["too-large", "float"],
+    )
+    def test_truth_codes(self, bad, message):
+        with pytest.raises(DomainError) as info:
+            PredictionMatrix(LabelSpace.default(3), np.array([[0, 1]]), bad)
+        assert str(info.value) == message

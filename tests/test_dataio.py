@@ -470,11 +470,18 @@ def _refuse_csv_reader(monkeypatch):
     monkeypatch.setattr(dataio, "_read_cells", refuse)
 
 
-def test_ingest_memory_is_bounded_by_a_block(tmp_path):
+def _refuse_byte_tokenizer(monkeypatch):
+    """Make the byte tokenizer give up at once, so that csv.reader reads the rows."""
+
+    monkeypatch.setattr(dataio, "_read_cells_bytes", lambda fh, width: None)
+
+
+def test_ingest_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
     # the cells' strings must not all be alive at once: beyond what the
     # result keeps, the read may hold only about one block of cells; at
     # 100 agents the code matrix (2 MB) must not be held twice either
     labels = tuple(f"label_{c}" for c in "abcde")
+    _refuse_byte_tokenizer(monkeypatch)
     for n in (20, 100):
         answers = np.random.default_rng(0).integers(0, 5, size=(20_000, n))
         path = str(tmp_path / "p.csv")
@@ -513,6 +520,56 @@ def test_byte_ingest_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
         pm, _, retained, peak = _traced_read(path)
         np.testing.assert_array_equal(pm.answers, answers)
         assert peak <= retained + 2 * 2**20, (n, peak, retained)
+
+
+@given(_plain_prediction_files(), st.integers(1, 12))
+@settings(max_examples=100, deadline=None)
+def test_crlf_tokenizes_as_its_lf_copy(case, cells_per_block):
+    # CRLFs are folded to LFs on the byte path, one split between two reads of
+    # the file included: short chunks make one likely
+    header, _, body = case[0].replace("\r\n", "\n").partition("\n")
+    width = len(header.split(","))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
+        lf = _read_cells_bytes(io.BytesIO(body.encode()), width)
+        crlf = _read_cells_bytes(io.BytesIO(body.replace("\n", "\r\n").encode()), width)
+    assert (crlf is None) == (lf is None)
+    if lf is not None:
+        assert crlf[0] == lf[0] and crlf[2] == lf[2] and crlf[1].dtype == lf[1].dtype
+        np.testing.assert_array_equal(crlf[1], lf[1])
+
+
+def test_simulated_panels_take_the_byte_tokenizer(tmp_path, monkeypatch):
+    # write_predictions_csv writes CRLF, header included, as csv.writer does
+    pm = PredictionMatrix(LabelSpace.default(4), np.random.default_rng(0).integers(0, 4, size=(5_000, 3)))
+    path = tmp_path / "p.csv"
+    write_predictions_csv(str(path), pm)
+    assert path.read_bytes().count(b"\r\n") == 5_001
+    _refuse_csv_reader(monkeypatch)
+    back, meta = read_predictions_csv(str(path))
+    np.testing.assert_array_equal(back.answers, pm.answers)
+    assert meta["question_ids"] == [str(q) for q in range(5_000)]
+
+
+def test_default_question_ids_are_written_from_bytes(tmp_path):
+    # the ids "0".."M-1" are built in one QuestionIds buffer, not as M str
+    # objects: the write holds them and about a block of rows, and writes
+    # the bytes it writes for the same ids given as a list
+    m = 200_000
+    answers = np.random.default_rng(0).integers(0, 4, size=(m, 4))
+    pm = PredictionMatrix(LabelSpace.default(4), answers, answers[:, 0].copy())
+    ids = QuestionIds([str(q) for q in range(m)])
+    ids_bytes = ids._data.nbytes + ids._ends.nbytes
+    path, listed = tmp_path / "p.csv", tmp_path / "listed.csv"
+    tracemalloc.start()
+    try:
+        write_predictions_csv(str(path), pm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    write_predictions_csv(str(listed), pm, question_ids=list(ids))
+    assert path.read_bytes() == listed.read_bytes()
+    assert peak <= ids_bytes + 2 * 2**20, (peak, ids_bytes)
 
 
 def test_long_cells_are_read_within_a_block_of_memory(tmp_path, monkeypatch):
