@@ -19,9 +19,10 @@
 # under umask 022 the files aggregate and simulate write are mode 644 while the
 # parse-cache entry stays 600, and a check that the panels simulate writes for
 # the ci and the difficulty model, with and without truth, are what csv.writer
-# writes for the same simulated matrices. Last, it prints the source lines of
-# each module of the package and their total; that step reports and gates
-# nothing.
+# writes for the same simulated matrices, and a check that simulate's own peak
+# RSS on a 1M x 4, K=4 panel stays at or below 64 MB (the simulators draw a
+# block of questions at a time). Last, it prints the source lines of each
+# module of the package and their total; that step reports and gates nothing.
 #
 # Every step runs, even after one fails; each step stops at its own first
 # failing command. The script lists the failed steps at the end and then exits
@@ -298,6 +299,21 @@ EOF
   done
 }
 
+simulate_memory_is_bounded() {
+  # the child's own peak: os.wait4 from a small parent, not the parent's RSS at fork
+  python - "$tmp" <<'EOF'
+import os
+import sys
+
+argv = [sys.executable, "-m", "quorum", "simulate", "--accuracies", "0.6,0.7,0.8,0.9", "--k", "4",
+        "-m", "1000000", "--seed", "0", "--out", f"{sys.argv[1]}/million.csv"]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+peak_mb = usage.ru_maxrss / 1024
+print(f"simulate 1M x 4: exit status {status}, peak RSS {peak_mb:.1f} MB")
+assert status == 0 and peak_mb <= 64, peak_mb
+EOF
+}
+
 source_lines() {
   wc -l src/quorum/*.py
 }
@@ -316,6 +332,7 @@ step "ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread, a 
 step "the parse cache: a second run hits it, a damaged entry is parsed again, and all three give the same labels" parse_cache_reads_like_a_parse
 step "under umask 022, aggregate and simulate outputs are mode 644 and the parse-cache entry 600" output_modes_follow_the_umask
 step "simulated panels, with and without truth, are what csv.writer writes" simulate_written_as_csv_writer_does
+step "simulate at 1M x 4, K=4 peaks at or below 64 MB of its own RSS" simulate_memory_is_bounded
 step "source lines per module (reported, not gated)" source_lines
 
 if [ "${#failed[@]}" -ne 0 ]; then

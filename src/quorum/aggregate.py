@@ -110,6 +110,9 @@ def _tie_draw(seed: int, questions, counts) -> np.ndarray:
 
     key = _splitmix64(int(seed) & _MASK64)  # a Python int: one key costs no array ops
     q = np.array(questions, ndmin=1).astype(np.uint64)
+    if q.size == 1 and np.size(counts) == 1:  # Python ints: a dozen one-element ufunc calls cost more
+        bits = _splitmix64((key + (int(q[0]) + 1) * int(_GOLDEN_GAMMA)) & _MASK64)
+        return np.array([int(float(bits >> 11) * 2.0**-53 * int(np.ravel(counts)[0]))])
     bits = _splitmix64(key + (q + np.uint64(1)) * _GOLDEN_GAMMA)
     uniform = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
     return (uniform * np.asarray(counts)).astype(np.int64)

@@ -336,6 +336,18 @@ def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
+def _uniform_rows(seed: int, m: int, width: int, arrays: int):
+    """Yield ``(rows, uniforms)``: a slice of 0..m and those rows of
+    ``uniform_block(seed, m, width)``, drawn in turn from the one stream, so
+    the blocks together are the whole draw. A block is sized so that
+    ``arrays`` float64 arrays of its shape fit in ``_BLOCK_CELLS`` cells."""
+
+    stream, step = _stream(seed), max(1, _BLOCK_CELLS // (arrays * width))
+    for start in range(0, m, step):
+        rows = slice(start, min(start + step, m))
+        yield rows, stream.random((rows.stop - start, width))
+
+
 def derive_seed(master: int, *parts: int) -> int:
     """Stable child seed for a labeled sub-stream of a master seed."""
 
@@ -411,12 +423,10 @@ def random_shuffle_map(m: int, k: int, seed: int) -> ShuffleMap:
     if m < 0:
         raise DimensionError(f"invalid block shape ({m}, {k})")
     perms = np.empty((m, k), _code_dtype(k))
-    # the rows of uniform_block(seed, m, k), drawn one block at a time; the
-    # argsort of iid uniforms is a uniformly random permutation
-    stream, rows = _stream(seed), max(1, _BLOCK_CELLS // k)
-    for start in range(0, m, rows):
-        block = perms[start : start + rows]
-        block[:] = np.argsort(stream.random(block.shape), axis=1)
+    # a block holds its uniforms and their int64 argsort; the argsort of iid
+    # uniforms is a uniformly random permutation
+    for rows, u in _uniform_rows(seed, m, k, 2):
+        perms[rows] = np.argsort(u, axis=1)
     return ShuffleMap._adopt(perms, seed)
 
 

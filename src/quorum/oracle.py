@@ -252,19 +252,23 @@ def _mixture_log_likelihoods(
     Per node, log P(v | s, alpha) = alpha * T_s - sum_i log(K - 1 + e^{alpha b_i}),
     with T_s the total ability of the agents answering s: the weighted
     vote. The nodes are mixed by a log-sum-exp, so extreme alpha * beta
-    products cannot overflow, in row blocks whose (rows, nodes, K) scratch
-    stays within ``core._BLOCK_CELLS`` cells.
+    products cannot overflow, in row blocks with one (rows, nodes, K)
+    scratch array worked in place. The kernel runs inside an expectation's
+    chunk, whose int64 vectors already fill ``core._BLOCK_CELLS`` cells, so
+    a block takes an eighth of that: at most ``core._BLOCK_CELLS // 8``
+    cells, or one row.
     """
 
     alphas, weights = mixture.nodes()
     log_norm = np.logaddexp(np.log(k - 1.0), alphas[:, None] * beta[None, :]).sum(axis=1)  # (T,)
+    log_weights = np.log(weights)[:, None]
     log_like = np.empty((vectors.shape[0], k))
-    rows = max(1, core._BLOCK_CELLS // (alphas.shape[0] * k))
+    rows = max(1, core._BLOCK_CELLS // (8 * alphas.shape[0] * k))
     for lo in range(0, vectors.shape[0], rows):
         support = agg.weighted_scores_batch(vectors[lo : lo + rows], beta, k)  # (V, K)
-        log_terms = (
-            np.log(weights)[:, None] + alphas[:, None] * support[:, None, :] - log_norm[:, None]
-        )  # (V, T, K)
+        log_terms = alphas[:, None] * support[:, None, :]  # (V, T, K)
+        log_terms += log_weights
+        log_terms -= log_norm[:, None]
         log_like[lo : lo + rows] = _logsumexp(log_terms, axis=1)
     return log_like
 
@@ -333,7 +337,7 @@ def mixture_posterior(answers, abilities, mixture: DifficultyMixture, k: int) ->
     or (V, K): the softmax over labels of the mixture log-likelihoods.
     """
 
-    beta = np.asarray(abilities, dtype=float)
+    beta = _check_abilities(abilities)
     arr = _check_vectors(answers, beta.shape, k, "abilities")
     post = _mixture_log_likelihoods(arr.reshape(-1, beta.shape[0]), beta, mixture, k)
     post -= post.max(axis=1, keepdims=True)
@@ -343,8 +347,12 @@ def mixture_posterior(answers, abilities, mixture: DifficultyMixture, k: int) ->
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, computed in ``a``'s own buffer."""
+
     top = a.max(axis=axis, keepdims=True)
-    return (top + np.log(np.exp(a - top).sum(axis=axis, keepdims=True))).squeeze(axis)
+    a -= top
+    np.exp(a, out=a)
+    return (top + np.log(a.sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def mixture_second_order(abilities, mixture: DifficultyMixture, k: int) -> SecondOrderMatrix:

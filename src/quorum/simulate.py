@@ -9,7 +9,9 @@ probability becomes a function of it, correlating errors across agents.
 
 All draws for question q come from row q of a counter-based uniform
 block, so matrices are bit-reproducible from (spec, seed) alone and each
-question's randomness is independent of iteration order.
+question's randomness is independent of iteration order. The block is
+drawn and mapped a bounded number of rows at a time, so a simulation's
+scratch does not grow with M.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .core import (
     LabelSpace,
     PredictionMatrix,
     _check_k,
+    _code_dtype,
+    _uniform_rows,
     derive_seed,
     sigma_k,
-    uniform_block,
 )
 from .aggregate import TiePolicy
 from .estimate import run_pipeline
@@ -103,42 +106,56 @@ def _check_sim_dims(k: int, m: int, n: int) -> None:
         raise DimensionError("need at least one agent")
 
 
-def _answers_from_uniforms(
-    u_agents: np.ndarray, hit_probs: np.ndarray, truth: np.ndarray, k: int
-) -> np.ndarray:
-    """Map uniforms to labels: below the hit probability means correct,
-    the remainder spreads uniformly over the K-1 wrong labels."""
+def _answers_from_uniforms(u: np.ndarray, hit_probs: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
+    """Map agent-major (N, rows) uniforms, which are overwritten, to int64
+    labels: below the hit probability means correct, the remainder spreads
+    uniformly over the K-1 wrong labels."""
 
-    correct = u_agents < hit_probs
+    correct = u < hit_probs
     with np.errstate(invalid="ignore", divide="ignore"):
-        v = (u_agents - hit_probs) / (1.0 - hit_probs)
-        v = np.where(correct, 0.0, v)  # unused lanes; keep the int cast clean
-        wrong = np.minimum((v * (k - 1)).astype(np.int64), k - 2)
-    wrong = np.clip(wrong, 0, k - 2)
-    wrong = wrong + (wrong >= truth[:, None])
-    return np.where(correct, truth[:, None], wrong)
+        u -= hit_probs
+        u /= 1.0 - hit_probs
+        np.copyto(u, 0.0, where=correct)  # unused lanes; keep the int cast clean
+        u *= k - 1
+        wrong = u.astype(np.int64)
+    np.clip(wrong, 0, k - 2, out=wrong)
+    wrong += wrong >= truth
+    np.copyto(wrong, truth, where=correct)
+    return wrong
+
+
+def _simulate(spec, truth_col: int, hit_probs) -> PredictionMatrix:
+    """The panel of a simulation spec, drawn and mapped a block of questions
+    at a time into the answers (in the code dtype) and int64 truth that the
+    matrix adopts. Row q of the uniforms is question q's: the columns before
+    ``truth_col`` feed ``hit_probs(u)``, column ``truth_col`` draws the truth
+    and the rest the agents. Each block is mapped agent-major, so every
+    operation runs along the questions. At its peak a block's scratch holds
+    up to six float64 arrays of its uniforms' shape (the uniforms, the hit
+    probabilities and ``sigma_k``'s scratch), so blocks are sized for seven."""
+
+    answers = np.empty((spec.m, spec.n), _code_dtype(spec.k))
+    truth = np.empty(spec.m, np.int64)
+    for rows, u in _uniform_rows(spec.seed, spec.m, truth_col + 1 + spec.n, 7):
+        u = np.ascontiguousarray(u.T)
+        hit = hit_probs(u)
+        truth[rows] = np.minimum((u[truth_col] * spec.k).astype(np.int64), spec.k - 1)
+        answers[rows] = _answers_from_uniforms(u[truth_col + 1 :], hit, truth[rows], spec.k).T
+    return PredictionMatrix._adopt(LabelSpace.default(spec.k), answers, truth)
 
 
 def simulate_ci(spec: CiSimSpec) -> PredictionMatrix:
     """Simulate the independent-errors model; truth included."""
 
-    u = uniform_block(spec.seed, spec.m, 1 + spec.n)
-    truth = np.minimum((u[:, 0] * spec.k).astype(np.int64), spec.k - 1)
-    x = np.asarray(spec.accuracies)
-    answers = _answers_from_uniforms(u[:, 1:], x[None, :], truth, spec.k)
-    return PredictionMatrix(LabelSpace.default(spec.k), answers, truth)
+    x = np.asarray(spec.accuracies)[:, None]
+    return _simulate(spec, 0, lambda u: x)
 
 
 def simulate_difficulty(spec: DifficultySimSpec) -> PredictionMatrix:
     """Simulate the shared-difficulty model; truth included."""
 
-    u = uniform_block(spec.seed, spec.m, 2 + spec.n)
-    alphas = spec.mixture.sample(u[:, 0])
-    truth = np.minimum((u[:, 1] * spec.k).astype(np.int64), spec.k - 1)
-    beta = np.asarray(spec.abilities)
-    hit = sigma_k(alphas[:, None] * beta[None, :], spec.k)
-    answers = _answers_from_uniforms(u[:, 2:], hit, truth, spec.k)
-    return PredictionMatrix(LabelSpace.default(spec.k), answers, truth)
+    beta = np.asarray(spec.abilities)[:, None]
+    return _simulate(spec, 1, lambda u: sigma_k(beta * spec.mixture.sample(u[0])[None, :], spec.k))
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,18 @@ class TestTiePolicies:
         single = [pol.pick(scores[q], question_index=q) for q in range(80)]
         np.testing.assert_array_equal(batch, single)
 
+    @pytest.mark.parametrize("seed", [0, 7, -3, 2**64 - 1])
+    def test_one_question_draw_equals_the_array_path(self, seed):
+        # one question takes Python ints; two take the uint64 array path
+        for q in (0, 1, 2**32, 2**63 - 1):
+            for count in (2, 3, 50, 255):
+                (expected, _) = agg._tie_draw(seed, [q, q], [count, count]).tolist()
+                for single in (
+                    agg._tie_draw(seed, q, count),
+                    agg._tie_draw(seed, np.array([q]), np.array([count], dtype=np.uint8)),
+                ):
+                    assert single.dtype == np.int64 and single.tolist() == [expected], (q, count)
+
     def test_tie_draw_is_a_pure_function_of_seed_and_question(self):
         questions = np.arange(1000)
         draws = agg._tie_draw(7, questions, 4)

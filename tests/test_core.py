@@ -440,6 +440,7 @@ def _ability_entry_points():
     vectors = np.array([[0, 1]])
     return {
         "mixture_answer_vector_probs": lambda b: oracle.mixture_answer_vector_probs(vectors, 0, b, _mixture(), 3),
+        "mixture_posterior": lambda b: oracle.mixture_posterior(vectors, b, _mixture(), 3),
         "joint_correct_probability": lambda b: oracle.joint_correct_probability(b, _mixture(), 3),
         "mixture_second_order": lambda b: oracle.mixture_second_order(b, _mixture(), 3),
         "mixture_expected_advantage": lambda b: oracle.mixture_expected_advantage("sp", b, _mixture(), 3),

@@ -3,6 +3,7 @@ exact posteriors, closed-form expectations, and difficulty mixtures."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,8 +429,21 @@ class TestBatchedPosteriors:
         mix = DifficultyMixture.log_uniform(0.2, 5.0)
         batch = enumerate_vectors(4, 3)
         whole = mixture_posterior(batch, beta, mix, 3)
-        monkeypatch.setattr(core, "_BLOCK_CELLS", 500)  # 2 rows per block
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 8 * 2 * 64 * 3)  # 2 rows per block
         np.testing.assert_array_equal(mixture_posterior(batch, beta, mix, 3), whole)
+
+    def test_mixture_posterior_memory_is_its_result_plus_a_block(self):
+        # the (rows, nodes, K) scratch is worked in place; 20,000 nodes make each block one row
+        grid = np.linspace(0.1, 10.0, 20_000)
+        dense = DifficultyMixture.atoms([(a, 1.0 / grid.size) for a in grid])
+        batch = np.random.default_rng(0).integers(0, 2, size=(50, 3))
+        tracemalloc.start()
+        try:
+            post = mixture_posterior(batch, [1.0, 2.0, 0.5], dense, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= post.nbytes + 8 * core._BLOCK_CELLS, peak
 
 
 class TestOrbitEnumeration:

@@ -1,11 +1,15 @@
 """Unit tests for the synthetic data generators and experiment drivers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from quorum.core import DimensionError, DomainError, derive_seed, sigma_k
+import quorum.simulate as sim
+from quorum import core
+from quorum.core import DimensionError, DomainError, PredictionMatrix, derive_seed, sigma_k, uniform_block
+from quorum.dataio import write_predictions_csv
 from quorum.oracle import DifficultyMixture
 from quorum.simulate import (
     AccuracyTable,
@@ -169,3 +173,110 @@ def test_seed_streams_are_independent():
     a = simulate_ci(CiSimSpec((0.6, 0.7, 0.8, 0.9), 2, 50, s1))
     b = simulate_ci(CiSimSpec((0.6, 0.7, 0.8, 0.9), 2, 50, s2))
     assert not np.array_equal(a.answers, b.answers)
+
+
+# ---------------------------------------------------------------------------
+# Row blocks: the simulators draw and map a block of questions at a time
+# ---------------------------------------------------------------------------
+
+
+def _reference_answers(u_agents, hit, truth, k):
+    """The whole-array mapping of uniforms to labels that the blocks must reproduce."""
+
+    correct = u_agents < hit
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v = np.where(correct, 0.0, (u_agents - hit) / (1.0 - hit))
+        wrong = np.clip((v * (k - 1)).astype(np.int64), 0, k - 2)
+    wrong = wrong + (wrong >= truth[:, None])
+    return np.where(correct, truth[:, None], wrong)
+
+
+def _reference_ci(spec):
+    u = uniform_block(spec.seed, spec.m, 1 + spec.n)
+    truth = np.minimum((u[:, 0] * spec.k).astype(np.int64), spec.k - 1)
+    return _reference_answers(u[:, 1:], np.asarray(spec.accuracies)[None, :], truth, spec.k), truth
+
+
+def _reference_difficulty(spec):
+    u = uniform_block(spec.seed, spec.m, 2 + spec.n)
+    alphas = spec.mixture.sample(u[:, 0])
+    truth = np.minimum((u[:, 1] * spec.k).astype(np.int64), spec.k - 1)
+    hit = sigma_k(alphas[:, None] * np.asarray(spec.abilities)[None, :], spec.k)
+    return _reference_answers(u[:, 2:], hit, truth, spec.k), truth
+
+
+BLOCK_M = 50
+BLOCK_CASES = {
+    # a perfect agent (hit probability 1) and a chance-level one
+    "ci": (simulate_ci, _reference_ci, CiSimSpec((0.6, 1.0, 0.2, 0.9), 5, BLOCK_M, 11)),
+    "difficulty-atoms": (
+        simulate_difficulty,
+        _reference_difficulty,
+        DifficultySimSpec(
+            (0.5, 2.0, 0.0), DifficultyMixture.atoms([(0.0, 0.3), (1.0, 0.2), (50.0, 0.5)]), 30, BLOCK_M, 12
+        ),
+    ),
+    "difficulty-log-uniform": (
+        simulate_difficulty,
+        _reference_difficulty,
+        DifficultySimSpec((0.5, 1.0, 2.0), DifficultyMixture.log_uniform(0.2, 5.0), 300, BLOCK_M, 13),
+    ),
+}
+
+
+def _force_block_rows(monkeypatch, rows):
+    """Make the simulators draw ``rows`` questions per block; returns the block sizes drawn."""
+
+    sizes = []
+    whole = core._uniform_rows
+
+    def uniform_rows(seed, m, width, arrays):
+        monkeypatch.setattr(core, "_BLOCK_CELLS", rows * arrays * width)
+        for block, u in whole(seed, m, width, arrays):
+            sizes.append(u.shape[0])
+            yield block, u
+
+    monkeypatch.setattr(sim, "_uniform_rows", uniform_rows)
+    return sizes
+
+
+@pytest.mark.parametrize("rows", [1, 7, BLOCK_M - 1, BLOCK_M, BLOCK_M + 1])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_row_blocks_equal_the_whole_draw(case, rows, monkeypatch, tmp_path):
+    simulate, reference, spec = BLOCK_CASES[case]
+    answers, truth = reference(spec)
+    sizes = _force_block_rows(monkeypatch, rows)
+    pm = simulate(spec)
+    assert sizes[0] == min(rows, BLOCK_M) and sum(sizes) == BLOCK_M
+    assert pm.answers.dtype == np.min_scalar_type(spec.k - 1) and pm.truth.dtype == np.int64
+    assert not pm.answers.flags.writeable and not pm.truth.flags.writeable
+    np.testing.assert_array_equal(pm.answers, answers)
+    np.testing.assert_array_equal(pm.truth, truth)
+    whole = PredictionMatrix(pm.space, answers, truth)
+    for include_truth in (True, False):
+        write_predictions_csv(str(tmp_path / "blocks.csv"), pm, include_truth=include_truth)
+        write_predictions_csv(str(tmp_path / "whole.csv"), whole, include_truth=include_truth)
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "simulate, spec",
+    [
+        (simulate_ci, CiSimSpec((0.6, 0.7, 0.8, 0.9), 4, 200_000, 0)),
+        (
+            simulate_difficulty,
+            DifficultySimSpec((0.5, 1.0, 2.0, 1.5), DifficultyMixture.log_uniform(0.2, 5.0), 4, 200_000, 0),
+        ),
+    ],
+    ids=["ci", "difficulty"],
+)
+def test_memory_is_the_panel_plus_a_block(simulate, spec):
+    # no (M, N) float temporaries: scratch is one block of _BLOCK_CELLS float64 cells
+    tracemalloc.start()
+    try:
+        pm = simulate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = pm.answers.nbytes + pm.truth.nbytes
+    assert peak <= returned + 8 * core._BLOCK_CELLS, (peak, returned)
