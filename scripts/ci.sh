@@ -5,12 +5,12 @@
 # a check that the uniform tie-break gives the same labels twice, a check that
 # isp is at least as accurate as mv on a K=50 panel (narrow answer codes that
 # overflowed would break it) and that each summary counts its tie-broken
-# labels, a check that plain, quoted and CRLF copies of one panel give the same
-# isp labels (the byte tokenizer reads the plain and CRLF ones, csv.reader the
-# quoted one), a check that a QUOTE_ALL panel whose ids need quoting gets the
-# labels CSV csv.writer writes, a check that a bad flag or config value exits 2
-# without a traceback, a check that a malformed row deep in a file exits 3 and
-# names its line, and a check that a byte that is not UTF-8 or an over-long field deep in
+# labels, a check that plain, quoted and CRLF copies of one panel, and the plain
+# one read from a pipe, give the same isp labels (the byte tokenizer reads the
+# plain and CRLF files, csv.reader the quoted one and the pipe), a check that a
+# QUOTE_ALL panel whose ids need quoting gets the labels CSV csv.writer writes,
+# a check that a bad flag or config value exits 2 without a traceback, a check
+# that a malformed row deep in a file exits 3 and names its line, and a check that a byte that is not UTF-8 or an over-long field deep in
 # a file, or a config file that is not UTF-8, exits 3 without a traceback, and a
 # check that ow-l on a 20,000 x 60 panel gives the same labels with one BLAS
 # thread as with the default, and fits without a warning: converged, all 8
@@ -105,8 +105,10 @@ EOF
   for copy in plain quoted crlf; do
     python -m quorum aggregate --input "$tmp/$copy.csv" --out "$tmp/$copy-isp.csv" --method isp
   done
+  cat "$tmp/plain.csv" | python -m quorum aggregate --input /dev/stdin --out "$tmp/pipe-isp.csv" --method isp
   cmp "$tmp/plain-isp.csv" "$tmp/quoted-isp.csv"
   cmp "$tmp/plain-isp.csv" "$tmp/crlf-isp.csv"
+  cmp "$tmp/plain-isp.csv" "$tmp/pipe-isp.csv"
 }
 
 quoted_ids_written_as_csv_writer_does() {
@@ -323,7 +325,7 @@ step "benchmark harness tests" harness_tests
 step "verification suites" verification_suites
 step "uniform tie-break is reproducible" tie_break_reproducible
 step "at K=50, isp is at least as accurate as mv, and summaries count ties" isp_beats_mv_at_k50
-step "plain, quoted and CRLF copies of a panel give the same isp labels" copies_agree
+step "plain, quoted and CRLF copies of a panel, and a pipe, give the same isp labels" copies_agree
 step "ids that need quoting are written as csv.writer writes them" quoted_ids_written_as_csv_writer_does
 step "a bad flag or config value exits 2 without a traceback" bad_flags_exit_2
 step "a short row past the first ingest block exits 3 with its line" short_row_exits_3

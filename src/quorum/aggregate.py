@@ -29,10 +29,10 @@ from .core import (
     DimensionError,
     DomainError,
     PredictionMatrix,
-    _BLOCK_CELLS,
     _MASK64,
     _check_codes,
     _freeze,
+    _row_blocks,
     ow_weights,
     sigma_k,
 )
@@ -263,16 +263,17 @@ def _label_totals(answers: np.ndarray, k: int, weights: np.ndarray | None = None
 
     m, n = answers.shape
     totals = np.empty((k, m))
-    rows = max(1, min(m, _BLOCK_CELLS // max(n, k)))
-    offsets = np.arange(rows)[:, None]
-    block_weights = None if weights is None else np.tile(weights, rows)
-    for start in range(0, m, rows):
-        block = answers[start : start + rows]
+    offsets = None
+    for rows in _row_blocks(m, max(n, k)):
+        block = answers[rows]
         b = block.shape[0]
+        if offsets is None:  # the first block is the largest: its scaffolding serves every block
+            offsets = np.arange(b)[:, None]
+            block_weights = None if weights is None else np.tile(weights, b)
         codes = np.multiply(block, b, dtype=np.intp)  # widened first: a narrow code times b overflows
         codes += offsets[:b]  # flat code a*b + q within the block
         w = None if weights is None else block_weights[: b * n]
-        totals[:, start : start + b] = np.bincount(codes.ravel(), w, minlength=k * b).reshape(k, b)
+        totals[:, rows] = np.bincount(codes.ravel(), w, minlength=k * b).reshape(k, b)
     return totals
 
 
@@ -474,8 +475,8 @@ def aggregate_batch(
     """Labels of all M questions under one rule, and how many had a tied top score.
 
     The labels equal ``decide_batch(score_batch(rule, answers, k, so, weights), tie)``,
-    but each block of ``_BLOCK_CELLS // (2 max(N, K))`` rows is scored and
-    decided on its own: memory holds the (M,) labels and one block, whose
+    but each block of ``core._row_blocks`` at 2 max(N, K) cells a row is scored
+    and decided on its own: memory holds the (M,) labels and one block, whose
     (K, rows) float64 scores take about 1 MB (a peer rule holds three such
     arrays at once), never a (K, M) array.
     """
@@ -483,15 +484,13 @@ def aggregate_batch(
     answers = _check_answers(answers, k, ndim=2)
     m, n = answers.shape
     tables = _peer_tables(rule, so) if rule in SECOND_ORDER_RULES and so is not None else None
-    rows = max(1, _BLOCK_CELLS // (2 * max(n, k)))
     labels = np.empty(m, dtype=np.int64)
     ties = 0
-    for start in range(0, m, rows):
-        block = answers[start : start + rows]
-        labels[start : start + block.shape[0]], tied = decide_batch(
-            score_batch(rule, block, k, so=so, weights=weights, tables=tables),
+    for rows in _row_blocks(m, 2 * max(n, k)):
+        labels[rows], tied = decide_batch(
+            score_batch(rule, answers[rows], k, so=so, weights=weights, tables=tables),
             tie,
-            start,
+            rows.start,
             return_ties=True,
         )
         ties += tied

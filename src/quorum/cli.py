@@ -36,7 +36,7 @@ from .dataio import (
     write_labels_csv,
     write_predictions_csv,
 )
-from .estimate import METHODS, ErmConfig, run_pipeline
+from .estimate import METHODS, ErmConfig, _hit_rates, run_pipeline
 from .oracle import DifficultyMixture
 from .simulate import (
     CiSimSpec,
@@ -300,10 +300,7 @@ def aggregate(ctx, config_path, **params):
             payload["overall_accuracy"] = int(np.count_nonzero(correct)) / pm.m
             payload["disagreement_count"] = n_dis
             payload["disagreement_accuracy"] = n_right / n_dis if n_dis else None
-            payload["per_agent_accuracy"] = {
-                name: int(np.count_nonzero(pm.answers[:, i] == pm.truth)) / pm.m
-                for i, name in enumerate(meta["agent_names"])
-            }
+            payload["per_agent_accuracy"] = dict(zip(meta["agent_names"], _hit_rates(pm.answers, pm.truth).tolist()))
         write_json(path, payload)
         click.echo(f"wrote summary to {path}")
 

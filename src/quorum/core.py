@@ -336,16 +336,26 @@ def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
+def _row_blocks(m: int, cells_per_row: int, budget: int | None = None):
+    """Yield the slices that cut rows 0..m into blocks of ``max(1, budget //
+    cells_per_row)`` rows, the last one shorter. ``budget`` is ``_BLOCK_CELLS``
+    unless given; both are read at the first block, so one patch of either
+    reaches every loop that walks its blocks here."""
+
+    step = max(1, (_BLOCK_CELLS if budget is None else budget) // cells_per_row)
+    for start in range(0, m, step):
+        yield slice(start, min(start + step, m))
+
+
 def _uniform_rows(seed: int, m: int, width: int, arrays: int):
     """Yield ``(rows, uniforms)``: a slice of 0..m and those rows of
     ``uniform_block(seed, m, width)``, drawn in turn from the one stream, so
     the blocks together are the whole draw. A block is sized so that
     ``arrays`` float64 arrays of its shape fit in ``_BLOCK_CELLS`` cells."""
 
-    stream, step = _stream(seed), max(1, _BLOCK_CELLS // (arrays * width))
-    for start in range(0, m, step):
-        rows = slice(start, min(start + step, m))
-        yield rows, stream.random((rows.stop - start, width))
+    stream = _stream(seed)
+    for rows in _row_blocks(m, arrays * width):
+        yield rows, stream.random((rows.stop - rows.start, width))
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -406,9 +416,8 @@ class ShuffleMap:
 
     def inverse(self) -> "ShuffleMap":
         inv = np.empty_like(self.perms)
-        rows = max(1, _BLOCK_CELLS // self.k)
-        for start in range(0, self.m, rows):
-            inv[start : start + rows] = _inverse_rows(self.perms[start : start + rows])
+        for rows in _row_blocks(self.m, self.k):
+            inv[rows] = _inverse_rows(self.perms[rows])
         return ShuffleMap._adopt(inv, self.seed)
 
     @classmethod
@@ -455,9 +464,7 @@ def _relabel(pm: PredictionMatrix, smap: ShuffleMap, invert: bool) -> Prediction
         )
     answers = np.empty_like(pm.answers)
     truth = None if pm.truth is None else np.empty_like(pm.truth)
-    rows = max(1, _BLOCK_CELLS // max(pm.n, pm.k))
-    for start in range(0, pm.m, rows):
-        block = slice(start, start + rows)
+    for block in _row_blocks(pm.m, max(pm.n, pm.k)):
         perms = _inverse_rows(smap.perms[block]) if invert else smap.perms[block]
         answers[block] = np.take_along_axis(perms, pm.answers[block], axis=1)
         if truth is not None:
@@ -490,8 +497,5 @@ def shuffle_invert(obj, smap: ShuffleMap):
     arr = np.asarray(obj)
     if arr.shape != (smap.m,):
         raise DimensionError(f"expected shape ({smap.m},), got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise DomainError("label vector must hold integer indices")
-    if arr.min() < 0 or arr.max() >= smap.k:
-        raise DomainError(f"label indices must lie in [0, {smap.k})")
+    _check_codes(arr, smap.k)
     return np.argmax(smap.perms == arr[:, None], axis=1)

@@ -25,7 +25,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import DimensionError, FormatError, LabelSpace, PredictionMatrix, _code_dtype, _freeze
+from .core import DimensionError, FormatError, LabelSpace, PredictionMatrix, _code_dtype, _freeze, _row_blocks
 
 __all__ = [
     "QuestionIds",
@@ -211,10 +211,10 @@ def _decimal_ids(m: int) -> QuestionIds:
     size = m + sum(m - 10**d for d in range(1, len(str(m - 1))))
     data, ends = np.zeros(size + 8, np.uint8), np.empty(m, np.min_scalar_type(size))
     at = 0
-    for a in range(0, m, _CELLS_PER_BLOCK):
-        text, lens = _utf8(list(map(str, range(a, min(m, a + _CELLS_PER_BLOCK)))))
+    for rows in _row_blocks(m, 1, _CELLS_PER_BLOCK):
+        text, lens = _utf8(list(map(str, range(rows.start, rows.stop))))
         data[at : at + len(text)] = np.frombuffer(text, np.uint8)
-        ends[a : a + lens.size] = np.cumsum(lens) + at
+        ends[rows] = np.cumsum(lens) + at
         at += len(text)
     return QuestionIds._adopt(data, ends)
 
@@ -379,11 +379,10 @@ def _read_cells(reader, width: int, fh=None) -> tuple[QuestionIds, np.ndarray, l
     rows = _Columns(width, fh)
     lut = _FirstSeen()
     fault = None
-    block_rows = max(1, _CELLS_PER_BLOCK // width)
-    while fault is None:
+    for span in _row_blocks(2**63, width, _CELLS_PER_BLOCK):  # until the reader ends or faults
         block = []
         try:
-            block.extend(itertools.islice(reader, block_rows))  # keeps the rows before an error
+            block.extend(itertools.islice(reader, span.stop - span.start))  # keeps the rows before an error
         except csv.Error as exc:
             fault = (rows.rows + len(block) + 2, str(exc))
         if set(map(len, block)) - {width}:
@@ -408,6 +407,8 @@ def _read_cells(reader, width: int, fh=None) -> tuple[QuestionIds, np.ndarray, l
             data, lens = _utf8(ids[:bad])
             codes = codes[: bad * (width - 1)]
         rows.add(np.frombuffer(data, np.uint8), lens, codes, len(lut))
+        if fault is not None:
+            break
         del block, cells, ids  # or they stay alive while the next block is parsed
     return (*rows.result(), list(lut), fault)
 
@@ -850,14 +851,14 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple, str]:
 
 
 def _label_indices(
-    codes: np.ndarray, vocab: list[str], space: LabelSpace, n: int, rows: int
+    codes: np.ndarray, vocab: list[str], space: LabelSpace, n: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The answers (the first ``n`` columns of ``codes``) and the truth (the
     column after them, if any) as label indices of ``space``.
 
     ``codes`` holds indices into ``vocab``. Where its dtype is the space's
     code dtype, the answers are rewritten in place over ``codes``' own
-    buffer, ``rows`` rows at a time, so the matrix is never held twice.
+    buffer, a block of rows at a time, so the matrix is never held twice.
     Cells outside the space occur only in dropped rows, so their index is
     never read.
     """
@@ -874,9 +875,9 @@ def _label_indices(
         return remap[codes[:, :n]], truth
     if remap is not None or truth is not None:
         flat = codes.reshape(-1)
-        for i in range(0, len(codes), rows):
-            block = codes[i : i + rows, :n]  # not yet overwritten: flat[: i * n] ends before it
-            out = flat[i * n : i * n + block.size].reshape(block.shape)
+        for rows in _row_blocks(len(codes), codes.shape[1], _CELLS_PER_BLOCK):
+            block = codes[rows, :n]  # not yet overwritten: flat[: rows.start * n] ends before it
+            out = flat[rows.start * n : rows.start * n + block.size].reshape(block.shape)
             if remap is None:
                 out[...] = block
             else:  # the indices are copied first, so out may overlap block
@@ -904,7 +905,8 @@ def read_predictions_csv(
 
     Errors name the data row's line, counting the header as line 1 and each
     CSV record (even one whose quoted field spans lines) as one line; the
-    first faulty row in file order is the one reported.
+    first faulty row in file order is the one reported, and a repeated id
+    only if no row is faulty.
     """
 
     names, has_truth, (qids, codes, vocab, fault), cache = _read_table(path)
@@ -926,18 +928,17 @@ def read_predictions_csv(
 
     # counted or rewritten one block of rows at a time: bincount widens its
     # input to int64, and a fancy index copies it
-    rows = max(1, _CELLS_PER_BLOCK // codes.shape[1])
     if space is None:
         seen = sum(
-            np.bincount(codes[i : i + rows].ravel(), minlength=len(vocab))
-            for i in range(0, len(codes), rows)
+            np.bincount(codes[rows].ravel(), minlength=len(vocab))
+            for rows in _row_blocks(len(codes), codes.shape[1], _CELLS_PER_BLOCK)
         )
         present = np.flatnonzero(seen)
         if present.size < 2:
             raise FormatError(f"{path}: fewer than 2 distinct labels in data")
         space = LabelSpace(tuple(sorted(vocab[i] for i in present)))
     n = len(names)
-    pm = PredictionMatrix._adopt(space, *_label_indices(codes, vocab, space, n, rows))
+    pm = PredictionMatrix._adopt(space, *_label_indices(codes, vocab, space, n))
     meta = {"question_ids": qids, "agent_names": names, "dropped": dropped, "cache": cache}
     if agents is not None:
         missing = [a for a in agents if a not in names]
@@ -1024,18 +1025,16 @@ def _csv_blocks(header: list[str], ids, labels, columns: list[np.ndarray]):
         lens = [sizes - 2] * (len(columns) - 1) + [sizes]  # each column's entry lengths
         w = sizes[0] if len(set(sizes.tolist())) == 1 else 0  # the entries' one width, if they share one
         entries = [np.ndarray(len(labels), f"V{n[0]}", table, 0, (w,)) for n in lens] if w else None
-    step = max(1, _CELLS_PER_BLOCK // (1 + len(columns)))
-    for a in range(0, len(ids), step):
-        b = a + step
+    for rows in _row_blocks(len(ids), 1 + len(columns), _CELLS_PER_BLOCK):
         if plain:
-            starts, ends = ids._bounds(a, b)
+            starts, ends = ids._bounds(rows.start, rows.stop)
             lo, hi = int(starts[0]), int(ends[-1])
             data = ids._data[lo:hi]
         if not (plain and _unquoted(data.tobytes())):
-            cells = (map(labels.__getitem__, col[a:b].tolist()) for col in columns)
-            yield _csv_text(zip(ids[a:b], *cells))
+            cells = (map(labels.__getitem__, col[rows].tolist()) for col in columns)
+            yield _csv_text(zip(ids[rows], *cells))
             continue
-        codes = [col[a:b] for col in columns]
+        codes = [col[rows] for col in columns]
         width = ends[0] - starts[0]
         if entries and width and (ends - starts == width).all():
             cells = [data.view(f"V{width}")] + [np.take(e, c) for e, c in zip(entries, codes)]

@@ -268,6 +268,14 @@ def fit_ow_l(pm: PredictionMatrix, cfg: ErmConfig | None = None, smoothing: floa
     return fit_accuracies(empirical_second_order(pm, smoothing), cfg)
 
 
+def _hit_rates(answers: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The share of questions on which each agent answered ``labels``, counted a
+    column at a time: no (M, N) temporary, and a count / M has the bits of a bool mean."""
+
+    hits = [np.count_nonzero(answers[:, j] == labels) for j in range(answers.shape[1])]
+    return np.array(hits) / answers.shape[0]
+
+
 def fit_ow_i(pm: PredictionMatrix, eps: float = 1e-6, smoothing: float = 0.0) -> FitResult:
     """Accuracies by scoring agents against counterfactual-peer pseudo-labels.
 
@@ -279,7 +287,7 @@ def fit_ow_i(pm: PredictionMatrix, eps: float = 1e-6, smoothing: float = 0.0) ->
         raise DimensionError("the pseudo-label estimator needs at least 2 agents")
     so = empirical_second_order(pm, smoothing)
     pseudo, _ = agg.aggregate_batch("isp", pm.answers, pm.k, TiePolicy(TIE_LOWEST), so=so)
-    acc = (pm.answers == pseudo[:, None]).mean(axis=0)
+    acc = _hit_rates(pm.answers, pseudo)
     return FitResult(
         accuracies=acc,
         weights=ow_weights(acc, pm.k, eps),

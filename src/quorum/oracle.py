@@ -212,8 +212,9 @@ def _restricted_growth(lo: int, hi: int, n: int, counts: np.ndarray) -> tuple[np
     return out, top
 
 
-def _vector_chunks(n: int, k: int, rows: int):
-    """Yield (vectors, multiplicities) chunks of at most ``rows`` orbit representatives.
+def _vector_chunks(n: int, k: int):
+    """Yield (vectors, multiplicities) chunks of orbit representatives, a block
+    of ``core._row_blocks`` at N cells a vector each.
 
     Each chunk holds restricted-growth representatives of the orbits of label
     relabellings; a representative with b distinct labels stands for the
@@ -222,9 +223,8 @@ def _vector_chunks(n: int, k: int, rows: int):
 
     counts = _completions(n, k)
     sizes = np.cumprod(np.arange(k, k - min(n, k), -1, dtype=np.float64))  # K!/(K-b)!, b = 1..
-    total = int(counts[1, 0])
-    for lo in range(0, total, rows):
-        vectors, top = _restricted_growth(lo, min(lo + rows, total), n, counts)
+    for rows in core._row_blocks(int(counts[1, 0]), n):  # counts[1, 0] representatives in all
+        vectors, top = _restricted_growth(rows.start, rows.stop, n, counts)
         yield vectors, sizes[top]
 
 
@@ -263,13 +263,12 @@ def _mixture_log_likelihoods(
     log_norm = np.logaddexp(np.log(k - 1.0), alphas[:, None] * beta[None, :]).sum(axis=1)  # (T,)
     log_weights = np.log(weights)[:, None]
     log_like = np.empty((vectors.shape[0], k))
-    rows = max(1, core._BLOCK_CELLS // (8 * alphas.shape[0] * k))
-    for lo in range(0, vectors.shape[0], rows):
-        support = agg.weighted_scores_batch(vectors[lo : lo + rows], beta, k)  # (V, K)
+    for rows in core._row_blocks(vectors.shape[0], 8 * alphas.shape[0] * k):
+        support = agg.weighted_scores_batch(vectors[rows], beta, k)  # (V, K)
         log_terms = alphas[:, None] * support[:, None, :]  # (V, T, K)
         log_terms += log_weights
         log_terms -= log_norm[:, None]
-        log_like[lo : lo + rows] = _logsumexp(log_terms, axis=1)
+        log_like[rows] = _logsumexp(log_terms, axis=1)
     return log_like
 
 
@@ -383,9 +382,8 @@ def _expectation(n: int, k: int, likelihoods, scores, per_label) -> float:
     ``per_label`` here are label-symmetric.
     """
 
-    rows = max(1, core._BLOCK_CELLS // n)
     total = 0.0
-    for vectors, sizes in _vector_chunks(n, k, rows):
+    for vectors, sizes in _vector_chunks(n, k):
         values = (likelihoods(vectors) * per_label(scores(vectors))).sum(axis=1) / k
         total += float(np.dot(sizes, values))
     return total

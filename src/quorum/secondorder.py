@@ -24,9 +24,9 @@ from .core import (
     DomainError,
     FormatError,
     PredictionMatrix,
-    _BLOCK_CELLS,
     _check_acc,
     _freeze,
+    _row_blocks,
 )
 from .dataio import _csv_text, atomic_write_text
 
@@ -170,23 +170,21 @@ def pair_counts(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
     if k <= _GRAM_MAX_K:
         # Column j*K + a of the one-hot matrix X marks A_j = s_a, so
         # (X^T X)[i*K + a, j*K + b] counts questions with A_i = s_a and A_j = s_b.
-        # Each block's product is a sum of at most `rows` <= 2**18 ones, below
-        # 2**24, so float32 holds it exactly.
+        # Each block's product is a sum of one 1 per row of the block, at most
+        # 2**18 rows, below 2**24, so float32 holds it exactly.
         width = n * k
-        rows = max(1, _BLOCK_CELLS // width)
         offsets = np.arange(n) * k
         gram = np.zeros((width, width), dtype=np.int64)
-        for start in range(0, pm.m, rows):
-            codes = answers[start : start + rows] + offsets
+        for rows in _row_blocks(pm.m, width):
+            codes = answers[rows] + offsets
             onehot = np.zeros((codes.shape[0], width), dtype=np.float32)
             np.put_along_axis(onehot, codes, 1.0, axis=1)
             gram += (onehot.T @ onehot).astype(np.int64)
         counts = np.ascontiguousarray(gram.reshape(n, k, n, k).transpose(0, 2, 1, 3))
     else:
         counts = np.zeros((n, n, k, k), dtype=np.int64)
-        rows = max(1, _BLOCK_CELLS // n)
-        for start in range(0, pm.m, rows):
-            block = answers[start : start + rows]
+        for rows in _row_blocks(pm.m, n):
+            block = answers[rows]
             for j in range(n):
                 # code (i - j)*K^2 + A_i*K + A_j for every agent i >= j at once, in
                 # int64: in the answers' narrow dtype A_i*K would overflow

@@ -25,6 +25,7 @@ from .core import (
     DomainError,
     LabelSpace,
     PredictionMatrix,
+    _check_abilities,
     _check_k,
     _code_dtype,
     _uniform_rows,
@@ -89,9 +90,7 @@ class DifficultySimSpec:
         beta = tuple(float(v) for v in self.abilities)
         object.__setattr__(self, "abilities", beta)
         _check_sim_dims(self.k, self.m, len(beta))
-        for v in beta:
-            if not (np.isfinite(v) and v >= 0.0):
-                raise DomainError(f"abilities must be finite and nonnegative, got {v}")
+        _check_abilities(beta)
 
     @property
     def n(self) -> int:

@@ -64,9 +64,6 @@ class _Recorder:
     def check(self, name: str, passed: bool, detail: str = "") -> None:
         self.results.append(CheckResult(self.suite, name, bool(passed), detail))
 
-    def skip(self, name: str, detail: str) -> None:
-        self.results.append(CheckResult(self.suite, name, True, detail, skipped=True))
-
     def close(self, value: float, target: float, tol: float) -> bool:
         return abs(value - target) <= tol
 
@@ -374,7 +371,7 @@ def _suite_thm5(seed: int, budget: int) -> list[CheckResult]:
     mix_q = DifficultyMixture.log_uniform(0.1, 10.0)
     edges = np.linspace(np.log(0.1), np.log(10.0), 20001)
     grid = np.exp(0.5 * (edges[:-1] + edges[1:]))
-    mix_d = DifficultyMixture.atoms([(a, 1.0 / grid.size) for a in grid])
+    mix_d = DifficultyMixture(alphas=grid, weights=np.full(grid.size, 1.0 / grid.size))
     vecs = np.stack([rng.integers(0, 2, size=3) for _ in range(10)])
     pq = oracle.mixture_posterior(vecs, beta, mix_q, 2)
     pd = oracle.mixture_posterior(vecs, beta, mix_d, 2)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quorum import aggregate as agg
+from quorum import core
 from quorum.core import DimensionError, DomainError, LabelSpace, PredictionMatrix, ow_weights
 from quorum.oracle import bayes_posterior, enumerate_vectors, expected_accuracy
 from quorum.secondorder import empirical_second_order, exact_second_order
@@ -288,7 +289,7 @@ class TestAggregateBatch:
             return score_batch(*args, **kwargs)
 
         monkeypatch.setattr(agg, "score_batch", counted)
-        monkeypatch.setattr(agg, "_BLOCK_CELLS", 2 * rows * max(n, k))
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 2 * rows * max(n, k))
         for rule in agg.RULES:
             calls.clear()
             labels, ties = agg.aggregate_batch(rule, pm.answers, k, tie, so=so, weights=w)
@@ -364,7 +365,7 @@ class TestKernelDifferential:
         for rule in agg.RULES:
             scores = agg.score_batch(rule, pm.answers, k, so=so, weights=w)
             expected = agg.decide_batch(scores, tie, return_ties=True)
-            with mock.patch.object(agg, "_BLOCK_CELLS", 2 * rows * max(n, k)):  # blocks of `rows`
+            with mock.patch.object(core, "_BLOCK_CELLS", 2 * rows * max(n, k)):  # blocks of `rows`
                 labels, ties = agg.aggregate_batch(rule, pm.answers, k, tie, so=so, weights=w)
                 np.testing.assert_array_equal(
                     agg.score_batch(rule, pm.answers, k, so=so, weights=w), scores, err_msg=rule

@@ -434,7 +434,7 @@ def _label_count_entry_points():
 
 
 def _ability_entry_points():
-    from quorum import estimate, oracle
+    from quorum import estimate, oracle, simulate
 
     pm = PredictionMatrix(LabelSpace.default(3), np.array([[0, 1], [2, 1]]))
     vectors = np.array([[0, 1]])
@@ -446,6 +446,7 @@ def _ability_entry_points():
         "mixture_expected_advantage": lambda b: oracle.mixture_expected_advantage("sp", b, _mixture(), 3),
         "mixture_expected_accuracy": lambda b: oracle.mixture_expected_accuracy("posterior", b, _mixture(), 3),
         "run_pipeline eow": lambda b: estimate.run_pipeline(pm, "eow", abilities=b),
+        "DifficultySimSpec": lambda b: simulate.DifficultySimSpec(tuple(b), _mixture(), 3, 10),
     }
 
 
@@ -464,6 +465,7 @@ def _answer_code_entry_points():
         "aggregate_batch": lambda a: agg.aggregate_batch("mv", a[None, :], 3),
         "bayes_posterior": lambda a: oracle.bayes_posterior(a, [0.6, 0.7], 3),
         "mixture_posterior": lambda a: oracle.mixture_posterior(a, [1.0, 2.0], _mixture(), 3),
+        "shuffle_invert": lambda a: shuffle_invert(a, ShuffleMap.identity(2, 3)),
     }
 
 

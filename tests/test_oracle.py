@@ -301,12 +301,12 @@ def _oracle_values(n, k, seed, rules=None):
     return {key: fn() for key, fn in calls.items() if rules is None or key in rules}
 
 
-def _full_stream(n, k, rows):
-    """Every one of the K^N answer vectors, each with multiplicity 1, in chunks of ``rows``."""
+def _full_stream(n, k):
+    """Every one of the K^N answer vectors, each with multiplicity 1, in the orbit stream's chunks."""
 
     vectors = enumerate_vectors(n, k)
-    for lo in range(0, len(vectors), rows):
-        chunk = vectors[lo : lo + rows]
+    for rows in core._row_blocks(len(vectors), n):
+        chunk = vectors[rows]
         yield chunk, np.ones(len(chunk))
 
 
@@ -448,8 +448,9 @@ class TestBatchedPosteriors:
 
 class TestOrbitEnumeration:
     @pytest.mark.parametrize("n,k", [(1, 2), (3, 2), (4, 3), (5, 4), (3, 6), (6, 3)])
-    def test_one_representative_per_orbit(self, n, k):
-        reps, sizes = zip(*oracle._vector_chunks(n, k, 7))
+    def test_one_representative_per_orbit(self, n, k, monkeypatch):
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 7 * n)  # chunks of 7 representatives
+        reps, sizes = zip(*oracle._vector_chunks(n, k))
         reps, sizes = np.concatenate(reps), np.concatenate(sizes)
         assert sizes.sum() == k**n
 
