@@ -9,7 +9,9 @@
 # one read from a pipe, give the same isp labels (the byte tokenizer reads the
 # plain and CRLF files, csv.reader the quoted one and the pipe), a check that a
 # QUOTE_ALL panel whose ids need quoting gets the labels CSV csv.writer writes,
-# a check that a bad flag or config value exits 2 without a traceback, a check
+# a check that a bad flag or config value, or an --out in a directory that does
+# not exist, exits 2 and a deeply nested config exits 3, each without a
+# traceback and with an error that names what was wrong, a check
 # that a malformed row deep in a file exits 3 and names its line, and a check that a byte that is not UTF-8 or an over-long field deep in
 # a file, or a config file that is not UTF-8, exits 3 without a traceback, and a
 # check that ow-l on a 20,000 x 60 panel gives the same labels with one BLAS
@@ -146,12 +148,17 @@ EOF
 
 bad_flags_exit_2() {
   echo '{"drop_incomplete": "maybe"}' > "$tmp/bad.json"
-  for extra in "--starts=0" "--config=$tmp/bad.json"; do
+  python -c 'print("[" * 100000 + "]" * 100000)' > "$tmp/deep.json"
+  # each case: the exit status, the extra flag, and text its error names
+  for case in "2|--starts=0|--starts" "2|--config=$tmp/bad.json|--drop-incomplete" \
+    "2|--out=$tmp/nodir/l.csv|nodir/l.csv" "3|--config=$tmp/deep.json|deep.json: invalid JSON"; do
+    IFS='|' read -r code extra named <<< "$case"
     status=0
     python -m quorum aggregate --input "$tmp/panel.csv" --out "$tmp/d.csv" --method ow-l "$extra" \
       2> "$tmp/err.txt" || status=$?
     cat "$tmp/err.txt"
-    test "$status" -eq 2
+    test "$status" -eq "$code"
+    grep -qF -- "$named" "$tmp/err.txt"
     if grep -q Traceback "$tmp/err.txt"; then exit 1; fi
   done
 }
@@ -327,7 +334,7 @@ step "uniform tie-break is reproducible" tie_break_reproducible
 step "at K=50, isp is at least as accurate as mv, and summaries count ties" isp_beats_mv_at_k50
 step "plain, quoted and CRLF copies of a panel, and a pipe, give the same isp labels" copies_agree
 step "ids that need quoting are written as csv.writer writes them" quoted_ids_written_as_csv_writer_does
-step "a bad flag or config value exits 2 without a traceback" bad_flags_exit_2
+step "a bad flag, config value or output directory exits 2, a deeply nested config 3, without a traceback" bad_flags_exit_2
 step "a short row past the first ingest block exits 3 with its line" short_row_exits_3
 step "a byte that is not UTF-8 or an over-long field deep in a CSV, or a config that is not UTF-8, exits 3 without a traceback" hostile_bytes_exit_3
 step "ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread, a converged fit whose 8 starts agree, and no warning" owl_one_blas_thread

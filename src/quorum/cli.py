@@ -3,9 +3,11 @@
 Four subcommands: ``simulate`` writes synthetic prediction matrices,
 ``aggregate`` turns a predictions CSV into per-question labels,
 ``verify`` runs the built-in check suites, and ``report`` reproduces the
-two standard experiment artifacts. Exit codes: 0 success, 2 usage error,
-3 malformed input file, 4 computation over budget, 5 verification
-failure.
+two standard experiment artifacts. Exit codes: 0 success, 2 usage error
+(a bad flag, ``--labels`` or config value, or an output that cannot be
+written), 3 malformed input file, 4 over budget or out of memory, 5
+verification failure; ``verify`` prints ``[SKIP]`` for a check whose every
+draw ``--budget`` dropped.
 """
 
 from __future__ import annotations
@@ -50,11 +52,20 @@ from .simulate import (
 _TIE_CHOICES = {"uniform": TIE_UNIFORM, "lowest": TIE_LOWEST}
 
 
-def _fail(exc: Exception, status: int) -> "SystemExit":
-    """Report ``exc`` on stderr; the exit to raise: 3 for a malformed input file, 4 for work over budget."""
+class _Command(click.Command):
+    """Every subcommand: its ``invoke`` is the one place a library error becomes an exit code."""
 
-    click.echo(f"error: {exc}", err=True)
-    return SystemExit(status)
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (DomainError, DimensionError) as exc:
+            raise click.UsageError(str(exc), ctx)
+        except BrokenPipeError:  # left to click's own EPIPE handling
+            raise
+        except (FormatError, ResourceError, MemoryError, OSError) as exc:
+            click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
+            # 3 a malformed input file, 2 an output that cannot be written, 4 over budget or out of memory
+            ctx.exit(3 if isinstance(exc, FormatError) else 2 if isinstance(exc, OSError) else 4)
 
 
 def _parse_numbers(text: str, flag: str, kind=float) -> tuple:
@@ -101,11 +112,11 @@ def _apply_config(ctx: click.Context, config_path: str | None, params: dict) -> 
         with open(config_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise _fail(FormatError(f"cannot open {config_path}: {exc}"), 3)
-    except ValueError as exc:  # json.JSONDecodeError, or UnicodeDecodeError: JSON text is UTF-8
-        raise _fail(FormatError(f"{config_path}: invalid JSON ({exc})"), 3)
+        raise FormatError(f"cannot open {config_path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested past the parser's stack
+        raise FormatError(f"{config_path}: invalid JSON ({exc})") from None
     if not isinstance(cfg, dict):
-        raise _fail(FormatError(f"{config_path}: config must be a JSON object"), 3)
+        raise FormatError(f"{config_path}: config must be a JSON object")
     options = {p.name: p for p in ctx.command.params}
     for key, value in cfg.items():
         name = key.replace("-", "_")
@@ -124,6 +135,9 @@ def _timestamp() -> str:
 @click.version_option(version=__version__, prog_name="quorum")
 def main() -> None:
     """Aggregate categorical answers from heterogeneous agents."""
+
+
+main.command_class = _Command  # the class of every subcommand below
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +167,18 @@ def simulate(ctx, config_path, **params):
     params = _apply_config(ctx, config_path, params)
     if params["k"] is None:
         raise click.UsageError("--k is required")
-    try:
-        if params["model"] == "ci":
-            if params["accuracies"] is None:
-                raise click.UsageError("--accuracies is required for the ci model")
-            acc = _parse_numbers(params["accuracies"], "--accuracies")
-            pm = simulate_ci(CiSimSpec(acc, params["k"], params["questions"], params["seed"]))
-        else:
-            if params["abilities"] is None or params["mixture"] is None:
-                raise click.UsageError("--abilities and --mixture are required for the difficulty model")
-            beta = _parse_numbers(params["abilities"], "--abilities")
-            mix = _parse_mixture(params["mixture"])
-            spec = DifficultySimSpec(beta, mix, params["k"], params["questions"], params["seed"])
-            pm = simulate_difficulty(spec)
-    except (DomainError, DimensionError) as exc:
-        raise click.UsageError(str(exc))
+    if params["model"] == "ci":
+        if params["accuracies"] is None:
+            raise click.UsageError("--accuracies is required for the ci model")
+        acc = _parse_numbers(params["accuracies"], "--accuracies")
+        pm = simulate_ci(CiSimSpec(acc, params["k"], params["questions"], params["seed"]))
+    else:
+        if params["abilities"] is None or params["mixture"] is None:
+            raise click.UsageError("--abilities and --mixture are required for the difficulty model")
+        beta = _parse_numbers(params["abilities"], "--abilities")
+        mix = _parse_mixture(params["mixture"])
+        spec = DifficultySimSpec(beta, mix, params["k"], params["questions"], params["seed"])
+        pm = simulate_difficulty(spec)
     write_predictions_csv(params["out"], pm, include_truth=not params["no_truth"])
     click.echo(f"wrote {pm.m} questions x {pm.n} agents (K={pm.k}) to {params['out']}")
 
@@ -220,41 +231,33 @@ def aggregate(ctx, config_path, **params):
 
     label_list = params["labels"].split(",") if params["labels"] else None
     agent_list = params["agents"].split(",") if params["agents"] else None
-    try:
-        pm, meta = read_predictions_csv(
-            params["input"],
-            agents=agent_list,
-            labels=label_list,
-            drop_incomplete=params["drop_incomplete"],
-        )
-    except (FormatError, DomainError, DimensionError) as exc:
-        raise _fail(exc, 3)
+    pm, meta = read_predictions_csv(
+        params["input"],
+        agents=agent_list,
+        labels=label_list,
+        drop_incomplete=params["drop_incomplete"],
+    )
 
     work = pm
     smap = None
     if params["shuffle_seed"] is not None:
         work, smap = shuffle_apply(pm.with_truth(None), params["shuffle_seed"])
 
-    try:
-        result = run_pipeline(
-            work,
-            params["method"],
-            tie=TiePolicy(_TIE_CHOICES[params["tie"]], params["tie_seed"]),
-            erm=ErmConfig(
-                starts=params["starts"],
-                max_iters=params["max_iters"],
-                eps=params["eps"],
-                seed=params["seed"],
-            ),
-            accuracies=acc,
-            abilities=abil,
-            smoothing=params["smoothing"],
+    result = run_pipeline(
+        work,
+        params["method"],
+        tie=TiePolicy(_TIE_CHOICES[params["tie"]], params["tie_seed"]),
+        erm=ErmConfig(
+            starts=params["starts"],
+            max_iters=params["max_iters"],
             eps=params["eps"],
-        )
-    except (DomainError, DimensionError) as exc:
-        raise click.UsageError(str(exc))
-    except ResourceError as exc:
-        raise _fail(exc, 4)
+            seed=params["seed"],
+        ),
+        accuracies=acc,
+        abilities=abil,
+        smoothing=params["smoothing"],
+        eps=params["eps"],
+    )
     fit = result.fit
     if fit is not None and not fit.converged:
         click.echo(
@@ -335,20 +338,15 @@ def _sanitize_fit(fit) -> dict | None:
 def verify(suite, seed, budget):
     """Re-derive the package's key claims from scratch and report pass/fail."""
 
-    try:
-        results = verify_mod.run_suites(suite, seed=seed, budget=budget)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except ResourceError as exc:
-        raise _fail(exc, 4)
-    failed = 0
+    results = verify_mod.run_suites(suite, seed=seed, budget=budget)
+    failed = skipped = 0
     for res in results:
         status = "SKIP" if res.skipped else ("PASS" if res.passed else "FAIL")
-        if not res.passed and not res.skipped:
-            failed += 1
+        failed += status == "FAIL"
+        skipped += status == "SKIP"
         click.echo(f"[{status}] {res.suite}:{res.name}" + (f" ({res.detail})" if res.detail else ""))
-    total = len(results)
-    click.echo(f"{total - failed}/{total} checks passed")
+    passed = len(results) - failed - skipped
+    click.echo(f"{passed}/{len(results)} checks passed" + (f", {skipped} skipped" if skipped else ""))
     if failed:
         sys.exit(5)
 
@@ -378,13 +376,10 @@ def report(ctx, config_path, **params):
     ks = _parse_numbers(params["k_values"], "--k-values", int)
     acc = _parse_numbers(params["accuracies"], "--accuracies")
     seed, m = params["seed"], params["questions"]
-    try:
-        if params["table2"]:
-            table = run_accuracy_table(seed, m, ks, acc)
-        else:
-            curve = run_gap_curve(seed, m, ks, acc, params["replications"])
-    except (DomainError, DimensionError) as exc:
-        raise click.UsageError(str(exc))
+    if params["table2"]:
+        table = run_accuracy_table(seed, m, ks, acc)
+    else:
+        curve = run_gap_curve(seed, m, ks, acc, params["replications"])
 
     base = params["out"]
     resolved = {k: params[k] for k in sorted(params)}

@@ -49,20 +49,23 @@ def atomic_write_text(path: str, text, *, private: bool = False) -> None:
 
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o600 if private else 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            if isinstance(text, str):
-                fh.write(text.encode())
-            else:
-                fh.writelines(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, flags, 0o600 if private else 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as fh:
+                if isinstance(text, str):
+                    fh.write(text.encode())
+                else:
+                    fh.writelines(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:  # name the caller's path, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -51,6 +51,9 @@ __all__ = [
 
 METHODS = ("mv", "sp", "isp", "ow-l", "ow-i", "ow-oracle", "eow")
 
+_GRAD_TOL = 1e-9  # a fit has converged once no projected-gradient entry exceeds this
+_STEP0 = 0.1  # the line search's first step
+
 
 @dataclass(frozen=True)
 class ErmConfig:
@@ -58,8 +61,6 @@ class ErmConfig:
 
     starts: int = 8
     max_iters: int = 2000
-    grad_tol: float = 1e-9
-    step0: float = 0.1
     eps: float = 1e-6
     seed: int = 0
 
@@ -70,8 +71,6 @@ class ErmConfig:
             raise DomainError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 < self.eps < 0.5:
             raise DomainError(f"eps must lie in (0, 0.5), got {self.eps}")
-        if self.step0 <= 0.0 or self.grad_tol <= 0.0:
-            raise DomainError("step0 and grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def _pgd_single(data: _ErmData, x0: np.ndarray, lo: float, hi: float, cfg: ErmCo
     x = np.clip(x0, lo, hi)
     loss, terms = data.evaluate(x)
     grad = data.gradient(terms)
-    step = cfg.step0
+    step = _STEP0
     iters = 0
     converged = False
     for iters in range(1, cfg.max_iters + 1):
@@ -218,7 +217,7 @@ def _pgd_single(data: _ErmData, x0: np.ndarray, lo: float, hi: float, cfg: ErmCo
             step *= 0.5
         proj_grad = x - np.clip(x - grad, lo, hi)
         # a stalled line search counts as converged to machine precision
-        if np.max(np.abs(proj_grad)) <= cfg.grad_tol or not moved:
+        if np.max(np.abs(proj_grad)) <= _GRAD_TOL or not moved:
             converged = True
             break
     return x, loss, converged, iters

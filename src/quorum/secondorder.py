@@ -276,11 +276,15 @@ def read_second_order_csv(path: str) -> SecondOrderMatrix:
                 if len(row) != 6:
                     raise FormatError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
                 try:
-                    rows.append(
-                        (int(row[0]), int(row[1]), int(row[2]), int(row[3]), float(row[4]), int(row[5]))
-                    )
+                    i, j, a, b = map(int, row[:4])
+                    p, f = float(row[4]), int(row[5])
                 except ValueError as exc:
                     raise FormatError(f"{path}:{lineno}: {exc}") from None
+                if not -_COLSUM_TOL <= p <= 1.0 + _COLSUM_TOL:  # SecondOrderMatrix._check's bounds; no NaN
+                    raise FormatError(f"{path}:{lineno}: prob must be a finite number in [0, 1], not {row[4]!r}")
+                if f not in (0, 1):
+                    raise FormatError(f"{path}:{lineno}: imputed must be 0 or 1, not {row[5]!r}")
+                rows.append((i, j, a, b, p, f))
         except csv.Error as exc:
             # a field over csv.field_size_limit(), in the record after the last one read
             lineno = 1 if header is None else len(rows) + 2

@@ -61,8 +61,10 @@ class _Recorder:
         self.suite = suite
         self.results: list[CheckResult] = []
 
-    def check(self, name: str, passed: bool, detail: str = "") -> None:
-        self.results.append(CheckResult(self.suite, name, bool(passed), detail))
+    def check(self, name: str, passed: bool, detail: str = "", draws: int | None = None) -> None:
+        """Record a check; one that ``draws`` says examined no random shape is skipped."""
+
+        self.results.append(CheckResult(self.suite, name, bool(passed), detail, skipped=draws == 0))
 
     def close(self, value: float, target: float, tol: float) -> bool:
         return abs(value - target) <= tol
@@ -70,6 +72,17 @@ class _Recorder:
 
 def _fmt(value: float, target: float) -> str:
     return f"observed {value:.12g}, expected {target:.12g}"
+
+
+def _shapes(rng: np.random.Generator, draws: int, n_hi: int, k_hi: int, budget: float):
+    """``draws`` random (N, K) shapes, N in [2, n_hi) drawn before K in [2, k_hi);
+    a shape whose K**N vectors exceed ``budget`` is drawn but dropped."""
+
+    for _ in range(draws):
+        n = int(rng.integers(2, n_hi))
+        k = int(rng.integers(2, k_hi))
+        if k**n <= budget:
+            yield n, k
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +172,7 @@ def _suite_thm1(seed: int, budget: int) -> list[CheckResult]:
     consistent = True
     homogeneous = True
     draws = 0
-    for _ in range(40):
-        n = int(rng.integers(2, 6))
-        k = int(rng.integers(2, 5))
-        if k**n > budget:
-            continue
+    for n, k in _shapes(rng, 40, 6, 5, budget):
         draws += 1
         x = 1.0 / k + 0.01 + (0.98 - 1.0 / k) * rng.random(n)
         w = ow_weights(x, k)
@@ -174,17 +183,14 @@ def _suite_thm1(seed: int, budget: int) -> list[CheckResult]:
         sc_h = agg.score_batch("weighted", vectors, k, weights=ow_weights(x_h, k))
         counts = agg.score_batch("mv", vectors, k)
         homogeneous &= bool(np.array_equal(agg.tied_mask(sc_h), agg.tied_mask(counts)))
-    rec.check("weighted_vote_matches_posterior", consistent, f"{draws} random instances, exhaustive")
-    rec.check("homogeneous_equals_majority", homogeneous, f"{draws} random instances, exhaustive")
+    rec.check("weighted_vote_matches_posterior", consistent, f"{draws} random instances, exhaustive", draws)
+    rec.check("homogeneous_equals_majority", homogeneous, f"{draws} random instances, exhaustive", draws)
 
     below_ok = True
     above_ok = True
-    below = above = 0
-    for _ in range(30):
-        n = int(rng.integers(2, 6))
-        k = int(rng.integers(2, 5))
-        if k**n > budget:
-            continue
+    below = above = draws = 0
+    for n, k in _shapes(rng, 30, 6, 5, budget):
+        draws += 1
         x = 1.0 / k + 0.01 + (0.98 - 1.0 / k) * rng.random(n)
         acc = oracle.expected_accuracy("weighted", x, k, weights=ow_weights(x, k), budget=budget)
         for i in range(n):
@@ -195,22 +201,20 @@ def _suite_thm1(seed: int, budget: int) -> list[CheckResult]:
             elif x[i] > thr + 1e-6:
                 above += 1
                 above_ok &= abs(acc - x[i]) <= 1e-12
-    rec.check("dominance_below_strict_gain", below_ok, f"{below} agent cases below threshold")
-    rec.check("dominance_above_follows_agent", above_ok, f"{above} agent cases above threshold")
+    rec.check("dominance_below_strict_gain", below_ok, f"{below} agent cases below threshold", draws)
+    rec.check("dominance_above_follows_agent", above_ok, f"{above} agent cases above threshold", draws)
 
     optimal = True
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(2, 5))
-        if k**n > budget:
-            continue
+    draws = 0
+    for n, k in _shapes(rng, 10, 5, 5, budget):
+        draws += 1
         x = 1.0 / k + 0.01 + (0.98 - 1.0 / k) * rng.random(n)
         w = ow_weights(x, k)
         ow_acc = oracle.expected_accuracy("weighted", x, k, weights=w, budget=budget)
         for rule in ("mv", "sp", "isp"):
             optimal &= ow_acc >= oracle.expected_accuracy(rule, x, k, budget=budget) - 1e-12
         optimal &= ow_acc >= float(x.max()) - 1e-12
-    rec.check("weighted_vote_is_optimal", optimal, "beats mv/sp/isp and every single agent")
+    rec.check("weighted_vote_is_optimal", optimal, "beats mv/sp/isp and every single agent", draws)
     return rec.results
 
 
@@ -228,11 +232,7 @@ def _suite_thm2(seed: int, budget: int) -> list[CheckResult]:
     worst = 0.0
     nonneg = True
     instances = 0
-    for _ in range(40):
-        n = int(rng.integers(2, 6))
-        k = int(rng.integers(2, 5))
-        if k**n > budget:
-            continue
+    for n, k in _shapes(rng, 40, 6, 5, budget):
         instances += 1
         x = 1.0 / k + (1.0 - 1.0 / k) * rng.random(n)
         e_mv = oracle.exact_expected_advantage("mv", x, k, budget)
@@ -243,9 +243,9 @@ def _suite_thm2(seed: int, budget: int) -> list[CheckResult]:
         worst = max(worst, abs(e_mv - oracle.expected_mv_advantage(x, k)))
         nonneg &= gap_im >= 0.0 and gap_ms >= 0.0
     rec.check(
-        "gaps_match_enumeration", worst <= 1e-10, f"{instances} instances, worst |err| {worst:.2e}"
+        "gaps_match_enumeration", worst <= 1e-10, f"{instances} instances, worst |err| {worst:.2e}", instances
     )
-    rec.check("gaps_nonnegative", nonneg, f"{instances} instances")
+    rec.check("gaps_nonnegative", nonneg, f"{instances} instances", instances)
 
     gi, gm = oracle.expected_advantage_gaps(np.array([1.0, 1.0, 0.5, 0.5]), 2)
     rec.check(
@@ -263,9 +263,7 @@ def _suite_thm2(seed: int, budget: int) -> list[CheckResult]:
     # structural laws of the closed forms: the two gaps differ by exactly
     # a 1/(K-1) factor, and the counterfactual gap dies off for large K
     ratio_ok = True
-    for _ in range(10):
-        n = int(rng.integers(2, 7))
-        k = int(rng.integers(2, 12))
+    for n, k in _shapes(rng, 10, 7, 12, math.inf):
         x = 1.0 / k + (1.0 - 1.0 / k) * rng.random(n)
         gi, gm = oracle.expected_advantage_gaps(x, k)
         ratio_ok &= abs(gi * (k - 1) - gm) <= 1e-12 * max(1.0, abs(gm))
@@ -293,11 +291,7 @@ def _suite_thm4(seed: int, budget: int) -> list[CheckResult]:
 
     consistent = True
     draws = 0
-    for _ in range(25):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(2, 4))
-        if k**n > budget:
-            continue
+    for n, k in _shapes(rng, 25, 5, 4, budget):
         draws += 1
         beta = 0.2 + 2.8 * rng.random(n)
         t = int(rng.integers(2, 4))
@@ -306,12 +300,10 @@ def _suite_thm4(seed: int, budget: int) -> list[CheckResult]:
         vectors = oracle.enumerate_vectors(n, k, budget)
         scores = agg.score_batch("weighted", vectors, k, weights=beta)
         consistent &= not _argmax_escapes(scores, oracle.mixture_posterior(vectors, beta, mix, k))
-    rec.check("ability_vote_matches_posterior", consistent, f"{draws} random mixtures, exhaustive")
+    rec.check("ability_vote_matches_posterior", consistent, f"{draws} random mixtures, exhaustive", draws)
 
     degenerate = True
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(2, 4))
+    for n, k in _shapes(rng, 10, 5, 4, math.inf):
         beta = 0.2 + 2.8 * rng.random(n)
         alpha = 0.2 + 2.0 * rng.random()
         mix = DifficultyMixture.atoms([(alpha, 1.0)])
@@ -344,11 +336,7 @@ def _suite_thm5(seed: int, budget: int) -> list[CheckResult]:
     ordered = True
     zero_sum = True
     draws = 0
-    for _ in range(20):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(2, 4))
-        if k**n > budget:
-            continue
+    for n, k in _shapes(rng, 20, 5, 4, budget):
         draws += 1
         beta = 0.2 + 2.8 * rng.random(n)
         t = int(rng.integers(2, 4))
@@ -363,8 +351,8 @@ def _suite_thm5(seed: int, budget: int) -> list[CheckResult]:
         vec = rng.integers(0, k, size=n)
         zero_sum &= abs(float(agg.advantage_sp(vec, so).values.sum())) <= 1e-9
         zero_sum &= abs(float(agg.advantage_isp(vec, so).values.sum())) <= 1e-9
-    rec.check("advantage_ordering", ordered, f"{draws} random mixtures: isp >= mv >= sp")
-    rec.check("mixture_advantages_zero_sum", zero_sum, "advantage vectors sum to zero")
+    rec.check("advantage_ordering", ordered, f"{draws} random mixtures: isp >= mv >= sp", draws)
+    rec.check("mixture_advantages_zero_sum", zero_sum, "advantage vectors sum to zero", draws)
 
     # the quadrature path should agree with a dense midpoint discretization
     beta = np.array([1.0, 2.0, 0.5])
@@ -393,9 +381,7 @@ def _suite_props(seed: int, budget: int) -> list[CheckResult]:
 
     # second-order matrix laws on random draws
     exch = sym = null = mono = True
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        k = int(rng.integers(2, 6))
+    for n, k in _shapes(rng, 20, 6, 6, math.inf):
         x = rng.random(n)
         so = exact_second_order(x, k).probs
         exch &= bool(np.allclose(so, so.transpose(1, 0, 3, 2), atol=1e-12))
@@ -427,9 +413,7 @@ def _suite_props(seed: int, budget: int) -> list[CheckResult]:
 
     # advantage invariants on random instances, exact and empirical matrices
     zero_sum = bounded = True
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        k = int(rng.integers(2, 5))
+    for n, k in _shapes(rng, 20, 6, 5, math.inf):
         x = rng.random(n)
         so = exact_second_order(x, k)
         vec = rng.integers(0, k, size=n)

@@ -1,7 +1,8 @@
 """End-to-end tests of the command-line interface.
 
-Exit code contract: 0 success, 2 usage error, 3 malformed input file,
-4 computation over budget, 5 verification failure.
+Exit code contract: 0 success, 2 usage error (a bad flag or config value,
+or an output that cannot be written), 3 malformed input file, 4 computation
+over budget or out of memory, 5 verification failure.
 """
 
 import atexit
@@ -16,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import quorum
 from quorum import __version__
@@ -366,6 +369,9 @@ class TestAggregateCommand:
             ["aggregate", "--input", str(pred), "--out", out, "--accuracies", "1.2,0.9,0.9,0.9", "--method", "ow-oracle"],
             ["aggregate", "--input", str(pred), "--out", out, "--smoothing", "-1"],
             ["aggregate", "--input", str(pred), "--out", out, "--agents", "1", "--method", "ow-i"],
+            # a bad label space is a bad flag, not a bad file
+            ["aggregate", "--input", str(pred), "--out", out, "--labels", "A"],
+            ["aggregate", "--input", str(pred), "--out", out, "--labels", "A,A"],
         ]
         for args in cases:
             result = runner.invoke(main, args)
@@ -434,6 +440,13 @@ class TestAggregateCommand:
             main, ["aggregate", "--input", str(pred), "--out", out, "--config", str(not_json)]
         )
         assert result.exit_code == 3
+        # nested deeper than the parser's stack: a RecursionError, read as invalid JSON
+        not_json.write_text("[" * 100_000 + "]" * 100_000)
+        result = runner.invoke(
+            main, ["aggregate", "--input", str(pred), "--out", out, "--config", str(not_json)]
+        )
+        assert result.exit_code == 3
+        assert result.stderr.startswith(f"error: {not_json}: invalid JSON (maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize(
@@ -571,6 +584,97 @@ def test_flags_and_config_values_are_checked_alike(
         assert "threads" not in cfg
 
 
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["aggregate", "--out", "nodir/l.csv"], "nodir/l.csv"),
+        (["aggregate", "--out", "l.csv", "--summary", "nodir/s.json"], "nodir/s.json"),
+        (["simulate", "--accuracies", "0.6,0.7", "--k", "2", "-m", "50", "--out", "nodir/s.csv"], "nodir/s.csv"),
+        (["report", "--table2", "-m", "50", "--k-values", "2", "--out", "nodir/rep"], "nodir/rep.txt"),
+    ],
+    ids=["aggregate-out", "aggregate-summary", "simulate-out", "report-out"],
+)
+def test_an_output_in_a_missing_directory_exits_2_and_names_it(runner, tmp_path, monkeypatch, args, named):
+    monkeypatch.chdir(tmp_path)
+    if args[0] == "aggregate":
+        _simulate(runner, tmp_path / "p.csv")
+        args = [*args, "--input", "p.csv", "--method", "mv"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: [Errno 2] No such file or directory: '{named}'\n"
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
+@pytest.mark.parametrize(
+    "args,target",
+    [
+        (["aggregate", "--input", "p.csv", "--out", "l.csv"], "run_pipeline"),
+        (["simulate", "--accuracies", "0.6,0.7", "--k", "2", "--out", "s.csv"], "simulate_ci"),
+        (["report", "--table2", "--out", "rep"], "run_accuracy_table"),
+    ],
+    ids=["aggregate", "simulate", "report"],
+)
+def test_memory_exhaustion_exits_4(runner, tmp_path, monkeypatch, args, target):
+    def exhausted(*_, **__):
+        raise MemoryError
+
+    monkeypatch.chdir(tmp_path)
+    if args[0] == "aggregate":
+        _simulate(runner, tmp_path / "p.csv")
+    monkeypatch.setattr(f"quorum.cli.{target}", exhausted)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 4, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.stderr == "error: out of memory\n"
+
+
+# JSON syntax, bytes that keep a value valid JSON but change it, a byte that is
+# never UTF-8, a byte order mark, NUL, and numbers past what float or int takes
+_HOSTILE_JSON = (
+    b'"', b"{", b"}", b"[", b"]", b",", b":", b"\\", b" ", b"-", b"0", b"A",
+    b"\xff", b"\xef\xbb\xbf", b"\0", b"1e999", b"9" * 5000,
+)
+# no numeric fit option, and --method mv on the command line wins over any method a mutation makes
+_VALID_CONFIG = b'{"tie": "lowest", "tie-seed": 3, "labels": "A,B,C,D", "drop-incomplete": false, "shuffle-seed": 1}'
+
+
+@st.composite
+def _mutated_configs(draw):
+    """``_VALID_CONFIG`` after up to four insertions, deletions or replacements
+    of bytes, the new bytes drawn from ``_HOSTILE_JSON``."""
+
+    data = bytearray(_VALID_CONFIG)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if kind != "insert":
+            del data[at : at + draw(st.integers(1, 3))]
+        if kind != "delete":
+            data[at:at] = draw(st.sampled_from(_HOSTILE_JSON))
+    return bytes(data)
+
+
+@given(_mutated_configs())
+@example(_VALID_CONFIG)
+@example(b"[" * 100_000 + b"]" * 100_000)
+@example(b'{"tie": ' * 100_000 + b'"lowest"' + b"}" * 100_000)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_config_bytes_exit_with_a_code_not_a_traceback(tmp_path, config):
+    runner = CliRunner()
+    pred, cfg = tmp_path / "p.csv", tmp_path / "cfg.json"
+    if not pred.exists():
+        _simulate(runner, pred)
+    cfg.write_bytes(config)
+    args = ["aggregate", "--input", str(pred), "--out", str(tmp_path / "l.csv"), "--method", "mv"]
+    result = runner.invoke(main, [*args, "--config", str(cfg)])
+    assert result.exit_code in (0, 2, 3, 4), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert (result.exit_code == 0) == (result.stderr == ""), result.stderr
+    if config == _VALID_CONFIG:
+        assert result.exit_code == 0
+
+
 class TestVerifyCommand:
     def test_examples_suite_passes(self, runner):
         result = _invoke(runner, ["verify", "--suite", "examples"])
@@ -586,6 +690,26 @@ class TestVerifyCommand:
     def test_budget_overrun_exits_4(self, runner):
         result = runner.invoke(main, ["verify", "--suite", "examples", "--budget", "100"])
         assert result.exit_code == 4
+
+    @pytest.mark.parametrize(
+        "suite,skipped,summary",
+        [
+            ("thm1", 5, "0/5 checks passed, 5 skipped"),
+            ("thm2", 2, "4/6 checks passed, 2 skipped"),
+            ("thm4", 1, "2/3 checks passed, 1 skipped"),
+            ("thm5", 2, "1/3 checks passed, 2 skipped"),
+        ],
+    )
+    def test_a_check_the_budget_left_without_draws_is_skipped(self, runner, suite, skipped, summary):
+        # no random shape has K**N <= 3, so every drawn check examines nothing
+        result = _invoke(runner, ["verify", "--suite", suite, "--budget", "3"])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.splitlines()
+        assert sum(line.startswith("[SKIP]") for line in lines) == skipped
+        assert not [line for line in lines if line.startswith("[FAIL]")]
+        assert lines[-1] == summary
+        # at a budget that keeps draws, the same suite skips nothing
+        assert "SKIP" not in _invoke(runner, ["verify", "--suite", suite]).stdout
 
     def test_failing_check_exits_5(self, runner, monkeypatch):
         def fake(names, seed=0, budget=0):

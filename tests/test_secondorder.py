@@ -270,6 +270,27 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match=":500:"):
             read_second_order_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "prob,imputed,message",
+        [
+            ("2.0", "0", "prob must be a finite number in [0, 1], not '2.0'"),
+            ("-0.5", "0", "prob must be a finite number in [0, 1], not '-0.5'"),
+            ("inf", "0", "prob must be a finite number in [0, 1], not 'inf'"),
+            ("nan", "0", "prob must be a finite number in [0, 1], not 'nan'"),
+            ("0.5", "7", "imputed must be 0 or 1, not '7'"),
+            ("0.5", "-1", "imputed must be 0 or 1, not '-1'"),
+        ],
+    )
+    def test_hostile_cell_values_name_their_line(self, tmp_path, prob, imputed, message):
+        path = tmp_path / "so.csv"
+        write_second_order_csv(empirical_second_order(_random_pm(40, 3, 2, seed=2)), str(path))
+        lines = path.read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:4] + [prob, imputed])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            read_second_order_csv(str(path))
+        assert str(info.value) == f"{path}:6: {message}"
+
     def test_over_long_field_names_its_line(self, tmp_path):
         # a field over csv.field_size_limit() is a FormatError, not a csv.Error
         path = tmp_path / "long.csv"
