@@ -2,7 +2,9 @@
 # The checks CI runs, runnable from the root of a checkout:
 #   bash scripts/ci.sh
 # Tier-1 tests, the benchmark harness's own tests, every verification suite,
-# a check that the uniform tie-break gives the same labels twice, a check that
+# every suite again under --budget 50 (the checks whose shapes have more than
+# 50 answer vectors print [SKIP], and the run still prints all 52 check lines
+# and exits 0), a check that the uniform tie-break gives the same labels twice, a check that
 # isp is at least as accurate as mv on a K=50 panel (narrow answer codes that
 # overflowed would break it) and that each summary counts its tie-broken
 # labels, a check that plain, quoted and CRLF copies of one panel, and the plain
@@ -58,6 +60,16 @@ harness_tests() {
 
 verification_suites() {
   python -m quorum.cli verify --suite all
+}
+
+verification_suites_small_budget() {
+  status=0
+  python -m quorum.cli verify --suite all --budget 50 > "$tmp/verify-50.txt" 2>&1 || status=$?
+  cat "$tmp/verify-50.txt"
+  test "$status" -eq 0
+  test "$(grep -c '^\[' "$tmp/verify-50.txt")" -eq 52
+  test "$(grep -c '^\[SKIP\]' "$tmp/verify-50.txt")" -ge 3
+  if grep -qE 'Traceback|error:' "$tmp/verify-50.txt"; then exit 1; fi
 }
 
 tie_break_reproducible() {
@@ -330,6 +342,7 @@ source_lines() {
 step "tier-1 tests" tier1_tests
 step "benchmark harness tests" harness_tests
 step "verification suites" verification_suites
+step "every verification suite under --budget 50 exits 0, skipping what the budget drops" verification_suites_small_budget
 step "uniform tie-break is reproducible" tie_break_reproducible
 step "at K=50, isp is at least as accurate as mv, and summaries count ties" isp_beats_mv_at_k50
 step "plain, quoted and CRLF copies of a panel, and a pipe, give the same isp labels" copies_agree

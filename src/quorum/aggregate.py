@@ -30,7 +30,9 @@ from .core import (
     DomainError,
     PredictionMatrix,
     _MASK64,
+    _check_acc,
     _check_codes,
+    _check_k,
     _freeze,
     _row_blocks,
     ow_weights,
@@ -149,7 +151,6 @@ class AdvantageVector:
     """
 
     values: np.ndarray
-    rule: str
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -177,6 +178,7 @@ def _check_answers(answers, k: int, min_agents: int = 1, ndim: int = 1) -> np.nd
     they are; kernels widen them one row block at a time.
     """
 
+    _check_k(k)
     arr = np.asarray(answers)
     if arr.ndim != ndim or arr.shape[-1] < min_agents:
         what = "a 1-d vector" if ndim == 1 else "an (M, N) matrix"
@@ -187,11 +189,9 @@ def _check_answers(answers, k: int, min_agents: int = 1, ndim: int = 1) -> np.nd
     return arr if np.can_cast(arr.dtype, np.int64) else arr.astype(np.int64)
 
 
-def _as_matrix(pm_or_array, k: int | None = None, min_agents: int = 1) -> tuple[np.ndarray, int]:
+def _as_matrix(pm_or_array, k: int, min_agents: int = 1) -> tuple[np.ndarray, int]:
     if isinstance(pm_or_array, PredictionMatrix):
         pm_or_array, k = pm_or_array.answers, pm_or_array.k
-    elif k is None:
-        raise DomainError("label count k is required for raw answer arrays")
     return _check_answers(pm_or_array, k, min_agents, ndim=2), int(k)
 
 
@@ -209,7 +209,7 @@ def advantage_mv(answers, k: int) -> AdvantageVector:
     """Vote count of each label minus the uniform share N/K."""
 
     arr = _check_answers(answers, k)
-    return AdvantageVector(vote_counts(arr, k) - arr.shape[0] / k, rule="mv")
+    return AdvantageVector(vote_counts(arr, k) - arr.shape[0] / k)
 
 
 def aggregate_mv(answers, k: int, tie: TiePolicy | None = None, question_index: int = 0) -> int:
@@ -405,7 +405,7 @@ def _check_target(answers, so: SecondOrderMatrix, target_agent: int, target_labe
 
 def _peer_advantage(rule: str, answers, so: SecondOrderMatrix) -> AdvantageVector:
     arr = _check_answers(answers, so.k, min_agents=2)
-    return AdvantageVector(score_batch(rule, arr[None, :], so.k, so=so)[0], rule=rule)
+    return AdvantageVector(score_batch(rule, arr[None, :], so.k, so=so)[0])
 
 
 def advantage_sp(answers, so: SecondOrderMatrix) -> AdvantageVector:
@@ -511,8 +511,8 @@ def dominance_threshold(accuracies, k: int, target_agent: int, eps: float = 1e-6
     voting strictly improves on the agent alone.
     """
 
-    x = np.asarray(accuracies, dtype=float)
-    if x.ndim != 1 or x.shape[0] < 2:
+    x = _check_acc(accuracies, k)
+    if x.shape[0] < 2:
         raise DimensionError(f"need at least 2 agents, got shape {x.shape}")
     if not 0 <= target_agent < x.shape[0]:
         raise DimensionError(f"target agent {target_agent} out of range [0, {x.shape[0]})")

@@ -5,9 +5,9 @@ Four subcommands: ``simulate`` writes synthetic prediction matrices,
 ``verify`` runs the built-in check suites, and ``report`` reproduces the
 two standard experiment artifacts. Exit codes: 0 success, 2 usage error
 (a bad flag, ``--labels`` or config value, or an output that cannot be
-written), 3 malformed input file, 4 over budget or out of memory, 5
-verification failure; ``verify`` prints ``[SKIP]`` for a check whose every
-draw ``--budget`` dropped.
+written), 3 malformed input file, 4 out of memory, 5 verification
+failure; ``verify`` prints ``[SKIP]`` for a check whose every shape
+``--budget`` dropped.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     DomainError,
     FormatError,
     ResourceError,
+    _check_acc,
     shuffle_apply,
     shuffle_invert,
 )
@@ -39,8 +40,10 @@ from .dataio import (
     write_predictions_csv,
 )
 from .estimate import METHODS, ErmConfig, _hit_rates, run_pipeline
-from .oracle import DifficultyMixture
+from .oracle import DEFAULT_BUDGET, DifficultyMixture
 from .simulate import (
+    DEFAULT_ACCURACIES,
+    DEFAULT_KS,
     CiSimSpec,
     DifficultySimSpec,
     run_accuracy_table,
@@ -64,7 +67,7 @@ class _Command(click.Command):
             raise
         except (FormatError, ResourceError, MemoryError, OSError) as exc:
             click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
-            # 3 a malformed input file, 2 an output that cannot be written, 4 over budget or out of memory
+            # 3 a malformed input file, 2 an output that cannot be written, 4 out of memory (or budget)
             ctx.exit(3 if isinstance(exc, FormatError) else 2 if isinstance(exc, OSError) else 4)
 
 
@@ -90,12 +93,6 @@ def _parse_mixture(text: str) -> DifficultyMixture:
         raise click.UsageError(
             f"--mixture: expected 'alpha:weight,...' or 'loguniform:lo:hi' ({exc})"
         )
-
-
-def _check_unit_interval(values: tuple[float, ...], flag: str) -> None:
-    for v in values:
-        if not 0.0 < v <= 1.0:
-            raise click.UsageError(f"{flag}: value {v} outside (0, 1]")
 
 
 def _apply_config(ctx: click.Context, config_path: str | None, params: dict) -> dict:
@@ -224,8 +221,7 @@ def aggregate(ctx, config_path, **params):
     params = _apply_config(ctx, config_path, params)
     acc = abil = None
     if params["accuracies"] is not None:
-        acc = _parse_numbers(params["accuracies"], "--accuracies")
-        _check_unit_interval(acc, "--accuracies")
+        acc = _check_acc(_parse_numbers(params["accuracies"], "--accuracies"))
     if params["abilities"] is not None:
         abil = _parse_numbers(params["abilities"], "--abilities")
 
@@ -256,7 +252,6 @@ def aggregate(ctx, config_path, **params):
         accuracies=acc,
         abilities=abil,
         smoothing=params["smoothing"],
-        eps=params["eps"],
     )
     fit = result.fit
     if fit is not None and not fit.converged:
@@ -334,7 +329,7 @@ def _sanitize_fit(fit) -> dict | None:
     "model; props: structural invariants.",
 )
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget", type=int, default=10_000_000, show_default=True, help="Enumeration cap.")
+@click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True, help="Enumeration cap.")
 def verify(suite, seed, budget):
     """Re-derive the package's key claims from scratch and report pass/fail."""
 
@@ -363,8 +358,8 @@ def verify(suite, seed, budget):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--questions", "-m", type=click.IntRange(min=1), default=10_000, show_default=True)
 @click.option("--replications", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--k-values", default="2,4,6,8,10", show_default=True)
-@click.option("--accuracies", default="0.6,0.7,0.8,0.9", show_default=True)
+@click.option("--k-values", default=",".join(map(str, DEFAULT_KS)), show_default=True)
+@click.option("--accuracies", default=",".join(map(str, DEFAULT_ACCURACIES)), show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=False), default=None)
 @click.pass_context
 def report(ctx, config_path, **params):

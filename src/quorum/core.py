@@ -380,7 +380,6 @@ class ShuffleMap:
     """
 
     perms: np.ndarray
-    seed: int = 0
 
     def __post_init__(self) -> None:
         perms = np.asarray(self.perms)
@@ -398,13 +397,13 @@ class ShuffleMap:
             raise DomainError("each row of perms must be a permutation of 0..K-1")
 
     @classmethod
-    def _adopt(cls, perms: np.ndarray, seed: int) -> "ShuffleMap":
+    def _adopt(cls, perms: np.ndarray) -> "ShuffleMap":
         """A map that keeps ``perms``, an array that only the caller holds,
         frozen in place where the constructor would copy it."""
 
         cls._check(perms)
         perms = perms.astype(_code_dtype(perms.shape[1]), copy=False)
-        return _freeze(object.__new__(cls), perms=perms, seed=int(seed))
+        return _freeze(object.__new__(cls), perms=perms)
 
     @property
     def m(self) -> int:
@@ -418,11 +417,11 @@ class ShuffleMap:
         inv = np.empty_like(self.perms)
         for rows in _row_blocks(self.m, self.k):
             inv[rows] = _inverse_rows(self.perms[rows])
-        return ShuffleMap._adopt(inv, self.seed)
+        return ShuffleMap._adopt(inv)
 
     @classmethod
     def identity(cls, m: int, k: int) -> "ShuffleMap":
-        return cls(np.tile(np.arange(k), (m, 1)), seed=0)
+        return cls(np.tile(np.arange(k), (m, 1)))
 
 
 def random_shuffle_map(m: int, k: int, seed: int) -> ShuffleMap:
@@ -436,7 +435,7 @@ def random_shuffle_map(m: int, k: int, seed: int) -> ShuffleMap:
     # uniforms is a uniformly random permutation
     for rows, u in _uniform_rows(seed, m, k, 2):
         perms[rows] = np.argsort(u, axis=1)
-    return ShuffleMap._adopt(perms, seed)
+    return ShuffleMap._adopt(perms)
 
 
 def apply_shuffle_map(pm: PredictionMatrix, smap: ShuffleMap) -> PredictionMatrix:

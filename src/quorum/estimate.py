@@ -24,6 +24,7 @@ from .core import (
     DomainError,
     PredictionMatrix,
     _check_abilities,
+    _check_acc,
     _freeze,
     ow_weights,
 )
@@ -57,7 +58,8 @@ _STEP0 = 0.1  # the line search's first step
 
 @dataclass(frozen=True)
 class ErmConfig:
-    """Settings for the projected-gradient accuracy fit."""
+    """Settings for the projected-gradient accuracy fit. ``eps`` is also the
+    accuracy clamp of every weighted method: ``ow-l``, ``ow-i`` and ``ow-oracle``."""
 
     starts: int = 8
     max_iters: int = 2000
@@ -320,10 +322,10 @@ class PipelineResult:
 def _given_accuracies_fit(pm: PredictionMatrix, accuracies, eps: float) -> FitResult:
     if accuracies is None:
         raise DomainError("ow-oracle needs per-agent accuracies")
-    w = ow_weights(accuracies, pm.k, eps)
-    if w.shape != (pm.n,):
-        raise DimensionError(f"accuracies shape {w.shape} does not match N={pm.n}")
-    return FitResult(accuracies=np.asarray(accuracies, dtype=float), weights=w, method="ow-oracle")
+    x = _check_acc(accuracies)
+    if x.shape != (pm.n,):
+        raise DimensionError(f"accuracies shape {x.shape} does not match N={pm.n}")
+    return FitResult(accuracies=x, weights=ow_weights(x, pm.k, eps), method="ow-oracle")
 
 
 def _given_abilities_fit(pm: PredictionMatrix, abilities) -> FitResult:
@@ -343,7 +345,6 @@ def run_pipeline(
     accuracies=None,
     abilities=None,
     smoothing: float = 0.0,
-    eps: float = 1e-6,
 ) -> PipelineResult:
     """Aggregate a prediction matrix with the chosen method.
 
@@ -352,6 +353,7 @@ def run_pipeline(
     truth column of ``pm``, if any, is never consulted.
     """
 
+    erm = erm or ErmConfig()
     method = method.lower().replace("_", "-")
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -361,9 +363,9 @@ def run_pipeline(
     elif method == "ow-l":
         fit = fit_ow_l(pm, erm, smoothing)
     elif method == "ow-i":
-        fit = fit_ow_i(pm, eps, smoothing)
+        fit = fit_ow_i(pm, erm.eps, smoothing)
     elif method == "ow-oracle":
-        fit = _given_accuracies_fit(pm, accuracies, eps)
+        fit = _given_accuracies_fit(pm, accuracies, erm.eps)
     elif method == "eow":
         fit = _given_abilities_fit(pm, abilities)
     # mv, sp and isp are rules of their own; every other method votes with its fit's weights

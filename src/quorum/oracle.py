@@ -29,6 +29,7 @@ from .core import (
     _check_abilities,
     _check_acc,
     _check_codes,
+    _check_k,
     _freeze,
     sigma_k,
 )
@@ -73,11 +74,11 @@ _FAMILY_LOG_UNIFORM = "log_uniform"
 _QUAD_ORDER = 64
 
 
-@functools.lru_cache(maxsize=16)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights of order ``_QUAD_ORDER`` on [-1, 1], computed once."""
 
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
@@ -98,7 +99,6 @@ class DifficultyMixture:
     weights: np.ndarray | None = None
     lo: float = 0.0
     hi: float = 0.0
-    order: int = _QUAD_ORDER
 
     def __post_init__(self) -> None:
         if self.family == _FAMILY_ATOMS:
@@ -114,8 +114,6 @@ class DifficultyMixture:
         elif self.family == _FAMILY_LOG_UNIFORM:
             if not (0.0 < self.lo < self.hi) or not np.isfinite(self.hi):
                 raise DomainError(f"log-uniform needs 0 < lo < hi, got [{self.lo}, {self.hi}]")
-            if self.order < 2:
-                raise DomainError("quadrature order must be >= 2")
         else:
             raise DomainError(f"unknown mixture family {self.family!r}")
 
@@ -129,15 +127,15 @@ class DifficultyMixture:
         )
 
     @classmethod
-    def log_uniform(cls, lo: float, hi: float, order: int = _QUAD_ORDER) -> "DifficultyMixture":
-        return cls(family=_FAMILY_LOG_UNIFORM, lo=float(lo), hi=float(hi), order=int(order))
+    def log_uniform(cls, lo: float, hi: float) -> "DifficultyMixture":
+        return cls(family=_FAMILY_LOG_UNIFORM, lo=float(lo), hi=float(hi))
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Discrete (alphas, weights) representation used for expectations."""
 
         if self.family == _FAMILY_ATOMS:
             return np.asarray(self.alphas), np.asarray(self.weights)
-        t, w = _gauss_legendre(self.order)
+        t, w = _gauss_legendre()
         mid = 0.5 * (np.log(self.hi) + np.log(self.lo))
         half = 0.5 * (np.log(self.hi) - np.log(self.lo))
         return np.exp(mid + half * t), w / 2.0
@@ -159,8 +157,9 @@ class DifficultyMixture:
 
 
 def _check_enumeration(n: int, k: int, budget: int) -> None:
-    if n < 1 or k < 2:
-        raise DimensionError(f"need n >= 1 and k >= 2, got n={n}, k={k}")
+    _check_k(k)
+    if n < 1:
+        raise DimensionError(f"need n >= 1, got n={n}")
     total = k**n
     if total > budget:
         raise ResourceError(f"enumeration of {k}^{n} = {total} vectors exceeds budget {budget}")
@@ -231,7 +230,7 @@ def _vector_chunks(n: int, k: int):
 def answer_vector_probs(vectors: np.ndarray, truth_index: int, accuracies, k: int) -> np.ndarray:
     """P(answer vector | true label) under conditional independence."""
 
-    x = _check_acc(accuracies)
+    x = _check_acc(accuracies, k)
     per_agent = np.where(vectors == truth_index, x[None, :], (1.0 - x[None, :]) / (k - 1))
     return per_agent.prod(axis=1)
 
@@ -278,6 +277,7 @@ def mixture_answer_vector_probs(
     """P(answer vector | true label) under the difficulty-mixture model."""
 
     beta = _check_abilities(abilities)
+    _check_k(k)
     return np.exp(_mixture_log_likelihoods(np.asarray(vectors), beta, mixture, k)[:, truth_index])
 
 
@@ -300,6 +300,7 @@ def joint_correct_probability(abilities, mixture: DifficultyMixture, k: int) -> 
 def _check_vectors(answers, shape: tuple[int, ...], k: int, what: str) -> np.ndarray:
     """One answer vector (N,) or a batch (V, N) of label indices, checked against N and K."""
 
+    _check_k(k)
     arr = np.asarray(answers)
     if arr.ndim not in (1, 2) or arr.shape[-1:] != shape:
         raise DimensionError(f"answers shape {arr.shape} does not match {what} {shape}")
@@ -320,7 +321,7 @@ def bayes_posterior(answers, accuracies, k: int) -> np.ndarray:
     or (V, K).
     """
 
-    x = _check_acc(accuracies)
+    x = _check_acc(accuracies, k)
     arr = _check_vectors(answers, x.shape, k, "accuracies")
     like = _label_likelihoods(arr.reshape(-1, x.shape[0]), x, k)
     total = like.sum(axis=1, keepdims=True)
@@ -360,9 +361,7 @@ def mixture_second_order(abilities, mixture: DifficultyMixture, k: int) -> Secon
     xs, weights = _mixture_correct_probs(abilities, mixture, k)
     sames = same_label_prob(xs[:, :, None], xs[:, None, :], k)
     crosses = cross_label_prob(xs[:, :, None], xs[:, None, :], k)
-    return mixture_weighted_second_order(
-        sames, crosses, weights, k, meta={"abilities": tuple(float(b) for b in abilities)}
-    )
+    return mixture_weighted_second_order(sames, crosses, weights, k)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,7 @@ def _ci_expectation(
 ) -> float:
     """``_expectation`` of a rule's ``per_label`` values under conditional independence."""
 
-    x = _check_acc(accuracies)
+    x = _check_acc(accuracies, k)
     agg.TiePolicy(tie_mode)  # rejects an unknown mode
     _check_enumeration(x.shape[0], k, budget)
     so = exact_second_order(x, k) if rule in agg.SECOND_ORDER_RULES else None
@@ -455,7 +454,7 @@ def exact_expected_advantage(
 def expected_mv_advantage(accuracies, k: int) -> float:
     """Closed form: E[majority-vote advantage of the true label] = sum_i (x_i - 1/K)."""
 
-    x = _check_acc(accuracies)
+    x = _check_acc(accuracies, k)
     return float(np.sum(x - 1.0 / k))
 
 
@@ -467,7 +466,7 @@ def expected_advantage_gaps(accuracies, k: int) -> tuple[float, float]:
     faster as the label space grows.
     """
 
-    x = _check_acc(accuracies)
+    x = _check_acc(accuracies, k)
     n = x.shape[0]
     if n < 2:
         raise DimensionError("gaps need at least 2 agents")

@@ -15,7 +15,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,6 @@ class SecondOrderMatrix:
     probs: np.ndarray
     imputed: np.ndarray
     source: str
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -80,13 +79,13 @@ class SecondOrderMatrix:
             raise DimensionError(f"imputed flags must match probs shape, got {np.shape(imputed)}")
 
     @classmethod
-    def _adopt(cls, probs: np.ndarray, imputed: np.ndarray, source: str, meta: dict) -> "SecondOrderMatrix":
+    def _adopt(cls, probs: np.ndarray, imputed: np.ndarray, source: str) -> "SecondOrderMatrix":
         """A matrix that keeps ``probs`` (float) and ``imputed`` (bool), arrays
         that only the caller holds, frozen in place where the constructor
         would copy them."""
 
         cls._check(probs, imputed)
-        return _freeze(object.__new__(cls), probs=probs, imputed=imputed, source=source, meta=meta)
+        return _freeze(object.__new__(cls), probs=probs, imputed=imputed, source=source)
 
     @property
     def n(self) -> int:
@@ -111,7 +110,7 @@ def cross_label_prob(x_i, x_j, k: int):
     ) / (k - 1) ** 2
 
 
-def _assemble(same: np.ndarray, cross: np.ndarray, k: int, source: str, meta: dict) -> SecondOrderMatrix:
+def _assemble(same: np.ndarray, cross: np.ndarray, k: int, source: str) -> SecondOrderMatrix:
     """The matrix whose (N, N, K, K) probs are built from per-pair same/cross
     values, with no cell imputed."""
 
@@ -120,7 +119,7 @@ def _assemble(same: np.ndarray, cross: np.ndarray, k: int, source: str, meta: di
     probs = np.where(eye, same[:, :, None, None], cross[:, :, None, None])
     idx = np.arange(n)
     probs[idx, idx] = np.eye(k)
-    return SecondOrderMatrix._adopt(probs, np.zeros(probs.shape, dtype=bool), source, meta)
+    return SecondOrderMatrix._adopt(probs, np.zeros(probs.shape, dtype=bool), source)
 
 
 def exact_second_order(accuracies, k: int) -> SecondOrderMatrix:
@@ -133,11 +132,10 @@ def exact_second_order(accuracies, k: int) -> SecondOrderMatrix:
     x = _check_acc(accuracies, k)
     same = same_label_prob(x[:, None], x[None, :], k)
     cross = cross_label_prob(x[:, None], x[None, :], k)
-    meta = {"accuracies": tuple(float(v) for v in x), "k": int(k)}
-    return _assemble(same, cross, k, "exact", meta)
+    return _assemble(same, cross, k, "exact")
 
 
-def mixture_weighted_second_order(sames, crosses, weights, k: int, meta=None) -> SecondOrderMatrix:
+def mixture_weighted_second_order(sames, crosses, weights, k: int) -> SecondOrderMatrix:
     """Average per-pair same/cross values over mixture components.
 
     ``sames``/``crosses`` have shape (T, N, N) for T components. Valid
@@ -148,7 +146,7 @@ def mixture_weighted_second_order(sames, crosses, weights, k: int, meta=None) ->
     w = np.asarray(weights, dtype=float)
     same = np.tensordot(w, np.asarray(sames, dtype=float), axes=1)
     cross = np.tensordot(w, np.asarray(crosses, dtype=float), axes=1)
-    return _assemble(same, cross, k, "exact_mixture", dict(meta or {}))
+    return _assemble(same, cross, k, "exact_mixture")
 
 
 # Label counts up to this size take the one-hot Gram product; larger ones take
@@ -201,7 +199,7 @@ def pair_counts(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
     return counts, denom
 
 
-def _from_counts(counts: np.ndarray, denom: np.ndarray, k: int, smoothing: float, source: str, meta: dict) -> SecondOrderMatrix:
+def _from_counts(counts: np.ndarray, denom: np.ndarray, k: int, smoothing: float) -> SecondOrderMatrix:
     """The matrix of conditional frequencies; ``counts`` (int64) becomes its table."""
 
     n = counts.shape[0]
@@ -224,7 +222,7 @@ def _from_counts(counts: np.ndarray, denom: np.ndarray, k: int, smoothing: float
     idx = np.arange(n)
     probs[idx, idx] = np.eye(k)
     imputed[idx, idx] = False
-    return SecondOrderMatrix._adopt(probs, imputed, source, meta)
+    return SecondOrderMatrix._adopt(probs, imputed, "empirical")
 
 
 def empirical_second_order(pm: PredictionMatrix, smoothing: float = 0.0) -> SecondOrderMatrix:
@@ -236,9 +234,7 @@ def empirical_second_order(pm: PredictionMatrix, smoothing: float = 0.0) -> Seco
     """
 
     counts, denom = pair_counts(pm)
-    return _from_counts(
-        counts, denom, pm.k, smoothing, source="empirical", meta={"m": pm.m, "smoothing": smoothing}
-    )
+    return _from_counts(counts, denom, pm.k, smoothing)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +291,16 @@ def read_second_order_csv(path: str) -> SecondOrderMatrix:
     k = max(r[2] for r in rows) + 1
     if len(rows) != n * n * k * k:
         raise FormatError(f"{path}: expected {n * n * k * k} rows for N={n}, K={k}, got {len(rows)}")
-    probs = np.full((n, n, k, k), np.nan)
+    probs = np.empty((n, n, k, k))
     imputed = np.zeros((n, n, k, k), dtype=bool)
-    for i, j, a, b, p, f in rows:
+    lines = np.zeros((n, n, k, k), dtype=np.int64)  # the line each cell was read from, 0 if none yet
+    # as many rows as cells, each in range and none repeated: every cell is read once
+    for lineno, (i, j, a, b, p, f) in enumerate(rows, start=2):
         if not (0 <= i < n and 0 <= j < n and 0 <= a < k and 0 <= b < k):
-            raise FormatError(f"{path}: index ({i},{j},{a},{b}) out of range")
+            raise FormatError(f"{path}:{lineno}: index ({i},{j},{a},{b}) out of range")
+        if lines[i, j, a, b]:
+            raise FormatError(f"{path}:{lineno}: index ({i},{j},{a},{b}) repeats line {lines[i, j, a, b]}")
+        lines[i, j, a, b] = lineno
         probs[i, j, a, b] = p
         imputed[i, j, a, b] = bool(f)
-    if np.any(np.isnan(probs)):
-        raise FormatError(f"{path}: missing cells")
-    return SecondOrderMatrix(probs, imputed, source="csv", meta={"path": str(path)})
+    return SecondOrderMatrix(probs, imputed, source="csv")

@@ -169,9 +169,6 @@ class AccuracyTable:
     ks: tuple[int, ...]
     methods: tuple[str, ...]
     values: np.ndarray  # (len(ks), len(methods)) percent
-    m: int
-    accuracies: tuple[float, ...]
-    seed: int
 
     def to_rows(self) -> list[dict]:
         rows = []
@@ -203,10 +200,6 @@ class GapCurve:
     gap_isp_mv: np.ndarray
     gap_mv_sp: np.ndarray
     stderr: np.ndarray  # standard error of gap_isp_mv over replications
-    replications: int
-    m: int
-    accuracies: tuple[float, ...]
-    seed: int
 
     def to_rows(self) -> list[dict]:
         return [
@@ -262,14 +255,7 @@ def run_accuracy_table(
     values = np.zeros((len(ks), len(TABLE_METHODS)))
     for i, stats in enumerate(_table_stats(acc, m, ks, [(seed,)])[0]):
         values[i] = [100.0 * stats[meth] for meth in TABLE_METHODS]
-    return AccuracyTable(
-        ks=tuple(int(k) for k in ks),
-        methods=TABLE_METHODS,
-        values=values,
-        m=int(m),
-        accuracies=tuple(float(v) for v in acc),
-        seed=int(seed),
-    )
+    return AccuracyTable(ks=tuple(int(k) for k in ks), methods=TABLE_METHODS, values=values)
 
 
 def run_gap_curve(
@@ -298,13 +284,4 @@ def run_gap_curve(
         if replications > 1
         else np.zeros(len(ks))
     )
-    return GapCurve(
-        ks=tuple(int(k) for k in ks),
-        gap_isp_mv=gaps_im.mean(axis=0),
-        gap_mv_sp=gaps_ms.mean(axis=0),
-        stderr=stderr,
-        replications=int(replications),
-        m=int(m),
-        accuracies=tuple(float(v) for v in acc),
-        seed=int(seed),
-    )
+    return GapCurve(tuple(int(k) for k in ks), gaps_im.mean(axis=0), gaps_ms.mean(axis=0), stderr)

@@ -62,7 +62,7 @@ class _Recorder:
         self.results: list[CheckResult] = []
 
     def check(self, name: str, passed: bool, detail: str = "", draws: int | None = None) -> None:
-        """Record a check; one that ``draws`` says examined no random shape is skipped."""
+        """Record a check; one that ``draws`` says examined no shape is skipped."""
 
         self.results.append(CheckResult(self.suite, name, bool(passed), detail, skipped=draws == 0))
 
@@ -74,6 +74,12 @@ def _fmt(value: float, target: float) -> str:
     return f"observed {value:.12g}, expected {target:.12g}"
 
 
+def _fits(n: int, k: int, budget: float) -> bool:
+    """Whether the K**N answer vectors of an (N, K) shape are within ``budget``."""
+
+    return k**n <= budget
+
+
 def _shapes(rng: np.random.Generator, draws: int, n_hi: int, k_hi: int, budget: float):
     """``draws`` random (N, K) shapes, N in [2, n_hi) drawn before K in [2, k_hi);
     a shape whose K**N vectors exceed ``budget`` is drawn but dropped."""
@@ -81,7 +87,7 @@ def _shapes(rng: np.random.Generator, draws: int, n_hi: int, k_hi: int, budget: 
     for _ in range(draws):
         n = int(rng.integers(2, n_hi))
         k = int(rng.integers(2, k_hi))
-        if k**n <= budget:
+        if _fits(n, k, budget):
             yield n, k
 
 
@@ -99,11 +105,11 @@ def _suite_examples(seed: int, budget: int) -> list[CheckResult]:
     # Two infallible agents plus two coin-flippers.
     x4 = np.array([1.0, 1.0, 0.5, 0.5])
     so4 = exact_second_order(x4, k)
+    fits = _fits(x4.size, k, budget)
     for rule, target in (("mv", 7 / 8), ("sp", 3 / 4), ("isp", 1.0)):
-        acc = oracle.expected_accuracy(rule, x4, k, budget=budget)
-        rec.check(
-            f"four_agents_accuracy_{rule}", rec.close(acc, target, 1e-12), _fmt(acc, target)
-        )
+        acc = oracle.expected_accuracy(rule, x4, k, budget=budget) if fits else math.nan
+        detail = _fmt(acc, target) if fits else f"{k}^{x4.size} vectors exceed the budget"
+        rec.check(f"four_agents_accuracy_{rule}", rec.close(acc, target, 1e-12), detail, int(fits))
     split = np.array([0, 0, 1, 1])  # infallible agents vs both flippers
     s_sp = agg.sp_score(split, so4, target_agent=0, target_label=0)
     rec.check("four_agents_sp_score", rec.close(s_sp, 2 / 3, 1e-12), _fmt(s_sp, 2 / 3))
@@ -133,9 +139,11 @@ def _suite_examples(seed: int, budget: int) -> list[CheckResult]:
         totals_ok["isp"] &= rec.close(tot_isp, 15 / 4, 1e-12)
     rec.check("nine_agents_sp_total", totals_ok["sp"], "answer-independent total 21/4")
     rec.check("nine_agents_isp_total", totals_ok["isp"], "answer-independent total 15/4")
+    fits = _fits(x9.size, k, budget)
     for rule, target in (("mv", 1 / 32), ("sp", 3 / 16), ("isp", 0.0)):
-        err = 1.0 - oracle.expected_accuracy(rule, x9, k, budget=budget)
-        rec.check(f"nine_agents_error_{rule}", rec.close(err, target, 1e-12), _fmt(err, target))
+        err = 1.0 - oracle.expected_accuracy(rule, x9, k, budget=budget) if fits else math.nan
+        detail = _fmt(err, target) if fits else f"{k}^{x9.size} vectors exceed the budget"
+        rec.check(f"nine_agents_error_{rule}", rec.close(err, target, 1e-12), detail, int(fits))
 
     # Two equally able agents under a two-atom difficulty mixture:
     # correlated errors make the joint exceed the independent product.

@@ -1,8 +1,8 @@
 """End-to-end tests of the command-line interface.
 
 Exit code contract: 0 success, 2 usage error (a bad flag or config value,
-or an output that cannot be written), 3 malformed input file, 4 computation
-over budget or out of memory, 5 verification failure.
+or an output that cannot be written), 3 malformed input file, 4 out of
+memory, 5 verification failure.
 """
 
 import atexit
@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
 
 import quorum
 from quorum import __version__
 from quorum.cli import main
 from quorum.verify import CheckResult
+
+from mutations import mutated_bytes
 
 
 @pytest.fixture
@@ -377,6 +378,15 @@ class TestAggregateCommand:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)
 
+    def test_accuracies_flag_takes_the_librarys_check(self, runner, tmp_path):
+        pred = tmp_path / "p.csv"
+        _simulate(runner, pred)
+        args = ["aggregate", "--input", str(pred), "--out", str(tmp_path / "l.csv"), "--method", "ow-oracle"]
+        result = runner.invoke(main, [*args, "--accuracies", "1.2,0.9,0.9,0.9"])
+        assert result.exit_code == 2 and "accuracies must lie in [0, 1]" in result.stderr
+        # an always-wrong agent has accuracy 0, which the library accepts: it gets weight 0
+        assert _invoke(runner, [*args, "--accuracies", "0,0.9,0.9,0.9"]).exit_code == 0
+
     def test_config_file_fills_defaults_but_flags_win(self, runner, tmp_path):
         pred = tmp_path / "p.csv"
         _simulate(runner, pred)
@@ -639,23 +649,7 @@ _HOSTILE_JSON = (
 _VALID_CONFIG = b'{"tie": "lowest", "tie-seed": 3, "labels": "A,B,C,D", "drop-incomplete": false, "shuffle-seed": 1}'
 
 
-@st.composite
-def _mutated_configs(draw):
-    """``_VALID_CONFIG`` after up to four insertions, deletions or replacements
-    of bytes, the new bytes drawn from ``_HOSTILE_JSON``."""
-
-    data = bytearray(_VALID_CONFIG)
-    for _ in range(draw(st.integers(1, 4))):
-        at = draw(st.integers(0, len(data)))
-        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
-        if kind != "insert":
-            del data[at : at + draw(st.integers(1, 3))]
-        if kind != "delete":
-            data[at:at] = draw(st.sampled_from(_HOSTILE_JSON))
-    return bytes(data)
-
-
-@given(_mutated_configs())
+@given(mutated_bytes(_VALID_CONFIG, _HOSTILE_JSON))
 @example(_VALID_CONFIG)
 @example(b"[" * 100_000 + b"]" * 100_000)
 @example(b'{"tie": ' * 100_000 + b'"lowest"' + b"}" * 100_000)
@@ -687,22 +681,21 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--suite", "bogus"])
         assert result.exit_code == 2
 
-    def test_budget_overrun_exits_4(self, runner):
-        result = runner.invoke(main, ["verify", "--suite", "examples", "--budget", "100"])
-        assert result.exit_code == 4
-
     @pytest.mark.parametrize(
-        "suite,skipped,summary",
+        "suite,skipped,summary,budget",
         [
-            ("thm1", 5, "0/5 checks passed, 5 skipped"),
-            ("thm2", 2, "4/6 checks passed, 2 skipped"),
-            ("thm4", 1, "2/3 checks passed, 1 skipped"),
-            ("thm5", 2, "1/3 checks passed, 2 skipped"),
+            ("examples", 6, "9/15 checks passed, 6 skipped", 3),
+            ("examples", 3, "12/15 checks passed, 3 skipped", 100),
+            ("thm1", 5, "0/5 checks passed, 5 skipped", 3),
+            ("thm2", 2, "4/6 checks passed, 2 skipped", 3),
+            ("thm4", 1, "2/3 checks passed, 1 skipped", 3),
+            ("thm5", 2, "1/3 checks passed, 2 skipped", 3),
         ],
     )
-    def test_a_check_the_budget_left_without_draws_is_skipped(self, runner, suite, skipped, summary):
-        # no random shape has K**N <= 3, so every drawn check examines nothing
-        result = _invoke(runner, ["verify", "--suite", suite, "--budget", "3"])
+    def test_a_check_the_budget_left_without_draws_is_skipped(self, runner, suite, skipped, summary, budget):
+        # no random shape has K**N <= 3, so every drawn check examines nothing; the
+        # examples' fixed shapes have 2**4 and 2**9 vectors, and skip like drawn ones
+        result = _invoke(runner, ["verify", "--suite", suite, "--budget", str(budget)])
         assert result.exit_code == 0, result.output
         lines = result.stdout.splitlines()
         assert sum(line.startswith("[SKIP]") for line in lines) == skipped

@@ -404,8 +404,10 @@ def _mixture():
 
 
 def _accuracy_entry_points():
-    from quorum import oracle, secondorder
+    from quorum import aggregate as agg
+    from quorum import estimate, oracle, secondorder
 
+    pm = PredictionMatrix(LabelSpace.default(3), np.array([[0, 1], [2, 1]]))
     vectors = np.array([[0, 1]])
     return {
         "answer_vector_probs": lambda x: oracle.answer_vector_probs(vectors, 0, x, 3),
@@ -415,12 +417,16 @@ def _accuracy_entry_points():
         "expected_advantage_gaps": lambda x: oracle.expected_advantage_gaps(x, 3),
         "expected_accuracy": lambda x: oracle.expected_accuracy("mv", x, 3),
         "exact_second_order": lambda x: secondorder.exact_second_order(x, 3),
+        "dominance_threshold": lambda x: agg.dominance_threshold(x, 3, 0),
+        "run_pipeline ow-oracle": lambda x: estimate.run_pipeline(pm, "ow-oracle", accuracies=x),
     }
 
 
 def _label_count_entry_points():
-    from quorum import secondorder, simulate
+    from quorum import aggregate as agg
+    from quorum import oracle, secondorder, simulate
 
+    answers, vectors, x, beta = np.array([0, 1]), np.array([[0, 1]]), [0.6, 0.7], [1.0, 2.0]
     return {
         "sigma_k": lambda k: sigma_k(0.0, k),
         "sigma_k_inverse": lambda k: sigma_k_inverse(0.5, k),
@@ -430,6 +436,22 @@ def _label_count_entry_points():
         "exact_second_order": lambda k: secondorder.exact_second_order([0.6, 0.7], k),
         "CiSimSpec": lambda k: simulate.CiSimSpec((0.6, 0.7), k, 10),
         "DifficultySimSpec": lambda k: simulate.DifficultySimSpec((1.0, 2.0), _mixture(), k, 10),
+        "vote_counts": lambda k: agg.vote_counts(answers, k),
+        "aggregate_mv": lambda k: agg.aggregate_mv(answers, k),
+        "score_batch": lambda k: agg.score_batch("mv", vectors, k),
+        "aggregate_batch": lambda k: agg.aggregate_batch("mv", vectors, k),
+        "dominance_threshold": lambda k: agg.dominance_threshold(x, k, 0),
+        "enumerate_vectors": lambda k: oracle.enumerate_vectors(2, k),
+        "answer_vector_probs": lambda k: oracle.answer_vector_probs(vectors, 0, x, k),
+        "bayes_posterior": lambda k: oracle.bayes_posterior(vectors, x, k),
+        "expected_mv_advantage": lambda k: oracle.expected_mv_advantage(x, k),
+        "expected_advantage_gaps": lambda k: oracle.expected_advantage_gaps(x, k),
+        "expected_accuracy": lambda k: oracle.expected_accuracy("mv", x, k),
+        "exact_expected_advantage": lambda k: oracle.exact_expected_advantage("isp", x, k),
+        "mixture_answer_vector_probs": lambda k: oracle.mixture_answer_vector_probs(vectors, 0, beta, _mixture(), k),
+        "mixture_posterior": lambda k: oracle.mixture_posterior(vectors, beta, _mixture(), k),
+        "mixture_expected_accuracy": lambda k: oracle.mixture_expected_accuracy("mv", beta, _mixture(), k),
+        "mixture_expected_advantage": lambda k: oracle.mixture_expected_advantage("mv", beta, _mixture(), k),
     }
 
 

@@ -30,6 +30,8 @@ from quorum.dataio import (
     write_predictions_csv,
 )
 
+from mutations import HOSTILE_CSV_BYTES, mutated_bytes
+
 
 def _reference_read(path, labels=None, drop_incomplete=False):
     """Row-by-row reader that ``read_predictions_csv`` must agree with."""
@@ -665,29 +667,10 @@ def test_question_ids_act_as_a_list(tmp_path, variant):
     assert got == QuestionIds(ids) and got != QuestionIds(ids[::-1])
 
 
-# Bytes a mutation inserts or writes over: csv syntax, NUL, a byte that is
-# never UTF-8, a byte order mark, and a run longer than csv.field_size_limit().
-_HOSTILE_BYTES = (b'"', b"\r", b"\n", b",", b"\0", b"\xff", b"\xef\xbb\xbf", b"x" * 131_073)
 _VALID_PANEL = "".join(line + "\n" for line in _panel_lines(6)).encode()
 
 
-@st.composite
-def _mutated_panels(draw):
-    """``_VALID_PANEL`` after up to four insertions, deletions or replacements
-    of bytes, the new bytes drawn from ``_HOSTILE_BYTES``."""
-
-    data = bytearray(_VALID_PANEL)
-    for _ in range(draw(st.integers(1, 4))):
-        at = draw(st.integers(0, len(data)))
-        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
-        if kind != "insert":
-            del data[at : at + draw(st.integers(1, 3))]
-        if kind != "delete":
-            data[at:at] = draw(st.sampled_from(_HOSTILE_BYTES))
-    return bytes(data)
-
-
-@given(_mutated_panels(), st.integers(1, 12))
+@given(mutated_bytes(_VALID_PANEL, HOSTILE_CSV_BYTES), st.integers(1, 12))
 @example(b"question_id,agent_x\nq0,A\nq1,B\nq\xff,A\n", 1)
 @example(b"\xef\xbb\xbfquestion_id,agent_x\nq0,A\nq1,B\n", 12)
 @example(b"question_id,agent_x\nq\x000,A\nq\x00,B\nq,A\n", 2)

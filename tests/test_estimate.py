@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quorum import estimate
-from quorum.core import DimensionError, DomainError, LabelSpace, PredictionMatrix, ow_weights
+from quorum.core import DimensionError, DomainError, LabelSpace, PredictionMatrix, ow_weights, sigma_k_inverse
 from quorum.estimate import (
     METHODS,
     ErmConfig,
@@ -274,6 +274,15 @@ class TestRunPipeline:
         res = run_pipeline(self.pm, "ow-oracle", accuracies=X_TRUE)
         assert isinstance(res.fit, FitResult)
         np.testing.assert_allclose(res.fit.weights, ow_weights(X_TRUE, 4), atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["ow-l", "ow-i", "ow-oracle"])
+    def test_every_weighted_method_clamps_with_the_configs_eps(self, method):
+        # eps has one home, ErmConfig: [1/K + 0.2, 0.8] clamps the best agent's 0.9 to 0.8
+        fit = run_pipeline(self.pm, method, erm=ErmConfig(starts=2, eps=0.2), accuracies=X_TRUE).fit
+        np.testing.assert_array_equal(fit.weights, ow_weights(fit.accuracies, 4, 0.2))
+        assert fit.weights.max() == pytest.approx(sigma_k_inverse(0.8, 4))
+        with pytest.raises(TypeError):
+            run_pipeline(self.pm, method, accuracies=X_TRUE, eps=0.2)
 
     def test_oracle_and_eow_require_parameters(self):
         with pytest.raises(DomainError):

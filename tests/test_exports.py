@@ -83,3 +83,18 @@ def test_all_is_the_modules_lists_in_order():
     for module in modules:
         for name in module.__all__:
             assert getattr(quorum, name) is getattr(module, name), (module.__name__, name)
+
+
+def test_records_keep_only_the_fields_something_reads():
+    import dataclasses
+
+    fields = {
+        quorum.SecondOrderMatrix: ("probs", "imputed", "source"),
+        quorum.ShuffleMap: ("perms",),
+        quorum.AdvantageVector: ("values",),
+        quorum.DifficultyMixture: ("family", "alphas", "weights", "lo", "hi"),
+        quorum.simulate.AccuracyTable: ("ks", "methods", "values"),
+        quorum.simulate.GapCurve: ("ks", "gap_isp_mv", "gap_mv_sp", "stderr"),
+    }
+    for cls, names in fields.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names, cls.__name__

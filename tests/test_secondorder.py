@@ -1,6 +1,7 @@
 """Unit tests for second-order matrices: exact construction, empirical
 estimation with imputation, leave-one-out updates, and CSV round-trips."""
 
+import re
 import tracemalloc
 import types
 
@@ -28,6 +29,8 @@ from quorum.secondorder import (
     same_label_prob,
     write_second_order_csv,
 )
+
+from mutations import HOSTILE_CSV_BYTES, mutated_bytes
 
 
 def _random_pm(m, n, k, seed=0):
@@ -330,6 +333,72 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(FormatError):
             read_second_order_csv(str(path))
+
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("-1,1,0,0,0.25,0", "6: index (-1,1,0,0) out of range"),
+            ("0,1,0,0,0.25,0", "7: index (0,1,0,0) repeats line 6"),
+        ],
+        ids=["negative", "repeated"],
+    )
+    def test_a_bad_or_repeated_index_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "so.csv"
+        write_second_order_csv(_FIXTURE, str(path))
+        lines = path.read_text().splitlines()
+        lines[int(message.split(":")[0]) - 1] = row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            read_second_order_csv(str(path))
+        assert str(info.value) == f"{path}:{message}"
+
+    def test_a_huge_index_fails_the_row_count_before_any_allocation(self, tmp_path):
+        path = tmp_path / "so.csv"
+        write_second_order_csv(_FIXTURE, str(path))
+        lines = path.read_text().splitlines()
+        lines[5] = "999999," + lines[5].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as info:
+            read_second_order_csv(str(path))
+        assert str(info.value) == f"{path}: expected {10**12 * 4} rows for N=1000000, K=2, got 16"
+
+
+# Two agents, K = 2, and probabilities with short decimals: deleting any of their
+# bytes leaves the same float or breaks a column sum or the [0, 1] bounds.
+_FIXTURE = SecondOrderMatrix(
+    np.array([[[[1, 0], [0, 1]], [[0.25, 0.5], [0.75, 0.5]]], [[[0.75, 1.0], [0.25, 0.0]], [[1, 0], [0, 1]]]]),
+    np.array([[[[0, 0], [0, 0]], [[0, 1], [0, 1]]], [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]], dtype=bool),
+    source="fixture",
+)
+# What a FormatError that names no line may be about: the whole file or its header.
+_WHOLE_FILE_FAULTS = r": (empty file|unexpected header|no data rows|expected \d+ rows)"
+
+
+@pytest.fixture(scope="module")
+def fixture_csv(tmp_path_factory) -> bytes:
+    path = tmp_path_factory.mktemp("fixture") / "so.csv"
+    write_second_order_csv(_FIXTURE, str(path))
+    return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_bytes_read_back_the_matrix_or_fail_as_format_or_domain(tmp_path_factory, fixture_csv, data):
+    # a hostile file reads back the written matrix bit for bit, or fails with a
+    # FormatError or DomainError, never another exception; a FormatError about
+    # a row names its line
+    path = tmp_path_factory.mktemp("mutated") / "so.csv"
+    path.write_bytes(data.draw(mutated_bytes(fixture_csv, HOSTILE_CSV_BYTES)))
+    try:
+        back = read_second_order_csv(str(path))
+    except FormatError as exc:
+        assert re.match(rf"{re.escape(str(path))}(:\d+: |{_WHOLE_FILE_FAULTS})", str(exc)), str(exc)
+    except DomainError:
+        pass
+    else:
+        np.testing.assert_array_equal(back.probs, _FIXTURE.probs)
+        np.testing.assert_array_equal(back.imputed, _FIXTURE.imputed)
 
 
 def test_empirical_memory_is_its_table_plus_a_block():
