@@ -23,10 +23,13 @@
 # under umask 022 the files aggregate and simulate write are mode 644 while the
 # parse-cache entry stays 600, and a check that the panels simulate writes for
 # the ci and the difficulty model, with and without truth, are what csv.writer
-# writes for the same simulated matrices, and a check that simulate's own peak
+# writes for the same simulated matrices, a check that simulate's own peak
 # RSS on a 1M x 4, K=4 panel stays at or below 64 MB (the simulators draw a
-# block of questions at a time). Last, it prints the source lines of each
-# module of the package and their total; that step reports and gates nothing.
+# block of questions at a time), and a check that the own peak RSS of
+# verify --suite all and of report --table2 -m 25000 each stays within 3.5 MB
+# of a bare import of the CLI and numpy.random (every kernel holds one block of
+# scratch). Last, it prints the source lines of each module of the package and
+# their total; that step reports and gates nothing.
 #
 # Every step runs, even after one fails; each step stops at its own first
 # failing command. The script lists the failed steps at the end and then exits
@@ -335,6 +338,33 @@ assert status == 0 and peak_mb <= 64, peak_mb
 EOF
 }
 
+oracle_memory_is_bounded() {
+  # each child's own peak, from os.wait4 in a small parent, above the median of
+  # three bare children that import what both commands load; output goes to /dev/null
+  python - "$tmp" <<'EOF'
+import os
+import sys
+
+
+def peak_mb(args):
+    quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    pid = os.posix_spawn(sys.executable, [sys.executable, *args], os.environ, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
+    assert status == 0, (args, status)
+    return usage.ru_maxrss / 1024
+
+
+bare = sorted(peak_mb(["-c", "import quorum.cli, numpy.random"]) for _ in range(3))[1]
+for name, args in [
+    ("verify --suite all", ["-m", "quorum", "verify", "--suite", "all"]),
+    ("report --table2 -m 25000", ["-m", "quorum", "report", "--table2", "-m", "25000", "--out", f"{sys.argv[1]}/t2"]),
+]:
+    mb = peak_mb(args)
+    print(f"{name}: peak RSS {mb:.1f} MB, {mb - bare:.1f} MB above a bare import's {bare:.1f} MB")
+    assert mb - bare <= 3.5, (name, mb, bare)
+EOF
+}
+
 source_lines() {
   wc -l src/quorum/*.py
 }
@@ -355,6 +385,7 @@ step "the parse cache: a second run hits it, a damaged entry is parsed again, an
 step "under umask 022, aggregate and simulate outputs are mode 644 and the parse-cache entry 600" output_modes_follow_the_umask
 step "simulated panels, with and without truth, are what csv.writer writes" simulate_written_as_csv_writer_does
 step "simulate at 1M x 4, K=4 peaks at or below 64 MB of its own RSS" simulate_memory_is_bounded
+step "verify --suite all and report --table2 -m 25000 peak within 3.5 MB of a bare import's RSS" oracle_memory_is_bounded
 step "source lines per module (reported, not gated)" source_lines
 
 if [ "${#failed[@]}" -ne 0 ]; then

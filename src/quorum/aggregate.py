@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_EPS,
     DimensionError,
     DomainError,
     PredictionMatrix,
@@ -238,6 +239,8 @@ def _peer_tables(rule: str, so: SecondOrderMatrix) -> np.ndarray:
     ``isp``: T[j, l, s] = sum over i != j of mean_{a != s_l} P(A_i = s | A_j = a).
     Agent j's contribution to a block of questions is then a gather of whole
     rows of T[j], one per question; build T once per matrix, not per block.
+    Building them holds one (N, N, K, K) float64 table (``isp``) and two of
+    shape (N, K, K).
     """
 
     probs = so.probs
@@ -245,7 +248,8 @@ def _peer_tables(rule: str, so: SecondOrderMatrix) -> np.ndarray:
         probs = probs.sum(axis=3, keepdims=True) - probs
         probs /= so.k - 1
     idx = np.arange(so.n)
-    tables = probs.sum(axis=0) - probs[idx, idx]  # the sum over i, less i == j
+    tables = probs.sum(axis=0)
+    tables -= probs[idx, idx]  # the sum over i, less i == j
     return np.ascontiguousarray(tables.transpose(0, 2, 1))
 
 
@@ -253,8 +257,10 @@ def _gather_totals(tables: np.ndarray, answers: np.ndarray) -> np.ndarray:
     """totals[s, q] = sum over j of tables[j, answers[q, j], s], summed in agent order. Shape (K, M)."""
 
     totals = np.zeros((answers.shape[0], tables.shape[2]))
-    for j in range(answers.shape[1]):
-        totals += np.take(tables[j], answers[:, j], axis=0)  # 2-4x faster than tables[j][...] at K <= 4
+    for table, column in zip(tables, answers.T):
+        # the method, not np.take: its wrapper costs more than the gather at small blocks;
+        # 2-4x faster than table[...] at K <= 4
+        totals += table.take(column, axis=0)
     return np.ascontiguousarray(totals.T)  # one copy: faster at every K than a label-major gather
 
 
@@ -264,13 +270,17 @@ def _label_totals(answers: np.ndarray, k: int, weights: np.ndarray | None = None
     m, n = answers.shape
     totals = np.empty((k, m))
     offsets = None
-    for rows in _row_blocks(m, max(n, k)):
+    # cells a row: its flat codes (N) and row offset (1), then the buffer of
+    # adding the offsets (N) or the bincount (K), and its tiled weights (N) if weighted
+    tiled = 0 if weights is None else n
+    for rows in _row_blocks(m, n + 1 + max(n, k) + tiled, unbuffered=n + 1 + k + tiled):
         block = answers[rows]
         b = block.shape[0]
         if offsets is None:  # the first block is the largest: its scaffolding serves every block
             offsets = np.arange(b)[:, None]
             block_weights = None if weights is None else np.tile(weights, b)
-        codes = np.multiply(block, b, dtype=np.intp)  # widened first: a narrow code times b overflows
+        codes = block.astype(np.intp)  # widened first: a narrow code times b overflows
+        codes *= b
         codes += offsets[:b]  # flat code a*b + q within the block
         w = None if weights is None else block_weights[: b * n]
         totals[:, rows] = np.bincount(codes.ravel(), w, minlength=k * b).reshape(k, b)
@@ -352,6 +362,28 @@ def score_batch(
         leaf = sp_advantage_batch if rule == "sp" else isp_advantage_batch
         return leaf(answers, so, k, tables=tables)
     raise DomainError(f"unknown rule {rule!r}; expected one of {RULES}")
+
+
+def _score_cells(rule: str, n: int, k: int) -> tuple[float, float]:
+    """Float64 cells a question holds at the peak of ``score_batch(rule, ...)``
+    on a block and of ``decide_batch`` on its scores, and the same count
+    without ufunc buffers (see ``core._row_blocks``).
+
+    Scoring holds the label totals (K) and what ``_label_totals`` holds
+    beside them: the flat codes (N), a row offset (1), and the buffer of
+    adding the offsets (N) or the bincount (K); the weighted rule adds its
+    tiled weights (N), the peer rules their gathered totals (K). Deciding
+    holds the scores (K), the float64 buffer of comparing them with their
+    top (K), the masks, running counts and buffers of the tie-break (K / 2)
+    and a few (rows,) arrays (4).
+    """
+
+    cells = k + n + 1
+    if rule == "weighted":
+        cells += n
+    elif rule in SECOND_ORDER_RULES:
+        cells += k
+    return max(cells + max(n, k), 2.5 * k + 4), max(cells + k, 1.5 * k + 4)
 
 
 def _check_so(so: SecondOrderMatrix, n: int, k: int) -> None:
@@ -475,18 +507,23 @@ def aggregate_batch(
     """Labels of all M questions under one rule, and how many had a tied top score.
 
     The labels equal ``decide_batch(score_batch(rule, answers, k, so, weights), tie)``,
-    but each block of ``core._row_blocks`` at 2 max(N, K) cells a row is scored
-    and decided on its own: memory holds the (M,) labels and one block, whose
-    (K, rows) float64 scores take about 1 MB (a peer rule holds three such
-    arrays at once), never a (K, M) array.
+    but each block of ``core._row_blocks`` is scored and decided on its own:
+    memory holds the (M,) labels and one block, never a (K, M) array. A block
+    has as many rows as fit the one block budget, ``core._BLOCK_CELLS``
+    float64 cells (768 KiB, sized to stay in the 2 MiB per-core L2), at the
+    count of ``_score_cells``: every temporary the rule's scoring and the
+    decision hold at their peak. A peer rule also holds its (N, K, K)
+    tables, and one (N, N, K, K) table while it builds them.
     """
 
     answers = _check_answers(answers, k, ndim=2)
     m, n = answers.shape
+    tie = tie or TiePolicy()
     tables = _peer_tables(rule, so) if rule in SECOND_ORDER_RULES and so is not None else None
     labels = np.empty(m, dtype=np.int64)
     ties = 0
-    for rows in _row_blocks(m, 2 * max(n, k)):
+    cells, unbuffered = _score_cells(rule, n, k)
+    for rows in _row_blocks(m, cells, unbuffered=unbuffered):
         labels[rows], tied = decide_batch(
             score_batch(rule, answers[rows], k, so=so, weights=weights, tables=tables),
             tie,
@@ -502,7 +539,7 @@ def aggregate_batch(
 # ---------------------------------------------------------------------------
 
 
-def dominance_threshold(accuracies, k: int, target_agent: int, eps: float = 1e-6) -> float:
+def dominance_threshold(accuracies, k: int, target_agent: int, eps: float = DEFAULT_EPS) -> float:
     """Accuracy above which one agent should simply be trusted outright.
 
     Equals sigma_k of the total log-odds weight of the other agents: if

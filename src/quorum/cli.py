@@ -24,6 +24,7 @@ from . import __version__
 from . import verify as verify_mod
 from .aggregate import TIE_LOWEST, TIE_UNIFORM, TiePolicy
 from .core import (
+    DEFAULT_EPS,
     DimensionError,
     DomainError,
     FormatError,
@@ -198,7 +199,7 @@ def simulate(ctx, config_path, **params):
 @click.option(
     "--eps",
     type=click.FloatRange(0, 0.5, min_open=True, max_open=True),
-    default=1e-6,
+    default=DEFAULT_EPS,
     show_default=True,
     help="Accuracy clamp epsilon.",
 )

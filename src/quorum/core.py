@@ -14,6 +14,7 @@ index) regardless of iteration order or thread count.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 
@@ -41,9 +42,23 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# Cells in one block of a kernel that works through the questions in row
-# blocks; keeps each block's scratch arrays near 1 MB whatever M is.
-_BLOCK_CELLS = 2**18
+# Float64 cells in one block of a kernel that works through its rows in blocks:
+# every caller of ``_row_blocks`` counts, at the call, the cells a row holds in
+# all the temporaries live at its peak, so one block's whole scratch is at most
+# 8 * _BLOCK_CELLS bytes, 768 KiB, whatever M is. That is three eighths of the
+# 2 MiB per-core L2, so a block's scratch, the rows it reads and writes and the
+# tables beside it stay in L2 together (Lam, Rothberg & Wolf, ASPLOS 1991: size
+# the block to the cache it should stay in). Of 2^16, 3 * 2^15, 2^17 and 2^18
+# cells, it is the largest that keeps verify and report --table2 0.3 MB or more
+# under 40 MB of peak RSS (2^17 puts report at 39.9 MB, 2^18 at 41.6 MB), and
+# larger blocks pay less per-block overhead.
+_BLOCK_CELLS = 3 * 2**15
+
+# The most a block's ufunc buffers hold: 8192 elements an operand, two operands at once.
+_BUFFER_CELLS = 2 * 8192
+
+# The default of every accuracy clamp epsilon: the library's, the fit's and the CLI's.
+DEFAULT_EPS = 1e-6
 
 
 class DomainError(ValueError):
@@ -221,14 +236,18 @@ def sigma_k(x, k: int):
 
     _check_k(k)
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("sigma_k requires finite input")
     out = np.empty_like(arr)
-    pos = arr >= 0
-    # Two algebraically equal branches, each overflow-free on its half-line.
-    out[pos] = 1.0 / (1.0 + (k - 1) * np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (k - 1 + ex)
+    rows, res = np.atleast_1d(arr), np.atleast_1d(out)  # views: a block of rows of each
+    # float64 cells a row: one half-line's gather, its exp and the quotient, and two masks
+    for block in _row_blocks(rows.shape[0], (3 + 2 / 8) * math.prod(rows.shape[1:])):
+        part, dest = rows[block], res[block]
+        if not np.all(np.isfinite(part)):
+            raise DomainError("sigma_k requires finite input")
+        pos = part >= 0
+        # Two algebraically equal branches, each overflow-free on its half-line.
+        dest[pos] = 1.0 / (1.0 + (k - 1) * np.exp(-part[pos]))
+        ex = np.exp(part[~pos])
+        dest[~pos] = ex / (k - 1 + ex)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -279,7 +298,7 @@ def _check_abilities(abilities) -> np.ndarray:
     return beta
 
 
-def clamp_accuracies(accuracies, k: int, eps: float = 1e-6) -> np.ndarray:
+def clamp_accuracies(accuracies, k: int, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Clamp accuracies into [1/K + eps, 1 - eps] before weighting."""
 
     _check_k(k)
@@ -295,7 +314,7 @@ def clamp_accuracies(accuracies, k: int, eps: float = 1e-6) -> np.ndarray:
     return np.clip(acc, lo, hi)
 
 
-def ow_weights(accuracies, k: int, eps: float = 1e-6) -> np.ndarray:
+def ow_weights(accuracies, k: int, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Log-odds weights w_i = sigma_k_inverse(clamped x_i).
 
     Agents clamped to the lower bound 1/K + eps carry no usable signal and
@@ -336,13 +355,29 @@ def _stream(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
-def _row_blocks(m: int, cells_per_row: int, budget: int | None = None):
-    """Yield the slices that cut rows 0..m into blocks of ``max(1, budget //
-    cells_per_row)`` rows, the last one shorter. ``budget`` is ``_BLOCK_CELLS``
-    unless given; both are read at the first block, so one patch of either
-    reaches every loop that walks its blocks here."""
+def _row_blocks(
+    m: int, cells_per_row: float, budget: int | None = None, held: int = 0, unbuffered: float | None = None
+):
+    """Yield the slices that cut rows 0..m into blocks of ``max(1, (budget -
+    held) // cells_per_row)`` rows, the last one shorter. ``cells_per_row`` is
+    what a row holds in every temporary live at the caller's peak, in float64
+    cells (a narrower array counts its width in bytes over 8), and ``held``
+    the cells the caller holds beside a block whatever its rows.
 
-    step = max(1, (_BLOCK_CELLS if budget is None else budget) // cells_per_row)
+    A ufunc that broadcasts, casts or reads a strided operand fills a buffer
+    of up to 8192 elements (``np.getbufsize()``) per such operand, which
+    ``cells_per_row`` counts like any other temporary. As those buffers stop
+    growing, a caller that also gives the count without them, ``unbuffered``,
+    gets blocks of up to ``(budget - held - _BUFFER_CELLS) // unbuffered``
+    rows. ``budget`` is ``_BLOCK_CELLS`` unless given; both are read at the
+    first block, so one patch of either reaches every loop that walks its
+    blocks here."""
+
+    room = (_BLOCK_CELLS if budget is None else budget) - held
+    step = room // max(cells_per_row, 1 / 8)  # a row of no cells, as of (M, 0) arrays, counts a byte
+    if unbuffered is not None:
+        step = max(step, (room - _BUFFER_CELLS) // unbuffered)
+    step = max(1, int(step))
     for start in range(0, m, step):
         yield slice(start, min(start + step, m))
 
@@ -393,8 +428,10 @@ class ShuffleMap:
         if not np.issubdtype(perms.dtype, np.integer):
             raise DomainError("perms must hold integer indices")
         k = perms.shape[1]
-        if not np.all(np.sort(perms, axis=1) == np.arange(k)):
-            raise DomainError("each row of perms must be a permutation of 0..K-1")
+        # cells a row: its sorted copy, in the map's dtype, and the bool comparison
+        for rows in _row_blocks(perms.shape[0], (perms.itemsize + 1) * k / 8):
+            if not np.all(np.sort(perms[rows], axis=1) == np.arange(k, dtype=perms.dtype)):
+                raise DomainError("each row of perms must be a permutation of 0..K-1")
 
     @classmethod
     def _adopt(cls, perms: np.ndarray) -> "ShuffleMap":
@@ -415,7 +452,8 @@ class ShuffleMap:
 
     def inverse(self) -> "ShuffleMap":
         inv = np.empty_like(self.perms)
-        for rows in _row_blocks(self.m, self.k):
+        # cells a row: its inverse (K codes) and put_along_axis' intp scatter index (K + 2)
+        for rows in _row_blocks(self.m, self.k * (1 + self.perms.itemsize / 8) + 2):
             inv[rows] = _inverse_rows(self.perms[rows])
         return ShuffleMap._adopt(inv)
 
@@ -435,6 +473,7 @@ def random_shuffle_map(m: int, k: int, seed: int) -> ShuffleMap:
     # uniforms is a uniformly random permutation
     for rows, u in _uniform_rows(seed, m, k, 2):
         perms[rows] = np.argsort(u, axis=1)
+        del u  # or it lives on beside the next block, and beside the map's check
     return ShuffleMap._adopt(perms)
 
 
@@ -461,14 +500,27 @@ def _relabel(pm: PredictionMatrix, smap: ShuffleMap, invert: bool) -> Prediction
         raise DimensionError(
             f"shuffle map shape ({smap.m}, {smap.k}) does not match matrix ({pm.m}, {pm.k})"
         )
+    n, k = pm.n, pm.k
     answers = np.empty_like(pm.answers)
     truth = None if pm.truth is None else np.empty_like(pm.truth)
-    for block in _row_blocks(pm.m, max(pm.n, pm.k)):
-        perms = _inverse_rows(smap.perms[block]) if invert else smap.perms[block]
-        answers[block] = np.take_along_axis(perms, pm.answers[block], axis=1)
+    base = None
+    # cells a row: its flat gather index (N) and base (N), the gathered codes
+    # and the block's inverse map (N + K codes), the truth's index (1) and the
+    # buffer of reading its strided base (1); inverting, the intp scatter
+    # index of _inverse_rows' put_along_axis (K + 2)
+    cells = 2 * n + (n + k) * smap.perms.itemsize / 8 + 2 + (k + 2 if invert else 0)
+    for block in _row_blocks(pm.m, cells):
+        b = block.stop - block.start
+        if base is None:  # the first block is the largest: row q of a block's flat map starts at q K
+            base = np.repeat(np.arange(0, b * k, k), n).reshape(b, n)
+        perms = (_inverse_rows(smap.perms[block]) if invert else smap.perms[block]).reshape(-1)
+        index = pm.answers[block].astype(np.intp)
+        index += base[:b]
+        answers[block] = np.take(perms, index)
+        del index
         if truth is not None:
-            truth[block] = np.take_along_axis(perms, pm.truth[block, None], axis=1)[:, 0]
-    return PredictionMatrix(pm.space, answers, truth)
+            truth[block] = np.take(perms, pm.truth[block] + base[:b, 0])
+    return PredictionMatrix._adopt(pm.space, answers, truth)
 
 
 def shuffle_apply(pm: PredictionMatrix, seed: int) -> tuple[PredictionMatrix, ShuffleMap]:

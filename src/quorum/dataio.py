@@ -344,7 +344,7 @@ class _Columns:
         take values below ``labels``."""
 
         scale = 1.0
-        if not self.rows and self._left > 0:
+        if not self.rows and self._left > 0 and lens.size:  # an empty block predicts nothing
             # the bytes the block came from: as far as the file was read, and at
             # least a separator or line end per cell (the reader may read ahead)
             done = max(self._tell() - self._start, data.size + codes.size + lens.size)

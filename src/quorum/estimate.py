@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_EPS,
     DimensionError,
     DomainError,
     PredictionMatrix,
@@ -63,7 +64,7 @@ class ErmConfig:
 
     starts: int = 8
     max_iters: int = 2000
-    eps: float = 1e-6
+    eps: float = DEFAULT_EPS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -277,7 +278,7 @@ def _hit_rates(answers: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.array(hits) / answers.shape[0]
 
 
-def fit_ow_i(pm: PredictionMatrix, eps: float = 1e-6, smoothing: float = 0.0) -> FitResult:
+def fit_ow_i(pm: PredictionMatrix, eps: float = DEFAULT_EPS, smoothing: float = 0.0) -> FitResult:
     """Accuracies by scoring agents against counterfactual-peer pseudo-labels.
 
     Pseudo-label ties resolve to the lowest index so the estimate is

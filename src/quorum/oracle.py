@@ -8,10 +8,11 @@ estimates elsewhere in the package.
 
 Enumeration cost is K^N; calls beyond the configured budget raise
 ``ResourceError`` rather than silently grinding. The expectations stream
-the vectors in chunks of about ``core._BLOCK_CELLS`` answers, so memory
-stays bounded whatever the budget allows. Both answer models and every
-rule are label-symmetric, so the expectations visit one vector per orbit
-of label relabellings, and the tie-break mode cannot change their value.
+the vectors in chunks that hold ``core._BLOCK_CELLS`` float64 cells of
+scratch, so memory stays bounded whatever the budget allows. Both answer
+models and every rule are label-symmetric, so the expectations visit one
+vector per orbit of label relabellings, and the tie-break mode cannot
+change their value.
 """
 
 from __future__ import annotations
@@ -76,12 +77,40 @@ _QUAD_ORDER = 64
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights of order ``_QUAD_ORDER`` on [-1, 1], computed once."""
+    """Read-only Gauss-Legendre nodes and weights of order ``_QUAD_ORDER`` on [-1, 1], computed once.
 
-    t, w = np.polynomial.legendre.leggauss(_QUAD_ORDER)
+    Newton's method on the three-term recurrence of P_n, from Tricomi's
+    estimates of the roots (Hale & Townsend, SIAM J. Sci. Comput. 35(2),
+    2013), in ascending order and made exactly symmetric as
+    ``np.polynomial.legendre.leggauss`` makes them; it needs neither
+    ``numpy.polynomial`` nor LAPACK's eigensolver.
+    """
+
+    n = _QUAD_ORDER
+    theta = np.pi * (4.0 * np.arange(n, 0, -1) - 1.0) / (4.0 * n + 2.0)
+    t = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(theta)  # ascending
+    for _ in range(100):
+        p, dp = _legendre(n, t)
+        step = p / dp
+        t -= step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    p, dp = _legendre(n, t)
+    w = 2.0 / ((1.0 - t * t) * dp * dp)
+    t = (t - t[::-1]) / 2.0
+    w = (w + w[::-1]) / 2.0
     t.flags.writeable = False
     w.flags.writeable = False
     return t, w
+
+
+def _legendre(n: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(t) and P_n'(t) by the three-term recurrence (j+1) P_{j+1} = (2j+1) t P_j - j P_{j-1}."""
+
+    before, p = np.ones_like(t), t.copy()
+    for j in range(1, n):
+        before, p = p, ((2 * j + 1) * t * p - j * before) / (j + 1)
+    return p, n * (t * p - before) / (t * t - 1.0)
 
 
 @dataclass(frozen=True)
@@ -211,9 +240,10 @@ def _restricted_growth(lo: int, hi: int, n: int, counts: np.ndarray) -> tuple[np
     return out, top
 
 
-def _vector_chunks(n: int, k: int):
+def _vector_chunks(n: int, k: int, cells: float, held: int = 0):
     """Yield (vectors, multiplicities) chunks of orbit representatives, a block
-    of ``core._row_blocks`` at N cells a vector each.
+    of ``core._row_blocks`` at the caller's ``cells`` a vector, beside the
+    ``held`` cells it holds whatever the chunk's size.
 
     Each chunk holds restricted-growth representatives of the orbits of label
     relabellings; a representative with b distinct labels stands for the
@@ -222,16 +252,22 @@ def _vector_chunks(n: int, k: int):
 
     counts = _completions(n, k)
     sizes = np.cumprod(np.arange(k, k - min(n, k), -1, dtype=np.float64))  # K!/(K-b)!, b = 1..
-    for rows in core._row_blocks(int(counts[1, 0]), n):  # counts[1, 0] representatives in all
+    for rows in core._row_blocks(int(counts[1, 0]), cells, held=held):  # counts[1, 0] representatives in all
         vectors, top = _restricted_growth(rows.start, rows.stop, n, counts)
-        yield vectors, sizes[top]
+        multiplicities = sizes[top]
+        del top
+        yield vectors, multiplicities
+        del vectors, multiplicities  # or they are still alive while the next chunk is made
 
 
 def answer_vector_probs(vectors: np.ndarray, truth_index: int, accuracies, k: int) -> np.ndarray:
     """P(answer vector | true label) under conditional independence."""
 
     x = _check_acc(accuracies, k)
-    per_agent = np.where(vectors == truth_index, x[None, :], (1.0 - x[None, :]) / (k - 1))
+    # np.where's choice, made by two assignments, which fill no ufunc buffers
+    per_agent = np.empty(vectors.shape)
+    per_agent[...] = (1.0 - x) / (k - 1)
+    np.copyto(per_agent, x, where=vectors == truth_index)
     return per_agent.prod(axis=1)
 
 
@@ -243,6 +279,47 @@ def _mixture_correct_probs(abilities, mixture: DifficultyMixture, k: int) -> tup
     return sigma_k(alphas[:, None] * beta[None, :], k), weights
 
 
+def _node_chunk(nodes: int, n: int, k: int) -> int:
+    """How many of a mixture's nodes ``_mixture_log_likelihoods`` mixes at once.
+
+    A chunk holds its (nodes, N) normalising terms with the ufunc buffers of
+    both broadcast factors (3 N nodes) and its log-norms and log-weights (2
+    nodes), made again for each row block. Those take at most a quarter of
+    ``core._BLOCK_CELLS``, so a block holds enough rows to pay for them, and
+    leave room for one row's ``_mixture_row_cells`` at least.
+    """
+
+    budget = core._BLOCK_CELLS
+    return max(1, min(nodes, budget // (4 * (3 * n + 2)), (budget - 5 * k) // (3 * k + 3 * n + 2)))
+
+
+def _mixture_row_cells(chunk: int, n: int, k: int) -> int:
+    """Float64 cells a vector holds at the peak of ``_mixture_log_likelihoods``
+    beside its (K,) result, mixing ``chunk`` nodes at once: the weighted vote
+    and ``_label_totals``' scratch (K + 2 N + 1 + max(N, K)), or the vote, the
+    running top and total, and a (1 + nodes, K) slab of terms with the ufunc
+    buffers of both broadcast factors of its product (3 nodes K + 5 K)."""
+
+    return max(k + 2 * n + 1 + max(n, k), 3 * chunk * k + 5 * k)
+
+
+def _node_slab(alphas, weights, beta: np.ndarray, support: np.ndarray, k: int) -> np.ndarray:
+    """A (1 + T, V, K) slab whose first slot is left for a running total and whose
+    slot 1 + t holds log P(v | s, alpha_t) + log w_t for the T nodes of ``alphas``
+    and ``weights`` and the vectors whose weighted votes are ``support`` (V, K):
+    alpha_t T_s + log w_t - sum_i log(K - 1 + e^{alpha_t b_i})."""
+
+    log_norm = alphas[:, None] * beta[None, :]  # (T, N)
+    np.logaddexp(np.log(k - 1.0), log_norm, out=log_norm)
+    log_norm = log_norm.sum(axis=1)  # (T,)
+    slab = np.empty((1 + alphas.shape[0],) + support.shape)
+    terms = slab[1:]
+    np.multiply(alphas[:, None, None], support, out=terms)
+    terms += np.log(weights)[:, None, None]
+    terms -= log_norm[:, None, None]
+    return slab
+
+
 def _mixture_log_likelihoods(
     vectors: np.ndarray, beta: np.ndarray, mixture: DifficultyMixture, k: int
 ) -> np.ndarray:
@@ -251,23 +328,40 @@ def _mixture_log_likelihoods(
     Per node, log P(v | s, alpha) = alpha * T_s - sum_i log(K - 1 + e^{alpha b_i}),
     with T_s the total ability of the agents answering s: the weighted
     vote. The nodes are mixed by a log-sum-exp, so extreme alpha * beta
-    products cannot overflow, in row blocks with one (rows, nodes, K)
-    scratch array worked in place. The kernel runs inside an expectation's
-    chunk, whose int64 vectors already fill ``core._BLOCK_CELLS`` cells, so
-    a block takes an eighth of that: at most ``core._BLOCK_CELLS // 8``
-    cells, or one row.
+    products cannot overflow. A row block's node-major terms are made one
+    chunk of ``_node_chunk`` nodes at a time: for their top, then (made
+    again if there are several chunks) to add their exp(term - top) in node
+    order to the running total, which sits in the slab's first slot. That
+    is the sum one (nodes, rows, K) array would give, so the likelihoods do
+    not depend on the chunks. Each row block holds ``_mixture_row_cells`` a
+    vector beside a chunk's normalising terms.
     """
 
     alphas, weights = mixture.nodes()
-    log_norm = np.logaddexp(np.log(k - 1.0), alphas[:, None] * beta[None, :]).sum(axis=1)  # (T,)
-    log_weights = np.log(weights)[:, None]
+    n = beta.shape[0]
+    chunk = _node_chunk(alphas.shape[0], n, k)
+    starts = range(0, alphas.shape[0], chunk)
     log_like = np.empty((vectors.shape[0], k))
-    for rows in core._row_blocks(vectors.shape[0], 8 * alphas.shape[0] * k):
+    held = chunk * (3 * n + 2)
+    for rows in core._row_blocks(vectors.shape[0], _mixture_row_cells(chunk, n, k), held=held):
         support = agg.weighted_scores_batch(vectors[rows], beta, k)  # (V, K)
-        log_terms = alphas[:, None] * support[:, None, :]  # (V, T, K)
-        log_terms += log_weights
-        log_terms -= log_norm[:, None]
-        log_like[rows] = _logsumexp(log_terms, axis=1)
+        top = slab = None
+        for start in starts:
+            del slab  # or two chunks' slabs are alive at once
+            slab = _node_slab(alphas[start : start + chunk], weights[start : start + chunk], beta, support, k)
+            top = slab[1:].max(axis=0) if top is None else np.maximum(top, slab[1:].max(axis=0), out=top)
+        total = np.zeros_like(top)
+        for start in starts:
+            if len(starts) > 1:  # else the one chunk's slab is still here
+                del slab
+                slab = _node_slab(alphas[start : start + chunk], weights[start : start + chunk], beta, support, k)
+            slab[1:] -= top
+            slab[0] = -np.inf
+            np.exp(slab, out=slab)
+            slab[0] = total
+            total = slab.sum(axis=0)
+        del slab
+        log_like[rows] = top + np.log(total)
     return log_like
 
 
@@ -311,7 +405,10 @@ def _check_vectors(answers, shape: tuple[int, ...], k: int, what: str) -> np.nda
 def _label_likelihoods(vectors: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     """like[v, s] = P(answer vector v | true label s) under conditional independence."""
 
-    return np.stack([answer_vector_probs(vectors, s, x, k) for s in range(k)], axis=1)
+    like = np.empty((vectors.shape[0], k))
+    for s in range(k):
+        like[:, s] = answer_vector_probs(vectors, s, x, k)
+    return like
 
 
 def bayes_posterior(answers, accuracies, k: int) -> np.ndarray:
@@ -340,19 +437,12 @@ def mixture_posterior(answers, abilities, mixture: DifficultyMixture, k: int) ->
     beta = _check_abilities(abilities)
     arr = _check_vectors(answers, beta.shape, k, "abilities")
     post = _mixture_log_likelihoods(arr.reshape(-1, beta.shape[0]), beta, mixture, k)
-    post -= post.max(axis=1, keepdims=True)
-    np.exp(post, out=post)
-    post /= post.sum(axis=1, keepdims=True)
+    for rows in core._row_blocks(post.shape[0], k + 2):  # a ufunc buffer (K), a top and a sum
+        block = post[rows]
+        block -= block.max(axis=1, keepdims=True)
+        np.exp(block, out=block)
+        block /= block.sum(axis=1, keepdims=True)
     return post.reshape(arr.shape[:-1] + (k,))
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis``, computed in ``a``'s own buffer."""
-
-    top = a.max(axis=axis, keepdims=True)
-    a -= top
-    np.exp(a, out=a)
-    return (top + np.log(a.sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
 def mixture_second_order(abilities, mixture: DifficultyMixture, k: int) -> SecondOrderMatrix:
@@ -369,22 +459,30 @@ def mixture_second_order(abilities, mixture: DifficultyMixture, k: int) -> Secon
 # ---------------------------------------------------------------------------
 
 
-def _expectation(n: int, k: int, likelihoods, scores, per_label) -> float:
+def _expectation(n: int, k: int, cells: float, likelihoods, scores, per_label, held: int = 0) -> float:
     """(1/K) sum over true labels t and answer vectors v of P(v | t) * f[v, t].
 
     ``likelihoods(v)`` gives P(v | t) as (V, K), ``scores(v)`` a rule's
-    (V, K) scores and ``per_label(scores)`` the value f of each label as
-    the truth. The stream holds one vector per orbit of label relabellings,
-    weighted by the orbit size, in chunks of about ``core._BLOCK_CELLS // N``
-    vectors. That is exact because relabelling v and t together leaves
-    P(v | t) and f[v, t] unchanged: both models, every rule and every
-    ``per_label`` here are label-symmetric.
+    (V, K) scores and ``per_label(scores)``, working in the scores' buffer,
+    the value f of each label as the truth. ``cells`` counts the float64
+    cells a vector holds at the peak of ``likelihoods`` or of ``scores``
+    beside the likelihoods, and ``held`` what they hold whatever the chunk's
+    size. The stream holds one vector per orbit of label relabellings,
+    weighted by the orbit size, in chunks of ``_vector_chunks``. That is
+    exact because relabelling v and t together leaves P(v | t) and f[v, t]
+    unchanged: both models, every rule and every ``per_label`` here are
+    label-symmetric.
     """
 
     total = 0.0
-    for vectors, sizes in _vector_chunks(n, k):
-        values = (likelihoods(vectors) * per_label(scores(vectors))).sum(axis=1) / k
-        total += float(np.dot(sizes, values))
+    # cells a vector: itself (N) and its orbit size (1), beside the larger of
+    # ``cells`` and what ``per_label`` holds with the likelihoods and scores:
+    # 2 K, a float64 ufunc buffer of each (2 K), a tie mask (K / 8) and a few (V,) arrays
+    for vectors, sizes in _vector_chunks(n, k, n + 1 + max(cells, 4 * k + k / 8 + 6), held):
+        values = likelihoods(vectors)
+        values *= per_label(scores(vectors))
+        total += float(np.dot(sizes, values.sum(axis=1) / k))
+        del vectors, sizes, values  # or they are still alive while the next chunk is made
     return total
 
 
@@ -397,9 +495,13 @@ def _ci_expectation(
     agg.TiePolicy(tie_mode)  # rejects an unknown mode
     _check_enumeration(x.shape[0], k, budget)
     so = exact_second_order(x, k) if rule in agg.SECOND_ORDER_RULES else None
+    n = x.shape[0]
     return _expectation(
-        x.shape[0],
+        n,
         k,
+        # the likelihoods (K), beside the rule's scoring or one label's
+        # likelihood: its per-agent factors (N), their mask (N / 8) and product
+        k + max(agg._score_cells(rule, n, k)[0], n + n / 8 + 1),
         lambda v: _label_likelihoods(v, x, k),
         lambda v: agg.score_batch(rule, v, k, so=so, weights=weights),
         per_label,
@@ -424,19 +526,29 @@ def _mixture_expectation(
             return mixture_posterior(v, beta, mixture, k)
         return agg.score_batch(rule, v, k, so=so, weights=beta)
 
-    return _expectation(
-        beta.shape[0], k, lambda v: np.exp(_mixture_log_likelihoods(v, beta, mixture, k)), scores, per_label
-    )
+    def likelihoods(v: np.ndarray) -> np.ndarray:
+        like = _mixture_log_likelihoods(v, beta, mixture, k)
+        return np.exp(like, out=like)
+
+    n = beta.shape[0]
+    chunk = _node_chunk(mixture.nodes()[0].shape[0], n, k)
+    inner = _mixture_row_cells(chunk, n, k)
+    # the likelihoods (K) beside the mixture kernel's rows, then the scores beside them:
+    # the posterior's (K) beside the kernel's rows again, or the rule's scoring;
+    # whatever the chunk's size, the kernel holds a node chunk's normalising terms
+    cells = k + (k + inner if rule == "posterior" else max(inner, agg._score_cells(rule, n, k)[0]))
+    return _expectation(n, k, cells, likelihoods, scores, per_label, held=chunk * (3 * n + 2))
 
 
 def _centred(scores: np.ndarray) -> np.ndarray:
-    """Advantage of each label: its score minus the mean over labels.
+    """Advantage of each label: its score minus the mean over labels, in the scores' buffer.
 
     For majority vote that subtracts N/K; the peer rules' scores already
     sum to zero, so for them it changes only rounding.
     """
 
-    return scores - scores.mean(axis=1, keepdims=True)
+    scores -= scores.mean(axis=1, keepdims=True)
+    return scores
 
 
 def exact_expected_advantage(
@@ -487,7 +599,7 @@ def _credit(scores: np.ndarray) -> np.ndarray:
     """
 
     tied = agg.tied_mask(scores)
-    return tied / tied.sum(axis=1, keepdims=True)
+    return np.divide(tied, tied.sum(axis=1, keepdims=True), out=scores)
 
 
 def expected_accuracy(

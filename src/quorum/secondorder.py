@@ -69,12 +69,16 @@ class SecondOrderMatrix:
         n, _, k, _ = probs.shape
         if n < 1 or k < 2:
             raise DimensionError(f"need N >= 1 agents and K >= 2 labels, got N={n}, K={k}")
-        if np.any(probs < -_COLSUM_TOL) or np.any(probs > 1.0 + _COLSUM_TOL):
-            raise DomainError("probabilities must lie in [0, 1]")
-        colsums = probs.sum(axis=2)
-        if not np.allclose(colsums, 1.0, atol=_COLSUM_TOL):
-            worst = float(np.abs(colsums - 1.0).max())
-            raise DomainError(f"each conditional column must sum to 1 (worst deviation {worst:.3e})")
+        # a block of agents at a time: cells an agent i holds are the two bool
+        # masks of probs[i] (N K^2 / 4), then its (N, K) column sums and the few
+        # arrays of that shape that np.allclose makes (8 N K)
+        for rows in _row_blocks(n, n * k * k / 4):
+            if np.any(probs[rows] < -_COLSUM_TOL) or np.any(probs[rows] > 1.0 + _COLSUM_TOL):
+                raise DomainError("probabilities must lie in [0, 1]")
+        for rows in _row_blocks(n, 8 * n * k):
+            if not np.allclose(probs[rows].sum(axis=2), 1.0, atol=_COLSUM_TOL):
+                worst = float(np.abs(probs.sum(axis=2) - 1.0).max())
+                raise DomainError(f"each conditional column must sum to 1 (worst deviation {worst:.3e})")
         if np.shape(imputed) != probs.shape:
             raise DimensionError(f"imputed flags must match probs shape, got {np.shape(imputed)}")
 
@@ -155,6 +159,40 @@ def mixture_weighted_second_order(sames, crosses, weights, k: int) -> SecondOrde
 _GRAM_MAX_K = 16
 
 
+def _gram(answers: np.ndarray, n: int, k: int) -> np.ndarray:
+    """X^T X, as int64, for the one-hot matrix X whose column j*K + a marks
+    A_j = s_a: entry [i*K + a, j*K + b] counts the questions with A_i = s_a
+    and A_j = s_b.
+
+    Each block's float32 product is a sum of one 1 per row of the block,
+    fewer than _BLOCK_CELLS rows, below 2**24, so float32 holds it exactly.
+    """
+
+    width = n * k
+    gram = np.zeros((width, width), dtype=np.int64)
+    product = np.empty((width, width), dtype=np.float32)
+    whole = np.empty((width, width), dtype=np.int64)
+    base = None
+    # cells a row: its flat one-hot index (N) and base (N), and its float32
+    # one-hot row (N K / 2); beside the block, the (NK, NK) Gram and its
+    # product, in float32 and in int64, hold 2.5 tables
+    for rows in _row_blocks(answers.shape[0], 2 * n + width / 2):
+        b = rows.stop - rows.start
+        if base is None:  # the first block is the largest: its arrays serve every block
+            base = np.arange(0, b * width, width)[:, None] + np.arange(0, width, k)  # q NK + j K
+            index_rows = np.empty((b, n), dtype=np.intp)
+            onehot_rows = np.empty((b, width), dtype=np.float32)
+        index, onehot = index_rows[:b], onehot_rows[:b]
+        np.copyto(index, answers[rows])
+        index += base[:b]  # flat index of A_j = s_a in row q of the one-hot block
+        onehot.fill(0.0)
+        onehot.reshape(-1)[index.ravel()] = 1.0
+        np.matmul(onehot.T, onehot, out=product)
+        np.copyto(whole, product, casting="unsafe")
+        gram += whole
+    return gram
+
+
 def pair_counts(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Joint answer counts for every ordered agent pair.
 
@@ -166,27 +204,18 @@ def pair_counts(pm: PredictionMatrix) -> tuple[np.ndarray, np.ndarray]:
     n, k = pm.n, pm.k
     answers = pm.answers
     if k <= _GRAM_MAX_K:
-        # Column j*K + a of the one-hot matrix X marks A_j = s_a, so
-        # (X^T X)[i*K + a, j*K + b] counts questions with A_i = s_a and A_j = s_b.
-        # Each block's product is a sum of one 1 per row of the block, at most
-        # 2**18 rows, below 2**24, so float32 holds it exactly.
-        width = n * k
-        offsets = np.arange(n) * k
-        gram = np.zeros((width, width), dtype=np.int64)
-        for rows in _row_blocks(pm.m, width):
-            codes = answers[rows] + offsets
-            onehot = np.zeros((codes.shape[0], width), dtype=np.float32)
-            np.put_along_axis(onehot, codes, 1.0, axis=1)
-            gram += (onehot.T @ onehot).astype(np.int64)
-        counts = np.ascontiguousarray(gram.reshape(n, k, n, k).transpose(0, 2, 1, 3))
+        counts = np.ascontiguousarray(_gram(answers, n, k).reshape(n, k, n, k).transpose(0, 2, 1, 3))
     else:
         counts = np.zeros((n, n, k, k), dtype=np.int64)
-        for rows in _row_blocks(pm.m, n):
+        # cells a row: agent j's codes against agents j.. (N) and the buffer of
+        # adding to them (N); beside the block, agent j's pair counts (N K^2)
+        for rows in _row_blocks(pm.m, 2 * n, held=n * k * k, unbuffered=n):
             block = answers[rows]
             for j in range(n):
                 # code (i - j)*K^2 + A_i*K + A_j for every agent i >= j at once, in
                 # int64: in the answers' narrow dtype A_i*K would overflow
-                codes = np.multiply(block[:, j:], k, dtype=np.int64)
+                codes = block[:, j:].astype(np.int64)
+                codes *= k
                 codes += block[:, j : j + 1]
                 codes += np.arange(n - j) * (k * k)
                 pairs = np.bincount(codes.ravel(), minlength=(n - j) * k * k)
@@ -280,6 +309,8 @@ def read_second_order_csv(path: str) -> SecondOrderMatrix:
                     raise FormatError(f"{path}:{lineno}: prob must be a finite number in [0, 1], not {row[4]!r}")
                 if f not in (0, 1):
                     raise FormatError(f"{path}:{lineno}: imputed must be 0 or 1, not {row[5]!r}")
+                if min(i, j, a, b) < 0:  # before N and K are taken from the largest indices
+                    raise FormatError(f"{path}:{lineno}: index ({i},{j},{a},{b}) out of range")
                 rows.append((i, j, a, b, p, f))
         except csv.Error as exc:
             # a field over csv.field_size_limit(), in the record after the last one read
@@ -288,7 +319,10 @@ def read_second_order_csv(path: str) -> SecondOrderMatrix:
     if not rows:
         raise FormatError(f"{path}: no data rows")
     n = max(r[0] for r in rows) + 1
-    k = max(r[2] for r in rows) + 1
+    top = max(range(len(rows)), key=lambda r: rows[r][2])  # the first row of the largest label index
+    k = rows[top][2] + 1
+    if k < 2:
+        raise FormatError(f"{path}:{top + 2}: the largest label index, {k - 1}, gives K={k}; need K >= 2 labels")
     if len(rows) != n * n * k * k:
         raise FormatError(f"{path}: expected {n * n * k * k} rows for N={n}, K={k}, got {len(rows)}")
     probs = np.empty((n, n, k, k))

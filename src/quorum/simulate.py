@@ -123,23 +123,24 @@ def _answers_from_uniforms(u: np.ndarray, hit_probs: np.ndarray, truth: np.ndarr
     return wrong
 
 
-def _simulate(spec, truth_col: int, hit_probs) -> PredictionMatrix:
+def _simulate(spec, truth_col: int, hit_probs, cells: float) -> PredictionMatrix:
     """The panel of a simulation spec, drawn and mapped a block of questions
     at a time into the answers (in the code dtype) and int64 truth that the
     matrix adopts. Row q of the uniforms is question q's: the columns before
     ``truth_col`` feed ``hit_probs(u)``, column ``truth_col`` draws the truth
     and the rest the agents. Each block is mapped agent-major, so every
-    operation runs along the questions. At its peak a block's scratch holds
-    up to six float64 arrays of its uniforms' shape (the uniforms, the hit
-    probabilities and ``sigma_k``'s scratch), so blocks are sized for seven."""
+    operation runs along the questions. ``cells`` counts the float64 cells a
+    question holds at the block's peak, its uniforms included."""
 
+    width = truth_col + 1 + spec.n
     answers = np.empty((spec.m, spec.n), _code_dtype(spec.k))
     truth = np.empty(spec.m, np.int64)
-    for rows, u in _uniform_rows(spec.seed, spec.m, truth_col + 1 + spec.n, 7):
+    for rows, u in _uniform_rows(spec.seed, spec.m, width, cells / width):
         u = np.ascontiguousarray(u.T)
         hit = hit_probs(u)
         truth[rows] = np.minimum((u[truth_col] * spec.k).astype(np.int64), spec.k - 1)
         answers[rows] = _answers_from_uniforms(u[truth_col + 1 :], hit, truth[rows], spec.k).T
+        del u, hit  # or they are still alive while the next block is drawn and mapped
     return PredictionMatrix._adopt(LabelSpace.default(spec.k), answers, truth)
 
 
@@ -147,14 +148,20 @@ def simulate_ci(spec: CiSimSpec) -> PredictionMatrix:
     """Simulate the independent-errors model; truth included."""
 
     x = np.asarray(spec.accuracies)[:, None]
-    return _simulate(spec, 0, lambda u: x)
+    # cells a question: its uniforms (N + 1) and truth (1), beside its answers'
+    # masks and the ufunc buffers of their broadcast hit probabilities (3.25 N)
+    return _simulate(spec, 0, lambda u: x, 3.25 * spec.n + spec.n + 2)
 
 
 def simulate_difficulty(spec: DifficultySimSpec) -> PredictionMatrix:
     """Simulate the shared-difficulty model; truth included."""
 
     beta = np.asarray(spec.abilities)[:, None]
-    return _simulate(spec, 1, lambda u: sigma_k(beta * spec.mixture.sample(u[0])[None, :], spec.k))
+    # cells a question: its uniforms (N + 2), its difficulty's few arrays (3),
+    # and the hit probabilities, sigma_k's input and sigma_k's scratch (5.25 N)
+    return _simulate(
+        spec, 1, lambda u: sigma_k(beta * spec.mixture.sample(u[0])[None, :], spec.k), 5.25 * spec.n + spec.n + 5
+    )
 
 
 # ---------------------------------------------------------------------------

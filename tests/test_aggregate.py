@@ -289,8 +289,8 @@ class TestAggregateBatch:
             return score_batch(*args, **kwargs)
 
         monkeypatch.setattr(agg, "score_batch", counted)
-        monkeypatch.setattr(core, "_BLOCK_CELLS", 2 * rows * max(n, k))
         for rule in agg.RULES:
+            monkeypatch.setattr(core, "_BLOCK_CELLS", rows * agg._score_cells(rule, n, k)[0])
             calls.clear()
             labels, ties = agg.aggregate_batch(rule, pm.answers, k, tie, so=so, weights=w)
             assert len(calls) == -(-m // rows), rule
@@ -365,7 +365,7 @@ class TestKernelDifferential:
         for rule in agg.RULES:
             scores = agg.score_batch(rule, pm.answers, k, so=so, weights=w)
             expected = agg.decide_batch(scores, tie, return_ties=True)
-            with mock.patch.object(core, "_BLOCK_CELLS", 2 * rows * max(n, k)):  # blocks of `rows`
+            with mock.patch.object(core, "_BLOCK_CELLS", rows * agg._score_cells(rule, n, k)[0]):  # blocks of `rows`
                 labels, ties = agg.aggregate_batch(rule, pm.answers, k, tie, so=so, weights=w)
                 np.testing.assert_array_equal(
                     agg.score_batch(rule, pm.answers, k, so=so, weights=w), scores, err_msg=rule

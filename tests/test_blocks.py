@@ -9,6 +9,7 @@ same labels.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,11 @@ from click.testing import CliRunner
 from quorum import aggregate as agg
 from quorum import core, dataio, secondorder
 from quorum.cli import main
-from quorum.core import LabelSpace, PredictionMatrix
+from quorum.core import LabelSpace, PredictionMatrix, shuffle_apply
 from quorum.dataio import write_predictions_csv
 from quorum.estimate import METHODS, run_pipeline
 from quorum.oracle import DifficultyMixture, expected_accuracy, mixture_posterior
-from quorum.secondorder import pair_counts
+from quorum.secondorder import empirical_second_order, pair_counts
 from quorum.simulate import CiSimSpec, DifficultySimSpec, simulate_ci, simulate_difficulty
 
 ACC = (0.8, 0.6, 0.55, 0.7)  # four agents: mv ties
@@ -63,9 +64,9 @@ def unforced(tmp_path_factory):
 
 @pytest.mark.parametrize(
     "block_cells, cells_per_block",
-    # one row per block everywhere; then seven rows per aggregate_batch block,
-    # and seven rows (of an id, N answers and the truth) per CSV block
-    [(1, 1), (7 * 2 * max(N, K), 7 * (N + 2))],
+    # one row per block everywhere; then seven rows per isp aggregate_batch
+    # block, and seven rows (of an id, N answers and the truth) per CSV block
+    [(1, 1), (7 * agg._score_cells("isp", N, K)[0], 7 * (N + 2))],
     ids=["1-row", "7-row"],
 )
 def test_outputs_do_not_depend_on_block_size(block_cells, cells_per_block, unforced, tmp_path, monkeypatch):
@@ -110,19 +111,92 @@ def test_one_patch_of_the_block_budget_reaches_aggregate_batch_and_pair_counts(m
         scored.append(1)
         return score_batch(*args, **kwargs)
 
-    def counted_blocks(*args):
+    def counted_blocks(*args, **kwargs):
         walked.append(0)
-        for rows in row_blocks(*args):
+        for rows in row_blocks(*args, **kwargs):
             walked[-1] += 1
             yield rows
 
     monkeypatch.setattr(agg, "score_batch", counted_scores)
     monkeypatch.setattr(secondorder, "_row_blocks", counted_blocks)
-    monkeypatch.setattr(core, "_BLOCK_CELLS", 24)
+    monkeypatch.setattr(core, "_BLOCK_CELLS", 36)
     agg.aggregate_batch("mv", gram.answers, 3)
-    assert len(scored) == -(-5000 // 3)  # 24 // (2 * 4) rows a block
+    assert agg._score_cells("mv", 4, 3)[0] == 12
+    assert len(scored) == -(-5000 // 3)  # 36 // 12 rows a block
     after = [pair_counts(gram), pair_counts(wide)]
-    assert walked == [5000 // 2, 600 // 6]  # 24 // (4 * 3) and 24 // 4 rows a block
+    # the Gram path counts 2 N + N K / 2 = 14 cells a row; the bincount path
+    # holds agent j's N K^2 pair counts, more than 36 cells, beside one row
+    assert walked == [5000 // 2, 600]
     for got, want in zip(after, before):
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+
+def _panel(m, n, k, seed=0):
+    rng = np.random.default_rng(seed)
+    return PredictionMatrix(LabelSpace.default(k), rng.integers(0, k, size=(m, n)), rng.integers(0, k, size=m))
+
+
+# Shapes like the benchmark's tall, wide and many-label panels, each more than
+# one block at the default budget.
+_SHAPES = {"tall": _panel(40_000, 4, 4), "wide": _panel(3_000, 100, 2), "many-labels": _panel(8_000, 10, 50)}
+_ISP_ACC = tuple(np.linspace(0.40, 0.88, 10))
+_DENSE = DifficultyMixture.atoms([(a, 1.0 / 20_000) for a in np.linspace(0.1, 10.0, 20_000)])
+_OBJECTS = 4096  # the interpreter's own objects (frames, array headers, slices), which hold no cells
+
+
+def _tables(pm, count):
+    """Bytes of ``count`` (N, N, K, K) float64 tables, which a kernel documents beside its blocks."""
+
+    return 8 * count * pm.n**2 * pm.k**2
+
+
+def _kernels():
+    """name -> (call, bytes of the tables it documents beside its blocks)."""
+
+    kernels = {}
+    for shape, pm in _SHAPES.items():
+        so = empirical_second_order(pm)
+        w = np.linspace(0.1, 1.0, pm.n)
+        for rule in agg.RULES:
+            peer = rule in agg.SECOND_ORDER_RULES  # _peer_tables: one table, and (N, K, K) ones
+            kernels[f"aggregate_batch-{rule}-{shape}"] = (
+                lambda pm=pm, so=so, w=w, rule=rule: agg.aggregate_batch(rule, pm.answers, pm.k, so=so, weights=w),
+                _tables(pm, 2 if peer else 0),
+            )
+        # pair_counts: the Gram beside its product in float32 and int64, or the
+        # counts and their table's check, beside the table the matrix keeps
+        kernels[f"empirical_second_order-{shape}"] = (lambda pm=pm: empirical_second_order(pm), _tables(pm, 2))
+        kernels[f"shuffle_apply-{shape}"] = (lambda pm=pm: shuffle_apply(pm, 3), 0)
+    isp = _panel(1, len(_ISP_ACC), 3)  # the exact second-order table and _peer_tables' one
+    kernels["expected_accuracy-isp"] = (lambda: expected_accuracy("isp", _ISP_ACC, 3), _tables(isp, 2))
+    vectors = np.random.default_rng(0).integers(0, 2, size=(50, 3))
+    kernels["mixture_posterior-20000-nodes"] = (lambda: mixture_posterior(vectors, [1.0, 2.0, 0.5], _DENSE, 2), 0)
+    kernels["simulate_ci"] = (lambda: simulate_ci(CiSimSpec((0.6, 0.7, 0.8, 0.9), 4, 100_000, 1)), 0)
+    kernels["simulate_difficulty"] = (
+        lambda: simulate_difficulty(DifficultySimSpec(ABILITIES, MIX, 4, 100_000, 2)),
+        0,
+    )
+    return kernels
+
+
+_KERNELS = _kernels()
+
+
+@pytest.mark.parametrize("budget", [None, 2**12], ids=["default", "4096"])
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_a_block_kernel_holds_one_block_of_scratch(kernel, budget, monkeypatch):
+    # each kernel counts every temporary a row holds at its peak, so beyond
+    # what it keeps (its result), a call holds one block of 8 * _BLOCK_CELLS
+    # bytes, plus the (N, N, K, K) tables it documents
+    if budget is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", budget)
+    call, tables = _KERNELS[kernel]
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    assert peak - kept <= 8 * core._BLOCK_CELLS + tables + _OBJECTS, (peak - kept, tables)

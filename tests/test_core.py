@@ -1,6 +1,7 @@
 """Unit tests for core types: label spaces, prediction matrices, the
 generalized sigmoid pair, deterministic randomness, and label shuffling."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -27,6 +28,17 @@ from quorum.core import (
     sigma_k_inverse,
     uniform_block,
 )
+
+
+def test_every_clamp_epsilon_defaults_to_the_one_constant():
+    from quorum.aggregate import dominance_threshold
+    from quorum.cli import aggregate
+    from quorum.estimate import ErmConfig, fit_ow_i
+
+    for fn in (clamp_accuracies, core.ow_weights, dominance_threshold, fit_ow_i):
+        assert inspect.signature(fn).parameters["eps"].default is core.DEFAULT_EPS, fn.__name__
+    assert inspect.signature(ErmConfig).parameters["eps"].default is core.DEFAULT_EPS
+    assert next(p for p in aggregate.params if p.name == "eps").default is core.DEFAULT_EPS
 
 
 class TestSigmoidPair:
@@ -57,6 +69,26 @@ class TestSigmoidPair:
     def test_extreme_arguments_do_not_overflow(self):
         assert sigma_k(700.0, 2) == pytest.approx(1.0, abs=1e-12)
         assert sigma_k(-700.0, 2) == pytest.approx(0.0, abs=1e-12)
+
+    def test_memory_is_its_result_plus_a_block(self):
+        # each block of rows is mapped by the two half-line branches on their
+        # own, into the result's buffer: the bits of the whole-array branches
+        x = np.random.default_rng(0).normal(scale=30.0, size=(100_000, 4))
+        x[:3, 0] = [0.0, -0.0, -700.0]
+        tracemalloc.start()
+        try:
+            got = sigma_k(x, 4)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= kept + 8 * core._BLOCK_CELLS, (peak, kept)
+        want = np.empty_like(x)
+        pos = x >= 0
+        want[pos] = 1.0 / (1.0 + 3 * np.exp(-x[pos]))
+        want[~pos] = np.exp(x[~pos]) / (3 + np.exp(x[~pos]))
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(DomainError):
+            sigma_k(np.r_[np.zeros(10**6), np.nan], 3)
 
     @given(
         st.floats(min_value=-16, max_value=16),

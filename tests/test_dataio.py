@@ -717,6 +717,16 @@ def _write_and_close(fd, data):
         fh.write(data)
 
 
+def test_a_first_block_with_no_row_names_the_line_at_fault(tmp_path, monkeypatch):
+    # csv.reader takes over at the over-long field, and its first one-cell block
+    # ends at the row that is not UTF-8 before any row was kept
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"question_id,agent_x,agent_y,truth\n\xffq0,A,B,A\n" + b"x" * 200_000 + b",A,B,A\nq1,A,B,A\n")
+    monkeypatch.setattr(dataio, "_CELLS_PER_BLOCK", 1)
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:2: not UTF-8 text"):
+        read_predictions_csv(str(path))
+
+
 @pytest.mark.parametrize("header_end", ["\n", "\r"])
 def test_bare_cr_file_is_read_within_a_block_of_memory(tmp_path, header_end):
     # lines ending in a bare carriage return leave the byte tokenizer before

@@ -3,6 +3,8 @@ exact posteriors, closed-form expectations, and difficulty mixtures."""
 
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -177,6 +179,24 @@ class TestDifficultyMixture:
             assert weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(alphas >= 0)
 
+    def test_newton_quadrature_matches_leggauss(self):
+        t, w = oracle._gauss_legendre()
+        want_t, want_w = np.polynomial.legendre.leggauss(oracle._QUAD_ORDER)
+        assert np.max(np.abs(t - want_t)) <= 1e-14
+        assert np.max(np.abs(w - want_w)) <= 1e-14
+        assert np.all(t == -t[::-1]) and np.all(w == w[::-1]) and np.all(np.diff(t) > 0)
+        assert not t.flags.writeable and not w.flags.writeable
+
+    def test_a_log_uniform_mixture_loads_no_numpy_polynomial(self):
+        # the nodes come from Newton's method, not from leggauss's eigensolver
+        code = (
+            "import sys; from quorum import oracle; "
+            "oracle.mixture_posterior([0, 1, 1], [1.0, 2.0, 0.5], oracle.DifficultyMixture.log_uniform(0.2, 5.0), 3); "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", out.stdout
+
     def test_atom_sampling_matches_weights(self):
         mix = DifficultyMixture.atoms([(1.0, 0.2), (3.0, 0.8)])
         u = np.linspace(0.0005, 0.9995, 2000)
@@ -301,11 +321,11 @@ def _oracle_values(n, k, seed, rules=None):
     return {key: fn() for key, fn in calls.items() if rules is None or key in rules}
 
 
-def _full_stream(n, k):
+def _full_stream(n, k, cells, held=0):
     """Every one of the K^N answer vectors, each with multiplicity 1, in the orbit stream's chunks."""
 
     vectors = enumerate_vectors(n, k)
-    for rows in core._row_blocks(len(vectors), n):
+    for rows in core._row_blocks(len(vectors), cells, held=held):
         chunk = vectors[rows]
         yield chunk, np.ones(len(chunk))
 
@@ -429,7 +449,8 @@ class TestBatchedPosteriors:
         mix = DifficultyMixture.log_uniform(0.2, 5.0)
         batch = enumerate_vectors(4, 3)
         whole = mixture_posterior(batch, beta, mix, 3)
-        monkeypatch.setattr(core, "_BLOCK_CELLS", 8 * 2 * 64 * 3)  # 2 rows per block
+        # 2 rows per block, beside the 64 nodes' log-norms and log-weights
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 2 * oracle._mixture_row_cells(64, 4, 3) + 2 * 64)
         np.testing.assert_array_equal(mixture_posterior(batch, beta, mix, 3), whole)
 
     def test_mixture_posterior_memory_is_its_result_plus_a_block(self):
@@ -450,7 +471,7 @@ class TestOrbitEnumeration:
     @pytest.mark.parametrize("n,k", [(1, 2), (3, 2), (4, 3), (5, 4), (3, 6), (6, 3)])
     def test_one_representative_per_orbit(self, n, k, monkeypatch):
         monkeypatch.setattr(core, "_BLOCK_CELLS", 7 * n)  # chunks of 7 representatives
-        reps, sizes = zip(*oracle._vector_chunks(n, k))
+        reps, sizes = zip(*oracle._vector_chunks(n, k, n))
         reps, sizes = np.concatenate(reps), np.concatenate(sizes)
         assert sizes.sum() == k**n
 
@@ -517,7 +538,7 @@ class TestOrbitEnumeration:
         one = _oracle_values(5, 3, 7)
         x, beta, mix = _instance(5, 3, 7)
         low = expected_accuracy("isp", x, 3, tie_mode=agg.TIE_LOWEST)
-        monkeypatch.setattr(core, "_BLOCK_CELLS", 11)  # 2 vectors per chunk at N=5
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 11)  # fewer cells than any rule's vector holds: 1 a chunk
         many = _oracle_values(5, 3, 7)
         for key in one:
             assert many[key] == pytest.approx(one[key], abs=1e-12), key

@@ -353,6 +353,22 @@ class TestCsvRoundTrip:
             read_second_order_csv(str(path))
         assert str(info.value) == f"{path}:{message}"
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("0,0,0,0,1.0,0", "2: the largest label index, 0, gives K=1; need K >= 2 labels"),
+            ("-2,-2,-2,-2,1.0,0", "2: index (-2,-2,-2,-2) out of range"),
+        ],
+        ids=["one-label", "negative-dimensions"],
+    )
+    def test_a_file_of_no_matrix_shape_names_its_line(self, tmp_path, row, message):
+        # one row is as many as N = K = 1 and as N = K = -1 expect; neither is a shape
+        path = tmp_path / "so.csv"
+        path.write_text("i,j,k,l,prob,imputed\n" + row + "\n")
+        with pytest.raises(FormatError) as info:
+            read_second_order_csv(str(path))
+        assert str(info.value) == f"{path}:{message}"
+
     def test_a_huge_index_fails_the_row_count_before_any_allocation(self, tmp_path):
         path = tmp_path / "so.csv"
         write_second_order_csv(_FIXTURE, str(path))
