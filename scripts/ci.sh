@@ -7,9 +7,11 @@
 # and exits 0), a check that the uniform tie-break gives the same labels twice, a check that
 # isp is at least as accurate as mv on a K=50 panel (narrow answer codes that
 # overflowed would break it) and that each summary counts its tie-broken
-# labels, a check that plain, quoted and CRLF copies of one panel, and the plain
-# one read from a pipe, give the same isp labels (the byte tokenizer reads the
-# plain and CRLF files, csv.reader the quoted one and the pipe), a check that a
+# labels, a check that plain, quoted, CRLF and late-quote copies of one panel,
+# and the plain and late-quote ones read from a pipe, give the same isp labels
+# (the byte tokenizer reads the plain and CRLF copies and the plain pipe;
+# csv.reader reads the quoted copy, and reads on in the same pass from the
+# late quote, where the byte tokenizer hands over), a check that a
 # QUOTE_ALL panel whose ids need quoting gets the labels CSV csv.writer writes,
 # a check that a bad flag or config value, or an --out in a directory that does
 # not exist, exits 2 and a deeply nested config exits 3, each without a
@@ -118,14 +120,18 @@ for name, options in [
 ]:
     with open(f"{sys.argv[1]}/{name}.csv", "w", newline="") as fh:
         csv.writer(fh, **options).writerows(rows)
+rows[-1][-1] = f'"{rows[-1][-1]}"'  # the last row's last cell, quoted
+with open(f"{sys.argv[1]}/late-quote.csv", "w", newline="") as fh:
+    fh.write("".join(",".join(row) + "\n" for row in rows))
 EOF
-  for copy in plain quoted crlf; do
+  for copy in plain quoted crlf late-quote; do
     python -m quorum aggregate --input "$tmp/$copy.csv" --out "$tmp/$copy-isp.csv" --method isp
   done
   cat "$tmp/plain.csv" | python -m quorum aggregate --input /dev/stdin --out "$tmp/pipe-isp.csv" --method isp
-  cmp "$tmp/plain-isp.csv" "$tmp/quoted-isp.csv"
-  cmp "$tmp/plain-isp.csv" "$tmp/crlf-isp.csv"
-  cmp "$tmp/plain-isp.csv" "$tmp/pipe-isp.csv"
+  cat "$tmp/late-quote.csv" | python -m quorum aggregate --input /dev/stdin --out "$tmp/late-quote-pipe-isp.csv" --method isp
+  for copy in quoted crlf pipe late-quote late-quote-pipe; do
+    cmp "$tmp/plain-isp.csv" "$tmp/$copy-isp.csv"
+  done
 }
 
 quoted_ids_written_as_csv_writer_does() {
@@ -375,7 +381,7 @@ step "verification suites" verification_suites
 step "every verification suite under --budget 50 exits 0, skipping what the budget drops" verification_suites_small_budget
 step "uniform tie-break is reproducible" tie_break_reproducible
 step "at K=50, isp is at least as accurate as mv, and summaries count ties" isp_beats_mv_at_k50
-step "plain, quoted and CRLF copies of a panel, and a pipe, give the same isp labels" copies_agree
+step "plain, quoted, CRLF and late-quote copies of a panel, from a file and a pipe, give the same isp labels" copies_agree
 step "ids that need quoting are written as csv.writer writes them" quoted_ids_written_as_csv_writer_does
 step "a bad flag, config value or output directory exits 2, a deeply nested config 3, without a traceback" bad_flags_exit_2
 step "a short row past the first ingest block exits 3 with its line" short_row_exits_3

@@ -536,11 +536,9 @@ def shuffle_apply(pm: PredictionMatrix, seed: int) -> tuple[PredictionMatrix, Sh
 
 
 def shuffle_invert(obj, smap: ShuffleMap):
-    """Undo a shuffle on a PredictionMatrix or a length-M label-index vector.
-
-    A vector's entry q is mapped to its preimage under ``perms[q]``, found
-    by comparison; a matrix is mapped through the inverse map, built one
-    block of rows at a time.
+    """Undo a shuffle on a PredictionMatrix or a length-M label-index vector
+    (returned as int64): each question is mapped through its row of the
+    inverse map, built one block of rows at a time.
     """
 
     if isinstance(obj, PredictionMatrix):
@@ -549,4 +547,10 @@ def shuffle_invert(obj, smap: ShuffleMap):
     if arr.shape != (smap.m,):
         raise DimensionError(f"expected shape ({smap.m},), got {arr.shape}")
     _check_codes(arr, smap.k)
-    return np.argmax(smap.perms == arr[:, None], axis=1)
+    out = np.empty(smap.m, np.int64)
+    # cells a row: the block's inverse map (K codes) and, in _inverse_rows'
+    # put_along_axis, its intp indices and their buffers (under 3 K, measured)
+    for rows in _row_blocks(smap.m, smap.k * (3 + smap.perms.itemsize / 8)):
+        inv = _inverse_rows(smap.perms[rows])
+        out[rows] = inv[np.arange(len(inv)), arr[rows]]
+    return out

@@ -260,7 +260,7 @@ def _first_repeat(ids: QuestionIds) -> int | None:
 
 
 # Cells parsed per block of rows; no cell's ``str`` outlives its block. The
-# byte tokenizer reads chunks of 4 bytes per cell of a block.
+# byte tokenizer reads pieces of 4 bytes per cell of a block.
 _CELLS_PER_BLOCK = 2**14
 
 
@@ -368,19 +368,20 @@ class _Columns:
         return QuestionIds._adopt(self.data, self.ends), self.codes.reshape(self.rows, self.width - 1)
 
 
-def _read_cells(reader, width: int, fh=None) -> tuple[QuestionIds, np.ndarray, list[str], tuple | None]:
+def _read_cells(reader, rows: _Columns, vocab: list[str]) -> tuple[QuestionIds, np.ndarray, list[str], tuple | None]:
     """The data rows up to the first faulty record, encoded block by block.
 
-    Returns the ids, the other cells as an (M, width - 1) matrix of codes in the
+    The records of csv.reader ``reader`` are added to ``rows``, which may hold
+    earlier rows of the file whose cells ``vocab`` lists in code order. Returns
+    the ids, the other cells as an (M, width - 1) matrix of codes in the
     narrowest unsigned dtype, the distinct cells in code order and, for a record
     without ``width`` fields, one csv.reader rejects or one that is not UTF-8,
     its (line, message); the rows before it are kept so that a fault earlier in
-    the file can still be reported first. ``fh``, the binary file under
-    ``reader`` if any, sizes the arrays.
+    the file can still be reported first.
     """
 
-    rows = _Columns(width, fh)
-    lut = _FirstSeen()
+    width = rows.width
+    lut = _FirstSeen(zip(vocab, itertools.count()))
     fault = None
     for span in _row_blocks(2**63, width, _CELLS_PER_BLOCK):  # until the reader ends or faults
         block = []
@@ -428,77 +429,76 @@ def _plain(data: bytes) -> bool:
     return not (b'"' in data or b"\r" in data or b"\0" in data)
 
 
-def _line_chunks(fh, size: int):
-    """The rest of binary file ``fh`` in chunks of about ``size`` bytes, each cut
-    after a newline, with every CRLF folded to a LF; the last one gets a
-    newline if the file lacks it.
+def _read_cells_bytes(fh, rows: _Columns, vocab: list[str]) -> bytes:
+    """Add the rows of the rest of binary file ``fh`` to ``rows`` as
+    ``_read_cells`` would, tokenized with numpy, and return the bytes read but
+    not tokenized: ``b""`` at the end of the file.
 
-    A piece that ends in a carriage return takes one more byte, so no CRLF is
-    split between pieces. Yields None and stops at the first piece that is not
-    ``_plain``, before it is kept or the next piece is read, so a file whose
-    lines end in a bare carriage return is never held whole.
+    Pieces of 4 bytes per cell of a block are read, one byte more after a
+    carriage return, and their CRLFs folded to LFs. Each chunk up to a newline
+    (one is added after a last line without it) is split at every ``,`` and
+    newline at once, so each row kept is one line; its ids' bytes are gathered
+    undecoded and its other cells coded by ``_cell_codes``, new ones joining
+    ``vocab``. The read stops at a piece that is not ``_plain``, before it is
+    kept (so a file of bare carriage returns is never held whole), and hands
+    back the bytes pending and the piece as read; or at a chunk with a line
+    without ``rows.width`` fields, a cell longer than ``csv.field_size_limit()``
+    or text that is not UTF-8, and hands back the chunk and the bytes after it.
     """
 
+    width, tables, limit = rows.width, {}, csv.field_size_limit()
     pending = []
-    while piece := fh.read(size):
+    while piece := fh.read(4 * _CELLS_PER_BLOCK) or (b"\n" if any(pending) else b""):
         if piece.endswith(b"\r"):
             piece += fh.read(1)
-        if b"\r" in piece:  # far cheaper than a replace that finds no CRLF
-            piece = piece.replace(b"\r\n", b"\n")
-        if not _plain(piece):
-            yield None
-            return
-        cut = piece.rfind(b"\n") + 1
-        if cut:
-            chunk = b"".join([*pending, piece[:cut]])
-            pending = [piece[cut:]]
-            yield chunk
-        else:
-            pending.append(piece)
-    if rest := b"".join(pending):
-        yield rest + b"\n"
-
-
-def _read_cells_bytes(fh, width: int) -> tuple[QuestionIds, np.ndarray, list[str], None] | None:
-    """``_read_cells`` for the rest of binary file ``fh``, tokenized with numpy.
-
-    Each chunk of about 4 bytes per cell of a block, its CRLFs folded to LFs,
-    is split at every ``,`` and newline at once; its ids' bytes are gathered
-    undecoded and its other cells are coded by ``_cell_codes``. The result
-    equals ``_read_cells``'s. Returns None, part way through the file, at a
-    ``"``, bare carriage return or NUL byte, at a line without ``width``
-    fields, at a cell longer than ``csv.field_size_limit()`` or at text that
-    is not UTF-8, so that csv.reader reads the file again and reports as usual.
-    """
-
-    rows = _Columns(width, fh)
-    vocab: list[str] = []
-    tables: dict = {}
-    limit = csv.field_size_limit()
-    for chunk in _line_chunks(fh, 4 * _CELLS_PER_BLOCK):
-        if chunk is None:
-            return None
+        text = piece.replace(b"\r\n", b"\n") if b"\r" in piece else piece  # a find costs far less than a replace
+        if not _plain(text):
+            return b"".join([*pending, piece])
+        cut = text.rfind(b"\n") + 1
+        if not cut:
+            pending.append(text)
+            continue
+        chunk = b"".join([*pending, text[:cut]])
+        pending = [text[cut:]]
         buf = np.frombuffer(chunk + bytes(8), np.uint8)  # padded for the last word's gather
         ends = np.flatnonzero((buf == _COMMA) | (buf == _NEWLINE))
-        if ends.size != chunk.count(b"\n") * width or (buf[ends[width - 1 :: width]] != _NEWLINE).any():
-            return None
-        starts = np.empty_like(ends)
-        starts[0] = 0
-        starts[1:] = ends[:-1] + 1
-        if (ends - starts).max() > limit:
-            return None
-        if not chunk.isascii():
-            # the separators are ASCII, so the chunk is UTF-8 exactly when every cell is
-            try:
-                chunk.decode()
-            except UnicodeDecodeError:
-                return None
-        answers = np.ones(ends.size, bool)
-        answers[::width] = False
-        codes = _cell_codes(buf, starts[answers], ends[answers], tables, vocab)
-        lens = ends[::width] - starts[::width]
-        rows.add(_gather(buf, starts[::width], lens), lens, codes, len(vocab))
-    return (*rows.result(), vocab, None)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        try:  # the separators are ASCII, so the chunk is UTF-8 exactly when every cell is
+            whole = (
+                ends.size == chunk.count(b"\n") * width
+                and (buf[ends[width - 1 :: width]] == _NEWLINE).all()
+                and (ends - starts).max() <= limit
+                and (chunk.isascii() or bool(chunk.decode()))
+            )
+        except UnicodeDecodeError:
+            whole = False
+        if not whole:
+            return b"".join([chunk, *pending])
+        starts, ends = starts.reshape(-1, width), ends.reshape(-1, width)  # one row per line
+        codes = _cell_codes(buf, starts[:, 1:].ravel(), ends[:, 1:].ravel(), tables, vocab)
+        lens = ends[:, 0] - starts[:, 0]
+        rows.add(_gather(buf, starts[:, 0], lens), lens, codes, len(vocab))
+    return b""
+
+
+class _Resumed(io.RawIOBase):
+    """A binary stream of ``head``, then the rest of binary file ``fh``."""
+
+    def __init__(self, head: bytes, fh):
+        self._head, self._fh = io.BytesIO(head), fh
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        return self._head.readinto(buf) or self._fh.readinto(buf)
+
+
+def _csv_reader(head: bytes, fh):
+    """csv.reader over ``head``, then the rest of binary file ``fh``, decoded
+    as UTF-8 with the bytes that are not UTF-8 kept as surrogates."""
+
+    return csv.reader(io.TextIOWrapper(io.BufferedReader(_Resumed(head, fh)), "utf-8", "surrogateescape", newline=""))
 
 
 def _words(buf: np.ndarray) -> np.ndarray:
@@ -616,48 +616,41 @@ def _screen_rows(
     return np.flatnonzero(~empty_rows)
 
 
-def _plain_header(fh) -> list[str] | None:
-    """The cells of binary file ``fh``'s first line, or None if that line is
-    not plain UTF-8 text ending in a LF or CRLF within ``csv.field_size_limit()``
-    bytes (the cap keeps a file without newlines from being read whole)."""
-
-    line = fh.readline(csv.field_size_limit()).replace(b"\r\n", b"\n")  # only at its end
-    if not (line.endswith(b"\n") and _plain(line)):
-        return None
-    try:
-        return next(csv.reader([line.decode()]))
-    except UnicodeDecodeError:
-        return None
-
-
 def _parse_table(fh, path: str) -> tuple[list[str], bool, tuple]:
     """The agent names, whether the last column is truth, and the data rows as
-    ``_read_cells`` returns them, parsed from binary file ``fh`` at its start.
+    ``_read_cells`` returns them, parsed from binary file ``fh`` at its start in
+    one forward pass, so that a pipe reads like a file.
 
-    When ``fh`` can be rewound and its header line is plain text, the byte
-    tokenizer reads it; otherwise, or when the tokenizer gives up part way,
-    csv.reader reads it from the start. So a pipe or FIFO, which cannot be
-    read twice, always takes csv.reader.
+    When the header line is plain UTF-8 text ending in a LF or CRLF within
+    ``csv.field_size_limit()`` bytes (the cap keeps a file without newlines from
+    being read whole), the byte tokenizer reads the rows that follow, and
+    csv.reader reads on from the bytes it hands back, then the rest of ``fh``.
+    Any other header line is handed to csv.reader, which reads the whole file.
     """
 
-    if fh.seekable():
-        if (header := _plain_header(fh)) is not None:
-            names, has_truth = _parse_header(header, path)
-            cells = _read_cells_bytes(fh, 1 + len(names) + has_truth)
-            if cells is not None:
-                return names, has_truth, cells
-        fh.seek(0)
-    reader = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(f"{path}: empty file") from None
-    except csv.Error as exc:
-        raise FormatError(f"{path}:1: {exc}") from None
-    if _escaped(header):
-        raise FormatError(f"{path}:1: not UTF-8 text")
+    head = fh.readline(csv.field_size_limit())
+    line = head.replace(b"\r\n", b"\n")  # only at its end
+    reader = header = None
+    if line.endswith(b"\n") and _plain(line):
+        with contextlib.suppress(UnicodeDecodeError):
+            header = next(csv.reader([line.decode()]))
+    if header is None:
+        reader = _csv_reader(head, fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise FormatError(f"{path}:1: {exc}") from None
+        if _escaped(header):
+            raise FormatError(f"{path}:1: not UTF-8 text")
     names, has_truth = _parse_header(header, path)
-    return names, has_truth, _read_cells(reader, 1 + len(names) + has_truth, fh)
+    rows, vocab = _Columns(1 + len(names) + has_truth, fh), []
+    if reader is None:
+        if not (rest := _read_cells_bytes(fh, rows, vocab)):
+            return names, has_truth, (*rows.result(), vocab, None)
+        reader = _csv_reader(rest, fh)
+    return names, has_truth, _read_cells(reader, rows, vocab)
 
 
 # The parse cache keeps what _parse_table returns for each regular file of at
@@ -830,10 +823,11 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple, str]:
     from: ``"hit"`` (the parse cache), ``"stored"`` (parsed, then cached) or
     ``"off"`` (parsed only).
 
-    A cache entry is a memo of ``_parse_table`` on the file state it is named
-    by, so bump ``_CACHE_FORMAT`` whenever what it returns changes. A parse is
-    stored only if it found no fault and the file's state was settled before
-    parsing and the same after.
+    The file is opened once and read once, from its start. A cache entry is a
+    memo of ``_parse_table`` on the file state it is named by, so bump
+    ``_CACHE_FORMAT`` whenever what it returns changes. A parse is stored only
+    if it found no fault and the file's state was settled before parsing and
+    the same after.
     """
 
     try:
@@ -848,8 +842,8 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple, str]:
         stored = False
         if cached is not None and cached[1] is not None and cells[3] is None:
             entry, state = cached
-            with contextlib.suppress(OSError):  # by path: csv.reader's wrapper has closed fh
-                stored = _file_state(os.stat(path)) == state and _cache_store(entry, names, has_truth, cells)
+            with contextlib.suppress(OSError):
+                stored = _file_state(os.fstat(fh.fileno())) == state and _cache_store(entry, names, has_truth, cells)
         return names, has_truth, cells, "stored" if stored else "off"
 
 

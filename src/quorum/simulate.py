@@ -30,11 +30,12 @@ from .core import (
     _code_dtype,
     _uniform_rows,
     derive_seed,
+    ow_weights,
     sigma_k,
 )
-from .aggregate import TiePolicy
-from .estimate import run_pipeline
+from .aggregate import TiePolicy, aggregate_batch
 from .oracle import DifficultyMixture
+from .secondorder import empirical_second_order
 
 __all__ = [
     "CiSimSpec",
@@ -226,10 +227,11 @@ def _method_accuracies(pm: PredictionMatrix, true_acc: np.ndarray, seed: int) ->
     if pm.truth is None:
         raise DomainError("table experiments need simulated truth")
     out = {}
-    # opt votes with the weights of the true accuracies, which the other methods ignore
-    for idx, (name, method) in enumerate([("mv", "mv"), ("sp", "sp"), ("isp", "isp"), ("opt", "ow-oracle")]):
+    # sp and isp share one second-order matrix; opt votes with the weights of the true accuracies
+    so, weights = empirical_second_order(pm), ow_weights(true_acc, pm.k)
+    for idx, (name, rule) in enumerate([("mv", "mv"), ("sp", "sp"), ("isp", "isp"), ("opt", "weighted")]):
         tie = TiePolicy(seed=derive_seed(seed, 900 + idx))
-        labels = run_pipeline(pm, method, tie=tie, accuracies=true_acc).labels
+        labels, _ = aggregate_batch(rule, pm.answers, pm.k, tie, so=so, weights=weights)
         out[name] = float((labels == pm.truth).mean())
     best = int(np.argmax(true_acc))
     out["single_best"] = float((pm.answers[:, best] == pm.truth).mean())

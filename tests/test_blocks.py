@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from quorum import aggregate as agg
 from quorum import core, dataio, secondorder
 from quorum.cli import main
-from quorum.core import LabelSpace, PredictionMatrix, shuffle_apply
+from quorum.core import LabelSpace, PredictionMatrix, random_shuffle_map, shuffle_apply, shuffle_invert
 from quorum.dataio import write_predictions_csv
 from quorum.estimate import METHODS, run_pipeline
 from quorum.oracle import DifficultyMixture, expected_accuracy, mixture_posterior
@@ -168,6 +168,8 @@ def _kernels():
         # counts and their table's check, beside the table the matrix keeps
         kernels[f"empirical_second_order-{shape}"] = (lambda pm=pm: empirical_second_order(pm), _tables(pm, 2))
         kernels[f"shuffle_apply-{shape}"] = (lambda pm=pm: shuffle_apply(pm, 3), 0)
+        smap = random_shuffle_map(pm.m, pm.k, 3)  # a label vector, as aggregate --shuffle-seed inverts
+        kernels[f"shuffle_invert-labels-{shape}"] = (lambda pm=pm, smap=smap: shuffle_invert(pm.truth, smap), 0)
     isp = _panel(1, len(_ISP_ACC), 3)  # the exact second-order table and _peer_tables' one
     kernels["expected_accuracy-isp"] = (lambda: expected_accuracy("isp", _ISP_ACC, 3), _tables(isp, 2))
     vectors = np.random.default_rng(0).integers(0, 2, size=(50, 3))

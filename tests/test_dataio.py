@@ -20,6 +20,8 @@ from quorum import dataio
 from quorum.core import FormatError, LabelSpace, PredictionMatrix
 from quorum.dataio import (
     QuestionIds,
+    _Columns,
+    _csv_reader,
     _parse_header,
     _read_cells,
     _read_cells_bytes,
@@ -419,21 +421,19 @@ class TestAgainstRowByRowReader:
     @given(_plain_prediction_files(), st.integers(1, 12))
     @settings(max_examples=200, deadline=None)
     def test_byte_tokenizer_matches_csv_reader(self, case, cells_per_block):
-        # the byte tokenizer returns what _read_cells does, and gives up only
-        # at a quote, a carriage return or a row of the wrong width
+        # the byte tokenizer, then csv.reader reading on from what it hands
+        # back, read what csv.reader alone reads; the tokenizer hands back
+        # bytes only at a quote or a row of the wrong width
         header, _, body = case[0].partition("\n")
         width = len(header.split(","))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
-            got = _read_cells_bytes(io.BytesIO(body.encode()), width)
-            expected = _read_cells(csv.reader(io.StringIO(body, newline="")), width)
-        if got is None:
-            assert '"' in body or "\r" in body or expected[3] is not None
-        else:
-            assert expected[3] is None
-            assert got[0] == expected[0] and got[2] == expected[2]
-            assert got[1].dtype == expected[1].dtype
-            np.testing.assert_array_equal(got[1], expected[1])
+            rows, vocab, fh = _Columns(width), [], io.BytesIO(body.encode())
+            rest = _read_cells_bytes(fh, rows, vocab)
+            got = _read_cells(_csv_reader(rest, fh), rows, vocab)
+            expected = _read_cells(csv.reader(io.StringIO(body, newline="")), _Columns(width), [])
+        assert not rest or '"' in body or expected[3] is not None
+        _same_cells(got, expected)
 
     @staticmethod
     def _check(tmp_path, text, labels, drop):
@@ -447,7 +447,7 @@ class TestAgainstRowByRowReader:
         monkeypatch.setattr(dataio, "_CELLS_PER_BLOCK", 8)
         reader = csv.reader(io.StringIO(_MANY_LABELS_FILE))
         next(reader)
-        qids, codes, vocab, bad_width = _read_cells(reader, 3)
+        qids, codes, vocab, bad_width = _read_cells(reader, _Columns(3), [])
         assert codes.dtype == np.uint16 and bad_width is None
         assert vocab == _MANY and len(qids) == 300
         np.testing.assert_array_equal(codes[:, 0], np.arange(300))
@@ -463,6 +463,20 @@ class TestAgainstRowByRowReader:
         assert meta["dropped"] == 1
 
 
+def _same_cells(got, expected):
+    """Two reads of rows agree in ids, codes and fault, and in every label the
+    kept rows use: a read that stops at a fault may have looked up the labels of
+    later rows in the same block, which take the codes after them."""
+
+    assert got[0] == expected[0] and got[3] == expected[3]
+    assert got[1].dtype == expected[1].dtype
+    np.testing.assert_array_equal(got[1], expected[1])
+    used = int(got[1].max()) + 1 if got[1].size else 0
+    assert got[2][:used] == expected[2][:used]
+    if expected[3] is None:
+        assert got[2] == expected[2]
+
+
 def _refuse_csv_reader(monkeypatch):
     """Make the read fail if the csv.reader path reads the rows."""
 
@@ -473,9 +487,9 @@ def _refuse_csv_reader(monkeypatch):
 
 
 def _refuse_byte_tokenizer(monkeypatch):
-    """Make the byte tokenizer give up at once, so that csv.reader reads the rows."""
+    """Make no text plain, so that csv.reader reads the file from its header on."""
 
-    monkeypatch.setattr(dataio, "_read_cells_bytes", lambda fh, width: None)
+    monkeypatch.setattr(dataio, "_plain", lambda data: False)
 
 
 def test_ingest_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
@@ -531,14 +545,16 @@ def test_crlf_tokenizes_as_its_lf_copy(case, cells_per_block):
     # the file included: short chunks make one likely
     header, _, body = case[0].replace("\r\n", "\n").partition("\n")
     width = len(header.split(","))
+    reads = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
-        lf = _read_cells_bytes(io.BytesIO(body.encode()), width)
-        crlf = _read_cells_bytes(io.BytesIO(body.replace("\n", "\r\n").encode()), width)
-    assert (crlf is None) == (lf is None)
-    if lf is not None:
-        assert crlf[0] == lf[0] and crlf[2] == lf[2] and crlf[1].dtype == lf[1].dtype
-        np.testing.assert_array_equal(crlf[1], lf[1])
+        for text in (body, body.replace("\n", "\r\n")):
+            rows, vocab = _Columns(width), []
+            reads.append((_read_cells_bytes(io.BytesIO(text.encode()), rows, vocab), rows, vocab))
+    (lf, lf_rows, lf_vocab), (crlf, crlf_rows, crlf_vocab) = reads
+    assert bool(crlf) == bool(lf)
+    if not lf:  # each read the whole file
+        _same_cells((*crlf_rows.result(), crlf_vocab, None), (*lf_rows.result(), lf_vocab, None))
 
 
 def test_simulated_panels_take_the_byte_tokenizer(tmp_path, monkeypatch):
@@ -597,6 +613,22 @@ def _panel_lines(rows):
     ]
 
 
+def _pipe_outcome(data, path):
+    """What ``read_predictions_csv`` makes of ``data`` read through a pipe, as
+    ``_outcome`` gives it, with ``path`` named in place of the pipe."""
+
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=_write_and_close, args=(write_end, data), daemon=True)
+    writer.start()
+    try:
+        got = _outcome(read_predictions_csv, f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    return got.replace(f"/dev/fd/{read_end}", str(path)) if isinstance(got, str) else got
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("variant", ["lf", "crlf", "late-quote"])
 def test_a_pipe_reads_like_a_file(tmp_path, variant):
@@ -610,16 +642,90 @@ def test_a_pipe_reads_like_a_file(tmp_path, variant):
     path.write_bytes(data)
     expected = _outcome(read_predictions_csv, path)
     assert isinstance(expected, tuple) and len(expected[3]["question_ids"]) == 20_000
-    read_end, write_end = os.pipe()
-    writer = threading.Thread(target=_write_and_close, args=(write_end, data), daemon=True)
-    writer.start()
-    try:
-        got = _outcome(read_predictions_csv, f"/dev/fd/{read_end}")
-    finally:
-        os.close(read_end)
-        writer.join(timeout=10)
-    assert not writer.is_alive()
-    assert got == expected
+    assert _pipe_outcome(data, path) == expected
+
+
+# What the byte tokenizer hands to csv.reader, done to one line of a plain panel
+_HAND_OVER_CAUSES = {
+    "quote": lambda line: b'%s,"%s"' % tuple(line.rsplit(b",", 1)),
+    "quoted-crlf": lambda line: b'%s,"%s\r\n"' % tuple(line.rsplit(b",", 1)),  # read as written, not folded
+    "bare-cr": lambda line: line + b"\r",  # as the line's end: no line break follows it
+    "nul": lambda line: b"q\0" + line[1:],
+    "wide": lambda line: line + b",A",
+    "short": lambda line: line[: line.rindex(b",")],
+    "not-utf8": lambda line: b"q\xff" + line[1:],
+    "long-cell": lambda line: b"q" * (csv.field_size_limit() + 1) + line[line.index(b",") :],
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@given(
+    st.integers(1, 30).flatmap(lambda rows: st.tuples(st.just(rows), st.integers(1, rows))),
+    st.sampled_from(sorted(_HAND_OVER_CAUSES)),
+    st.sampled_from([b"\n", b"\r\n"]),
+    st.integers(1, 12),
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_hand_over_anywhere_reads_like_the_reference_or_names_its_line(
+    tmp_path, rows_at, cause, end, cells_per_block
+):
+    # csv.reader reads on from wherever the byte tokenizer stops, for a file
+    # and for a pipe: the panel reads as the row-by-row reference reads it, or,
+    # where that reader cannot (bytes that are not UTF-8, an over-long field),
+    # the error names the line the cause is on
+    rows, at = rows_at
+    lines = [line.encode() for line in _panel_lines(rows)]
+    lines[at] = _HAND_OVER_CAUSES[cause](lines[at])
+    data = b"".join(line if line.endswith(b"\r") else line + end for line in lines)
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    if cause in ("not-utf8", "long-cell"):
+        message = "not UTF-8 text" if cause == "not-utf8" else "field larger than field limit"
+        expected = f"{path}:{at + 1}: {message}"
+    else:
+        expected = _outcome(_reference_read, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
+        for got in (_outcome(read_predictions_csv, path), _pipe_outcome(data, path)):
+            if cause == "long-cell":
+                got = got.split(" (")[0]  # the limit's value follows
+            assert got == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("source", ["file", "pipe"])
+@pytest.mark.parametrize("variant", ["plain", "late-quote", "late-short-row", "late-not-utf8"])
+def test_csv_reader_reads_on_from_the_chunk_the_byte_tokenizer_hands_back(tmp_path, monkeypatch, variant, source):
+    # the rows the byte tokenizer read are kept, not read again: csv.reader
+    # starts at the chunk it hands back, and a plain pipe never reaches it
+    lines = [line.encode() for line in _panel_lines(20_000)]
+    last = {"late-quote": "quote", "late-short-row": "short", "late-not-utf8": "not-utf8"}.get(variant)
+    if last is not None:
+        lines[-1] = _HAND_OVER_CAUSES[last](lines[-1])
+    data = b"\n".join(lines) + b"\n"
+    path = tmp_path / "p.csv"
+    path.write_bytes(data)
+    # the rows whose line ends in a piece before the one that holds the quote,
+    # or the faulty line's newline; the pieces start after the header
+    start, size = len(lines[0]) + 1, 4 * dataio._CELLS_PER_BLOCK
+    stop = data.index(b'"') if variant == "late-quote" else len(data) - 1
+    before = data[start : start + (stop - start) // size * size].count(b"\n")
+    assert before > 15_000  # all but the last piece's rows
+    entered, read_cells = [], dataio._read_cells
+
+    def recording(reader, rows, vocab):
+        entered.append(rows.rows)
+        return read_cells(reader, rows, vocab)
+
+    monkeypatch.setattr(dataio, "_read_cells", recording)
+    got = _outcome(read_predictions_csv, path) if source == "file" else _pipe_outcome(data, path)
+    assert entered == ([] if variant == "plain" else [before])
+    if variant == "late-short-row":
+        assert got == f"{path}:20001: expected 4 fields, got 3"
+    elif variant == "late-not-utf8":
+        assert got == f"{path}:20001: not UTF-8 text"
+    else:
+        assert got == _outcome(_reference_read, path)
 
 
 _ID_ROWS = ["q0", "ü1", "", " q 3 ", "q4"]
