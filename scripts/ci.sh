@@ -26,12 +26,14 @@
 # parse-cache entry stays 600, and a check that the panels simulate writes for
 # the ci and the difficulty model, with and without truth, are what csv.writer
 # writes for the same simulated matrices, a check that simulate's own peak
-# RSS on a 1M x 4, K=4 panel stays at or below 64 MB (the simulators draw a
-# block of questions at a time), and a check that the own peak RSS of
-# verify --suite all and of report --table2 -m 25000 each stays within 3.5 MB
-# of a bare import of the CLI and numpy.random (every kernel holds one block of
-# scratch). Last, it prints the source lines of each module of the package and
-# their total; that step reports and gates nothing.
+# RSS on a 1M x 4, K=4 panel stays at or below 58 MB (the simulators draw a
+# block of questions at a time, and keep the truth in the answers' one-byte
+# code dtype), a check that aggregate --method isp's own peak RSS on that
+# panel, with the parse cache off, stays at or below 89 MB, and a check that
+# the own peak RSS of verify --suite all and of report --table2 -m 25000 each
+# stays within 3.5 MB of a bare import of the CLI and numpy.random (every
+# kernel holds one block of scratch). Last, it prints the source lines of each
+# module of the package and their total; that step reports and gates nothing.
 #
 # Every step runs, even after one fails; each step stops at its own first
 # failing command. The script lists the failed steps at the end and then exits
@@ -340,8 +342,26 @@ argv = [sys.executable, "-m", "quorum", "simulate", "--accuracies", "0.6,0.7,0.8
 _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
 peak_mb = usage.ru_maxrss / 1024
 print(f"simulate 1M x 4: exit status {status}, peak RSS {peak_mb:.1f} MB")
-assert status == 0 and peak_mb <= 64, peak_mb
+assert status == 0 and peak_mb <= 58, peak_mb
 EOF
+}
+
+aggregate_memory_is_bounded() {
+  # the parse cache is off: it refuses a cache directory that others may write
+  mkdir -p "$tmp/shared-cache/quorum"
+  chmod 775 "$tmp/shared-cache/quorum"
+  XDG_CACHE_HOME="$tmp/shared-cache" python - "$tmp" <<'EOF'
+import os
+import sys
+
+argv = [sys.executable, "-m", "quorum", "aggregate", "--input", f"{sys.argv[1]}/million.csv",
+        "--out", f"{sys.argv[1]}/million-isp.csv", "--method", "isp"]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+peak_mb = usage.ru_maxrss / 1024
+print(f"aggregate --method isp on 1M x 4, parse cache off: exit status {status}, peak RSS {peak_mb:.1f} MB")
+assert status == 0 and peak_mb <= 89, peak_mb
+EOF
+  test "$(input_cache "$tmp/million-isp.csv.summary.json")" = off
 }
 
 oracle_memory_is_bounded() {
@@ -390,7 +410,8 @@ step "ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread, a 
 step "the parse cache: a second run hits it, a damaged entry is parsed again, and all three give the same labels" parse_cache_reads_like_a_parse
 step "under umask 022, aggregate and simulate outputs are mode 644 and the parse-cache entry 600" output_modes_follow_the_umask
 step "simulated panels, with and without truth, are what csv.writer writes" simulate_written_as_csv_writer_does
-step "simulate at 1M x 4, K=4 peaks at or below 64 MB of its own RSS" simulate_memory_is_bounded
+step "simulate at 1M x 4, K=4 peaks at or below 58 MB of its own RSS" simulate_memory_is_bounded
+step "aggregate --method isp on that panel, parse cache off, peaks at or below 89 MB of its own RSS" aggregate_memory_is_bounded
 step "verify --suite all and report --table2 -m 25000 peak within 3.5 MB of a bare import's RSS" oracle_memory_is_bounded
 step "source lines per module (reported, not gated)" source_lines
 

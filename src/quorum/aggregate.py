@@ -34,6 +34,7 @@ from .core import (
     _check_acc,
     _check_codes,
     _check_k,
+    _code_dtype,
     _freeze,
     _row_blocks,
     ow_weights,
@@ -469,7 +470,7 @@ def aggregate_isp(
 def decide_batch(
     scores: np.ndarray, tie: TiePolicy | None = None, first_question: int = 0, *, return_ties=False
 ):
-    """Argmax of each row, resolving ties per the policy. Shape (M,).
+    """Argmax of each row, resolving ties per the policy: (M,) labels in the code dtype of K.
 
     Row r is question ``first_question + r``, whose index keys its uniform
     tie draw. With ``return_ties`` the result is ``(labels, ties)``, where
@@ -481,10 +482,11 @@ def decide_batch(
     (k, m), small = tied.shape, np.min_scalar_type(len(tied))
     if m <= 64:  # argmax along axis 0 costs a call per row, the cheapest for a few rows only
         labels = np.argmax(tied, axis=0)
-    else:  # the lowest tied index from a max over the K rows, elementwise
+    else:  # the lowest tied index from a max over the K rows, elementwise, in the type that holds K
         rank = np.multiply(tied, np.arange(k, 0, -1, dtype=small)[:, None], dtype=small)
-        labels = np.subtract(k, rank.max(axis=0), dtype=np.int64)
+        labels = np.subtract(k, rank.max(axis=0), dtype=small)
         labels[labels == k] = 0  # none tied, as argmax gives: the top is a NaN or inf
+    labels = labels.astype(_code_dtype(k), copy=False)
     if tie.mode == TIE_LOWEST and not return_ties:
         return labels
     rows = np.flatnonzero(np.add.reduce(tied, axis=0, dtype=small) > 1)
@@ -520,7 +522,7 @@ def aggregate_batch(
     m, n = answers.shape
     tie = tie or TiePolicy()
     tables = _peer_tables(rule, so) if rule in SECOND_ORDER_RULES and so is not None else None
-    labels = np.empty(m, dtype=np.int64)
+    labels = np.empty(m, dtype=_code_dtype(k))
     ties = 0
     cells, unbuffered = _score_cells(rule, n, k)
     for rows in _row_blocks(m, cells, unbuffered=unbuffered):

@@ -163,8 +163,8 @@ class PredictionMatrix:
     question q, stored as a narrow code: the smallest unsigned dtype that
     holds K codes (uint8 up to K = 256). Kernels widen it one row block at
     a time. ``truth`` (if present) holds the true label index per question,
-    as int64. Arrays are stored read-only; instances are safe to share
-    across threads.
+    in the same code dtype, as does every label array the package returns.
+    Arrays are stored read-only; instances are safe to share across threads.
     """
 
     space: LabelSpace
@@ -176,7 +176,7 @@ class PredictionMatrix:
         tr = None if self.truth is None else np.asarray(self.truth)
         self._check(ans, tr, self.space.k)
         answers = np.array(ans, _code_dtype(self.space.k))
-        _freeze(self, answers=answers, truth=None if tr is None else np.array(tr, np.int64))
+        _freeze(self, answers=answers, truth=None if tr is None else np.array(tr, answers.dtype))
 
     @staticmethod
     def _check(ans: np.ndarray, tr: np.ndarray | None, k: int) -> None:
@@ -194,9 +194,9 @@ class PredictionMatrix:
 
     @classmethod
     def _adopt(cls, space: LabelSpace, answers: np.ndarray, truth: np.ndarray | None) -> "PredictionMatrix":
-        """A matrix that keeps ``answers`` (in the space's code dtype) and
-        ``truth`` (int64), arrays that only the caller holds, frozen in place
-        where the constructor would copy them."""
+        """A matrix that keeps ``answers`` and ``truth`` (both in the space's
+        code dtype), arrays that only the caller holds, frozen in place where
+        the constructor would copy them."""
 
         cls._check(answers, truth, space.k)
         return _freeze(object.__new__(cls), space=space, answers=answers, truth=truth)
@@ -435,11 +435,10 @@ class ShuffleMap:
 
     @classmethod
     def _adopt(cls, perms: np.ndarray) -> "ShuffleMap":
-        """A map that keeps ``perms``, an array that only the caller holds,
-        frozen in place where the constructor would copy it."""
+        """A map that keeps ``perms`` (in the code dtype), an array that only
+        the caller holds, frozen in place where the constructor would copy it."""
 
         cls._check(perms)
-        perms = perms.astype(_code_dtype(perms.shape[1]), copy=False)
         return _freeze(object.__new__(cls), perms=perms)
 
     @property
@@ -497,18 +496,16 @@ def _relabel(pm: PredictionMatrix, smap: ShuffleMap, invert: bool) -> Prediction
     inverse map nor a whole-matrix index array is ever built."""
 
     if smap.m != pm.m or smap.k != pm.k:
-        raise DimensionError(
-            f"shuffle map shape ({smap.m}, {smap.k}) does not match matrix ({pm.m}, {pm.k})"
-        )
+        raise DimensionError(f"shuffle map shape ({smap.m}, {smap.k}) does not match matrix ({pm.m}, {pm.k})")
     n, k = pm.n, pm.k
     answers = np.empty_like(pm.answers)
     truth = None if pm.truth is None else np.empty_like(pm.truth)
     base = None
     # cells a row: its flat gather index (N) and base (N), the gathered codes
     # and the block's inverse map (N + K codes), the truth's index (1) and the
-    # buffer of reading its strided base (1); inverting, the intp scatter
-    # index of _inverse_rows' put_along_axis (K + 2)
-    cells = 2 * n + (n + k) * smap.perms.itemsize / 8 + 2 + (k + 2 if invert else 0)
+    # buffer of reading its strided base (1); inverting, as shuffle_invert
+    # counts them for a label vector, _inverse_rows' intp indices and their buffers (3 K)
+    cells = 2 * n + (n + k) * smap.perms.itemsize / 8 + 2 + (3 * k if invert else 0)
     for block in _row_blocks(pm.m, cells):
         b = block.stop - block.start
         if base is None:  # the first block is the largest: row q of a block's flat map starts at q K
@@ -537,8 +534,8 @@ def shuffle_apply(pm: PredictionMatrix, seed: int) -> tuple[PredictionMatrix, Sh
 
 def shuffle_invert(obj, smap: ShuffleMap):
     """Undo a shuffle on a PredictionMatrix or a length-M label-index vector
-    (returned as int64): each question is mapped through its row of the
-    inverse map, built one block of rows at a time.
+    (returned in the map's code dtype): each question is mapped through its
+    row of the inverse map, built one block of rows at a time.
     """
 
     if isinstance(obj, PredictionMatrix):
@@ -547,7 +544,7 @@ def shuffle_invert(obj, smap: ShuffleMap):
     if arr.shape != (smap.m,):
         raise DimensionError(f"expected shape ({smap.m},), got {arr.shape}")
     _check_codes(arr, smap.k)
-    out = np.empty(smap.m, np.int64)
+    out = np.empty(smap.m, smap.perms.dtype)
     # cells a row: the block's inverse map (K codes) and, in _inverse_rows'
     # put_along_axis, its intp indices and their buffers (under 3 K, measured)
     for rows in _row_blocks(smap.m, smap.k * (3 + smap.perms.itemsize / 8)):

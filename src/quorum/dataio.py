@@ -867,7 +867,7 @@ def _label_indices(
         remap = np.array([index.get(lab, 0) for lab in vocab], dtype)
     truth = None
     if codes.shape[1] > n:
-        truth = (codes[:, n] if remap is None else remap[codes[:, n]]).astype(np.int64)
+        truth = (codes[:, n] if remap is None else remap[codes[:, n]]).astype(dtype)
     if codes.dtype != dtype:
         return remap[codes[:, :n]], truth
     if remap is not None or truth is not None:

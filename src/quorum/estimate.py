@@ -307,8 +307,8 @@ def fit_ow_i(pm: PredictionMatrix, eps: float = DEFAULT_EPS, smoothing: float = 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """The label of every question, plus how many came from a tie-break and
-    how many second-order cells the rule or fit read were imputed."""
+    """The label of every question, in the answers' code dtype, plus how many came
+    from a tie-break and how many second-order cells the rule or fit read were imputed."""
 
     labels: np.ndarray
     method: str

@@ -126,7 +126,7 @@ def _answers_from_uniforms(u: np.ndarray, hit_probs: np.ndarray, truth: np.ndarr
 
 def _simulate(spec, truth_col: int, hit_probs, cells: float) -> PredictionMatrix:
     """The panel of a simulation spec, drawn and mapped a block of questions
-    at a time into the answers (in the code dtype) and int64 truth that the
+    at a time into the answers and truth (both in the code dtype) that the
     matrix adopts. Row q of the uniforms is question q's: the columns before
     ``truth_col`` feed ``hit_probs(u)``, column ``truth_col`` draws the truth
     and the rest the agents. Each block is mapped agent-major, so every
@@ -135,7 +135,7 @@ def _simulate(spec, truth_col: int, hit_probs, cells: float) -> PredictionMatrix
 
     width = truth_col + 1 + spec.n
     answers = np.empty((spec.m, spec.n), _code_dtype(spec.k))
-    truth = np.empty(spec.m, np.int64)
+    truth = np.empty(spec.m, answers.dtype)
     for rows, u in _uniform_rows(spec.seed, spec.m, width, cells / width):
         u = np.ascontiguousarray(u.T)
         hit = hit_probs(u)

@@ -461,8 +461,11 @@ class TestTiePolicies:
         assert counts[0::2].sum() == 0
         assert np.all(np.abs(counts[1::2] - m * p) <= 4 * np.sqrt(m * p * (1 - p)))
 
-    def test_a_row_whose_top_is_not_finite_gets_a_label_in_range(self):
-        scores = np.array([[np.nan, 1.0, 0.0], [1.0, np.inf, 0.0], [0.0, 2.0, 2.0]])
+    # at K = 256 the rank step's "none tied" sentinel, K, needs uint16 while the labels are uint8
+    @pytest.mark.parametrize("k", [3, 256])
+    def test_a_row_whose_top_is_not_finite_gets_a_label_in_range(self, k):
+        scores = np.full((3, k), -1.0)
+        scores[:, :3] = [[np.nan, 1.0, 0.0], [1.0, np.inf, 0.0], [0.0, 2.0, 2.0]]
         for mode in (agg.TIE_UNIFORM, agg.TIE_LOWEST):
             pol = agg.TiePolicy(mode, seed=1)
             with np.errstate(invalid="ignore"):  # the tolerance of an inf top is inf - inf
@@ -472,6 +475,7 @@ class TestTiePolicies:
             assert labels[:2].tolist() == [0, 0], mode  # no score is tied with a NaN or inf top
             assert picks == labels.tolist(), mode
             assert many[:2].tolist() == [0, 0] and many[-3:-1].tolist() == [0, 0], mode
+            assert labels.dtype == many.dtype == np.min_scalar_type(k - 1), mode
 
     def test_lowest_index_batch_picks_the_first_tied_label(self):
         scores = np.random.default_rng(2).integers(0, 3, size=(200, 4)).astype(float)

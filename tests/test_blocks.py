@@ -170,6 +170,7 @@ def _kernels():
         kernels[f"shuffle_apply-{shape}"] = (lambda pm=pm: shuffle_apply(pm, 3), 0)
         smap = random_shuffle_map(pm.m, pm.k, 3)  # a label vector, as aggregate --shuffle-seed inverts
         kernels[f"shuffle_invert-labels-{shape}"] = (lambda pm=pm, smap=smap: shuffle_invert(pm.truth, smap), 0)
+        kernels[f"shuffle_invert-matrix-{shape}"] = (lambda pm=pm, smap=smap: shuffle_invert(pm, smap), 0)
     isp = _panel(1, len(_ISP_ACC), 3)  # the exact second-order table and _peer_tables' one
     kernels["expected_accuracy-isp"] = (lambda: expected_accuracy("isp", _ISP_ACC, 3), _tables(isp, 2))
     vectors = np.random.default_rng(0).integers(0, 2, size=(50, 3))

@@ -41,6 +41,45 @@ def test_every_clamp_epsilon_defaults_to_the_one_constant():
     assert next(p for p in aggregate.params if p.name == "eps").default is core.DEFAULT_EPS
 
 
+@pytest.mark.parametrize("k", [2, 256, 257, 300])
+def test_truth_and_every_label_array_share_the_code_dtype(k, tmp_path):
+    from quorum import aggregate as agg
+    from quorum.dataio import read_predictions_csv, write_predictions_csv
+    from quorum.estimate import run_pipeline
+    from quorum.oracle import DifficultyMixture
+    from quorum.simulate import CiSimSpec, DifficultySimSpec, simulate_ci, simulate_difficulty
+
+    # question q's truth is label q mod K and two of its three answers, so
+    # every rule's label is the truth, and every label, K - 1 too, occurs
+    dtype, truth = core._code_dtype(k), np.arange(2 * k) % k
+    written = PredictionMatrix(LabelSpace.default(k), np.stack([truth, truth, (truth + 1) % k], axis=1), truth)
+    write_predictions_csv(str(tmp_path / "panel.csv"), written)
+    pm, _ = read_predictions_csv(str(tmp_path / "panel.csv"))  # its space is sorted: compare as labels
+    np.testing.assert_array_equal(np.array(pm.space.labels)[pm.truth], np.array(written.space.labels)[truth])
+    smap = random_shuffle_map(pm.m, k, 1)
+    shuffled = apply_shuffle_map(pm, smap)
+    scores = agg.score_batch("mv", pm.answers, k)
+    labels = {
+        "truth": pm.truth,
+        "decide_batch": agg.decide_batch(scores),
+        "decide_batch-few-rows": np.concatenate([agg.decide_batch(scores[r : r + 64], None, r) for r in range(0, pm.m, 64)]),
+        "aggregate_batch": agg.aggregate_batch("mv", pm.answers, k, agg.TiePolicy(agg.TIE_UNIFORM))[0],
+        "run_pipeline": run_pipeline(pm, "isp").labels,
+        "shuffle_invert": shuffle_invert(shuffled.truth, smap),
+        "shuffle_invert-matrix": shuffle_invert(shuffled, smap).truth,
+    }
+    for name, got in labels.items():
+        assert got.dtype == dtype, name
+        np.testing.assert_array_equal(got, pm.truth, err_msg=name)
+    assert pm.truth.max() == k - 1
+    mixture = DifficultyMixture.atoms([(1.0, 0.5), (4.0, 0.5)])
+    for sim in (
+        simulate_ci(CiSimSpec((0.9, 0.8), k, 20 * k, 0)),
+        simulate_difficulty(DifficultySimSpec((1.0, 2.0), mixture, k, 20 * k, 0)),
+    ):
+        assert sim.truth.dtype == sim.answers.dtype == dtype and sim.truth.max() == k - 1
+
+
 class TestSigmoidPair:
     def test_known_values(self):
         assert sigma_k(0.0, 2) == pytest.approx(0.5, abs=1e-15)
@@ -210,7 +249,7 @@ class TestPredictionMatrix:
         pm = PredictionMatrix(LabelSpace.default(k), answers, np.array([0, k - 1]))
         assert pm.answers.dtype == dtype
         np.testing.assert_array_equal(pm.answers, answers)
-        assert pm.truth.dtype == np.int64
+        assert pm.truth.dtype == dtype
 
     def test_with_truth_and_select_agents(self):
         pm = PredictionMatrix(

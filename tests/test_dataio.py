@@ -1050,7 +1050,7 @@ def _same_read(got, expected):
         assert pm.truth is None
     else:
         np.testing.assert_array_equal(pm.truth, pm0.truth)
-        assert pm.truth.dtype == np.int64
+        assert pm.truth.dtype == np.min_scalar_type(pm.k - 1)
     assert {k: v for k, v in meta.items() if k != "cache"} == {k: v for k, v in meta0.items() if k != "cache"}
 
 

@@ -248,7 +248,7 @@ def test_row_blocks_equal_the_whole_draw(case, rows, monkeypatch, tmp_path):
     sizes = _force_block_rows(monkeypatch, rows)
     pm = simulate(spec)
     assert sizes[0] == min(rows, BLOCK_M) and sum(sizes) == BLOCK_M
-    assert pm.answers.dtype == np.min_scalar_type(spec.k - 1) and pm.truth.dtype == np.int64
+    assert pm.answers.dtype == pm.truth.dtype == np.min_scalar_type(spec.k - 1)
     assert not pm.answers.flags.writeable and not pm.truth.flags.writeable
     np.testing.assert_array_equal(pm.answers, answers)
     np.testing.assert_array_equal(pm.truth, truth)
