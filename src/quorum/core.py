@@ -15,7 +15,6 @@ index) regardless of iteration order or thread count.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +83,7 @@ class ResourceError(RuntimeError):
 
 def _default_labels(k: int) -> tuple[str, ...]:
     # A..Z, then A1..Z1, A2..Z2, ...
-    letters = string.ascii_uppercase
+    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
     out = []
     for i in range(k):
         suffix = "" if i < 26 else str(i // 26)
@@ -427,11 +426,15 @@ class ShuffleMap:
             raise DimensionError(f"perms must be 2-d, got shape {perms.shape}")
         if not np.issubdtype(perms.dtype, np.integer):
             raise DomainError("perms must hold integer indices")
-        k = perms.shape[1]
-        # cells a row: its sorted copy, in the map's dtype, and the bool comparison
-        for rows in _row_blocks(perms.shape[0], (perms.itemsize + 1) * k / 8):
-            if not np.all(np.sort(perms[rows], axis=1) == np.arange(k, dtype=perms.dtype)):
+        k, width = perms.shape[1], perms.itemsize * perms.shape[1] / 8
+        # cells a row: its sorted copy and the buffer of subtracting the
+        # broadcast 0..K-1 from it in place, both in the map's dtype
+        for rows in _row_blocks(perms.shape[0], 2 * width, unbuffered=width):
+            ranks = np.sort(perms[rows], axis=1)
+            ranks -= np.arange(k, dtype=perms.dtype)
+            if ranks.any():
                 raise DomainError("each row of perms must be a permutation of 0..K-1")
+            del ranks  # or it lives on beside the next block's sorted copy
 
     @classmethod
     def _adopt(cls, perms: np.ndarray) -> "ShuffleMap":
@@ -450,11 +453,8 @@ class ShuffleMap:
         return int(self.perms.shape[1])
 
     def inverse(self) -> "ShuffleMap":
-        inv = np.empty_like(self.perms)
-        # cells a row: its inverse (K codes) and put_along_axis' intp scatter index (K + 2)
-        for rows in _row_blocks(self.m, self.k * (1 + self.perms.itemsize / 8) + 2):
-            inv[rows] = _inverse_rows(self.perms[rows])
-        return ShuffleMap._adopt(inv)
+        labels = np.broadcast_to(np.arange(self.k, dtype=self.perms.dtype), self.perms.shape)
+        return ShuffleMap._adopt(_map_rows(self.perms, True, labels)[0])
 
     @classmethod
     def identity(cls, m: int, k: int) -> "ShuffleMap":
@@ -482,42 +482,47 @@ def apply_shuffle_map(pm: PredictionMatrix, smap: ShuffleMap) -> PredictionMatri
     return _relabel(pm, smap, invert=False)
 
 
-def _inverse_rows(perms: np.ndarray) -> np.ndarray:
-    """``np.argsort(perms, axis=1)`` for rows that are permutations, in their dtype."""
+def _map_rows(perms: np.ndarray, invert: bool, *codes: np.ndarray) -> list[np.ndarray]:
+    """Each (M, C) array of label ``codes`` with row q mapped through row q of
+    the map ``perms`` (or of its inverse), as a new array in the map's dtype.
+    It works one block of rows at a time and inverts each block's rows once,
+    so that neither a whole inverse map nor a whole-array index is ever built."""
 
-    inv = np.empty_like(perms)
-    np.put_along_axis(inv, perms, np.arange(perms.shape[1], dtype=perms.dtype), axis=1)
-    return inv
+    k = perms.shape[1]
+    outs = [np.empty(c.shape, perms.dtype) for c in codes]
+    # cells a row: the row base, one flat index and the buffer of adding a
+    # narrower view of the base to it (each at most ``wide`` intp cells), and,
+    # inverting, the block's inverse and the values scattered into it (K codes each)
+    wide, rest = max(max(c.shape[1] for c in codes), k * invert), 2 * k * perms.itemsize / 8 * invert
+    base = None
+    for block in _row_blocks(perms.shape[0], rest + 3 * wide, unbuffered=rest + 2 * wide):
+        b = block.stop - block.start
+        if base is None:  # the first block is the largest: row q of a block's flat map starts at q K
+            base = np.repeat(np.arange(0, b * k, k), wide).reshape(b, wide)
+            values = np.tile(np.arange(k, dtype=perms.dtype), b if invert else 0)
+        table = perms[block]
+        if invert:  # the scatter table[q, perms[q, c]] = c
+            index = table.astype(np.intp)
+            index += base[:b, :k]
+            table = np.empty_like(table)
+            table.reshape(-1)[index.reshape(-1)] = values[: b * k]
+            del index
+        for c, out in zip(codes, outs):
+            index = c[block].astype(np.intp, order="C")  # as take reads it, also from a broadcast array
+            index += base[:b, : c.shape[1]]
+            np.take(table, index, out=out[block], mode="clip")  # in range: codes lie in [0, K)
+            del index
+    return outs
 
 
 def _relabel(pm: PredictionMatrix, smap: ShuffleMap, invert: bool) -> PredictionMatrix:
-    """Map each question's answers and truth through its row of ``smap`` (or
-    of its inverse), a block of rows at a time, so that neither a whole
-    inverse map nor a whole-matrix index array is ever built."""
+    """Map each question's answers and truth through its row of ``smap`` (or of its inverse) in one pass."""
 
     if smap.m != pm.m or smap.k != pm.k:
         raise DimensionError(f"shuffle map shape ({smap.m}, {smap.k}) does not match matrix ({pm.m}, {pm.k})")
-    n, k = pm.n, pm.k
-    answers = np.empty_like(pm.answers)
-    truth = None if pm.truth is None else np.empty_like(pm.truth)
-    base = None
-    # cells a row: its flat gather index (N) and base (N), the gathered codes
-    # and the block's inverse map (N + K codes), the truth's index (1) and the
-    # buffer of reading its strided base (1); inverting, as shuffle_invert
-    # counts them for a label vector, _inverse_rows' intp indices and their buffers (3 K)
-    cells = 2 * n + (n + k) * smap.perms.itemsize / 8 + 2 + (3 * k if invert else 0)
-    for block in _row_blocks(pm.m, cells):
-        b = block.stop - block.start
-        if base is None:  # the first block is the largest: row q of a block's flat map starts at q K
-            base = np.repeat(np.arange(0, b * k, k), n).reshape(b, n)
-        perms = (_inverse_rows(smap.perms[block]) if invert else smap.perms[block]).reshape(-1)
-        index = pm.answers[block].astype(np.intp)
-        index += base[:b]
-        answers[block] = np.take(perms, index)
-        del index
-        if truth is not None:
-            truth[block] = np.take(perms, pm.truth[block] + base[:b, 0])
-    return PredictionMatrix._adopt(pm.space, answers, truth)
+    codes = (pm.answers,) if pm.truth is None else (pm.answers, pm.truth[:, None])
+    answers, *truth = _map_rows(smap.perms, invert, *codes)
+    return PredictionMatrix._adopt(pm.space, answers, truth[0][:, 0] if truth else None)
 
 
 def shuffle_apply(pm: PredictionMatrix, seed: int) -> tuple[PredictionMatrix, ShuffleMap]:
@@ -535,8 +540,7 @@ def shuffle_apply(pm: PredictionMatrix, seed: int) -> tuple[PredictionMatrix, Sh
 def shuffle_invert(obj, smap: ShuffleMap):
     """Undo a shuffle on a PredictionMatrix or a length-M label-index vector
     (returned in the map's code dtype): each question is mapped through its
-    row of the inverse map, built one block of rows at a time.
-    """
+    row of the inverse map, built one block of rows at a time by ``_map_rows``."""
 
     if isinstance(obj, PredictionMatrix):
         return _relabel(obj, smap, invert=True)
@@ -544,10 +548,4 @@ def shuffle_invert(obj, smap: ShuffleMap):
     if arr.shape != (smap.m,):
         raise DimensionError(f"expected shape ({smap.m},), got {arr.shape}")
     _check_codes(arr, smap.k)
-    out = np.empty(smap.m, smap.perms.dtype)
-    # cells a row: the block's inverse map (K codes) and, in _inverse_rows'
-    # put_along_axis, its intp indices and their buffers (under 3 K, measured)
-    for rows in _row_blocks(smap.m, smap.k * (3 + smap.perms.itemsize / 8)):
-        inv = _inverse_rows(smap.perms[rows])
-        out[rows] = inv[np.arange(len(inv)), arr[rows]]
-    return out
+    return _map_rows(smap.perms, True, arr[:, None])[0][:, 0]

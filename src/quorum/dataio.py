@@ -781,15 +781,15 @@ def _cache_store(entry: str, names: list[str], has_truth: bool, cells: tuple) ->
     raw = [_raw(arr) for arr in arrays]
     if sum(buf.size for buf in raw) > _CACHE_BYTES:
         return False
-    head = {"names": names, "has_truth": has_truth, "vocab": vocab,
-            "arrays": [[arr.dtype.str, arr.shape] for arr in arrays]}
-    head["sha256"] = _sha256([json.dumps(head).encode(), *raw])
-    head = json.dumps(head).encode()
     directory = os.path.dirname(entry)
     try:
         os.makedirs(directory, 0o700, exist_ok=True)
-        if not _private(os.stat(directory)):
+        if not _private(os.stat(directory)):  # before the hash: a refused store costs a stat
             return False
+        head = {"names": names, "has_truth": has_truth, "vocab": vocab,
+                "arrays": [[arr.dtype.str, arr.shape] for arr in arrays]}
+        head["sha256"] = _sha256([json.dumps(head).encode(), *raw])
+        head = json.dumps(head).encode()
         blocks = [_CACHE_MAGIC, b"%d %d\n" % (_CACHE_FORMAT, len(head)), head, *raw]
         atomic_write_text(entry, blocks, private=True)
     except OSError:

@@ -11,8 +11,10 @@ in-memory array, whose dtype is not part of the output):
   accuracy against the truth column and the fit's accuracies (compared to
   1e-9). Seed 1's runs also shuffle the labels on ingest (``--shuffle-seed``),
   so their labels come back through ``shuffle_invert``;
-- ``verify/seed<s>``: the stdout of ``quorum verify --suite all``;
-- ``report/table2``: the CSV of ``quorum report --table2`` and its JSON ``rows``.
+- ``verify/seed<s>``: the stdout of ``quorum verify --suite all``, at seeds 0 to 3;
+- ``report/table2`` and ``report/gap-curve``: the CSV of ``quorum report
+  --table2`` and of ``quorum report --gap-curve`` (two replications), and each
+  one's JSON ``rows``.
 
 The file also records the numpy version it was made under. Labels are integer
 decisions behind a tie tolerance, so another numpy should give the same bytes;
@@ -48,9 +50,11 @@ PANELS = {
     "many-labels": (5_000, tuple(np.linspace(0.30, 0.75, 10).tolist()), 50),
 }
 SEEDS = (0, 1)
+VERIFY_SEEDS = (0, 1, 2, 3)
 TIES = ("lowest", "uniform")
 SHUFFLE_SEED = 11  # seed 1's aggregate runs shuffle labels on ingest
 REPORT_QUESTIONS = 5_000
+GAP_REPLICATIONS = 2
 
 
 def _sha256(data: bytes) -> str:
@@ -101,16 +105,17 @@ def outputs(tmp: Path) -> dict[str, dict]:
                     cases[f"aggregate/{name}/seed{seed}/{method}/{tie}"] = _aggregate(
                         panel, out, method, tie, seed, accuracies
                     )
-    for seed in SEEDS:
+    for seed in VERIFY_SEEDS:
         stdout = _cli("verify", "--suite", "all", "--seed", seed)
         cases[f"verify/seed{seed}"] = {"stdout_sha256": _sha256(stdout.encode())}
-    base = tmp / "table2"
-    _cli("report", "--table2", "-m", REPORT_QUESTIONS, "--out", base)
-    rows = json.loads(Path(f"{base}.json").read_text())["rows"]
-    cases["report/table2"] = {
-        "csv_sha256": _sha256(Path(f"{base}.csv").read_bytes()),
-        "rows_sha256": _sha256(json.dumps(rows, sort_keys=True).encode()),
-    }
+    for name, extra in [("table2", []), ("gap-curve", ["--replications", GAP_REPLICATIONS])]:
+        base = tmp / name
+        _cli("report", f"--{name}", "-m", REPORT_QUESTIONS, *extra, "--out", base)
+        rows = json.loads(Path(f"{base}.json").read_text())["rows"]
+        cases[f"report/{name}"] = {
+            "csv_sha256": _sha256(Path(f"{base}.csv").read_bytes()),
+            "rows_sha256": _sha256(json.dumps(rows, sort_keys=True).encode()),
+        }
     return cases
 
 

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from quorum import aggregate as agg
 from quorum import core, dataio, secondorder
 from quorum.cli import main
-from quorum.core import LabelSpace, PredictionMatrix, random_shuffle_map, shuffle_apply, shuffle_invert
+from quorum.core import LabelSpace, PredictionMatrix, ShuffleMap, random_shuffle_map, shuffle_apply, shuffle_invert
 from quorum.dataio import write_predictions_csv
 from quorum.estimate import METHODS, run_pipeline
 from quorum.oracle import DifficultyMixture, expected_accuracy, mixture_posterior
@@ -171,6 +171,11 @@ def _kernels():
         smap = random_shuffle_map(pm.m, pm.k, 3)  # a label vector, as aggregate --shuffle-seed inverts
         kernels[f"shuffle_invert-labels-{shape}"] = (lambda pm=pm, smap=smap: shuffle_invert(pm.truth, smap), 0)
         kernels[f"shuffle_invert-matrix-{shape}"] = (lambda pm=pm, smap=smap: shuffle_invert(pm, smap), 0)
+        kernels[f"ShuffleMap.inverse-{shape}"] = (smap.inverse, 0)
+        perms = smap.perms.astype(np.int64)  # as a caller would pass an argsort: the check reads it before the copy
+        kernels[f"ShuffleMap-{shape}"] = (lambda perms=perms: ShuffleMap(perms), 0)
+        # the check alone, whose scratch the map's copy would hide where the copy is larger
+        kernels[f"ShuffleMap._check-{shape}"] = (lambda perms=perms: ShuffleMap._check(perms), 0)
     isp = _panel(1, len(_ISP_ACC), 3)  # the exact second-order table and _peer_tables' one
     kernels["expected_accuracy-isp"] = (lambda: expected_accuracy("isp", _ISP_ACC, 3), _tables(isp, 2))
     vectors = np.random.default_rng(0).integers(0, 2, size=(50, 3))

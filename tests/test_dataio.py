@@ -1266,6 +1266,19 @@ def test_a_file_changed_too_recently_is_not_stored(tmp_path, monkeypatch):
     assert read_predictions_csv(str(path))[1]["cache"] == "stored"
 
 
+def test_a_store_into_a_group_writable_directory_is_refused_before_hashing(tmp_path, monkeypatch):
+    path = tmp_path / "p.csv"
+    _write_copy(path, _large_panel(), "lf")
+    with open(path, "rb") as fh:
+        names, has_truth, cells = dataio._parse_table(fh, str(path))
+    os.makedirs(dataio._cache_dir())
+    os.chmod(dataio._cache_dir(), 0o770)
+    hashed = []
+    monkeypatch.setattr(dataio, "_sha256", lambda blocks: hashed.append(len(blocks)))
+    assert not dataio._cache_store(_entry_of(path), names, has_truth, cells)
+    assert hashed == [] and _entries() == []
+
+
 @pytest.mark.parametrize("owner", ["group-writable-directory", "someone-else", "group-writable-entry"])
 def test_entries_another_user_could_have_written_are_not_loaded(tmp_path, monkeypatch, owner):
     path = tmp_path / "p.csv"

@@ -8,9 +8,11 @@ import pytest
 
 import quorum.simulate as sim
 from quorum import core
-from quorum.core import DimensionError, DomainError, PredictionMatrix, derive_seed, sigma_k, uniform_block
+from quorum.aggregate import TIE_LOWEST, TIE_UNIFORM, TiePolicy, aggregate_batch
+from quorum.core import DimensionError, DomainError, PredictionMatrix, derive_seed, ow_weights, sigma_k, uniform_block
 from quorum.dataio import write_predictions_csv
-from quorum.oracle import DifficultyMixture
+from quorum.oracle import DifficultyMixture, expected_accuracy, mixture_expected_accuracy
+from quorum.secondorder import exact_second_order
 from quorum.simulate import (
     AccuracyTable,
     CiSimSpec,
@@ -280,3 +282,60 @@ def test_memory_is_the_panel_plus_a_block(simulate, spec):
         tracemalloc.stop()
     returned = pm.answers.nbytes + pm.truth.nbytes
     assert peak <= returned + 8 * core._BLOCK_CELLS, (peak, returned)
+
+
+
+_TIE_MODES = (TIE_LOWEST, TIE_UNIFORM)
+
+
+def _agreement_shapes():
+    """The panels the simulators and the exact oracles are compared on, drawn
+    from a fixed stream before any result was seen: 16 independent-errors
+    panels, (accuracies, K), with N in 2..6, K in 2..4 and accuracies in
+    (1/K + 0.02, 0.95), and 8 difficulty-mixture panels, (abilities, K,
+    mixture), with N in 2..5 and abilities in (0.3, 3), on a log-uniform or a
+    two-atom mixture."""
+
+    rng = np.random.default_rng(20261020)
+    ci, mixed = [], []
+    for _ in range(16):
+        k, n = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+        ci.append((tuple(rng.uniform(1 / k + 0.02, 0.95, n).round(3).tolist()), k))
+    mixtures = (DifficultyMixture.log_uniform(0.2, 5.0), DifficultyMixture.atoms([(0.5, 0.5), (3.0, 0.5)]))
+    for i in range(8):
+        k, n = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        mixed.append((tuple(rng.uniform(0.3, 3.0, n).round(3).tolist()), k, mixtures[i % 2]))
+    return ci, mixed
+
+
+def test_simulators_agree_with_the_exact_oracles_rule_by_rule():
+    # Each rule's accuracy on M simulated questions is a mean of M independent
+    # Bernoulli draws of the oracle's exact value, so z = (empirical - exact) /
+    # sqrt(exact (1 - exact) / M). Over the 16 * 4 * 2 + 8 * 2 * 2 = 160
+    # comparisons, a Bonferroni bound of |z| <= 5 (two-sided 5.7e-7 each)
+    # fails a correct build with probability under 1e-4.
+    m, ci, mixed = 100_000, *_agreement_shapes()
+    z = {}
+
+    def compare(name, pm, tie_seed, exact, rule, **tables):
+        # exact: tie mode -> the oracle's accuracy of the rule
+        for mode, p in exact.items():
+            labels, _ = aggregate_batch(rule, pm.answers, pm.k, TiePolicy(mode, tie_seed), **tables)
+            z[f"{name} {mode}"] = (float((labels == pm.truth).mean()) - p) / math.sqrt(p * (1.0 - p) / m)
+
+    for s, (acc, k) in enumerate(ci):
+        pm = simulate_ci(CiSimSpec(acc, k, m, seed=100 + s))
+        so, weights = exact_second_order(acc, k), ow_weights(acc, k)
+        for rule in ("mv", "sp", "isp", "weighted"):
+            w = weights if rule == "weighted" else None
+            exact = {mode: expected_accuracy(rule, acc, k, weights=w, tie_mode=mode) for mode in _TIE_MODES}
+            compare(f"ci {acc} K={k} {rule}", pm, s, exact, rule, so=so, weights=w)
+    for s, (abilities, k, mixture) in enumerate(mixed):
+        pm = simulate_difficulty(DifficultySimSpec(abilities, mixture, k, m, seed=200 + s))
+        for rule in ("mv", "eow"):  # eow: the weighted rule with the abilities as weights
+            exact = {mode: mixture_expected_accuracy(rule, abilities, mixture, k, tie_mode=mode) for mode in _TIE_MODES}
+            w = np.asarray(abilities) if rule == "eow" else None
+            compare(f"mixture {abilities} K={k} {rule}", pm, s, exact, "weighted" if w is not None else rule, weights=w)
+    assert len(z) == 160
+    worst = sorted(z, key=lambda name: abs(z[name]))[-3:]
+    assert abs(z[worst[-1]]) <= 5.0, {name: z[name] for name in worst}
