@@ -191,12 +191,6 @@ def _check_answers(answers, k: int, min_agents: int = 1, ndim: int = 1) -> np.nd
     return arr if np.can_cast(arr.dtype, np.int64) else arr.astype(np.int64)
 
 
-def _as_matrix(pm_or_array, k: int, min_agents: int = 1) -> tuple[np.ndarray, int]:
-    if isinstance(pm_or_array, PredictionMatrix):
-        pm_or_array, k = pm_or_array.answers, pm_or_array.k
-    return _check_answers(pm_or_array, k, min_agents, ndim=2), int(k)
-
-
 # ---------------------------------------------------------------------------
 # Zero- and first-order rules
 # ---------------------------------------------------------------------------
@@ -231,27 +225,6 @@ def aggregate_weighted(
 # ---------------------------------------------------------------------------
 # Second-order rules
 # ---------------------------------------------------------------------------
-
-
-def _peer_tables(rule: str, so: SecondOrderMatrix) -> np.ndarray:
-    """Per-agent tables T[j, l, s] of the peer rule, laid out (N, K_answer, K_score).
-
-    ``sp``: T[j, l, s] = sum over i != j of P(A_i = s | A_j = s_l).
-    ``isp``: T[j, l, s] = sum over i != j of mean_{a != s_l} P(A_i = s | A_j = a).
-    Agent j's contribution to a block of questions is then a gather of whole
-    rows of T[j], one per question; build T once per matrix, not per block.
-    Building them holds one (N, N, K, K) float64 table (``isp``) and two of
-    shape (N, K, K).
-    """
-
-    probs = so.probs
-    if rule == "isp":
-        probs = probs.sum(axis=3, keepdims=True) - probs
-        probs /= so.k - 1
-    idx = np.arange(so.n)
-    tables = probs.sum(axis=0)
-    tables -= probs[idx, idx]  # the sum over i, less i == j
-    return np.ascontiguousarray(tables.transpose(0, 2, 1))
 
 
 def _gather_totals(tables: np.ndarray, answers: np.ndarray) -> np.ndarray:
@@ -302,33 +275,30 @@ def weighted_scores_batch(answers: np.ndarray, weights: np.ndarray, k: int) -> n
     return _label_totals(answers, k, w).T
 
 
-def _peer_advantage_batch(
-    rule: str, pm_or_answers, so: SecondOrderMatrix, k: int | None, tables: np.ndarray | None
-) -> np.ndarray:
+def _peer_advantage_batch(rule: str, pm_or_answers, so: SecondOrderMatrix, k: int | None) -> np.ndarray:
     """Vote counts minus the rule's peer-table totals averaged over the N - 1 peers."""
 
-    answers, k = _as_matrix(pm_or_answers, k if k is not None else so.k, min_agents=2)
+    if isinstance(pm_or_answers, PredictionMatrix):
+        pm_or_answers, k = pm_or_answers.answers, pm_or_answers.k
+    k = so.k if k is None else k
+    answers = _check_answers(pm_or_answers, k, min_agents=2, ndim=2)
     _check_so(so, answers.shape[1], k)
-    totals = _gather_totals(_peer_tables(rule, so) if tables is None else tables, answers)
+    totals = _gather_totals(so.peer_tables(rule), answers)
     totals /= -(answers.shape[1] - 1)  # in place: the same bits as counts - totals / (N - 1)
     totals += _label_totals(answers, k)
     return totals.T
 
 
-def sp_advantage_batch(
-    pm_or_answers, so: SecondOrderMatrix, k: int | None = None, *, tables=None
-) -> np.ndarray:
+def sp_advantage_batch(pm_or_answers, so: SecondOrderMatrix, k: int | None = None) -> np.ndarray:
     """Advantage of the peer-expected rule for every question, shape (M, K)."""
 
-    return _peer_advantage_batch("sp", pm_or_answers, so, k, tables)
+    return _peer_advantage_batch("sp", pm_or_answers, so, k)
 
 
-def isp_advantage_batch(
-    pm_or_answers, so: SecondOrderMatrix, k: int | None = None, *, tables=None
-) -> np.ndarray:
+def isp_advantage_batch(pm_or_answers, so: SecondOrderMatrix, k: int | None = None) -> np.ndarray:
     """Advantage of the counterfactual peer rule for every question."""
 
-    return _peer_advantage_batch("isp", pm_or_answers, so, k, tables)
+    return _peer_advantage_batch("isp", pm_or_answers, so, k)
 
 
 def score_batch(
@@ -337,18 +307,15 @@ def score_batch(
     k: int,
     so: SecondOrderMatrix | None = None,
     weights: np.ndarray | None = None,
-    *,
-    tables: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score of every label on every question under one rule: an (M, K) view of a (K, M) array.
 
     ``mv`` counts votes, ``weighted`` sums the ``weights`` of the agents
     that chose each label, and ``sp``/``isp`` give each label's advantage
     against the second-order matrix ``so``. Each is a sum over agents: the
-    first two run as one bincount, the peer rules as a gather from
-    per-agent (K, K) tables; a caller scoring many row blocks builds them
-    once with ``_peer_tables`` and passes them as ``tables``. The decision
-    is the argmax of each row.
+    first two run as one bincount, the peer rules as a gather from the
+    per-agent (K, K) tables that ``so.peer_tables`` builds once per matrix.
+    The decision is the argmax of each row.
     """
 
     if rule == "mv":
@@ -361,7 +328,7 @@ def score_batch(
         if so is None:
             raise DomainError(f"the {rule} rule needs a second-order matrix")
         leaf = sp_advantage_batch if rule == "sp" else isp_advantage_batch
-        return leaf(answers, so, k, tables=tables)
+        return leaf(answers, so, k)
     raise DomainError(f"unknown rule {rule!r}; expected one of {RULES}")
 
 
@@ -449,22 +416,18 @@ def advantage_isp(answers, so: SecondOrderMatrix) -> AdvantageVector:
     return _peer_advantage("isp", answers, so)
 
 
-def _pick_advantage(
-    adv: AdvantageVector, tie: TiePolicy | None, question_index: int
-) -> tuple[int, AdvantageVector]:
-    return (tie or TiePolicy()).pick(adv.values, question_index), adv
-
-
 def aggregate_sp(
     answers, so: SecondOrderMatrix, tie: TiePolicy | None = None, question_index: int = 0
 ) -> tuple[int, AdvantageVector]:
-    return _pick_advantage(advantage_sp(answers, so), tie, question_index)
+    adv = advantage_sp(answers, so)
+    return (tie or TiePolicy()).pick(adv.values, question_index), adv
 
 
 def aggregate_isp(
     answers, so: SecondOrderMatrix, tie: TiePolicy | None = None, question_index: int = 0
 ) -> tuple[int, AdvantageVector]:
-    return _pick_advantage(advantage_isp(answers, so), tie, question_index)
+    adv = advantage_isp(answers, so)
+    return (tie or TiePolicy()).pick(adv.values, question_index), adv
 
 
 def decide_batch(
@@ -514,20 +477,18 @@ def aggregate_batch(
     has as many rows as fit the one block budget, ``core._BLOCK_CELLS``
     float64 cells (768 KiB, sized to stay in the 2 MiB per-core L2), at the
     count of ``_score_cells``: every temporary the rule's scoring and the
-    decision hold at their peak. A peer rule also holds its (N, K, K)
-    tables, and one (N, N, K, K) table while it builds them.
+    decision hold at their peak. A peer rule reads the (N, K, K) tables that
+    ``so`` keeps (see ``SecondOrderMatrix.peer_tables``).
     """
 
     answers = _check_answers(answers, k, ndim=2)
     m, n = answers.shape
-    tie = tie or TiePolicy()
-    tables = _peer_tables(rule, so) if rule in SECOND_ORDER_RULES and so is not None else None
     labels = np.empty(m, dtype=_code_dtype(k))
     ties = 0
     cells, unbuffered = _score_cells(rule, n, k)
     for rows in _row_blocks(m, cells, unbuffered=unbuffered):
         labels[rows], tied = decide_batch(
-            score_batch(rule, answers[rows], k, so=so, weights=weights, tables=tables),
+            score_batch(rule, answers[rows], k, so=so, weights=weights),
             tie,
             rows.start,
             return_ties=True,

@@ -426,15 +426,19 @@ class ShuffleMap:
             raise DimensionError(f"perms must be 2-d, got shape {perms.shape}")
         if not np.issubdtype(perms.dtype, np.integer):
             raise DomainError("perms must hold integer indices")
-        k, width = perms.shape[1], perms.itemsize * perms.shape[1] / 8
-        # cells a row: its sorted copy and the buffer of subtracting the
-        # broadcast 0..K-1 from it in place, both in the map's dtype
-        for rows in _row_blocks(perms.shape[0], 2 * width, unbuffered=width):
-            ranks = np.sort(perms[rows], axis=1)
-            ranks -= np.arange(k, dtype=perms.dtype)
-            if ranks.any():
+        k = perms.shape[1]
+        # cells a row: its flat codes and their counts (K each), its base q K (1)
+        # and the bool buffer of the counts' all() (K / 8)
+        for rows in _row_blocks(perms.shape[0], 2 * k + 1 + k / 8, unbuffered=2 * k + 1):
+            codes = perms[rows].astype(np.intp)  # a value past intp wraps below 0
+            # row q is a permutation when its values lie in [0, K) and each flat code q K + value comes once
+            ok = not codes.size or (codes.min() >= 0 and codes.max() < k)
+            if ok:
+                codes += np.arange(0, codes.size, k)[:, None]
+                ok = np.bincount(codes.ravel(), minlength=codes.size).all()
+            if not ok:
                 raise DomainError("each row of perms must be a permutation of 0..K-1")
-            del ranks  # or it lives on beside the next block's sorted copy
+            del codes  # or it lives on beside the next block's codes
 
     @classmethod
     def _adopt(cls, perms: np.ndarray) -> "ShuffleMap":

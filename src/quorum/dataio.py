@@ -588,32 +588,41 @@ def _screen_rows(
     empty cell is dropped under ``drop_incomplete`` and is otherwise an error;
     a kept row with a label outside ``space`` is an error. The first faulty
     row in file order raises ``FormatError``; within a row, the empty-cell
-    check comes first.
+    check comes first. It holds one block of rows beside the indices it returns.
     """
 
-    empty = np.array([lab == "" for lab in vocab], dtype=bool)[codes]
-    unknown = np.array(
-        [lab != "" and space is not None and lab not in space.labels for lab in vocab], dtype=bool
-    )[codes]
-    empty_rows = empty.any(axis=1)
-    faulty = unknown.any(axis=1)
-    if drop_incomplete:
-        faulty &= ~empty_rows
-    else:
-        faulty |= empty_rows
-    if faulty.any():
-        row = int(np.argmax(faulty))
-        lineno = row + 2
-        if empty_rows[row]:
-            col = int(np.argmax(empty[row]))
-            agent = names[col] if col < len(names) else "truth"
-            raise FormatError(
-                f"{path}:{lineno}: empty cell for {agent!r} "
-                "(use --drop-incomplete to skip such questions)"
-            )
-        cell = vocab[codes[row, int(np.argmax(unknown[row]))]]
-        raise FormatError(f"{path}:{lineno}: label {cell!r} not in label space {space.labels}")
-    return np.flatnonzero(~empty_rows)
+    empty_of = np.array([lab == "" for lab in vocab], dtype=bool)
+    unknown_of = np.array([lab != "" and space is not None and lab not in space.labels for lab in vocab], dtype=bool)
+    m, c = codes.shape
+    kept, count = np.empty(m, np.intp), 0
+    # cells a row: its empty and unknown masks (C / 8 each), three (rows,) masks (1 / 8
+    # each), its kept indices before and after the shift (1 each), the buffer of widening its codes (C)
+    for rows in _row_blocks(m, c + c / 4 + 2.5, unbuffered=c / 4 + 2.5):
+        block = codes[rows]
+        empty, unknown = empty_of[block], unknown_of[block]
+        empty_rows = empty.any(axis=1)
+        faulty = unknown.any(axis=1)
+        if drop_incomplete:
+            faulty &= ~empty_rows
+        else:
+            faulty |= empty_rows
+        if faulty.any():
+            row = int(np.argmax(faulty))
+            lineno = rows.start + row + 2
+            if empty_rows[row]:
+                col = int(np.argmax(empty[row]))
+                agent = names[col] if col < len(names) else "truth"
+                raise FormatError(
+                    f"{path}:{lineno}: empty cell for {agent!r} "
+                    "(use --drop-incomplete to skip such questions)"
+                )
+            cell = vocab[block[row, int(np.argmax(unknown[row]))]]
+            raise FormatError(f"{path}:{lineno}: label {cell!r} not in label space {space.labels}")
+        rest = np.flatnonzero(~empty_rows)
+        kept[count : count + rest.size] = rest + rows.start
+        count += rest.size
+        del empty, unknown, empty_rows, faulty, rest  # or they live on beside the next block's
+    return kept[:count]
 
 
 def _parse_table(fh, path: str) -> tuple[list[str], bool, tuple]:
@@ -663,7 +672,7 @@ def _parse_table(fh, path: str) -> tuple[list[str], bool, tuple]:
 # truth flag, vocabulary, each array's dtype and shape, and the SHA-256 of the
 # rest of the header and the arrays), then the arrays' raw bytes.
 _CACHE_MAGIC = b"quorum parse cache\n"
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 _CACHE_MIN_BYTES = 2**20
 _CACHE_ENTRIES = 8
 _CACHE_BYTES = 2**28  # all entries together; a larger table is not stored
@@ -818,16 +827,16 @@ def _cache_evict(directory: str) -> None:
             os.unlink(path)
 
 
-def _read_table(path: str) -> tuple[list[str], bool, tuple, str]:
-    """What ``_parse_table`` makes of the file at ``path``, and where it came
-    from: ``"hit"`` (the parse cache), ``"stored"`` (parsed, then cached) or
-    ``"off"`` (parsed only).
+def _read_table(path: str) -> tuple[list[str], bool, tuple, str, bool]:
+    """What ``_parse_table`` makes of the file at ``path``, where it came from
+    (``"hit"``, the parse cache; ``"stored"``, parsed, then cached; or
+    ``"off"``, parsed only) and whether its question ids are known to differ.
 
     The file is opened once and read once, from its start. A cache entry is a
     memo of ``_parse_table`` on the file state it is named by, so bump
     ``_CACHE_FORMAT`` whenever what it returns changes. A parse is stored only
-    if it found no fault and the file's state was settled before parsing and
-    the same after.
+    if it found no fault, its ids all differ (so a hit skips that check) and
+    the file's state was settled before parsing and the same after.
     """
 
     try:
@@ -837,14 +846,16 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple, str]:
     with fh, _gc_paused():
         cached = _cache_entry(fh)
         if cached is not None and (table := _cache_load(cached[0])) is not None:
-            return (*table, "hit")
+            return (*table, "hit", True)
         names, has_truth, cells = _parse_table(fh, path)
-        stored = False
+        stored = distinct = False
         if cached is not None and cached[1] is not None and cells[3] is None:
             entry, state = cached
             with contextlib.suppress(OSError):
-                stored = _file_state(os.fstat(fh.fileno())) == state and _cache_store(entry, names, has_truth, cells)
-        return names, has_truth, cells, "stored" if stored else "off"
+                if _file_state(os.fstat(fh.fileno())) == state:
+                    distinct = not cells[0] or _first_repeat(cells[0]) is None
+                    stored = distinct and _cache_store(entry, names, has_truth, cells)
+        return names, has_truth, cells, "stored" if stored else "off", distinct
 
 
 def _label_indices(
@@ -906,7 +917,7 @@ def read_predictions_csv(
     only if no row is faulty.
     """
 
-    names, has_truth, (qids, codes, vocab, fault), cache = _read_table(path)
+    names, has_truth, (qids, codes, vocab, fault), cache, distinct = _read_table(path)
     space = LabelSpace(tuple(labels)) if labels is not None else None
     clean = "" not in vocab and (space is None or set(vocab).issubset(space.labels))
     kept = None if clean else _screen_rows(codes, vocab, space, names, drop_incomplete, path)
@@ -918,7 +929,7 @@ def read_predictions_csv(
         qids = qids._take(kept)
     if not qids:
         raise FormatError(f"{path}: no usable question rows")
-    repeat = _first_repeat(qids)
+    repeat = None if distinct else _first_repeat(qids)  # the kept rows of distinct ids are distinct
     if repeat is not None:
         lineno = (repeat if kept is None else int(kept[repeat])) + 2
         raise FormatError(f"{path}:{lineno}: duplicate question_id {qids[repeat]!r}")

@@ -99,6 +99,30 @@ class SecondOrderMatrix:
     def k(self) -> int:
         return int(self.probs.shape[2])
 
+    def peer_tables(self, rule: str) -> np.ndarray:
+        """Per-agent tables T[j, l, s] of peer rule ``sp`` or ``isp``, laid out (N, K_answer, K_score).
+
+        ``sp``: T[j, l, s] = sum over i != j of P(A_i = s | A_j = s_l).
+        ``isp``: T[j, l, s] = sum over i != j of mean_{a != s_l} P(A_i = s | A_j = a).
+        Agent j's contribution to a block of questions is then a gather of whole
+        rows of T[j], one per question. Built on first use, which holds one (N, N,
+        K, K) table (``isp``) and two (N, K, K) ones, and kept read-only with the
+        matrix, whose arrays cannot change: it adds (N, K, K) cells a rule.
+        """
+
+        if rule not in ("sp", "isp"):
+            raise DomainError(f"no peer tables for rule {rule!r}; expected 'sp' or 'isp'")
+        if f"_{rule}_tables" not in self.__dict__:
+            probs = self.probs
+            if rule == "isp":
+                probs = probs.sum(axis=3, keepdims=True) - probs
+                probs /= self.k - 1
+            idx = np.arange(self.n)
+            tables = probs.sum(axis=0)
+            tables -= probs[idx, idx]  # the sum over i, less i == j
+            _freeze(self, **{f"_{rule}_tables": np.ascontiguousarray(tables.transpose(0, 2, 1))})
+        return self.__dict__[f"_{rule}_tables"]
+
 
 def same_label_prob(x_i, x_j, k: int):
     """P(A_i = s | A_j = s): both right, or both wrong on the same label."""

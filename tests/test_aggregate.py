@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quorum import aggregate as agg
-from quorum import core
+from quorum import core, secondorder
 from quorum.core import DimensionError, DomainError, LabelSpace, PredictionMatrix, ow_weights
 from quorum.oracle import bayes_posterior, enumerate_vectors, expected_accuracy
 from quorum.secondorder import empirical_second_order, exact_second_order
@@ -320,13 +320,63 @@ class TestAggregateBatch:
         pm = PredictionMatrix(LabelSpace.default(k), rng.integers(0, k, size=(500, 6)))
         so = empirical_second_order(pm)
         for rule in agg.SECOND_ORDER_RULES:
-            tables = agg._peer_tables(rule, so)
+            tables = so.peer_tables(rule)
             slab = np.zeros((k, pm.m))
             for j, table in enumerate(tables.transpose(0, 2, 1)):  # (K_score, K_answer)
                 slab += table[:, pm.answers[:, j]]
             totals = agg._gather_totals(tables, pm.answers)
             assert totals.flags.c_contiguous, rule
             assert np.array_equal(totals, slab), rule
+
+
+class TestPeerTables:
+    """Each second-order matrix builds a peer rule's tables once, on first use, and keeps them."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Lists that record each peer-table build and each ``score_batch`` call from here on."""
+
+        builds, calls = [], []
+        freeze, score = secondorder._freeze, agg.score_batch
+
+        def counting_freeze(obj, **fields):
+            builds.extend(name for name in fields if name.endswith("_tables"))
+            return freeze(obj, **fields)
+
+        def counting_score(rule, *args, **kwargs):
+            calls.append(rule)
+            return score(rule, *args, **kwargs)
+
+        monkeypatch.setattr(secondorder, "_freeze", counting_freeze)
+        monkeypatch.setattr(agg, "score_batch", counting_score)
+        return builds, calls
+
+    def test_kept_read_only_with_the_matrix(self):
+        so = exact_second_order([0.9, 0.7, 0.6, 0.55], 3)
+        for rule in agg.SECOND_ORDER_RULES:
+            tables = so.peer_tables(rule)
+            assert tables.shape == (4, 3, 3) and not tables.flags.writeable
+            assert so.peer_tables(rule) is tables
+        with pytest.raises(DomainError, match="no peer tables"):
+            so.peer_tables("mv")
+
+    def test_built_once_across_the_blocks_of_aggregate_batch(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        pm = PredictionMatrix(LabelSpace.default(3), rng.integers(0, 3, size=(5_000, 6)))
+        so = empirical_second_order(pm)
+        builds, calls = self._spy(monkeypatch)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 2**12)
+        for rule in agg.SECOND_ORDER_RULES * 2:
+            agg.aggregate_batch(rule, pm.answers, pm.k, so=so)
+        assert builds == ["_sp_tables", "_isp_tables"]
+        assert len(calls) >= 4 * 20, len(calls)  # twenty blocks or more each time
+
+    def test_built_once_across_the_chunks_of_an_exact_expectation(self, monkeypatch):
+        builds, calls = self._spy(monkeypatch)
+        monkeypatch.setattr(core, "_BLOCK_CELLS", 2**12)
+        expected_accuracy("isp", np.linspace(0.4, 0.9, 8), 3)
+        assert builds == ["_isp_tables"]  # the one matrix the call builds
+        assert len(calls) >= 10, len(calls)  # ten chunks or more
 
 
 class TestKernelDifferential:

@@ -159,7 +159,7 @@ def _kernels():
         so = empirical_second_order(pm)
         w = np.linspace(0.1, 1.0, pm.n)
         for rule in agg.RULES:
-            peer = rule in agg.SECOND_ORDER_RULES  # _peer_tables: one table, and (N, K, K) ones
+            peer = rule in agg.SECOND_ORDER_RULES  # so.peer_tables: one table, and (N, K, K) ones
             kernels[f"aggregate_batch-{rule}-{shape}"] = (
                 lambda pm=pm, so=so, w=w, rule=rule: agg.aggregate_batch(rule, pm.answers, pm.k, so=so, weights=w),
                 _tables(pm, 2 if peer else 0),
@@ -176,7 +176,17 @@ def _kernels():
         kernels[f"ShuffleMap-{shape}"] = (lambda perms=perms: ShuffleMap(perms), 0)
         # the check alone, whose scratch the map's copy would hide where the copy is larger
         kernels[f"ShuffleMap._check-{shape}"] = (lambda perms=perms: ShuffleMap._check(perms), 0)
-    isp = _panel(1, len(_ISP_ACC), 3)  # the exact second-order table and _peer_tables' one
+        # a panel's codes into its labels and "", with one empty cell, screened under --drop-incomplete
+        codes = np.column_stack([pm.answers, pm.truth])
+        codes[pm.m // 2, 1] = pm.k
+        vocab, names = [*pm.space.labels, ""], [f"a{j}" for j in range(pm.n)]
+        kernels[f"_screen_rows-{shape}"] = (
+            lambda codes=codes, vocab=vocab, pm=pm, names=names: dataio._screen_rows(
+                codes, vocab, pm.space, names, True, "p.csv"
+            ),
+            0,
+        )
+    isp = _panel(1, len(_ISP_ACC), 3)  # the exact second-order table and peer_tables' one
     kernels["expected_accuracy-isp"] = (lambda: expected_accuracy("isp", _ISP_ACC, 3), _tables(isp, 2))
     vectors = np.random.default_rng(0).integers(0, 2, size=(50, 3))
     kernels["mixture_posterior-20000-nodes"] = (lambda: mixture_posterior(vectors, [1.0, 2.0, 0.5], _DENSE, 2), 0)
@@ -208,3 +218,66 @@ def test_a_block_kernel_holds_one_block_of_scratch(kernel, budget, monkeypatch):
         tracemalloc.stop()
     del result
     assert peak - kept <= 8 * core._BLOCK_CELLS + tables + _OBJECTS, (peak - kept, tables)
+
+
+def _bad_maps():
+    """name -> an (M, K) map, valid or not, and whether every row is a permutation of 0..K-1."""
+
+    perms = random_shuffle_map(_SHAPES["tall"].m, 4, 5).perms
+    maps = {}
+    for dtype in (np.uint8, np.int8, np.int64, np.uint64):
+        maps[f"valid-{np.dtype(dtype).name}"] = perms.astype(dtype)
+    for row in (0, 1023, 1024, len(perms) - 1):  # the first and last rows, and two about a block's edge
+        for name, values in {
+            "repeat": [0, 0, 1, 2],
+            "K": [0, 1, 2, 4],
+            "negative": [-1, 1, 2, 3],
+            "shifted": [1, 2, 3, 4],  # the code q K + K is row q + 1's first
+        }.items():
+            bad = perms.astype(np.int64)
+            bad[row] = values
+            maps[f"{name}-{row}"] = bad
+        wrapped = perms.astype(np.uint64)
+        wrapped[row, 0] = 2**63  # -2^63 as an intp
+        maps[f"2^63-{row}"] = wrapped
+    shifted = perms.astype(np.int64)
+    shifted[5:7] = [[1, 2, 3, 4], [1, 2, 3, -4]]  # each flat code q K + value of rows 5 and 6 comes once
+    maps["spill"] = shifted
+    return {name: (arr, bool((np.sort(arr, axis=1) == np.arange(4)).all())) for name, arr in maps.items()}
+
+
+@pytest.mark.parametrize("budget", [None, 2**12], ids=["default", "4096"])
+def test_shuffle_map_rejects_exactly_the_maps_whose_rows_are_not_permutations(budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", budget)
+    maps = _bad_maps()
+    for name, (arr, valid) in maps.items():
+        if valid:
+            assert ShuffleMap(arr).perms.dtype == np.uint8, name
+        else:
+            with pytest.raises(core.DomainError, match="permutation"):
+                ShuffleMap(arr)
+    assert sum(valid for _, valid in maps.values()) == 4  # the four valid dtypes only
+
+
+@pytest.mark.parametrize("budget", [None, 2**12], ids=["default", "4096"])
+@pytest.mark.parametrize("drop", [False, True], ids=["strict", "drop-incomplete"])
+def test_screen_rows_reports_the_first_faulty_row_at_any_block_size(budget, drop, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", budget)
+    pm = _SHAPES["tall"]
+    codes = np.column_stack([pm.answers, pm.truth])
+    vocab, names = [*pm.space.labels, "", "Z"], ["a", "b", "c", "d"]
+    codes[[7, 20_000, 30_000], [2, 4, 1]] = [4, 4, 5]  # empty cells for c and the truth, then an unknown label
+    space = LabelSpace(pm.space.labels)
+    if drop:  # the empty rows are dropped; the unknown label faults
+        with pytest.raises(core.FormatError, match=r"p\.csv:30002: label 'Z' not in label space"):
+            dataio._screen_rows(codes, vocab, space, names, True, "p.csv")
+        kept = dataio._screen_rows(codes[:30_000], vocab, space, names, True, "p.csv")
+        np.testing.assert_array_equal(kept, np.setdiff1d(np.arange(30_000), [7, 20_000]))
+    else:
+        with pytest.raises(core.FormatError, match=r"p\.csv:9: empty cell for 'c'"):
+            dataio._screen_rows(codes, vocab, space, names, False, "p.csv")
+        codes[7, 2] = 0
+        with pytest.raises(core.FormatError, match=r"p\.csv:20002: empty cell for 'truth'"):
+            dataio._screen_rows(codes, vocab, space, names, False, "p.csv")

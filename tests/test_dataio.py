@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quorum import dataio
+from quorum import core, dataio
 from quorum.core import FormatError, LabelSpace, PredictionMatrix
 from quorum.dataio import (
     QuestionIds,
@@ -1096,6 +1096,50 @@ def test_every_option_shares_one_entry_and_errors_survive_a_hit(tmp_path):
         read_predictions_csv(str(path), labels=["alpha", "bravo", "charlie", "delta"], drop_incomplete=True)
     _, meta = read_predictions_csv(str(path), drop_incomplete=True, agents=["a"])
     assert meta["cache"] == "hit" and len(_entries()) == 1
+
+
+def _counted_first_repeat(monkeypatch):
+    calls = []
+    first_repeat = dataio._first_repeat
+
+    def counted(ids):
+        calls.append(len(ids))
+        return first_repeat(ids)
+
+    monkeypatch.setattr(dataio, "_first_repeat", counted)
+    return calls
+
+
+def test_a_hit_skips_the_duplicate_id_check_and_holds_one_block_beside_its_result(tmp_path, monkeypatch):
+    # the stored parse's ids were checked, all of them, before it was stored
+    answers = np.random.default_rng(2).integers(0, 4, size=(200_000, 4))
+    path = tmp_path / "p.csv"
+    write_predictions_csv(str(path), PredictionMatrix(LabelSpace.default(4), answers, answers[:, 0]))
+    calls = _counted_first_repeat(monkeypatch)
+    stored = read_predictions_csv(str(path))
+    assert stored[1]["cache"] == "stored" and calls == [200_000]
+    pm, meta, retained, peak = _traced_read(path)
+    assert meta["cache"] == "hit" and calls == [200_000]
+    _same_read((pm, meta), stored)
+    assert peak <= retained + 8 * core._BLOCK_CELLS, (peak, retained)
+
+
+@pytest.mark.parametrize("dropped", [False, True], ids=["kept", "dropped"])
+def test_a_parse_with_a_repeated_id_is_never_stored(tmp_path, monkeypatch, dropped):
+    # question 997 (line 999) repeats q6 and question 999 (line 1001) repeats
+    # q5; with an empty cell in questions 3, 10, ..., 997 is dropped
+    table = _large_panel(empty_every=7 if dropped else 0)
+    table[1000][0] = "q5"
+    table[998][0] = "q6"
+    path = tmp_path / "p.csv"
+    _write_copy(path, table, "lf")
+    calls = _counted_first_repeat(monkeypatch)
+    error = r"p\.csv:1001: duplicate question_id 'q5'" if dropped else r"p\.csv:999: duplicate question_id 'q6'"
+    for _ in range(2):
+        with pytest.raises(FormatError, match=error):
+            read_predictions_csv(str(path), drop_incomplete=dropped)
+        assert _entries() == []
+    assert calls == [26_000, 26_000 - 3714 * dropped] * 2  # the whole parse, then the kept rows
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
