@@ -29,10 +29,11 @@
 # RSS on a 1M x 4, K=4 panel stays at or below 58 MB (the simulators draw a
 # block of questions at a time, and keep the truth in the answers' one-byte
 # code dtype), a check that aggregate --method isp's own peak RSS on that
-# panel stays at or below 89 MB with the parse cache off and at or below 59 MB
-# on a cache hit (55.3 MB measured, plus the cache-off bound's 4 MB margin: a
-# hit loads a parse whose ids were checked distinct when it was stored, and
-# skips that check), with the same labels both ways, and a check that
+# panel stays at or below 61 MB with the parse cache off (57.5 MB measured:
+# the duplicate-id check keys one group of ids a block at a time) and at or
+# below 59 MB on a cache hit (55.3 MB measured; a hit loads a parse whose ids
+# were checked distinct when it was stored, and skips that check), each the
+# measured peak plus 4 MB, rounded down, with the same labels both ways, and a check that
 # the own peak RSS of verify --suite all and of report --table2 -m 25000 each
 # stays within 3.5 MB of a bare import of the CLI and numpy.random (every
 # kernel holds one block of scratch). Last, it prints the source lines of each
@@ -372,7 +373,7 @@ aggregate_memory_is_bounded() {
   # the parse cache is off: it refuses a cache directory that others may write
   mkdir -p "$tmp/shared-cache/quorum"
   chmod 775 "$tmp/shared-cache/quorum"
-  XDG_CACHE_HOME="$tmp/shared-cache" aggregate_isp_peak off 89
+  XDG_CACHE_HOME="$tmp/shared-cache" aggregate_isp_peak off 61
   # in a private cache, one run stores the parse and the next hits it
   export XDG_CACHE_HOME="$tmp/million-cache"
   sleep 2  # a file changed less than 2 s ago is read but not stored
@@ -429,7 +430,7 @@ step "the parse cache: a second run hits it, a damaged entry is parsed again, an
 step "under umask 022, aggregate and simulate outputs are mode 644 and the parse-cache entry 600" output_modes_follow_the_umask
 step "simulated panels, with and without truth, are what csv.writer writes" simulate_written_as_csv_writer_does
 step "simulate at 1M x 4, K=4 peaks at or below 58 MB of its own RSS" simulate_memory_is_bounded
-step "aggregate --method isp on that panel peaks at or below 89 MB of its own RSS with the parse cache off, 59 MB on a hit" aggregate_memory_is_bounded
+step "aggregate --method isp on that panel peaks at or below 61 MB of its own RSS with the parse cache off, 59 MB on a hit" aggregate_memory_is_bounded
 step "verify --suite all and report --table2 -m 25000 peak within 3.5 MB of a bare import's RSS" oracle_memory_is_bounded
 step "source lines per module (reported, not gated)" source_lines
 

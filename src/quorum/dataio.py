@@ -11,6 +11,7 @@ readers never observe partial output.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import gc
@@ -104,9 +105,8 @@ def _utf8(ids: list[str]) -> tuple[bytes, np.ndarray]:
     return data, np.fromiter(map(len, sizes), np.intp, len(ids))
 
 
-def _gather(src: np.ndarray, starts: np.ndarray, lens: np.ndarray, pad: int = 0) -> np.ndarray:
-    """``src[starts[i] : starts[i] + lens[i]]`` for every i, end to end, then
-    ``pad`` zero bytes.
+def _gather(src: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``src[starts[i] : starts[i] + lens[i]]`` for every i, end to end.
 
     The offsets into ``src`` are one cumulative sum: they step by one and
     jump from the end of each piece to the start of the next.
@@ -120,8 +120,8 @@ def _gather(src: np.ndarray, starts: np.ndarray, lens: np.ndarray, pad: int = 0)
     if total:
         steps[0] = starts[0]
         steps[ends[:-1]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
-    out = np.zeros(total + pad, np.uint8)
-    np.take(src, np.cumsum(steps, out=steps), out=out[:total])
+    out = np.empty(total, np.uint8)
+    np.take(src, np.cumsum(steps, out=steps), out=out)
     return out
 
 
@@ -161,13 +161,15 @@ class QuestionIds(Sequence):
         starts[1:] = ends[:-1]
         return starts, ends
 
-    def _take(self, rows: np.ndarray) -> "QuestionIds":
-        """The ids at ``rows``, in that order."""
+    def _take(self, keep: np.ndarray) -> "QuestionIds":
+        """The ids where the mask ``keep`` is set, gathered a block of ids at a time."""
 
-        starts, ends = self._bounds()
-        lens = ends[rows] - starts[rows]
-        data = _gather(self._data, starts[rows], lens, pad=8)
-        return QuestionIds._adopt(data, np.cumsum(lens).astype(np.min_scalar_type(data.size - 8)))
+        ids = _Columns(1)
+        for rows in _row_blocks(len(self), 7 + 1.125 * len(self._data) / max(len(self), 1)):  # a cell an id byte
+            starts, ends = self._bounds(rows.start, rows.stop)
+            lens = (ends - starts)[keep[rows]]
+            ids.add(_gather(self._data, starts[keep[rows]], lens), lens, np.empty(0, np.uint8), 0)
+        return ids.result()[0]
 
     def __len__(self) -> int:
         return len(self._ends)
@@ -222,41 +224,76 @@ def _decimal_ids(m: int) -> QuestionIds:
     return QuestionIds._adopt(data, ends)
 
 
+def _id_blocks(ids: QuestionIds, n: int | None = None):
+    """Per block of ``ids``: its rows, which of them are in ``_first_repeat``'s
+    group ``n`` (all of them, if None), and those ids' starts and lengths."""
+
+    ends = ids._ends
+    for rows in _row_blocks(len(ids), 5.25):
+        lens = np.diff(ends[rows], prepend=ends[rows.start - 1] if rows.start else ends.dtype.type(0))
+        mine = slice(None) if n is None else lens < 8 if n == 0 else lens == n
+        lens = lens[mine]
+        yield rows, mine, ends[rows][mine].astype(np.intp) - lens, lens
+
+
 def _first_repeat(ids: QuestionIds) -> int | None:
     """Index of the first id equal to an earlier one, or None if all differ.
 
-    The ids of each byte length are keyed by ``_packed_keys``, whose keys
-    are equal exactly where the ids are, and sorted in place: a repeat shows
-    as equal neighbours. Only a group that has one is keyed and sorted again,
-    stably, to find its earliest repeat.
+    Ids are grouped by byte length, those under 8 bytes in one group n = 0, and
+    keyed, a block of ids at a time, by their bytes zero-padded into 64-bit
+    words (an id under 8 bytes has its length in the last byte): keys are equal
+    exactly where the ids are. Keys of one word are sorted in place, so a
+    repeat shows as equal neighbours; only then, or for longer ids, does
+    ``np.lexsort`` order them stably to find the earliest repeat. Beside one
+    group's keys (and their order) it holds a block.
     """
 
-    ends = ids._ends
-    lens = np.diff(ends, prepend=ends.dtype.type(0))
-    if lens.min() == lens.max():
-        groups = [(int(lens[0]), slice(None))]
-    else:
-        lengths = np.flatnonzero(np.bincount(lens.astype(np.intp))).tolist()
-        groups = [(n, np.flatnonzero(lens == n)) for n in lengths]
-    del lens
-    words = _words(ids._data)
-    first = None
-    for n, at in groups:
-        c = max(1, (n + 7) >> 3)
-        starts = ends[at].astype(np.intp) - n
-        key = _packed_keys(words, starts, n, c)
-        if c == 1:
-            key.sort(axis=0)
-            if not (key[1:] == key[:-1]).any():
-                continue
-            key = _packed_keys(words, starts, n, c)
-        order = np.lexsort(key.T)
-        key = key[order]
-        same = (key[1:] == key[:-1]).all(axis=1)
-        if same.any():
-            repeat = int(np.arange(len(ids))[at][order[1:][same]].min())
-            first = repeat if first is None else min(first, repeat)
-    return first
+    counts = collections.Counter()
+    for *_, group in _id_blocks(ids):  # the lengths, and bincount's two copies of them
+        group[group < 8] = 0
+        lo = int(group.min())
+        found = np.bincount(group - lo) if group.max() > lo else [group.size]
+        counts.update({lo + n: int(found[n]) for n in np.flatnonzero(found).tolist()})
+    repeats = [_repeat_in_group(ids, n, size, len(counts) == 1) for n, size in counts.items() if size > 1]
+    return min((r for r in repeats if r is not None), default=None)
+
+
+def _repeat_in_group(ids: QuestionIds, n: int, size: int, single: bool) -> int | None:
+    """``_first_repeat`` among the ``size`` ids of group ``n`` (every id, if ``single``)."""
+
+    words, c = _words(ids._data), max(1, (n + 7) >> 3)
+    key = np.empty((c, size), np.uint64)
+
+    def fill():
+        at = 0
+        for _, _, starts, lens in () if single and n else _id_blocks(ids, None if single else n):
+            for j, word in enumerate(key):  # a fancy index: take would copy the unaligned words whole
+                word[at : at + starts.size] = words[starts + 8 * j]
+            if n == 0:  # the bytes past each id cleared, and its length in the top one
+                key[0, at : at + starts.size] &= _LOW_BYTES[lens]
+                key[0, at : at + starts.size] |= lens.astype(np.uint64) << np.uint64(56)
+            at += starts.size
+        for j, word in enumerate(key if single and n else ()):  # n bytes each: word j of id i is at i n + 8 j
+            word[...] = words[8 * j :: n][:size]
+        key[-1] &= _LOW_BYTES[n - 8 * (c - 1) if n else 8]  # the bytes past each id cleared (group 0's were)
+
+    fill()
+    if c == 1:
+        key.sort(axis=1)
+        if not any((key[0, r.start + 1 : r.stop + 1] == key[0, r]).any() for r in _row_blocks(size - 1, 1 / 8)):
+            return None
+        fill()
+    order, at = np.lexsort(key), size  # stable: equal keys keep their ids' order
+    for r in _row_blocks(size - 1, 2 + 2.25 * c):
+        pos = order[r.start : r.stop + 1]
+        ranked = key[:, pos]
+        at = int(pos[1:][(ranked[:, 1:] == ranked[:, :-1]).all(axis=0)].min(initial=at))
+    del order, key
+    for rows, mine, starts, _ in _id_blocks(ids, None if single else n) if at < size else ():  # the at-th id
+        if at < starts.size:
+            return rows.start + int(np.arange(rows.stop - rows.start)[mine][at])
+        at -= starts.size
+    return None
 
 
 # Cells parsed per block of rows; no cell's ``str`` outlives its block. The
@@ -508,17 +545,6 @@ def _words(buf: np.ndarray) -> np.ndarray:
     return np.ndarray((buf.size - 7,), "<u8", buf, 0, (1,))
 
 
-def _packed_keys(words: np.ndarray, starts: np.ndarray, lens, c: int) -> np.ndarray:
-    """The (len(starts), c) keys of cells of at most ``c`` words: each cell's
-    bytes, from ``starts[i]`` for ``lens[i]`` (or ``lens``, one length for
-    all), zero-padded into ``c`` words."""
-
-    offsets = 8 * np.arange(c)
-    key = words[starts[:, None] + offsets]
-    key &= _LOW_BYTES[np.minimum(np.reshape(lens, (-1, 1)) - offsets, 8)]  # >= 0: c words all hold bytes
-    return key
-
-
 def _cell_codes(
     buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, tables: dict, vocab: list[str]
 ) -> np.ndarray:
@@ -543,7 +569,9 @@ def _cell_codes(
     unseen = []  # per word count: the cells whose key is not in the table, their keys, and
     # the index among them of each distinct key's first occurrence
     for c, at in groups:
-        key = _packed_keys(words, starts[at], lens[at], c)
+        offsets = 8 * np.arange(c)
+        key = words[starts[at, None] + offsets]
+        key &= _LOW_BYTES[np.minimum(lens[at, None] - offsets, 8)]  # >= 0: c words all hold bytes
         key = key.ravel() if c == 1 else key.view(np.dtype((np.void, 8 * c))).ravel()
         known, known_codes = tables.setdefault(c, (key[:0], codes[:0]))
         if known.size:
@@ -572,57 +600,6 @@ def _cell_codes(
             tables[c] = known, known_codes = known[order], known_codes[order]
             codes[at] = known_codes[np.searchsorted(known, key)]
     return codes
-
-
-def _screen_rows(
-    codes: np.ndarray,
-    vocab: list[str],
-    space: LabelSpace | None,
-    names: list[str],
-    drop_incomplete: bool,
-    path: str,
-) -> np.ndarray:
-    """Indices of the rows to keep, after the empty-cell and label checks.
-
-    ``codes`` holds each row's cells as indices into ``vocab``. A row with an
-    empty cell is dropped under ``drop_incomplete`` and is otherwise an error;
-    a kept row with a label outside ``space`` is an error. The first faulty
-    row in file order raises ``FormatError``; within a row, the empty-cell
-    check comes first. It holds one block of rows beside the indices it returns.
-    """
-
-    empty_of = np.array([lab == "" for lab in vocab], dtype=bool)
-    unknown_of = np.array([lab != "" and space is not None and lab not in space.labels for lab in vocab], dtype=bool)
-    m, c = codes.shape
-    kept, count = np.empty(m, np.intp), 0
-    # cells a row: its empty and unknown masks (C / 8 each), three (rows,) masks (1 / 8
-    # each), its kept indices before and after the shift (1 each), the buffer of widening its codes (C)
-    for rows in _row_blocks(m, c + c / 4 + 2.5, unbuffered=c / 4 + 2.5):
-        block = codes[rows]
-        empty, unknown = empty_of[block], unknown_of[block]
-        empty_rows = empty.any(axis=1)
-        faulty = unknown.any(axis=1)
-        if drop_incomplete:
-            faulty &= ~empty_rows
-        else:
-            faulty |= empty_rows
-        if faulty.any():
-            row = int(np.argmax(faulty))
-            lineno = rows.start + row + 2
-            if empty_rows[row]:
-                col = int(np.argmax(empty[row]))
-                agent = names[col] if col < len(names) else "truth"
-                raise FormatError(
-                    f"{path}:{lineno}: empty cell for {agent!r} "
-                    "(use --drop-incomplete to skip such questions)"
-                )
-            cell = vocab[block[row, int(np.argmax(unknown[row]))]]
-            raise FormatError(f"{path}:{lineno}: label {cell!r} not in label space {space.labels}")
-        rest = np.flatnonzero(~empty_rows)
-        kept[count : count + rest.size] = rest + rows.start
-        count += rest.size
-        del empty, unknown, empty_rows, faulty, rest  # or they live on beside the next block's
-    return kept[:count]
 
 
 def _parse_table(fh, path: str) -> tuple[list[str], bool, tuple]:
@@ -853,45 +830,66 @@ def _read_table(path: str) -> tuple[list[str], bool, tuple, str, bool]:
             entry, state = cached
             with contextlib.suppress(OSError):
                 if _file_state(os.fstat(fh.fileno())) == state:
-                    distinct = not cells[0] or _first_repeat(cells[0]) is None
+                    distinct = _first_repeat(cells[0]) is None
                     stored = distinct and _cache_store(entry, names, has_truth, cells)
         return names, has_truth, cells, "stored" if stored else "off", distinct
 
 
-def _label_indices(
-    codes: np.ndarray, vocab: list[str], space: LabelSpace, n: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The answers (the first ``n`` columns of ``codes``) and the truth (the
-    column after them, if any) as label indices of ``space``.
+def _encode_rows(
+    codes: np.ndarray, vocab, labels: tuple[str, ...], names: list[str], drop_incomplete: bool, path: str
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The answers (the first ``len(names)`` columns of ``codes``, indices into
+    ``vocab``) and the truth (the column after them, if any) of the rows kept,
+    as indices into ``labels`` in their code dtype, and a mask of the rows kept
+    (None if all are), in one walk over the rows a block at a time.
 
-    ``codes`` holds indices into ``vocab``. Where its dtype is the space's
-    code dtype, the answers are rewritten in place over ``codes``' own
-    buffer, a block of rows at a time, so the matrix is never held twice.
-    Cells outside the space occur only in dropped rows, so their index is
-    never read.
+    A table maps each cell to its label's index, or to a marker for an empty
+    cell or one for a cell outside ``labels``. A row with an empty cell is
+    dropped under ``drop_incomplete`` and is otherwise an error, and so is a
+    kept row with a cell outside ``labels``: the first faulty row in file order
+    raises ``FormatError``, the empty-cell check first. Where the dtypes match,
+    the answers are written over ``codes``' own buffer.
     """
 
-    dtype = _code_dtype(space.k)
-    remap = None
-    if tuple(vocab) != space.labels or codes.dtype != dtype:
-        index = {lab: i for i, lab in enumerate(space.labels)}
-        remap = np.array([index.get(lab, 0) for lab in vocab], dtype)
-    truth = None
-    if codes.shape[1] > n:
-        truth = (codes[:, n] if remap is None else remap[codes[:, n]]).astype(dtype)
-    if codes.dtype != dtype:
-        return remap[codes[:, :n]], truth
-    if remap is not None or truth is not None:
-        flat = codes.reshape(-1)
-        for rows in _row_blocks(len(codes), codes.shape[1], _CELLS_PER_BLOCK):
-            block = codes[rows, :n]  # not yet overwritten: flat[: rows.start * n] ends before it
-            out = flat[rows.start * n : rows.start * n + block.size].reshape(block.shape)
-            if remap is None:
-                out[...] = block
-            else:  # the indices are copied first, so out may overlap block
-                np.take(remap, block.astype(np.intp), out=out, mode="clip")
-        codes = flat[: len(codes) * n].reshape(-1, n)
-    return codes, truth
+    m, c = codes.shape
+    n, k = len(names), len(labels)
+    dtype = _code_dtype(max(k, 1))
+    if tuple(vocab) == labels and codes.dtype == dtype and c == n:  # the codes are the answers
+        return codes, None, None
+    empty, outside = k, k + 1
+    index = dict(zip(labels, range(k)))
+    table = np.array([empty if lab == "" else index.get(lab, outside) for lab in vocab], np.min_scalar_type(k + 1))
+    screen = table.size and int(table.max()) >= k
+    out = codes.reshape(-1) if codes.dtype == dtype else np.empty(m * n, dtype)
+    truth = np.empty(m, dtype) if c > n else None
+    kept, count = np.ones(m, bool) if screen and drop_incomplete else None, 0
+    # cells a row: two mapped blocks (C each, in the table's dtype), a mask of their cells
+    # (C / 8), four (rows,) masks (1 / 8 each), and the buffer of widening codes to intp (C)
+    scratch = c * table.itemsize / 4 + c / 8 + 0.5
+    for rows in _row_blocks(m, scratch + c, unbuffered=scratch):
+        block = table[codes[rows]]  # a copy: out, which may overlap these rows, is written after
+        if screen and block.max() >= k:
+            empty_rows = (block == empty).any(axis=1)
+            faulty = (block == outside).any(axis=1)
+            faulty = faulty & ~empty_rows if drop_incomplete else faulty | empty_rows
+            if faulty.any():
+                row = int(np.argmax(faulty))
+                lineno = rows.start + row + 2
+                if empty_rows[row]:
+                    agent = [*names, "truth"][int(np.argmax(block[row] == empty))]
+                    hint = "(use --drop-incomplete to skip such questions)"
+                    raise FormatError(f"{path}:{lineno}: empty cell for {agent!r} {hint}")
+                cell = vocab[codes[rows.start + row, int(np.argmax(block[row] == outside))]]
+                raise FormatError(f"{path}:{lineno}: label {cell!r} not in label space {labels}")
+            if empty_rows.any():  # under drop_incomplete
+                kept[rows] = ~empty_rows
+                block = block[kept[rows]]
+        size = len(block)
+        out[count * n : (count + size) * n].reshape(size, n)[...] = block[:, :n]
+        if truth is not None:
+            truth[count : count + size] = block[:, n]
+        count += size
+    return out[: count * n].reshape(count, n), None if truth is None else truth[:count], None if count == m else kept
 
 
 def read_predictions_csv(
@@ -919,39 +917,40 @@ def read_predictions_csv(
 
     names, has_truth, (qids, codes, vocab, fault), cache, distinct = _read_table(path)
     space = LabelSpace(tuple(labels)) if labels is not None else None
-    clean = "" not in vocab and (space is None or set(vocab).issubset(space.labels))
-    kept = None if clean else _screen_rows(codes, vocab, space, names, drop_incomplete, path)
+    # a fault-free parse's vocabulary lists only the cells its rows hold
+    found = space.labels if space is not None else tuple(sorted(filter(None, vocab)))
+    answers, truth, kept = _encode_rows(codes, vocab, found, names, drop_incomplete, path)
     if fault is not None:
         raise FormatError(f"{path}:{fault[0]}: {fault[1]}")
-    dropped = 0 if kept is None else len(qids) - kept.size
-    if dropped:
-        codes = codes[kept]
+    dropped = len(qids) - len(answers)
+    if kept is not None:
         qids = qids._take(kept)
     if not qids:
         raise FormatError(f"{path}: no usable question rows")
     repeat = None if distinct else _first_repeat(qids)  # the kept rows of distinct ids are distinct
     if repeat is not None:
-        lineno = (repeat if kept is None else int(kept[repeat])) + 2
+        lineno = (repeat if kept is None else int(np.flatnonzero(kept)[repeat])) + 2
         raise FormatError(f"{path}:{lineno}: duplicate question_id {qids[repeat]!r}")
-
-    # counted or rewritten one block of rows at a time: bincount widens its
-    # input to int64, and a fancy index copies it
-    if space is None:
+    if space is None and kept is not None:  # a label held only by dropped rows leaves the space
         seen = sum(
-            np.bincount(codes[rows].ravel(), minlength=len(vocab))
-            for rows in _row_blocks(len(codes), codes.shape[1], _CELLS_PER_BLOCK)
+            np.bincount(arr[rows].ravel(), minlength=len(found))  # widened to intp a block at a time
+            for arr in (answers, truth) if arr is not None
+            for rows in _row_blocks(len(arr), len(names), held=2 * len(found))
         )
-        present = np.flatnonzero(seen)
-        if present.size < 2:
-            raise FormatError(f"{path}: fewer than 2 distinct labels in data")
-        space = LabelSpace(tuple(sorted(vocab[i] for i in present)))
-    n = len(names)
-    pm = PredictionMatrix._adopt(space, *_label_indices(codes, vocab, space, n))
+        if not seen.all():
+            held, found = found, tuple(lab for lab, count in zip(found, seen.tolist()) if count)
+            answers = _encode_rows(answers, held, found, names, False, path)[0]
+            truth = truth if truth is None else _encode_rows(truth[:, None], held, found, [], False, path)[1]
+    if space is None and len(found) < 2:
+        raise FormatError(f"{path}: fewer than 2 distinct labels in data")
+    pm = PredictionMatrix._adopt(space or LabelSpace(found), answers, truth)
     meta = {"question_ids": qids, "agent_names": names, "dropped": dropped, "cache": cache}
     if agents is not None:
         missing = [a for a in agents if a not in names]
         if missing:
             raise FormatError(f"{path}: unknown agents {missing}; file has {names}")
+        if len(set(agents)) < len(agents):
+            raise FormatError(f"{path}: agents {sorted({a for a in agents if agents.count(a) > 1})} repeated")
         idx = [names.index(a) for a in agents]
         pm = pm.select_agents(idx)
         meta["agent_names"] = list(agents)

@@ -176,13 +176,14 @@ def _kernels():
         kernels[f"ShuffleMap-{shape}"] = (lambda perms=perms: ShuffleMap(perms), 0)
         # the check alone, whose scratch the map's copy would hide where the copy is larger
         kernels[f"ShuffleMap._check-{shape}"] = (lambda perms=perms: ShuffleMap._check(perms), 0)
-        # a panel's codes into its labels and "", with one empty cell, screened under --drop-incomplete
+        # a panel's codes into its labels and "", with one empty cell, screened and
+        # encoded under --drop-incomplete over a copy, which the answers keep
         codes = np.column_stack([pm.answers, pm.truth])
         codes[pm.m // 2, 1] = pm.k
         vocab, names = [*pm.space.labels, ""], [f"a{j}" for j in range(pm.n)]
-        kernels[f"_screen_rows-{shape}"] = (
-            lambda codes=codes, vocab=vocab, pm=pm, names=names: dataio._screen_rows(
-                codes, vocab, pm.space, names, True, "p.csv"
+        kernels[f"_encode_rows-{shape}"] = (
+            lambda codes=codes, vocab=vocab, pm=pm, names=names: dataio._encode_rows(
+                codes.copy(), vocab, pm.space.labels, names, True, "p.csv"
             ),
             0,
         )
@@ -262,22 +263,25 @@ def test_shuffle_map_rejects_exactly_the_maps_whose_rows_are_not_permutations(bu
 
 @pytest.mark.parametrize("budget", [None, 2**12], ids=["default", "4096"])
 @pytest.mark.parametrize("drop", [False, True], ids=["strict", "drop-incomplete"])
-def test_screen_rows_reports_the_first_faulty_row_at_any_block_size(budget, drop, monkeypatch):
+def test_encode_rows_reports_the_first_faulty_row_at_any_block_size(budget, drop, monkeypatch):
     if budget is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", budget)
     pm = _SHAPES["tall"]
     codes = np.column_stack([pm.answers, pm.truth])
     vocab, names = [*pm.space.labels, "", "Z"], ["a", "b", "c", "d"]
     codes[[7, 20_000, 30_000], [2, 4, 1]] = [4, 4, 5]  # empty cells for c and the truth, then an unknown label
-    space = LabelSpace(pm.space.labels)
+    labels = pm.space.labels
     if drop:  # the empty rows are dropped; the unknown label faults
         with pytest.raises(core.FormatError, match=r"p\.csv:30002: label 'Z' not in label space"):
-            dataio._screen_rows(codes, vocab, space, names, True, "p.csv")
-        kept = dataio._screen_rows(codes[:30_000], vocab, space, names, True, "p.csv")
-        np.testing.assert_array_equal(kept, np.setdiff1d(np.arange(30_000), [7, 20_000]))
+            dataio._encode_rows(codes.copy(), vocab, labels, names, True, "p.csv")
+        answers, truth, kept = dataio._encode_rows(codes[:30_000].copy(), vocab, labels, names, True, "p.csv")
+        rows = np.setdiff1d(np.arange(30_000), [7, 20_000])
+        np.testing.assert_array_equal(np.flatnonzero(kept), rows)
+        np.testing.assert_array_equal(answers, pm.answers[rows])
+        np.testing.assert_array_equal(truth, pm.truth[rows])
     else:
         with pytest.raises(core.FormatError, match=r"p\.csv:9: empty cell for 'c'"):
-            dataio._screen_rows(codes, vocab, space, names, False, "p.csv")
+            dataio._encode_rows(codes.copy(), vocab, labels, names, False, "p.csv")
         codes[7, 2] = 0
         with pytest.raises(core.FormatError, match=r"p\.csv:20002: empty cell for 'truth'"):
-            dataio._screen_rows(codes, vocab, space, names, False, "p.csv")
+            dataio._encode_rows(codes.copy(), vocab, labels, names, False, "p.csv")

@@ -320,6 +320,15 @@ class TestAggregateCommand:
         assert summary["agent_names"] == ["4", "3"]
         assert summary["labels"] == ["D", "C", "B", "A"]
 
+    def test_repeated_agent_exits_3(self, runner, tmp_path):
+        pred = tmp_path / "p.csv"
+        _simulate(runner, pred)
+        out = tmp_path / "l.csv"
+        result = runner.invoke(main, ["aggregate", "--input", str(pred), "--out", str(out), "--agents", "1,1,2"])
+        assert result.exit_code == 3, result.output
+        assert "agents ['1'] repeated" in result.output and "Traceback" not in result.output
+        assert not out.exists()
+
     def test_drop_incomplete_flag(self, runner, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text(

@@ -864,6 +864,12 @@ class TestAgentSelection:
         with pytest.raises(FormatError, match="unknown agents"):
             read_predictions_csv(str(path), agents=["a", "zz"])
 
+    def test_repeated_agent_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_predictions_csv(str(path), _pm(), agent_names=["a", "b", "c"])
+        with pytest.raises(FormatError, match=r"p\.csv: agents \['a'\] repeated"):
+            read_predictions_csv(str(path), agents=["a", "a", "b"])
+
 
 class TestMalformedInputs:
     def test_missing_file(self, tmp_path):
@@ -970,6 +976,76 @@ class TestMalformedInputs:
         path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(FormatError, match=r"p\.csv:3001: empty cell"):
             read_predictions_csv(str(path))
+
+
+# (line -> row) edits of a 6,000-row ``_panel_lines`` panel, the labels argument,
+# drop_incomplete, and the error the read must raise (None: it reads); each
+# fault lies past the first block of rows at both budgets
+_PRECEDENCE = {
+    "empty-before-unknown": ({5002: "q5000,C,,A"}, ["A", "B"], False, r"5002: empty cell for 'y'"),
+    "empty-drops-unknown": ({5002: "q5000,C,,A"}, ["A", "B"], True, None),
+    "empty-before-parse-fault": ({3001: "q2999,A,B,", 5002: "q5000,A"}, None, False, r"3001: empty cell for 'truth'"),
+    "unknown-before-parse-fault": ({3001: "q2999,C,B,A", 5002: "q5000,A"}, ["A", "B"], True, r"3001: label 'C'"),
+    "dropped-then-parse-fault": ({3001: "q2999,,B,A", 5002: "q5000,A"}, None, True, r"5002: expected 4 fields, got 2"),
+    "duplicate-before-one-label": ({2: "q0,A,A,A", 5002: "q0,A,A,A"}, None, False, r"5002: duplicate question_id 'q0'"),
+    "label-only-in-dropped-rows": ({3001: "q2999,Z,,A", 5002: "q5000,B,Z,"}, None, True, None),
+}
+
+
+@pytest.mark.parametrize("budget", [None, 2**12], ids=["default", "4096"])
+@pytest.mark.parametrize("case", sorted(_PRECEDENCE))
+def test_read_errors_keep_their_precedence(tmp_path, monkeypatch, case, budget):
+    # screening (an empty cell before an unknown label within a row), then the
+    # parse fault, then a duplicate id, then too few labels; a label seen
+    # only in dropped rows is not in the inferred space
+    if budget is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", budget)
+    edits, labels, drop, error = _PRECEDENCE[case]
+    lines = _panel_lines(6000)
+    if case == "duplicate-before-one-label":
+        lines = [line.replace("B", "A") for line in lines]
+    for line, row in edits.items():
+        lines[line - 1] = row
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = _outcome(read_predictions_csv, path, labels=labels, drop_incomplete=drop)
+    assert got == _outcome(_reference_read, path, labels=labels, drop_incomplete=drop)
+    if error is None:
+        assert got[0] == ("A", "B")
+    else:
+        assert re.fullmatch(rf"{re.escape(str(path))}:{error}.*", got), got
+    if case == "duplicate-before-one-label":
+        lines[5001] = "q5000,A,A,A"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="fewer than 2 distinct labels"):
+            read_predictions_csv(str(path))
+
+
+@pytest.mark.parametrize("budget", [None, 2**12], ids=["default", "4096"])
+@pytest.mark.parametrize("lost", [False, True], ids=["all-kept", "one-lost"])
+def test_257_labels_with_dropped_rows(tmp_path, monkeypatch, budget, lost):
+    # uint16 codes; with a label seen only in a dropped row, 256 labels are
+    # left and the answers and truth narrow to uint8
+    if budget is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", budget)
+    labels = [f"L{i:03d}" for i in range(257)]
+    lines = ["question_id,agent_x,agent_y,truth"]
+    for i in range(3000):
+        lines.append(f"q{i},{labels[i % 257]},{labels[(7 * i) % 257]},{labels[(i // 3) % 257]}")
+    for i in range(100, 3000, 97):  # dropped rows
+        lines[1 + i] = f"q{i},,{labels[i % 257]},{labels[0]}"
+    if lost:  # L200 only in a dropped row
+        lines = [line.replace("L200", "L199") for line in lines]
+        lines[1 + 2813] = f"q2813,L200,,{labels[0]}"
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join(lines) + "\n")
+    pm, meta = read_predictions_csv(str(path), drop_incomplete=True)
+    assert _outcome(read_predictions_csv, path, drop_incomplete=True) == _outcome(
+        _reference_read, path, drop_incomplete=True
+    )
+    assert pm.k == 256 if lost else 257
+    assert pm.answers.dtype == pm.truth.dtype == (np.uint8 if lost else np.uint16)
+    assert meta["dropped"] == 30 + lost
 
 
 class TestAtomicWriters:
@@ -1140,6 +1216,104 @@ def test_a_parse_with_a_repeated_id_is_never_stored(tmp_path, monkeypatch, dropp
             read_predictions_csv(str(path), drop_incomplete=dropped)
         assert _entries() == []
     assert calls == [26_000, 26_000 - 3714 * dropped] * 2  # the whole parse, then the kept rows
+
+
+def _id_block_edges(ids, monkeypatch):
+    """Every row at which a block of ``_first_repeat`` on ``ids`` starts, but the first."""
+
+    edges, row_blocks = set(), dataio._row_blocks
+
+    def recorded(*args, **kwargs):
+        for rows in row_blocks(*args, **kwargs):
+            edges.add(rows.start)
+            yield rows
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dataio, "_row_blocks", recorded)
+        assert dataio._first_repeat(QuestionIds(ids)) is None
+    return sorted(edges - {0})
+
+
+def _reference_repeat(ids):
+    seen = set()
+    return next((i for i, qid in enumerate(ids) if qid in seen or seen.add(qid)), None)
+
+
+@pytest.mark.parametrize("budget", [None, 2**12], ids=["default", "4096"])
+@pytest.mark.parametrize("kind", ["sorted", "shuffled", "long"])
+def test_a_repeat_at_a_block_edge_is_found(monkeypatch, budget, kind):
+    # one repeat, its two ids on either side of each edge between blocks: of
+    # the keying, of the sorted keys' check and of the lexsort walk; sorted
+    # ids of one width take the strided path, shuffled ids of 1 to 5 bytes
+    # share one group, and ids of over 8 bytes take the lexsort path
+    if budget is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", budget)
+    m, perm = 40_000, np.random.default_rng(3).permutation(40_000)
+    ids = {
+        "sorted": [f"q{i:07d}" for i in range(m)],
+        "shuffled": [str(i) for i in perm],
+        "long": [f"question-{i}" for i in perm],
+    }[kind]
+    edges = _id_block_edges(ids, monkeypatch)
+    assert len(edges) >= 2
+    for edge in edges:
+        for earlier in (edge - 1, 0):
+            repeated = ids[:edge] + [ids[earlier]] + ids[edge + 1 :]
+            assert dataio._first_repeat(QuestionIds(repeated)) == edge == _reference_repeat(repeated)
+
+
+@pytest.mark.parametrize("budget", [None, 2**12], ids=["default", "4096"])
+def test_sorted_ids_with_one_repeat_name_its_line(tmp_path, monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(core, "_BLOCK_CELLS", budget)
+    lines = [f"q{i:07d},{'AB'[i % 2]},B" for i in range(30_000)]
+    edge = _id_block_edges([line[:8] for line in lines], monkeypatch)[-1]
+    lines[edge] = lines[edge - 1]
+    path = tmp_path / "p.csv"
+    path.write_text("question_id,agent_x,agent_y\n" + "\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=rf"p\.csv:{edge + 2}: duplicate question_id 'q{edge - 1:07d}'"):
+        read_predictions_csv(str(path))
+
+
+@pytest.mark.parametrize("prefix", ["", "question-"], ids=["short", "long"])
+def test_the_duplicate_id_check_holds_a_group_of_keys_and_a_block(tmp_path, monkeypatch, prefix):
+    # 200,000 unsorted ids of varying length: the read, which parses and stores,
+    # holds beyond what it returns at most one group's keys (ids of one length,
+    # or all those under 8 bytes) and, for ids of over 8 bytes, their order,
+    # plus a block
+    m = 200_000
+    ids = [f"{prefix}{i}" for i in np.random.default_rng(4).permutation(m)]
+    answers = np.random.default_rng(5).integers(0, 4, size=(m, 4))
+    path = tmp_path / "p.csv"
+    write_predictions_csv(str(path), PredictionMatrix(LabelSpace.default(4), answers, answers[:, 0]), question_ids=ids)
+    calls = _counted_first_repeat(monkeypatch)
+    pm, meta, retained, peak = _traced_read(path)
+    assert meta["cache"] == "stored" and calls == [m] and meta["question_ids"] == ids
+    lengths = np.array([len(qid) for qid in ids])
+    groups = [(lengths < 8).sum()] + [(lengths == n).sum() for n in range(8, lengths.max() + 1)]
+    words = [1] + [(n + 7) // 8 for n in range(8, lengths.max() + 1)]
+    keys = max(8 * size * (c + (c > 1)) for size, c in zip(groups, words))
+    assert peak <= retained + keys + 8 * core._BLOCK_CELLS, (peak, retained, keys)
+
+
+def test_dropping_rows_holds_little_beside_the_read(tmp_path):
+    # the kept rows' answers are written over the code matrix and their ids
+    # gathered a block at a time: beyond what it returns, the read holds the
+    # ids it parsed (8 bytes and a 4-byte end each), which the kept ids
+    # replace, the quarter by which the kept ids' arrays grow, and a block
+    m = 200_000
+    lines = [f"q{i:07d},{'AB'[i % 2]},{'' if i % 7 == 3 else 'B'},A" for i in range(m)]
+    path = tmp_path / "p.csv"
+    path.write_text("question_id,agent_x,agent_y,truth\n" + "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        pm, meta = read_predictions_csv(str(path), drop_incomplete=True)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert meta["dropped"] == len(range(3, m, 7)) and pm.m == m - meta["dropped"]
+    assert meta["question_ids"][:3] == ["q0000000", "q0000001", "q0000002"] and meta["question_ids"][3] == "q0000004"
+    assert peak <= retained + 15 * m + 8 * core._BLOCK_CELLS, (peak, retained)
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
