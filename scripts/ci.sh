@@ -29,11 +29,11 @@
 # RSS on a 1M x 4, K=4 panel stays at or below 58 MB (the simulators draw a
 # block of questions at a time, and keep the truth in the answers' one-byte
 # code dtype), a check that aggregate --method isp's own peak RSS on that
-# panel stays at or below 61 MB with the parse cache off (57.5 MB measured:
-# the duplicate-id check keys one group of ids a block at a time) and at or
-# below 59 MB on a cache hit (55.3 MB measured; a hit loads a parse whose ids
-# were checked distinct when it was stored, and skips that check), each the
-# measured peak plus 4 MB, rounded down, with the same labels both ways, and a check that
+# panel stays at or below 61 MB with the parse cache off (55.9-58.3 MB
+# measured: the duplicate-id check keys one group of ids a block at a time)
+# and at or below 59 MB on a cache hit (55.3 MB measured, plus 4 MB, rounded
+# down; a hit loads a parse whose ids were checked distinct when it was
+# stored, and skips that check), with the same labels both ways, and a check that
 # the own peak RSS of verify --suite all and of report --table2 -m 25000 each
 # stays within 3.5 MB of a bare import of the CLI and numpy.random (every
 # kernel holds one block of scratch). Last, it prints the source lines of each

@@ -226,14 +226,13 @@ def _decimal_ids(m: int) -> QuestionIds:
 
 def _id_blocks(ids: QuestionIds, n: int | None = None):
     """Per block of ``ids``: its rows, which of them are in ``_first_repeat``'s
-    group ``n`` (all of them, if None), and those ids' starts and lengths."""
+    group ``n`` (all of them, if None), and those ids' ends and lengths."""
 
     ends = ids._ends
     for rows in _row_blocks(len(ids), 5.25):
         lens = np.diff(ends[rows], prepend=ends[rows.start - 1] if rows.start else ends.dtype.type(0))
         mine = slice(None) if n is None else lens < 8 if n == 0 else lens == n
-        lens = lens[mine]
-        yield rows, mine, ends[rows][mine].astype(np.intp) - lens, lens
+        yield rows, mine, ends[rows][mine], lens[mine]
 
 
 def _first_repeat(ids: QuestionIds) -> int | None:
@@ -261,20 +260,19 @@ def _first_repeat(ids: QuestionIds) -> int | None:
 def _repeat_in_group(ids: QuestionIds, n: int, size: int, single: bool) -> int | None:
     """``_first_repeat`` among the ``size`` ids of group ``n`` (every id, if ``single``)."""
 
-    words, c = _words(ids._data), max(1, (n + 7) >> 3)
+    words, c, group = _words(ids._data), max(1, (n + 7) >> 3), None if single else n
     key = np.empty((c, size), np.uint64)
 
     def fill():
         at = 0
-        for _, _, starts, lens in () if single and n else _id_blocks(ids, None if single else n):
+        for _, _, last, lens in _id_blocks(ids, group):
+            starts = last.astype(np.intp) - lens
             for j, word in enumerate(key):  # a fancy index: take would copy the unaligned words whole
                 word[at : at + starts.size] = words[starts + 8 * j]
             if n == 0:  # the bytes past each id cleared, and its length in the top one
                 key[0, at : at + starts.size] &= _LOW_BYTES[lens]
                 key[0, at : at + starts.size] |= lens.astype(np.uint64) << np.uint64(56)
             at += starts.size
-        for j, word in enumerate(key if single and n else ()):  # n bytes each: word j of id i is at i n + 8 j
-            word[...] = words[8 * j :: n][:size]
         key[-1] &= _LOW_BYTES[n - 8 * (c - 1) if n else 8]  # the bytes past each id cleared (group 0's were)
 
     fill()
@@ -289,10 +287,11 @@ def _repeat_in_group(ids: QuestionIds, n: int, size: int, single: bool) -> int |
         ranked = key[:, pos]
         at = int(pos[1:][(ranked[:, 1:] == ranked[:, :-1]).all(axis=0)].min(initial=at))
     del order, key
-    for rows, mine, starts, _ in _id_blocks(ids, None if single else n) if at < size else ():  # the at-th id
-        if at < starts.size:
-            return rows.start + int(np.arange(rows.stop - rows.start)[mine][at])
-        at -= starts.size
+    if at < size:  # the row of the group's at-th id
+        for rows, mine, _, lens in _id_blocks(ids, group):
+            if at < lens.size:
+                return rows.start + int(np.arange(rows.stop - rows.start)[mine][at])
+            at -= lens.size
     return None
 
 

@@ -1244,8 +1244,8 @@ def _reference_repeat(ids):
 def test_a_repeat_at_a_block_edge_is_found(monkeypatch, budget, kind):
     # one repeat, its two ids on either side of each edge between blocks: of
     # the keying, of the sorted keys' check and of the lexsort walk; sorted
-    # ids of one width take the strided path, shuffled ids of 1 to 5 bytes
-    # share one group, and ids of over 8 bytes take the lexsort path
+    # ids of one width make one group, shuffled ids of 1 to 5 bytes share
+    # one group, and ids of over 8 bytes take the lexsort path
     if budget is not None:
         monkeypatch.setattr(core, "_BLOCK_CELLS", budget)
     m, perm = 40_000, np.random.default_rng(3).permutation(40_000)
