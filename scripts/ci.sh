@@ -33,7 +33,12 @@
 # measured: the duplicate-id check keys one group of ids a block at a time)
 # and at or below 59 MB on a cache hit (55.3 MB measured, plus 4 MB, rounded
 # down; a hit loads a parse whose ids were checked distinct when it was
-# stored, and skips that check), with the same labels both ways, and a check that
+# stored, and skips that check), with the same labels both ways, a check that
+# aggregate --method mv on that panel with its ids replaced by 36-byte UUIDs
+# peaks at or below 92 MB of its own RSS with the parse cache off (88.1-88.5 MB
+# measured, plus 4 MB, rounded down: the ids' bytes are most of it, and the
+# duplicate-id check folds each id into one word) and gives the labels the
+# panel with short ids gets, and a check that
 # the own peak RSS of verify --suite all and of report --table2 -m 25000 each
 # stays within 3.5 MB of a bare import of the CLI and numpy.random (every
 # kernel holds one block of scratch). Last, it prints the source lines of each
@@ -350,37 +355,59 @@ assert status == 0 and peak_mb <= 58, peak_mb
 EOF
 }
 
-# aggregate_isp_peak CACHE BOUND: aggregate --method isp on the 1M x 4 panel,
-# its labels to million-isp-CACHE.csv, reads the parse cache as CACHE and peaks
-# at or below BOUND MB of its own RSS
-aggregate_isp_peak() {
-  python - "$tmp" "$1" "$2" <<'EOF'
+# aggregate_peak NAME METHOD CACHE BOUND: aggregate --method METHOD on the
+# panel NAME.csv, its labels to NAME-METHOD-CACHE.csv, reads the parse cache as
+# CACHE and peaks at or below BOUND MB of its own RSS
+aggregate_peak() {
+  python - "$tmp" "$@" <<'EOF'
 import os
 import sys
 
-tmp, cache, bound = sys.argv[1], sys.argv[2], float(sys.argv[3])
-argv = [sys.executable, "-m", "quorum", "aggregate", "--input", f"{tmp}/million.csv",
-        "--out", f"{tmp}/million-isp-{cache}.csv", "--method", "isp"]
+tmp, name, method, cache, bound = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], float(sys.argv[5])
+argv = [sys.executable, "-m", "quorum", "aggregate", "--input", f"{tmp}/{name}.csv",
+        "--out", f"{tmp}/{name}-{method}-{cache}.csv", "--method", method]
 _, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
 peak_mb = usage.ru_maxrss / 1024
-print(f"aggregate --method isp on 1M x 4, parse cache {cache}: exit status {status}, peak RSS {peak_mb:.1f} MB")
+print(f"aggregate --method {method} on {name}.csv, parse cache {cache}: exit status {status}, peak RSS {peak_mb:.1f} MB")
 assert status == 0 and peak_mb <= bound, peak_mb
 EOF
-  test "$(input_cache "$tmp/million-isp-$1.csv.summary.json")" = "$1"
+  test "$(input_cache "$tmp/$1-$2-$3.csv.summary.json")" = "$3"
 }
 
 aggregate_memory_is_bounded() {
   # the parse cache is off: it refuses a cache directory that others may write
   mkdir -p "$tmp/shared-cache/quorum"
   chmod 775 "$tmp/shared-cache/quorum"
-  XDG_CACHE_HOME="$tmp/shared-cache" aggregate_isp_peak off 61
+  XDG_CACHE_HOME="$tmp/shared-cache" aggregate_peak million isp off 61
   # in a private cache, one run stores the parse and the next hits it
   export XDG_CACHE_HOME="$tmp/million-cache"
   sleep 2  # a file changed less than 2 s ago is read but not stored
   python -m quorum aggregate --input "$tmp/million.csv" --out "$tmp/million-isp-stored.csv" --method isp
   test "$(input_cache "$tmp/million-isp-stored.csv.summary.json")" = stored
-  aggregate_isp_peak hit 59
+  aggregate_peak million isp hit 59
   cmp "$tmp/million-isp-off.csv" "$tmp/million-isp-hit.csv"
+}
+
+uuid_ids_memory_is_bounded() {
+  # the 1M x 4 panel with each id replaced by a 36-byte UUID, which the
+  # duplicate-id check folds into one word
+  python - "$tmp" <<'EOF'
+import random
+import sys
+import uuid
+
+rng = random.Random(0)
+with open(f"{sys.argv[1]}/million.csv", newline="") as src, open(f"{sys.argv[1]}/million-uuid.csv", "w", newline="") as dst:
+    dst.write(next(src))
+    for line in src:
+        dst.write(str(uuid.UUID(int=rng.getrandbits(128))) + line[line.index(",") :])
+EOF
+  mkdir -p "$tmp/shared-cache/quorum"
+  chmod 775 "$tmp/shared-cache/quorum"
+  export XDG_CACHE_HOME="$tmp/shared-cache"
+  aggregate_peak million-uuid mv off 92
+  python -m quorum aggregate --input "$tmp/million.csv" --out "$tmp/million-mv-off.csv" --method mv
+  cmp <(cut -d, -f2 "$tmp/million-mv-off.csv") <(cut -d, -f2 "$tmp/million-uuid-mv-off.csv")
 }
 
 oracle_memory_is_bounded() {
@@ -431,6 +458,7 @@ step "under umask 022, aggregate and simulate outputs are mode 644 and the parse
 step "simulated panels, with and without truth, are what csv.writer writes" simulate_written_as_csv_writer_does
 step "simulate at 1M x 4, K=4 peaks at or below 58 MB of its own RSS" simulate_memory_is_bounded
 step "aggregate --method isp on that panel peaks at or below 61 MB of its own RSS with the parse cache off, 59 MB on a hit" aggregate_memory_is_bounded
+step "aggregate --method mv on that panel with 36-byte UUID ids peaks at or below 92 MB of its own RSS with the parse cache off, and labels it as with short ids" uuid_ids_memory_is_bounded
 step "verify --suite all and report --table2 -m 25000 peak within 3.5 MB of a bare import's RSS" oracle_memory_is_bounded
 step "source lines per module (reported, not gated)" source_lines
 

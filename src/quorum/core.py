@@ -281,7 +281,7 @@ def _check_acc(accuracies, k: int | None = None) -> np.ndarray:
         raise DimensionError(f"accuracies must be a non-empty vector, got shape {x.shape}")
     if k is not None:
         _check_k(k)
-    if np.any(~np.isfinite(x)) or np.any(x < 0.0) or np.any(x > 1.0):
+    if not ((x >= 0.0) & (x <= 1.0)).all():  # false for NaN and +-inf too
         raise DomainError("accuracies must lie in [0, 1]")
     return x
 

@@ -140,9 +140,14 @@ class QuestionIds(Sequence):
     __hash__ = None
 
     def __init__(self, ids=()):
-        data, lens = _utf8(list(ids))
-        ends = np.cumsum(lens).astype(np.min_scalar_type(len(data)))
-        _freeze(self, _data=np.frombuffer(data + bytes(8), np.uint8), _ends=ends)
+        built, ids = _Columns(1), iter(ids)
+        for span in _row_blocks(2**63, 1, _CELLS_PER_BLOCK):  # until ids runs out; only a block is ever a list
+            data, lens = _utf8(list(itertools.islice(ids, span.stop - span.start)))
+            if not lens.size:
+                break
+            built.add(np.frombuffer(data, np.uint8), lens, np.empty(0, np.uint8), 0)
+        result = built.result()[0]
+        _freeze(self, _data=result._data, _ends=result._ends)
 
     @classmethod
     def _adopt(cls, data: np.ndarray, ends: np.ndarray) -> "QuestionIds":
@@ -208,22 +213,6 @@ class QuestionIds(Sequence):
         return f"QuestionIds({list(self)!r})"
 
 
-def _decimal_ids(m: int) -> QuestionIds:
-    """The ids "0", "1", ..., ``str(m - 1)``, encoded into one buffer a block at
-    a time, so that no more than a block of them is ever a ``str``."""
-
-    # a byte for each id q, and one more for each d >= 1 with q >= 10^d
-    size = m + sum(m - 10**d for d in range(1, len(str(m - 1))))
-    data, ends = np.zeros(size + 8, np.uint8), np.empty(m, np.min_scalar_type(size))
-    at = 0
-    for rows in _row_blocks(m, 1, _CELLS_PER_BLOCK):
-        text, lens = _utf8(list(map(str, range(rows.start, rows.stop))))
-        data[at : at + len(text)] = np.frombuffer(text, np.uint8)
-        ends[rows] = np.cumsum(lens) + at
-        at += len(text)
-    return QuestionIds._adopt(data, ends)
-
-
 def _id_blocks(ids: QuestionIds, n: int | None = None):
     """Per block of ``ids``: its rows, which of them are in ``_first_repeat``'s
     group ``n`` (all of them, if None), and those ids' ends and lengths."""
@@ -241,10 +230,12 @@ def _first_repeat(ids: QuestionIds) -> int | None:
     Ids are grouped by byte length, those under 8 bytes in one group n = 0, and
     keyed, a block of ids at a time, by their bytes zero-padded into 64-bit
     words (an id under 8 bytes has its length in the last byte): keys are equal
-    exactly where the ids are. Keys of one word are sorted in place, so a
-    repeat shows as equal neighbours; only then, or for longer ids, does
-    ``np.lexsort`` order them stably to find the earliest repeat. Beside one
-    group's keys (and their order) it holds a block.
+    exactly where the ids are. A group's keys are folded into one word each,
+    ``h = h * _FOLD ^ w_j``, and sorted in place, so no repeat can hide from
+    equal neighbours; only then does ``np.lexsort`` order the keys themselves
+    stably to find the earliest repeat, or none if the folds merely collided.
+    Beside one word an id of a group (or, on that path, its keys and their
+    order) it holds a block.
     """
 
     counts = collections.Counter()
@@ -253,6 +244,7 @@ def _first_repeat(ids: QuestionIds) -> int | None:
         lo = int(group.min())
         found = np.bincount(group - lo) if group.max() > lo else [group.size]
         counts.update({lo + n: int(found[n]) for n in np.flatnonzero(found).tolist()})
+    group = None  # the last block's lengths are not held through the search
     repeats = [_repeat_in_group(ids, n, size, len(counts) == 1) for n, size in counts.items() if size > 1]
     return min((r for r in repeats if r is not None), default=None)
 
@@ -261,26 +253,31 @@ def _repeat_in_group(ids: QuestionIds, n: int, size: int, single: bool) -> int |
     """``_first_repeat`` among the ``size`` ids of group ``n`` (every id, if ``single``)."""
 
     words, c, group = _words(ids._data), max(1, (n + 7) >> 3), None if single else n
-    key = np.empty((c, size), np.uint64)
 
-    def fill():
+    def fill(key):  # h = h * _FOLD ^ w_j into row j % len(key) of the zeroed (rows, size) ``key``
         at = 0
         for _, _, last, lens in _id_blocks(ids, group):
             starts = last.astype(np.intp) - lens
-            for j, word in enumerate(key):  # a fancy index: take would copy the unaligned words whole
-                word[at : at + starts.size] = words[starts + 8 * j]
-            if n == 0:  # the bytes past each id cleared, and its length in the top one
-                key[0, at : at + starts.size] &= _LOW_BYTES[lens]
-                key[0, at : at + starts.size] |= lens.astype(np.uint64) << np.uint64(56)
-            at += starts.size
-        key[-1] &= _LOW_BYTES[n - 8 * (c - 1) if n else 8]  # the bytes past each id cleared (group 0's were)
+            for j in range(c):
+                word = words[starts + 8 * j]  # a fancy index: take would copy the unaligned words whole
+                if j == c - 1 and n != 8 * c:  # the bytes past each id cleared
+                    word &= _LOW_BYTES[n - 8 * j if n else lens]
+                if n == 0:  # and its length in the top one
+                    word |= lens.astype(np.uint64) << np.uint64(56)
+                h = key[j % len(key), at : at + lens.size]  # a view, folded into in place
+                if j:  # a row still zero needs no multiply
+                    h *= _FOLD
+                h ^= word
+                del word  # or it stays alive while the next one is gathered
+            at += lens.size
+        return key
 
-    fill()
-    if c == 1:
-        key.sort(axis=1)
-        if not any((key[0, r.start + 1 : r.stop + 1] == key[0, r]).any() for r in _row_blocks(size - 1, 1 / 8)):
-            return None
-        fill()
+    fold = fill(np.zeros((1, size), np.uint64))[0]  # each id's words folded into one
+    fold.sort()
+    if not any((fold[r.start + 1 : r.stop + 1] == fold[r]).any() for r in _row_blocks(size - 1, 1 / 8)):
+        return None
+    del fold
+    key = fill(np.zeros((c, size), np.uint64))  # each id's words: equal folds may be a collision
     order, at = np.lexsort(key), size  # stable: equal keys keep their ids' order
     for r in _row_blocks(size - 1, 2 + 2.25 * c):
         pos = order[r.start : r.stop + 1]
@@ -456,6 +453,8 @@ def _read_cells(reader, rows: _Columns, vocab: list[str]) -> tuple[QuestionIds, 
 _COMMA, _NEWLINE = ord(","), ord("\n")
 # _LOW_BYTES[r] keeps the low r bytes of a little-endian word
 _LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
+# _first_repeat's fold multiplier: odd, 2^64 over the golden ratio (Knuth's multiplicative hashing)
+_FOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _plain(data: bytes) -> bool:
@@ -966,7 +965,7 @@ def write_predictions_csv(
     names = agent_names or [str(i + 1) for i in range(pm.n)]
     if len(names) != pm.n:
         raise DimensionError(f"got {len(names)} agent names for {pm.n} agents")
-    qids = question_ids or _decimal_ids(pm.m)
+    qids = question_ids or QuestionIds(map(str, range(pm.m)))
     if len(qids) != pm.m:
         raise DimensionError(f"got {len(qids)} question ids for {pm.m} questions")
     with_truth = include_truth and pm.truth is not None
