@@ -35,10 +35,10 @@
 # down; a hit loads a parse whose ids were checked distinct when it was
 # stored, and skips that check), with the same labels both ways, a check that
 # aggregate --method mv on that panel with its ids replaced by 36-byte UUIDs
-# peaks at or below 92 MB of its own RSS with the parse cache off (88.1-88.5 MB
-# measured, plus 4 MB, rounded down: the ids' bytes are most of it, and the
-# duplicate-id check folds each id into one word) and gives the labels the
-# panel with short ids gets, and a check that
+# peaks at or below 131 MB of its own RSS with the parse cache off (127.8-127.9 MB
+# measured, plus 4 MB, rounded down: the ids' bytes, and the duplicate-id
+# check's five words and order an id, are most of it) and gives the labels
+# the panel with short ids gets, and a check that
 # the own peak RSS of verify --suite all and of report --table2 -m 25000 each
 # stays within 3.5 MB of a bare import of the CLI and numpy.random (every
 # kernel holds one block of scratch). Last, it prints the source lines of each
@@ -390,7 +390,7 @@ aggregate_memory_is_bounded() {
 
 uuid_ids_memory_is_bounded() {
   # the 1M x 4 panel with each id replaced by a 36-byte UUID, which the
-  # duplicate-id check folds into one word
+  # duplicate-id check keys by five words
   python - "$tmp" <<'EOF'
 import random
 import sys
@@ -405,7 +405,7 @@ EOF
   mkdir -p "$tmp/shared-cache/quorum"
   chmod 775 "$tmp/shared-cache/quorum"
   export XDG_CACHE_HOME="$tmp/shared-cache"
-  aggregate_peak million-uuid mv off 92
+  aggregate_peak million-uuid mv off 131
   python -m quorum aggregate --input "$tmp/million.csv" --out "$tmp/million-mv-off.csv" --method mv
   cmp <(cut -d, -f2 "$tmp/million-mv-off.csv") <(cut -d, -f2 "$tmp/million-uuid-mv-off.csv")
 }
@@ -458,7 +458,7 @@ step "under umask 022, aggregate and simulate outputs are mode 644 and the parse
 step "simulated panels, with and without truth, are what csv.writer writes" simulate_written_as_csv_writer_does
 step "simulate at 1M x 4, K=4 peaks at or below 58 MB of its own RSS" simulate_memory_is_bounded
 step "aggregate --method isp on that panel peaks at or below 61 MB of its own RSS with the parse cache off, 59 MB on a hit" aggregate_memory_is_bounded
-step "aggregate --method mv on that panel with 36-byte UUID ids peaks at or below 92 MB of its own RSS with the parse cache off, and labels it as with short ids" uuid_ids_memory_is_bounded
+step "aggregate --method mv on that panel with 36-byte UUID ids peaks at or below 131 MB of its own RSS with the parse cache off, and labels it as with short ids" uuid_ids_memory_is_bounded
 step "verify --suite all and report --table2 -m 25000 peak within 3.5 MB of a bare import's RSS" oracle_memory_is_bounded
 step "source lines per module (reported, not gated)" source_lines
 

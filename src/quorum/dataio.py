@@ -22,7 +22,7 @@ import operator
 import os
 import stat
 import time
-from collections.abc import Sequence
+from collections.abc import Sequence, Sized
 
 import numpy as np
 
@@ -133,21 +133,20 @@ class QuestionIds(Sequence):
     Apache Arrow's variable-width layout; an id is decoded to ``str`` only when
     it is indexed or iterated. So a million ids take a few bytes each, not a
     ``str`` object each. It compares equal to the list of the same ids, and to
-    another ``QuestionIds`` holding them.
+    another ``QuestionIds`` holding them. Any iterable of str is encoded a block
+    of ids at a time; a sized one's count sizes the arrays.
     """
 
     __slots__ = ("_data", "_ends")
     __hash__ = None
 
     def __init__(self, ids=()):
-        built, ids = _Columns(1), iter(ids)
-        for span in _row_blocks(2**63, 1, _CELLS_PER_BLOCK):  # until ids runs out; only a block is ever a list
-            data, lens = _utf8(list(itertools.islice(ids, span.stop - span.start)))
-            if not lens.size:
-                break
+        built, chunks = _Columns(1, rows=len(ids) if isinstance(ids, Sized) else 0), iter(ids)
+        # map, unlike a loop variable, lets go of a block's list before the next is made
+        for data, lens in map(_utf8, iter(lambda: list(itertools.islice(chunks, _CELLS_PER_BLOCK)), [])):
             built.add(np.frombuffer(data, np.uint8), lens, np.empty(0, np.uint8), 0)
-        result = built.result()[0]
-        _freeze(self, _data=result._data, _ends=result._ends)
+        ids = built.result()[0]
+        _freeze(self, _data=ids._data, _ends=ids._ends)
 
     @classmethod
     def _adopt(cls, data: np.ndarray, ends: np.ndarray) -> "QuestionIds":
@@ -213,6 +212,19 @@ class QuestionIds(Sequence):
         return f"QuestionIds({list(self)!r})"
 
 
+class _DecimalIds:
+    """The ids "0" to ``str(m - 1)``: their count, and each made as it is iterated."""
+
+    def __init__(self, m: int):
+        self._rows = range(m)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):
+        return map(str, self._rows)
+
+
 def _id_blocks(ids: QuestionIds, n: int | None = None):
     """Per block of ``ids``: its rows, which of them are in ``_first_repeat``'s
     group ``n`` (all of them, if None), and those ids' ends and lengths."""
@@ -230,12 +242,10 @@ def _first_repeat(ids: QuestionIds) -> int | None:
     Ids are grouped by byte length, those under 8 bytes in one group n = 0, and
     keyed, a block of ids at a time, by their bytes zero-padded into 64-bit
     words (an id under 8 bytes has its length in the last byte): keys are equal
-    exactly where the ids are. A group's keys are folded into one word each,
-    ``h = h * _FOLD ^ w_j``, and sorted in place, so no repeat can hide from
-    equal neighbours; only then does ``np.lexsort`` order the keys themselves
-    stably to find the earliest repeat, or none if the folds merely collided.
-    Beside one word an id of a group (or, on that path, its keys and their
-    order) it holds a block.
+    exactly where the ids are. Keys of one word are sorted in place, so a
+    repeat shows as equal neighbours; only then, or for longer ids, does
+    ``np.lexsort`` order them stably to find the earliest repeat. Beside one
+    group's keys (and their order) it holds a block.
     """
 
     counts = collections.Counter()
@@ -244,7 +254,6 @@ def _first_repeat(ids: QuestionIds) -> int | None:
         lo = int(group.min())
         found = np.bincount(group - lo) if group.max() > lo else [group.size]
         counts.update({lo + n: int(found[n]) for n in np.flatnonzero(found).tolist()})
-    group = None  # the last block's lengths are not held through the search
     repeats = [_repeat_in_group(ids, n, size, len(counts) == 1) for n, size in counts.items() if size > 1]
     return min((r for r in repeats if r is not None), default=None)
 
@@ -253,31 +262,26 @@ def _repeat_in_group(ids: QuestionIds, n: int, size: int, single: bool) -> int |
     """``_first_repeat`` among the ``size`` ids of group ``n`` (every id, if ``single``)."""
 
     words, c, group = _words(ids._data), max(1, (n + 7) >> 3), None if single else n
+    key = np.empty((c, size), np.uint64)
 
-    def fill(key):  # h = h * _FOLD ^ w_j into row j % len(key) of the zeroed (rows, size) ``key``
+    def fill():
         at = 0
         for _, _, last, lens in _id_blocks(ids, group):
             starts = last.astype(np.intp) - lens
-            for j in range(c):
-                word = words[starts + 8 * j]  # a fancy index: take would copy the unaligned words whole
-                if j == c - 1 and n != 8 * c:  # the bytes past each id cleared
-                    word &= _LOW_BYTES[n - 8 * j if n else lens]
-                if n == 0:  # and its length in the top one
-                    word |= lens.astype(np.uint64) << np.uint64(56)
-                h = key[j % len(key), at : at + lens.size]  # a view, folded into in place
-                if j:  # a row still zero needs no multiply
-                    h *= _FOLD
-                h ^= word
-                del word  # or it stays alive while the next one is gathered
-            at += lens.size
-        return key
+            for j, word in enumerate(key):  # a fancy index: take would copy the unaligned words whole
+                word[at : at + starts.size] = words[starts + 8 * j]
+            if n == 0:  # the bytes past each id cleared, and its length in the top one
+                key[0, at : at + starts.size] &= _LOW_BYTES[lens]
+                key[0, at : at + starts.size] |= lens.astype(np.uint64) << np.uint64(56)
+            at += starts.size
+        key[-1] &= _LOW_BYTES[n - 8 * (c - 1) if n else 8]  # the bytes past each id cleared (group 0's were)
 
-    fold = fill(np.zeros((1, size), np.uint64))[0]  # each id's words folded into one
-    fold.sort()
-    if not any((fold[r.start + 1 : r.stop + 1] == fold[r]).any() for r in _row_blocks(size - 1, 1 / 8)):
-        return None
-    del fold
-    key = fill(np.zeros((c, size), np.uint64))  # each id's words: equal folds may be a collision
+    fill()
+    if c == 1:
+        key.sort(axis=1)
+        if not any((key[0, r.start + 1 : r.stop + 1] == key[0, r]).any() for r in _row_blocks(size - 1, 1 / 8)):
+            return None
+        fill()
     order, at = np.lexsort(key), size  # stable: equal keys keep their ids' order
     for r in _row_blocks(size - 1, 2 + 2.25 * c):
         pos = order[r.start : r.stop + 1]
@@ -336,14 +340,14 @@ def _append(arr: np.ndarray, at: int, values: np.ndarray, dtype: np.dtype, scale
 
     ``arr`` is first widened to ``dtype`` if that is wider (a copy of its first
     ``at`` items) and, if the values do not fit, grown in place to ``scale``
-    times the filled size or by a quarter, whichever is more.
+    times the filled size or, if ``scale`` is 0, by a quarter.
     """
 
     if dtype.itemsize > arr.dtype.itemsize:
         arr = arr[:at].astype(dtype)
     end = at + len(values)
     if end > arr.size:
-        arr.resize(max(end, int(end * scale), arr.size + arr.size // 4), refcheck=False)
+        arr.resize(max(end, int(end * scale) if scale else arr.size + arr.size // 4), refcheck=False)
     arr[at:end] = values
     return arr
 
@@ -356,13 +360,15 @@ class _Columns:
     block predicts for the rest of the file from its byte count (unknown for
     a pipe), and grown in place by ``ndarray.resize``, which reallocates,
     when a later block does not fit; ``result`` cuts it to size the same way.
-    So the read never holds its blocks and their concatenation at once. Each
-    dtype is the narrowest that holds the values so far.
+    So the read never holds its blocks and their concatenation at once. Given
+    the ``rows`` to come, each block predicts from the rows so far instead.
+    Each dtype is the narrowest that holds the values so far.
     """
 
-    def __init__(self, width: int, fh=None):
+    def __init__(self, width: int, fh=None, rows: int = 0):
         self.width = width
         self.rows = self.size = 0
+        self._expect = rows
         self.data, self.ends, self.codes = (np.empty(0, np.uint8) for _ in range(3))
         try:  # the bytes left in the file, and a clock of how many were read
             self._start = fh.tell()
@@ -376,8 +382,10 @@ class _Columns:
         ``lens`` each id's length and ``codes`` their other cells' codes, which
         take values below ``labels``."""
 
-        scale = 1.0
-        if not self.rows and self._left > 0 and lens.size:  # an empty block predicts nothing
+        scale = 0.0
+        if self._expect and lens.size:
+            scale = self._expect / (self.rows + lens.size)
+        elif not self.rows and self._left > 0 and lens.size:  # an empty block predicts nothing
             # the bytes the block came from: as far as the file was read, and at
             # least a separator or line end per cell (the reader may read ahead)
             done = max(self._tell() - self._start, data.size + codes.size + lens.size)
@@ -453,8 +461,6 @@ def _read_cells(reader, rows: _Columns, vocab: list[str]) -> tuple[QuestionIds, 
 _COMMA, _NEWLINE = ord(","), ord("\n")
 # _LOW_BYTES[r] keeps the low r bytes of a little-endian word
 _LOW_BYTES = np.array([(1 << 8 * r) - 1 for r in range(9)], np.uint64)
-# _first_repeat's fold multiplier: odd, 2^64 over the golden ratio (Knuth's multiplicative hashing)
-_FOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _plain(data: bytes) -> bool:
@@ -965,7 +971,7 @@ def write_predictions_csv(
     names = agent_names or [str(i + 1) for i in range(pm.n)]
     if len(names) != pm.n:
         raise DimensionError(f"got {len(names)} agent names for {pm.n} agents")
-    qids = question_ids or QuestionIds(map(str, range(pm.m)))
+    qids = question_ids or QuestionIds(_DecimalIds(pm.m))
     if len(qids) != pm.m:
         raise DimensionError(f"got {len(qids)} question ids for {pm.m} questions")
     with_truth = include_truth and pm.truth is not None

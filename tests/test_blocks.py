@@ -2,11 +2,11 @@
 
 ``core._row_blocks`` is the one place that cuts rows into blocks. It reads
 ``core._BLOCK_CELLS``, or the budget its caller passes (the CSV reader and
-writer, and ``QuestionIds`` as it encodes the ids it is given, pass
-``dataio._CELLS_PER_BLOCK``), when a loop starts, so forcing one of those
-values reaches every kernel, the duplicate-id check's fold and sort
-included. Each output is a pure function of (seed, question index), so
-forced blocks, and a prefix of a file, give the same labels.
+writer pass ``dataio._CELLS_PER_BLOCK``, which ``QuestionIds`` also reads as
+it cuts the ids it is given into blocks), when a loop starts, so forcing one
+of those values reaches every kernel. Each output is a pure function of
+(seed, question index), so forced blocks, and a prefix of a file, give the
+same labels.
 """
 
 import json

@@ -6,13 +6,10 @@ import functools
 import io
 import json
 import os
-import random
 import re
-import string
 import tempfile
 import threading
 import tracemalloc
-import uuid
 
 import numpy as np
 import pytest
@@ -1224,7 +1221,7 @@ def test_a_parse_with_a_repeated_id_is_never_stored(tmp_path, monkeypatch, dropp
 def _id_block_edges(ids, monkeypatch):
     """Every row at which a block of ``_first_repeat`` on ``ids`` starts, but the first."""
 
-    edges, row_blocks, ids = set(), dataio._row_blocks, QuestionIds(ids)  # built before: its blocks are not the check's
+    edges, row_blocks = set(), dataio._row_blocks
 
     def recorded(*args, **kwargs):
         for rows in row_blocks(*args, **kwargs):
@@ -1233,7 +1230,7 @@ def _id_block_edges(ids, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(dataio, "_row_blocks", recorded)
-        assert dataio._first_repeat(ids) is None
+        assert dataio._first_repeat(QuestionIds(ids)) is None
     return sorted(edges - {0})
 
 
@@ -1299,61 +1296,6 @@ def test_the_duplicate_id_check_holds_a_group_of_keys_and_a_block(tmp_path, monk
     assert peak <= retained + keys + 8 * core._BLOCK_CELLS, (peak, retained, keys)
 
 
-def test_the_duplicate_id_check_holds_a_word_an_id_and_a_block():
-    # 200,000 unsorted 36-byte ids (UUIDs): beyond what it was given, the
-    # check holds one folded word an id and a block, not the ids' five words
-    # and their order
-    m, raw = 200_000, np.random.default_rng(6).bytes(16 * 200_000)
-    ids = QuestionIds(str(uuid.UUID(bytes=raw[16 * i : 16 * i + 16])) for i in range(m))
-    assert set(np.diff(ids._ends).tolist()) == {36}
-    tracemalloc.start()
-    try:
-        assert dataio._first_repeat(ids) is None
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= retained + 8 * m + 8 * core._BLOCK_CELLS, (peak, retained)
-
-
-def _fold(qid):
-    """``_first_repeat``'s one word for an id of over 8 bytes: h = h * G ^ w_j
-    over its bytes zero-padded into little-endian 64-bit words w_j."""
-
-    data, h = qid.encode(), 0
-    for j in range(0, len(data), 8):
-        h = (h * int(dataio._FOLD) ^ int.from_bytes(data[j : j + 8], "little")) % 2**64
-    return h
-
-
-def _colliding_ids():
-    """Two distinct 16-byte ASCII ids, free of commas and quotes, whose folds are equal."""
-
-    a, rng = "collide-aaaaaaaa", random.Random(8)
-    for _ in range(10**6):
-        head = "".join(rng.choices(string.ascii_letters, k=8))  # the second word makes the folds equal
-        tail = (_fold(a) ^ _fold(head) * int(dataio._FOLD) % 2**64).to_bytes(8, "little")
-        if all(0x20 <= byte < 0x7F for byte in tail) and b"," not in tail and b'"' not in tail:
-            return a, head + tail.decode()
-    raise AssertionError("no colliding id found")
-
-
-def test_ids_whose_folds_collide_are_told_apart(tmp_path):
-    # equal folds send the group to the exact search over the ids' words,
-    # which finds no repeat; a true repeat among them is found with its line
-    a, b = _colliding_ids()
-    assert a != b and _fold(a) == _fold(b)
-    assert dataio._first_repeat(QuestionIds([a, b])) is None
-    ids = [f"q{i:015d}" for i in range(1_000)]  # 16 bytes, as a and b: one group
-    ids[100], ids[500] = a, b
-    assert dataio._first_repeat(QuestionIds(ids)) is None
-    ids[700] = a
-    assert dataio._first_repeat(QuestionIds(ids)) == 700 == _reference_repeat(ids)
-    path = tmp_path / "p.csv"
-    path.write_text("question_id,agent_x,agent_y\n" + "".join(f"{qid},A,B\n" for qid in ids))
-    with pytest.raises(FormatError, match=rf"p\.csv:702: duplicate question_id {re.escape(repr(a))}"):
-        read_predictions_csv(str(path))
-
-
 @given(st.lists(st.text(max_size=12)), st.integers(1, 12))
 @settings(max_examples=100, deadline=None)
 def test_question_ids_are_built_alike_from_any_iterable_at_any_block_size(ids, cells_per_block):
@@ -1366,9 +1308,27 @@ def test_question_ids_are_built_alike_from_any_iterable_at_any_block_size(ids, c
         for got in (QuestionIds(ids), QuestionIds(qid for qid in ids)):
             assert got._data.tobytes() == data + bytes(8) and got._ends.tolist() == ends.tolist()
             assert got._ends.dtype == np.min_scalar_type(len(data)) and got == ids
+        assert QuestionIds(dataio._DecimalIds(len(ids))) == [str(q) for q in range(len(ids))]
         for bad, error in ((1, TypeError), (b"q", TypeError), ("q\ud800", UnicodeEncodeError)):
-            with pytest.raises(error):
-                QuestionIds(qid for qid in [*ids, bad])
+            for given in ([*ids, bad], (qid for qid in [*ids, bad])):
+                with pytest.raises(error):
+                    QuestionIds(given)
+
+
+def test_a_list_of_ids_is_encoded_into_arrays_sized_once(monkeypatch):
+    # ids of 1 to 6 bytes, longer as the list goes on: their count sizes the
+    # ends, and the bytes so far the rest, so beyond what it keeps the
+    # encoding holds a block (8 bytes a cell, for each of up to 8 arrays), not
+    # the arrays' growth by a quarter at a time
+    monkeypatch.setattr(dataio, "_CELLS_PER_BLOCK", 2**10)
+    ids = [str(q) for q in range(200_000)]
+    tracemalloc.start()
+    try:
+        got = QuestionIds(ids)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == ids and peak <= kept + 64 * 2**10, (peak, kept)
 
 
 def test_dropping_rows_holds_little_beside_the_read(tmp_path):
