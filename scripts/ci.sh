@@ -18,10 +18,10 @@
 # traceback and with an error that names what was wrong, a check
 # that a malformed row deep in a file exits 3 and names its line, and a check that a byte that is not UTF-8 or an over-long field deep in
 # a file, or a config file that is not UTF-8, exits 3 without a traceback, and a
-# check that ow-l on a 20,000 x 60 panel gives the same labels with one BLAS
-# thread as with the default, and fits without a warning: converged, all 8
-# starts agreeing, a check that the parse cache gives a second run, and a
-# run after its entry was damaged, the labels of the first, and a check that
+# check that ow-l on a 20,000 x 60 panel gives the same labels with the one
+# BLAS thread quorum loads numpy with as with OPENBLAS_NUM_THREADS=2, and fits
+# without a warning: converged, all 8 starts agreeing, a check that the parse
+# cache gives a second run, and a run after its entry was damaged, the labels of the first, and a check that
 # under umask 022 the files aggregate and simulate write are mode 644 while the
 # parse-cache entry stays 600, and a check that the panels simulate writes for
 # the ci and the difficulty model, with and without truth, are what csv.writer
@@ -237,21 +237,21 @@ EOF
   done
 }
 
-owl_one_blas_thread() {
+owl_two_blas_threads() {
   accuracies="$(python -c 'import numpy as np; print(",".join(f"{v:.4f}" for v in np.linspace(0.51, 0.65, 60)))')"
   python -m quorum simulate --accuracies "$accuracies" --k 2 -m 20000 --seed 0 --out "$tmp/wide.csv"
   python -m quorum aggregate --input "$tmp/wide.csv" --out "$tmp/wide-owl.csv" --method ow-l \
     2> "$tmp/err.txt"
-  OPENBLAS_NUM_THREADS=1 python -m quorum aggregate --input "$tmp/wide.csv" --out "$tmp/wide-owl-1.csv" \
+  OPENBLAS_NUM_THREADS=2 python -m quorum aggregate --input "$tmp/wide.csv" --out "$tmp/wide-owl-2.csv" \
     --method ow-l 2>> "$tmp/err.txt"
   cat "$tmp/err.txt"
-  cmp "$tmp/wide-owl.csv" "$tmp/wide-owl-1.csv"
+  cmp "$tmp/wide-owl.csv" "$tmp/wide-owl-2.csv"
   if grep -q warning "$tmp/err.txt"; then exit 1; fi
   python - "$tmp" <<'EOF'
 import json
 import sys
 
-for name in ("wide-owl", "wide-owl-1"):
+for name in ("wide-owl", "wide-owl-2"):
     with open(f"{sys.argv[1]}/{name}.csv.summary.json") as fh:
         fit = json.load(fh)["fit"]
     print(name, "converged", fit["converged"], "starts_agreeing", fit["starts_agreeing"])
@@ -452,7 +452,7 @@ step "ids that need quoting are written as csv.writer writes them" quoted_ids_wr
 step "a bad flag, config value or output directory exits 2, a deeply nested config 3, without a traceback" bad_flags_exit_2
 step "a short row past the first ingest block exits 3 with its line" short_row_exits_3
 step "a byte that is not UTF-8 or an over-long field deep in a CSV, or a config that is not UTF-8, exits 3 without a traceback" hostile_bytes_exit_3
-step "ow-l on a 20,000 x 60, K=2 panel: the same labels with one BLAS thread, a converged fit whose 8 starts agree, and no warning" owl_one_blas_thread
+step "ow-l on a 20,000 x 60, K=2 panel: the same labels with quorum's one BLAS thread as with OPENBLAS_NUM_THREADS=2, a converged fit whose 8 starts agree, and no warning" owl_two_blas_threads
 step "the parse cache: a second run hits it, a damaged entry is parsed again, and all three give the same labels" parse_cache_reads_like_a_parse
 step "under umask 022, aggregate and simulate outputs are mode 644 and the parse-cache entry 600" output_modes_follow_the_umask
 step "simulated panels, with and without truth, are what csv.writer writes" simulate_written_as_csv_writer_does

@@ -894,6 +894,48 @@ class TestProgramExit:
         assert (gc.get_freeze_count(), atexit._ncallbacks(), gc.isenabled()) == before
 
 
+def _openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        return False
+    return "openblas" in blas.lower()
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2 or not _openblas(),
+    reason="counts OpenBLAS's threads in /proc on a machine where it would start a second one",
+)
+class TestBlasThreads:
+    """``import quorum`` loads numpy with one OpenBLAS thread unless numpy is loaded or a count is chosen."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_count(self, monkeypatch):
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+
+    def threads(self, imports):
+        """(native threads, whether OPENBLAS_NUM_THREADS is set) in a fresh process after ``imports``."""
+
+        count = "print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ)"
+        proc = _python(["-c", f"import os\n{imports}\n{count}"])
+        assert proc.returncode == 0, proc.stderr
+        threads, pinned = proc.stdout.split()
+        return int(threads), pinned == "True"
+
+    @pytest.mark.parametrize("imports", ["import quorum", "import quorum.cli"])
+    def test_unset_loads_one_thread_and_restores_the_environment(self, imports):
+        assert self.threads(imports) == (1, False)
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_chosen_count_is_kept(self, monkeypatch, name):
+        monkeypatch.setenv(name, "2")
+        assert self.threads("import quorum")[0] == 2
+
+    def test_numpy_loaded_first_keeps_its_threads(self):
+        assert self.threads("import numpy\nimport quorum") == self.threads("import numpy")
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 def test_outputs_take_the_umask_mode_and_cache_entries_stay_private(runner, tmp_path, umask, monkeypatch):
     from quorum import dataio
