@@ -156,23 +156,24 @@ class QuestionIds(Sequence):
 
         return _freeze(cls.__new__(cls), _data=data, _ends=ends)
 
-    def _bounds(self, a: int = 0, b: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The start and end offsets in the buffer of ids ``a`` to ``b``, as intp."""
+    def _block(self, a: int = 0, b: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The bytes of ids ``a`` to ``b`` end to end, and each id's start and end offset in them, as intp."""
 
-        ends = self._ends[a:b].astype(np.intp)
+        lo = int(self._ends[a - 1]) if a else 0
+        ends = self._ends[a:b].astype(np.intp) - lo
         starts = np.empty_like(ends)
-        starts[:1] = self._ends[a - 1] if a else 0
+        starts[:1] = 0
         starts[1:] = ends[:-1]
-        return starts, ends
+        return self._data[lo : lo + int(ends[-1]) if ends.size else lo], starts, ends
 
     def _take(self, keep: np.ndarray) -> "QuestionIds":
         """The ids where the mask ``keep`` is set, gathered a block of ids at a time."""
 
         ids = _Columns(1)
         for rows in _row_blocks(len(self), 7 + 1.125 * len(self._data) / max(len(self), 1)):  # a cell an id byte
-            starts, ends = self._bounds(rows.start, rows.stop)
+            data, starts, ends = self._block(rows.start, rows.stop)
             lens = (ends - starts)[keep[rows]]
-            ids.add(_gather(self._data, starts[keep[rows]], lens), lens, np.empty(0, np.uint8), 0)
+            ids.add(_gather(data, starts[keep[rows]], lens), lens, np.empty(0, np.uint8), 0)
         return ids.result()[0]
 
     def __len__(self) -> int:
@@ -182,18 +183,16 @@ class QuestionIds(Sequence):
         rows = range(len(self))[index]  # a range for a slice; an IndexError out of range
         if isinstance(rows, range):
             return list(self._decode(rows.start, rows.stop)) if rows.step == 1 else [self[i] for i in rows]
-        start = int(self._ends[rows - 1]) if rows else 0
-        return self._data[start : int(self._ends[rows])].tobytes().decode()
+        return next(self._decode(rows, rows + 1))
 
     def _decode(self, a: int = 0, b: int | None = None):
         """An iterator over ids ``a`` to ``b`` as str."""
 
-        starts, ends = self._bounds(a, b)
-        lo = int(starts[0]) if starts.size else 0
-        data = self._data[lo : int(ends[-1]) if ends.size else 0].tobytes()
+        data, starts, ends = self._block(a, b)
+        data = data.tobytes()
         if data.isascii():  # then byte offsets are character offsets
             data = data.decode()
-        cells = map(data.__getitem__, map(slice, (starts - lo).tolist(), (ends - lo).tolist()))
+        cells = map(data.__getitem__, map(slice, starts.tolist(), ends.tolist()))
         return cells if isinstance(data, str) else map(bytes.decode, cells)
 
     __iter__ = _decode
@@ -210,19 +209,6 @@ class QuestionIds(Sequence):
 
     def __repr__(self) -> str:
         return f"QuestionIds({list(self)!r})"
-
-
-class _DecimalIds:
-    """The ids "0" to ``str(m - 1)``: their count, and each made as it is iterated."""
-
-    def __init__(self, m: int):
-        self._rows = range(m)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __iter__(self):
-        return map(str, self._rows)
 
 
 def _id_blocks(ids: QuestionIds, n: int | None = None):
@@ -968,16 +954,15 @@ def write_predictions_csv(
     question_ids: list[str] | None = None,
     include_truth: bool = True,
 ) -> None:
-    names = agent_names or [str(i + 1) for i in range(pm.n)]
+    names = [str(i + 1) for i in range(pm.n)] if agent_names is None else agent_names
     if len(names) != pm.n:
         raise DimensionError(f"got {len(names)} agent names for {pm.n} agents")
-    qids = question_ids or QuestionIds(_DecimalIds(pm.m))
-    if len(qids) != pm.m:
-        raise DimensionError(f"got {len(qids)} question ids for {pm.m} questions")
+    if question_ids is not None and len(question_ids) != pm.m:
+        raise DimensionError(f"got {len(question_ids)} question ids for {pm.m} questions")
     with_truth = include_truth and pm.truth is not None
     header = ["question_id"] + [_AGENT_PREFIX + n for n in names] + (["truth"] if with_truth else [])
     columns = list(pm.answers.T) + ([pm.truth] if with_truth else [])
-    atomic_write_text(path, _csv_blocks(header, qids, pm.space.labels, columns))
+    atomic_write_text(path, _csv_blocks(header, question_ids, pm.space.labels, columns))
 
 
 def write_labels_csv(path: str, question_ids, labels, codes=None) -> None:
@@ -1015,8 +1000,9 @@ def _unquoted(text: bytes) -> bool:
 
 def _csv_blocks(header: list[str], ids, labels, columns: list[np.ndarray]):
     """The bytes csv.writer writes for the row ``header``, then for each i the
-    row of ``ids[i]`` and ``labels[col[i]]`` for each ``col`` of ``columns``,
-    in blocks of about ``_CELLS_PER_BLOCK`` cells.
+    row of ``ids[i]`` (``str(i)`` if ``ids`` is None) and ``labels[col[i]]``
+    for each ``col`` of ``columns``, a block of rows at a time; only then are
+    its ids encoded, if they are not a ``QuestionIds``' own bytes.
 
     A block whose cells are all str free of commas, quotes and line breaks is
     gathered from its ids' bytes and a table of ``,label\\r\\n`` entries, the
@@ -1025,35 +1011,44 @@ def _csv_blocks(header: list[str], ids, labels, columns: list[np.ndarray]):
     """
 
     yield _csv_text([header])
-    try:
-        ids = ids if isinstance(ids, QuestionIds) else QuestionIds(ids)
+    own, m, c, plain, mean, entries = isinstance(ids, QuestionIds), len(columns[0]), len(columns), False, 0, None
+    with contextlib.suppress(TypeError):  # an id or a label that is not a str, which csv.writer writes
+        # an id's mean bytes; a str's characters, the fewest bytes it can take
+        mean = (len(ids._data) if own else m * len(str(m)) if ids is None else sum(map(len, ids))) / max(m, 1)
         plain = _unquoted("".join(labels).encode())
-    except TypeError:  # an id or a label that is not a str, which csv.writer writes
-        plain = False
     if plain:
         table, sizes = _utf8([f",{lab}\r\n" for lab in labels])
         table, offsets = np.frombuffer(table, np.uint8), np.cumsum(sizes) - sizes
-        lens = [sizes - 2] * (len(columns) - 1) + [sizes]  # each column's entry lengths
+        lens = [sizes - 2] * (c - 1) + [sizes]  # each column's entry lengths
         w = sizes[0] if len(set(sizes.tolist())) == 1 else 0  # the entries' one width, if they share one
         entries = [np.ndarray(len(labels), f"V{n[0]}", table, 0, (w,)) for n in lens] if w else None
-    for rows in _row_blocks(len(ids), 1 + len(columns), _CELLS_PER_BLOCK):
-        if plain:
-            starts, ends = ids._bounds(rows.start, rows.stop)
-            lo, hi = int(starts[0]), int(ends[-1])
-            data = ids._data[lo:hi]
-        if not (plain and _unquoted(data.tobytes())):
-            cells = (map(labels.__getitem__, col[rows].tolist()) for col in columns)
-            yield _csv_text(zip(ids[rows], *cells))
+    # cells a row holds: with ids and entries of one width, its text twice and its id's offsets; else, a
+    # part at a time, its text out and as an intp index, its id twice and five intp arrays of segments
+    text = mean + c * (int(sizes.max(initial=0)) if plain else 0)
+    gather = 1.125 * text + mean / 4 + 5 * (1 + c)
+    for block in _row_blocks(m, 3 + text / 4 if entries else gather):
+        data = cells = out = None  # the last block's arrays go before this one's are made
+        if plain and own:
+            data, starts, ends = ids._block(block.start, block.stop)
+        elif plain:
+            with contextlib.suppress(TypeError):  # an id that is not a str, which csv.writer writes
+                given = map(str, range(block.start, block.stop)) if ids is None else ids[block]
+                data, starts, ends = QuestionIds(given)._block()
+        quoted = data is None or not _unquoted(data.tobytes())
+        if entries and not quoted and data.size and (ends - starts == ends[0]).all():  # ids of one width
+            cells = [data.view(f"V{ends[0]}")] + [np.take(e, col[block]) for e, col in zip(entries, columns)]
+            out = np.empty(len(starts), [(f"c{j}", cell.dtype) for j, cell in enumerate(cells)])
+            for j, cell in enumerate(cells):
+                out[f"c{j}"] = cell
+            yield out.view(np.uint8)
             continue
-        codes = [col[rows] for col in columns]
-        width = ends[0] - starts[0]
-        if entries and width and (ends - starts == width).all():
-            cells = [data.view(f"V{width}")] + [np.take(e, c) for e, c in zip(entries, codes)]
-            rows = np.empty(len(starts), [(f"c{j}", c.dtype) for j, c in enumerate(cells)])
-            for j, c in enumerate(cells):
-                rows[f"c{j}"] = c
-            yield rows.view(np.uint8)
-        else:  # segments run row by row: the id, then its entries, which follow the ids in src
-            seg_starts = np.stack([starts - lo] + [(hi - lo) + offsets[c] for c in codes], axis=1)
-            seg_lens = np.stack([ends - starts] + [n[c] for n, c in zip(lens, codes)], axis=1)
-            yield _gather(np.concatenate([data, table]), seg_starts.ravel(), seg_lens.ravel())
+        for part in _row_blocks(block.stop - block.start, gather):
+            rows = slice(block.start + part.start, block.start + part.stop)
+            codes = [col[rows] for col in columns]
+            if quoted:  # csv.writer's objects take fewer cells a row than the gather
+                cells = (map(labels.__getitem__, k.tolist()) for k in codes)
+                yield _csv_text(zip(range(m)[rows] if ids is None else ids[rows], *cells))
+            else:  # segments run row by row: the id, then its entries, which follow the ids
+                seg_starts = np.stack([starts[part]] + [data.size + offsets[k] for k in codes], axis=1)
+                seg_lens = np.stack([ends[part] - starts[part]] + [n[k] for n, k in zip(lens, codes)], axis=1)
+                yield _gather(np.concatenate([data, table]), seg_starts.ravel(), seg_lens.ravel())

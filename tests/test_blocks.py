@@ -1,12 +1,12 @@
 """Outputs do not depend on how the row-blocked loops cut their rows.
 
 ``core._row_blocks`` is the one place that cuts rows into blocks. It reads
-``core._BLOCK_CELLS``, or the budget its caller passes (the CSV reader and
-writer pass ``dataio._CELLS_PER_BLOCK``, which ``QuestionIds`` also reads as
-it cuts the ids it is given into blocks), when a loop starts, so forcing one
-of those values reaches every kernel. Each output is a pure function of
-(seed, question index), so forced blocks, and a prefix of a file, give the
-same labels.
+``core._BLOCK_CELLS`` (which the CSV writer also counts its rows under), or
+the budget its caller passes (the CSV reader passes ``dataio._CELLS_PER_BLOCK``,
+which ``QuestionIds`` also reads as it cuts the ids it is given into blocks),
+when a loop starts, so forcing one of those values reaches every kernel. Each
+output is a pure function of (seed, question index), so forced blocks, and a
+prefix of a file, give the same labels.
 """
 
 import json
@@ -66,7 +66,8 @@ def unforced(tmp_path_factory):
 @pytest.mark.parametrize(
     "block_cells, cells_per_block",
     # one row per block everywhere; then seven rows per isp aggregate_batch
-    # block, and seven rows (of an id, N answers and the truth) per CSV block
+    # block and per CSV reader block (of an id, N answers and the truth), and
+    # CSV writer blocks of a few rows under the same core._BLOCK_CELLS
     [(1, 1), (7 * agg._score_cells("isp", N, K)[0], 7 * (N + 2))],
     ids=["1-row", "7-row"],
 )

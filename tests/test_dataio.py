@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from quorum import core, dataio
-from quorum.core import FormatError, LabelSpace, PredictionMatrix
+from quorum.core import DimensionError, FormatError, LabelSpace, PredictionMatrix
 from quorum.dataio import (
     QuestionIds,
     _Columns,
@@ -274,7 +274,7 @@ def test_labels_csv_matches_csv_writer_on_drawn_cells(rows, cells_per_block):
     with contextlib.ExitStack() as stack:
         tmp = stack.enter_context(tempfile.TemporaryDirectory())
         mp = stack.enter_context(pytest.MonkeyPatch.context())
-        mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
+        mp.setattr(core, "_BLOCK_CELLS", 24 * cells_per_block)  # a row counts 5-70 cells: blocks of a few rows
         path = os.path.join(tmp, "labels.csv")
         for args, kwargs in [
             ((ids, labels), {}),
@@ -313,7 +313,7 @@ def test_predictions_csv_matches_csv_writer_on_drawn_cells(data, cells_per_block
     with contextlib.ExitStack() as stack:
         tmp = stack.enter_context(tempfile.TemporaryDirectory())
         mp = stack.enter_context(pytest.MonkeyPatch.context())
-        mp.setattr(dataio, "_CELLS_PER_BLOCK", cells_per_block)
+        mp.setattr(core, "_BLOCK_CELLS", 24 * cells_per_block)  # a row counts 5-70 cells: blocks of a few rows
         path = os.path.join(tmp, "p.csv")
         write_predictions_csv(path, pm, question_ids=given_ids, include_truth=with_truth)
         with open(path, "rb") as fh:
@@ -569,25 +569,47 @@ def test_simulated_panels_take_the_byte_tokenizer(tmp_path, monkeypatch):
     assert meta["question_ids"] == [str(q) for q in range(5_000)]
 
 
-def test_default_question_ids_are_written_from_bytes(tmp_path):
-    # the ids "0".."M-1" are built in one QuestionIds buffer, not as M str
-    # objects: the write holds them and about a block of rows, and writes
-    # the bytes it writes for the same ids given as a list
+def test_predictions_csv_holds_a_block_beside_the_caller(tmp_path):
+    # each block's ids are encoded only as it is written, whether the ids
+    # "0".."M-1" are made from its row numbers or given as a list of str:
+    # beyond what the caller holds, a write holds about a block of rows, and
+    # the default ids are written as the same ids given as a list are
     m = 200_000
     answers = np.random.default_rng(0).integers(0, 4, size=(m, 4))
     pm = PredictionMatrix(LabelSpace.default(4), answers, answers[:, 0].copy())
-    ids = QuestionIds([str(q) for q in range(m)])
-    ids_bytes = ids._data.nbytes + ids._ends.nbytes
-    path, listed = tmp_path / "p.csv", tmp_path / "listed.csv"
+    peaks = []
+    for name, ids in (("default.csv", None), ("listed.csv", [str(q) for q in range(m)])):
+        tracemalloc.start()
+        try:
+            write_predictions_csv(str(tmp_path / name), pm, question_ids=ids)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "listed.csv").read_bytes()
+    assert max(peaks) <= 2 * 2**20, peaks
+
+
+@pytest.mark.parametrize("as_question_ids", [True, False], ids=["QuestionIds", "list"])
+def test_labels_csv_of_long_ids_holds_a_block_beside_the_caller(tmp_path, as_question_ids):
+    # ids of 2,000 and 2,001 bytes take the gather, which holds an intp index
+    # an output byte: the writer counts a row's bytes from the ids' mean
+    # length and gathers a part of a block at a time, so beyond the ids and
+    # codes a write holds about a block
+    m = 20_000
+    ids = (f"{q:0{2_000 + q % 2}d}" for q in range(m))
+    ids = QuestionIds(ids) if as_question_ids else list(ids)
+    codes = np.arange(m) % 3
+    path = tmp_path / "labels.csv"
     tracemalloc.start()
     try:
-        write_predictions_csv(str(path), pm)
+        write_labels_csv(str(path), ids, ["A", "B", "C"], codes=codes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    write_predictions_csv(str(listed), pm, question_ids=list(ids))
-    assert path.read_bytes() == listed.read_bytes()
-    assert peak <= ids_bytes + 2 * 2**20, (peak, ids_bytes)
+    with open(path, "rb") as fh:
+        assert fh.readline() == b"question_id,label\r\n" and fh.readline() == b"0" * 2_000 + b",A\r\n"
+        assert sum(1 for _ in fh) == m - 1
+    assert peak <= 2 * 2**20, peak
 
 
 def test_long_cells_are_read_within_a_block_of_memory(tmp_path, monkeypatch):
@@ -848,6 +870,19 @@ def test_bare_cr_file_is_read_within_a_block_of_memory(tmp_path, header_end):
     pm, _, retained, peak = _traced_read(path)
     np.testing.assert_array_equal(pm.answers, answers)
     assert peak <= retained + 2 * 2**20, (peak, retained)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"agent_names": []}, {"question_ids": []}, {"question_ids": QuestionIds([])}],
+    ids=["agent_names", "question_ids", "QuestionIds"],
+)
+def test_empty_names_or_ids_are_of_the_wrong_length(tmp_path, kwargs):
+    # an empty list stands for no names or ids, not for the defaults
+    path = tmp_path / "p.csv"
+    with pytest.raises(DimensionError):
+        write_predictions_csv(str(path), PredictionMatrix(LabelSpace.default(2), np.eye(2, dtype=int)), **kwargs)
+    assert not path.exists()
 
 
 class TestAgentSelection:
@@ -1308,7 +1343,6 @@ def test_question_ids_are_built_alike_from_any_iterable_at_any_block_size(ids, c
         for got in (QuestionIds(ids), QuestionIds(qid for qid in ids)):
             assert got._data.tobytes() == data + bytes(8) and got._ends.tolist() == ends.tolist()
             assert got._ends.dtype == np.min_scalar_type(len(data)) and got == ids
-        assert QuestionIds(dataio._DecimalIds(len(ids))) == [str(q) for q in range(len(ids))]
         for bad, error in ((1, TypeError), (b"q", TypeError), ("q\ud800", UnicodeEncodeError)):
             for given in ([*ids, bad], (qid for qid in [*ids, bad])):
                 with pytest.raises(error):
